@@ -1,6 +1,7 @@
 # Developer entry points for the DeepN-JPEG reproduction.
 #
-#   make check        # gofmt gate + vet + build + race suite + sampling matrix + fuzz smoke
+#   make check        # gofmt gate + vet + build + race suite + sampling matrix + paper numbers + fuzz smoke
+#   make paper        # the paper's Fig 2a/3/5/7 headline values as tolerance bands
 #   make test         # plain test run (what tier-1 verification executes)
 #   make test-amd64v3 # build+test under GOAMD64=v3 (AVX2-era codegen)
 #   make bench        # DCT/codec/pipeline benchmarks with allocation reporting
@@ -17,9 +18,9 @@ FUZZTIME ?= 5s
 # PR number when recording a data point, e.g. `make bench-json PR=4`.
 PR ?= dev
 
-.PHONY: check fmt vet build build-386 test test-amd64v3 race sampling progressive hub bench bench-txt bench-compare bench-json serve-bench fuzz-smoke
+.PHONY: check fmt vet build build-386 test test-amd64v3 race sampling progressive hub paper bench bench-txt bench-compare bench-json serve-bench fuzz-smoke
 
-check: fmt vet build build-386 race sampling progressive hub fuzz-smoke
+check: fmt vet build build-386 race sampling progressive hub paper fuzz-smoke
 
 fmt:
 	@out="$$($(GOFMT) -l .)" || exit 1; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -81,6 +82,14 @@ hub:
 	$(GO) test ./internal/profilehub
 	$(GO) test -run 'TestRegistryLazyFetch|TestSyncSource|TestWatchSyncs|TestLazyFetchSingleFlight|TestSignature|TestReadSignature|TestGC|TestCompare|TestWriteFileAtomic|TestReadChecksum' ./internal/profile
 	$(GO) test -run 'TestFleet|TestServerHub' ./internal/server
+
+# Paper-numbers gate: reruns Figs. 2a, 3, 5 and 7 at benchmark scale
+# and holds their headline values (the ones every BENCH_*.json snapshot
+# recorded) to tolerance bands — ±0.02 on compression ratios, one test
+# image on accuracies — so a codec change cannot silently move the
+# source paper's claim. The race leg skips this test; this leg runs it.
+paper:
+	$(GO) test -count 1 -run '^TestPaperNumbers$$' .
 
 # Native-fuzz smoke leg: a few seconds per target over the checked-in
 # corpus plus fresh mutations — catches decoder panics before CI does a

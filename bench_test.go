@@ -62,11 +62,11 @@ func contextForBench(b *testing.B) *experiments.Context {
 }
 
 // cell parses a numeric table cell ("3.50" or "92.5%").
-func cell(b *testing.B, s string) float64 {
-	b.Helper()
+func cell(tb testing.TB, s string) float64 {
+	tb.Helper()
 	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
 	if err != nil {
-		b.Fatalf("parsing %q: %v", s, err)
+		tb.Fatalf("parsing %q: %v", s, err)
 	}
 	return v
 }
