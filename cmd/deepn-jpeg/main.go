@@ -1,7 +1,7 @@
 // Command deepn-jpeg is the CLI front end of the DeepN-JPEG codec:
 //
 //	deepn-jpeg calibrate  [-in imgdir/] [-out p.dnp -name imagenet -pversion 1]
-//	                      [-chroma] [-workers N] [-fast-dct]     # calibrate, optionally persist a profile
+//	                      [-chroma] [-workers N]                 # calibrate, optionally persist a profile
 //	deepn-jpeg profiles   list|show|verify [-dir profiles/] [-in p.dnp]  # manage persisted profiles
 //	deepn-jpeg profiles   push|pull|sign [-origin URL] [-key k|-pub k.pub]  # hub lifecycle
 //	deepn-jpeg profiles   diff a.dnp b.dnp                          # compare calibrations (exit 1 on difference)
@@ -9,9 +9,9 @@
 //	deepn-jpeg hub        serve -dir profiles/ [-addr :9701] [-key k] [-push-key s]
 //	deepn-jpeg hub        keygen [-out hub-signing.key]             # Ed25519 signing key pair
 //	deepn-jpeg encode     -in img.(ppm|pgm|png|jpg) -out out.jpg
-//	                      [-qf 85 | -deepn] [-subsampling 420|444|422|440|411] [-optimize] [-fast-dct]
+//	                      [-qf 85 | -deepn] [-subsampling 420|444|422|440|411] [-optimize]
 //	deepn-jpeg encode     -in dir/ -out dir/ [-workers N] ...       # batch-encode a directory
-//	deepn-jpeg decode     -in img.jpg -out out.(ppm|pgm|png) [-fast-dct]
+//	deepn-jpeg decode     -in img.jpg -out out.(ppm|pgm|png)
 //	deepn-jpeg decode     -in dir/ -out dir/ [-format png] [-workers N]  # batch-decode a directory
 //	deepn-jpeg requantize -in img.jpg -out out.jpg [-qf 60 | -deepn]
 //	                      [-strip-metadata]                       # alias: transcode
@@ -32,9 +32,8 @@
 //
 // When -in names a directory, encode, decode and requantize process every
 // supported image in it onto -out (a directory) through the concurrent
-// batch pipeline; -workers sizes the pool (0 = GOMAXPROCS). -fast-dct
-// switches the block transform to the AAN fast engine: encoded streams
-// are byte-identical to the naive engine, just produced faster.
+// batch pipeline; -workers sizes the pool (0 = GOMAXPROCS). Every path
+// runs the one block transform, the AAN fast DCT.
 //
 // serve exposes the codec over HTTP (POST /v1/encode, /v1/decode,
 // /v1/requantize, multipart /v1/batch, POST /admin/profiles/reload, GET
@@ -293,7 +292,6 @@ func runCalibrate(args []string) error {
 	sampleEvery := fs.Int("sample-every", 0, "keep every k-th image per class (Algorithm 1); ≤1 keeps all")
 	chroma := fs.Bool("chroma", false, "also calibrate a chroma table")
 	workers := fs.Int("workers", 0, "image-load and statistics-pass worker count (0 = GOMAXPROCS)")
-	fastDCT := fs.Bool("fast-dct", false, "record the AAN fast DCT engine in the calibration")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -307,9 +305,6 @@ func runCalibrate(args []string) error {
 		*workers = runtime.GOMAXPROCS(0)
 	}
 	cfg := deepnjpeg.CalibrateConfig{Chroma: *chroma, Workers: *workers, SampleEvery: *sampleEvery}
-	if *fastDCT {
-		cfg.Transform = deepnjpeg.TransformAAN
-	}
 	var (
 		codec    *deepnjpeg.Codec
 		nClasses int
@@ -476,9 +471,9 @@ func runProfiles(args []string) error {
 			fmt.Printf("no profiles in %s\n", *dir)
 			return nil
 		}
-		fmt.Printf("%-24s %-7s %-8s %-7s %-20s %s\n", "PROFILE", "SAMPLED", "TRANSFORM", "CHROMA", "CREATED", "COMMENT")
+		fmt.Printf("%-24s %-7s %-7s %-20s %s\n", "PROFILE", "SAMPLED", "CHROMA", "CREATED", "COMMENT")
 		for _, p := range ps {
-			fmt.Printf("%-24s %-7d %-8s %-7v %-20s %s\n", p.Ref(), p.SampledCount, p.Transform,
+			fmt.Printf("%-24s %-7d %-7v %-20s %s\n", p.Ref(), p.SampledCount,
 				p.ChromaCalibrated, time.Unix(p.CreatedUnix, 0).UTC().Format("2006-01-02 15:04:05"), p.Comment)
 		}
 		return nil
@@ -495,7 +490,6 @@ func runProfiles(args []string) error {
 		}
 		fmt.Printf("%s: profile %s\n", *in, p.Ref())
 		fmt.Printf("created:    %s\n", time.Unix(p.CreatedUnix, 0).UTC().Format(time.RFC3339))
-		fmt.Printf("transform:  %s\n", p.Transform)
 		fmt.Printf("sampled:    %d images (%d blocks)\n", p.SampledCount, p.LumaStats.Blocks)
 		fmt.Printf("chroma:     calibrated=%v\n", p.ChromaCalibrated)
 		if p.Comment != "" {
@@ -630,7 +624,6 @@ func runEncode(args []string) error {
 	sub := fs.String("subsampling", "420", "chroma subsampling: 420, 444, 422, 440 or 411")
 	optimize := fs.Bool("optimize", false, "optimized Huffman tables")
 	workers := fs.Int("workers", 0, "worker-pool size for directory encoding (0 = GOMAXPROCS)")
-	fastDCT := fs.Bool("fast-dct", false, "use the AAN fast DCT engine (identical output, faster)")
 	restart := fs.Int("restart", 0, "insert RSTn markers every n MCUs (0 = none; enables single-image parallel coding)")
 	shard := fs.Int("shard", 0, "restart-segment workers within one image: 0 = auto, 1 = off, n = force n")
 	if err := fs.Parse(args); err != nil {
@@ -640,9 +633,6 @@ func runEncode(args []string) error {
 		return fmt.Errorf("encode needs -in and -out")
 	}
 	opts := jpegcodec.Options{OptimizeHuffman: *optimize, RestartInterval: *restart, ShardWorkers: *shard}
-	if *fastDCT {
-		opts.Transform = deepnjpeg.TransformAAN
-	}
 	var err error
 	if opts.Subsampling, err = jpegcodec.ParseSubsampling(*sub); err != nil {
 		return fmt.Errorf("bad -subsampling %q", *sub)
@@ -748,7 +738,6 @@ func runDecode(args []string) error {
 	out := fs.String("out", "", "output image (ppm/pgm/png) or directory")
 	format := fs.String("format", "png", "output format for directory decoding: png, ppm or pgm")
 	workers := fs.Int("workers", 0, "worker-pool size for directory decoding (0 = GOMAXPROCS)")
-	fastDCT := fs.Bool("fast-dct", false, "use the AAN fast IDCT engine for reconstruction")
 	shard := fs.Int("shard", 0, "restart-segment workers within one image: 0 = auto, 1 = off, n = force n")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -757,9 +746,6 @@ func runDecode(args []string) error {
 		return fmt.Errorf("decode needs -in and -out")
 	}
 	opts := deepnjpeg.DecodeOptions{ShardWorkers: *shard}
-	if *fastDCT {
-		opts.Transform = deepnjpeg.TransformAAN
-	}
 	if st, err := os.Stat(*in); err == nil && st.IsDir() {
 		return decodeDir(*in, *out, *format, *workers, opts)
 	}
@@ -920,7 +906,6 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	chroma := fs.Bool("chroma", false, "also calibrate a chroma table (SynthNet boot only)")
-	fastDCT := fs.Bool("fast-dct", false, "use the AAN fast DCT engine (SynthNet boot only)")
 	workers := fs.Int("workers", 0, "per-request batch worker-pool size (0 = GOMAXPROCS)")
 	maxBody := fs.Int64("max-body", 32<<20, "request body cap in bytes (413 beyond)")
 	maxPixels := fs.Int("max-pixels", 1<<24, "declared image dimension cap in pixels")
@@ -978,11 +963,7 @@ func runServe(args []string) error {
 	startLoad := time.Now()
 	if *profileRef == "" {
 		// No profile: calibrate on SynthNet at boot, as before.
-		cfg := deepnjpeg.CalibrateConfig{Chroma: *chroma}
-		if *fastDCT {
-			cfg.Transform = deepnjpeg.TransformAAN
-		}
-		if codec, err = synthNetCodec(cfg); err != nil {
+		if codec, err = synthNetCodec(deepnjpeg.CalibrateConfig{Chroma: *chroma}); err != nil {
 			return err
 		}
 	}
@@ -995,8 +976,8 @@ func runServe(args []string) error {
 		// version) and how fast the profile path boots compared to a
 		// calibration pass.
 		sp := srv.ServingProfile()
-		fmt.Printf("deepn-jpeg serve: profile %s@%d (transform %s, %d-image calibration) loaded in %v — startup calibration skipped\n",
-			sp.Name, sp.Version, sp.Transform, sp.SampledCount, time.Since(startLoad).Round(time.Millisecond))
+		fmt.Printf("deepn-jpeg serve: profile %s@%d (%d-image calibration) loaded in %v — startup calibration skipped\n",
+			sp.Name, sp.Version, sp.SampledCount, time.Since(startLoad).Round(time.Millisecond))
 	} else {
 		fmt.Printf("deepn-jpeg serve: SynthNet calibration in %v (persist it with `deepn-jpeg calibrate -out` and boot with -profile to skip this)\n",
 			time.Since(startLoad).Round(time.Millisecond))

@@ -32,10 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	codec, err := deepnjpeg.Calibrate(train.Images, train.Labels, deepnjpeg.CalibrateConfig{
-		Chroma:    true,
-		Transform: deepnjpeg.TransformAAN,
-	})
+	codec, err := deepnjpeg.Calibrate(train.Images, train.Labels, deepnjpeg.CalibrateConfig{Chroma: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +63,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("profile %s (transform %s) restored in %v\n", p.Ref(), p.Transform, time.Since(start))
+	fmt.Printf("profile %s restored in %v\n", p.Ref(), time.Since(start))
 	a, err := codec.Encode(train.Images[0])
 	if err != nil {
 		log.Fatal(err)

@@ -1,13 +1,11 @@
 // Quickstart: calibrate DeepN-JPEG on a labeled image set, compress one
 // image with it, and compare against standard JPEG at QF 100 and QF 50 —
-// sizes, compression ratios and PSNR. Also demonstrates the AAN fast-DCT
-// engine: same bytes out, roughly half the block-transform cost.
+// sizes, compression ratios and PSNR.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 
@@ -25,12 +23,7 @@ func main() {
 	}
 
 	// Calibrate: frequency analysis → band ranking → quantization table.
-	// Transform selects the block-transform engine; the AAN fast DCT
-	// encodes identically to the naive default, just faster.
-	codec, err := deepnjpeg.Calibrate(train.Images, train.Labels, deepnjpeg.CalibrateConfig{
-		Chroma:    true,
-		Transform: deepnjpeg.TransformAAN,
-	})
+	codec, err := deepnjpeg.Calibrate(train.Images, train.Labels, deepnjpeg.CalibrateConfig{Chroma: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,18 +61,6 @@ func main() {
 	report("jpeg-qf100", qf100)
 	report("jpeg-qf50", qf50)
 	report("deepn-jpeg", deepn)
-
-	// The engine choice never shows in the bytes: re-calibrating with the
-	// naive transform yields the exact same stream.
-	naiveCodec, err := deepnjpeg.Calibrate(train.Images, train.Labels, deepnjpeg.CalibrateConfig{Chroma: true})
-	if err != nil {
-		log.Fatal(err)
-	}
-	naive, err := naiveCodec.Encode(img)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nfast-DCT stream identical to naive-DCT stream: %v\n", bytes.Equal(deepn, naive))
 	fmt.Println("\nDeepN-JPEG compresses hardest while preserving the DCT bands")
 	fmt.Println("the dataset's discriminative features live in (see examples/robustness).")
 }

@@ -34,10 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	codec, err := deepnjpeg.Calibrate(train.Images, train.Labels, deepnjpeg.CalibrateConfig{
-		Chroma:    true,
-		Transform: deepnjpeg.TransformAAN,
-	})
+	codec, err := deepnjpeg.Calibrate(train.Images, train.Labels, deepnjpeg.CalibrateConfig{Chroma: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func CollectBlocks(images []*imgutil.Gray, every int) []dct.Block {
 				imgutil.ExtractBlock(img.Pix, img.W, img.H, bx, by, &tile)
 				var blk dct.Block
 				dct.LevelShift(tile[:], &blk)
-				dct.ForwardAAN(&blk)
+				dct.ForwardAANBatch(blk[:])
 				out = append(out, blk)
 			}
 		}

@@ -3,20 +3,20 @@ package core
 // Tests for the framework's scaled-table cache: the transform-folded
 // quantization divisors must be built exactly once per Framework and
 // shared by every Scheme — never rebuilt per image or per block — while
-// a Framework whose exported fields were mutated after construction must
-// fall back to correct streams rather than serve the stale cache.
+// a Framework whose tables were mutated after construction must fall
+// back to correct streams rather than serve the stale cache.
 
 import (
 	"bytes"
 	"testing"
 
-	"repro/internal/dct"
 	"repro/internal/jpegcodec"
+	"repro/internal/qtable"
 )
 
 func TestSchemeReusesScaledTableCache(t *testing.T) {
 	ds := quickDataset(t)
-	f, err := Calibrate(ds, CalibrateOptions{Transform: dct.TransformAAN})
+	f, err := Calibrate(ds, CalibrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func TestSchemeReusesScaledTableCache(t *testing.T) {
 
 func TestRestoredFrameworkCarriesScaledCache(t *testing.T) {
 	ds := quickDataset(t)
-	f, err := Calibrate(ds, CalibrateOptions{Transform: dct.TransformAAN})
+	f, err := Calibrate(ds, CalibrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Restore(f.Params, f.Stats, nil, f.LumaTable, f.ChromaTable, f.SampledCount, f.Transform)
+	r, err := Restore(f.Params, f.Stats, nil, f.LumaTable, f.ChromaTable, f.SampledCount)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +54,9 @@ func TestRestoredFrameworkCarriesScaledCache(t *testing.T) {
 }
 
 // TestMutatedFrameworkFallsBackToFreshTables pins the stale-cache guard
-// end to end: copying a framework and switching its engine (what the
-// server tests do to flip a running server to AAN) must produce exactly
-// the stream a cache-less encode under the new engine produces.
+// end to end: copying a framework and swapping its luma table must
+// produce exactly the stream a cache-less encode under the new table
+// produces.
 func TestMutatedFrameworkFallsBackToFreshTables(t *testing.T) {
 	ds := quickDataset(t)
 	f, err := Calibrate(ds, CalibrateOptions{})
@@ -64,7 +64,7 @@ func TestMutatedFrameworkFallsBackToFreshTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	mutated := *f
-	mutated.Transform = dct.TransformAAN
+	mutated.LumaTable = qtable.MustScale(qtable.StdLuminance, 70)
 
 	img := ds.Images[0]
 	got, err := mutated.Scheme().EncodeRGB(img)
@@ -73,9 +73,8 @@ func TestMutatedFrameworkFallsBackToFreshTables(t *testing.T) {
 	}
 	var want bytes.Buffer
 	opts := jpegcodec.Options{
-		LumaTable:   f.LumaTable,
+		LumaTable:   mutated.LumaTable,
 		ChromaTable: f.ChromaTable,
-		Transform:   dct.TransformAAN,
 	}
 	if err := jpegcodec.EncodeRGB(&want, img, &opts); err != nil {
 		t.Fatal(err)

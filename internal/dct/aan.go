@@ -1,14 +1,13 @@
 package dct
 
-// This file implements the Arai–Agui–Nakajima (AAN) fast DCT, the
-// algorithm inside libjpeg's "fast" paths. A 1-D AAN pass needs only 5
-// multiplications and 29 additions but produces *scaled* outputs: the 2-D
-// result equals the orthonormal DCT multiplied by a fixed per-band factor.
-// ForwardAAN/InverseAAN fold that factor back in, so they are drop-in
-// replacements for Forward/Inverse.
+// This file holds the scale factors of the Arai–Agui–Nakajima (AAN) fast
+// DCT, the algorithm inside libjpeg's "fast" paths. A 1-D AAN pass needs
+// only 5 multiplications and 29 additions but produces *scaled* outputs:
+// the 2-D result equals the orthonormal DCT multiplied by a fixed
+// per-band factor. The butterflies themselves live in batch.go.
 //
 // Codecs that quantize anyway never need that extra multiply pass:
-// ForwardAANRaw/InverseAANRaw expose the bare butterflies, and
+// ForwardAANRawBatch/InverseAANRawBatch run the bare butterflies, and
 // AANForwardDescale/AANInversePrescale expose the per-band factors so the
 // quantization table can absorb them (qtable.Table.FwdScaled/InvScaled) —
 // libjpeg's scaled-table trick, which the codec's hot loops use.
@@ -23,7 +22,7 @@ import "math"
 var aanDescale [BlockSize]float64
 
 // aanPrescale[u] converts one dimension of orthonormal coefficients to
-// the scaled convention idctAAN1D expects; the 2-D factor is
+// the scaled convention the inverse butterfly expects; the 2-D factor is
 // aanPrescale[u]·aanPrescale[v]. Like aanDescale it is calibrated at
 // init, so the tables stay correct for this exact butterfly.
 var aanPrescale [BlockSize]float64
@@ -35,12 +34,12 @@ var aanDescale2D, aanPrescale2D [BlockSize * BlockSize]float64
 
 func init() {
 	for u := 0; u < BlockSize; u++ {
-		// Forward: input = the u-th cosine basis vector (computed locally:
-		// package init order must not depend on dct.go's tables). Its
-		// orthonormal 1-D DCT is a single nonzero coefficient:
-		// c(u)·Σₓcos², with c(0)=1/√8 and c(u>0)=1/2, Σcos² = 8 for u=0
-		// and 4 otherwise.
-		var d [BlockSize]float64
+		// Forward: row 0 = the u-th cosine basis vector (computed locally:
+		// package init order must not depend on dct.go's tables), run
+		// through the flat row butterfly. Its orthonormal 1-D DCT is a
+		// single nonzero coefficient: c(u)·Σₓcos², with c(0)=1/√8 and
+		// c(u>0)=1/2, Σcos² = 8 for u=0 and 4 otherwise.
+		var d Block
 		for x := 0; x < BlockSize; x++ {
 			d[x] = math.Cos(float64(2*x+1) * float64(u) * math.Pi / 16)
 		}
@@ -48,16 +47,16 @@ func init() {
 		if u == 0 {
 			want = 8 / math.Sqrt(8)
 		}
-		fdctAAN1D(d[:], 0, 1)
+		fdctAANRowsFlat(&d)
 		aanDescale[u] = want / d[u]
 
 		// Inverse: a coefficient delta maps to k(u)·cos basis; the
 		// unnormalized inverse DCT needs weight w(u) (1/8 for DC, 1/4
 		// otherwise) on the unnormalized coefficient D(u) = ortho/c(u),
 		// so the pre-multiplier is w(u)/(k(u)·c(u)).
-		var e [BlockSize]float64
+		var e Block
 		e[u] = 1
-		idctAAN1D(e[:], 0, 1)
+		idctAANRowsFlat(&e)
 		k := e[0] / math.Cos(float64(u)*math.Pi/16)
 		w, c := 0.25, 0.5
 		if u == 0 {
@@ -73,17 +72,17 @@ func init() {
 	}
 }
 
-// AANForwardDescale returns the factor that maps ForwardAANRaw's output
-// at natural index i (v*8+u) to the orthonormal basis: ortho = raw ·
-// AANForwardDescale(i). A quantizer folds it into its divisors as
+// AANForwardDescale returns the factor that maps ForwardAANRawBatch's
+// output at natural index i (v*8+u) to the orthonormal basis: ortho =
+// raw · AANForwardDescale(i). A quantizer folds it into its divisors as
 // q[i]/AANForwardDescale(i), after which raw butterfly output quantizes
 // directly.
 func AANForwardDescale(i int) float64 { return aanDescale2D[i] }
 
 // AANInversePrescale returns the factor that maps orthonormal
-// coefficients at natural index i to the scaled convention InverseAANRaw
-// expects: scaled = ortho · AANInversePrescale(i). A dequantizer folds it
-// into its multipliers as q[i]·AANInversePrescale(i).
+// coefficients at natural index i to the scaled convention
+// InverseAANRawBatch expects: scaled = ortho · AANInversePrescale(i). A
+// dequantizer folds it into its multipliers as q[i]·AANInversePrescale(i).
 func AANInversePrescale(i int) float64 { return aanPrescale2D[i] }
 
 // AAN butterfly constants.
@@ -93,143 +92,3 @@ const (
 	aanC6 = 1.306562964876377 // c2+c6
 	aanC5 = 0.382683432365090 // cos(3π/8)
 )
-
-// fdctAAN1D runs the scaled forward AAN butterfly on 8 samples with the
-// given stride, in place.
-func fdctAAN1D(d []float64, off, stride int) {
-	i := func(k int) int { return off + k*stride }
-	tmp0 := d[i(0)] + d[i(7)]
-	tmp7 := d[i(0)] - d[i(7)]
-	tmp1 := d[i(1)] + d[i(6)]
-	tmp6 := d[i(1)] - d[i(6)]
-	tmp2 := d[i(2)] + d[i(5)]
-	tmp5 := d[i(2)] - d[i(5)]
-	tmp3 := d[i(3)] + d[i(4)]
-	tmp4 := d[i(3)] - d[i(4)]
-
-	// Even part.
-	tmp10 := tmp0 + tmp3
-	tmp13 := tmp0 - tmp3
-	tmp11 := tmp1 + tmp2
-	tmp12 := tmp1 - tmp2
-
-	d[i(0)] = tmp10 + tmp11
-	d[i(4)] = tmp10 - tmp11
-
-	z1 := (tmp12 + tmp13) * aanC4
-	d[i(2)] = tmp13 + z1
-	d[i(6)] = tmp13 - z1
-
-	// Odd part.
-	tmp10 = tmp4 + tmp5
-	tmp11 = tmp5 + tmp6
-	tmp12 = tmp6 + tmp7
-
-	z5 := (tmp10 - tmp12) * aanC5
-	z2 := aanC2*tmp10 + z5
-	z4 := aanC6*tmp12 + z5
-	z3 := tmp11 * aanC4
-
-	z11 := tmp7 + z3
-	z13 := tmp7 - z3
-
-	d[i(5)] = z13 + z2
-	d[i(3)] = z13 - z2
-	d[i(1)] = z11 + z4
-	d[i(7)] = z11 - z4
-}
-
-// idctAAN1D runs the scaled inverse AAN butterfly on 8 samples with the
-// given stride, in place. Input must carry the same scaling the forward
-// pass produces.
-func idctAAN1D(d []float64, off, stride int) {
-	i := func(k int) int { return off + k*stride }
-	// Even part.
-	tmp0 := d[i(0)]
-	tmp1 := d[i(2)]
-	tmp2 := d[i(4)]
-	tmp3 := d[i(6)]
-
-	tmp10 := tmp0 + tmp2
-	tmp11 := tmp0 - tmp2
-	tmp13 := tmp1 + tmp3
-	tmp12 := (tmp1-tmp3)*(2*aanC4) - tmp13
-
-	tmp0 = tmp10 + tmp13
-	tmp3 = tmp10 - tmp13
-	tmp1 = tmp11 + tmp12
-	tmp2 = tmp11 - tmp12
-
-	// Odd part.
-	tmp4 := d[i(1)]
-	tmp5 := d[i(3)]
-	tmp6 := d[i(5)]
-	tmp7 := d[i(7)]
-
-	z13 := tmp6 + tmp5
-	z10 := tmp6 - tmp5
-	z11 := tmp4 + tmp7
-	z12 := tmp4 - tmp7
-
-	tmp7 = z11 + z13
-	tmp11 = (z11 - z13) * (2 * aanC4)
-
-	z5 := (z10 + z12) * 1.847759065022573 // 2·cos(π/8)
-	tmp10 = 1.082392200292394*z12 - z5    // 2·(cos(π/8)−cos(3π/8))
-	tmp12 = -2.613125929752753*z10 + z5   // −2·(cos(π/8)+cos(3π/8))
-
-	tmp6 = tmp12 - tmp7
-	tmp5 = tmp11 - tmp6
-	tmp4 = tmp10 + tmp5
-
-	d[i(0)] = tmp0 + tmp7
-	d[i(7)] = tmp0 - tmp7
-	d[i(1)] = tmp1 + tmp6
-	d[i(6)] = tmp1 - tmp6
-	d[i(2)] = tmp2 + tmp5
-	d[i(5)] = tmp2 - tmp5
-	d[i(4)] = tmp3 + tmp4
-	d[i(3)] = tmp3 - tmp4
-}
-
-// ForwardAANRaw runs only the forward AAN butterflies: the result is the
-// orthonormal 2-D DCT divided by AANForwardDescale per band. Callers that
-// quantize fold the factor into their divisors instead of descaling here.
-func ForwardAANRaw(b *Block) {
-	for y := 0; y < BlockSize; y++ {
-		fdctAAN1D(b[:], y*BlockSize, 1)
-	}
-	for x := 0; x < BlockSize; x++ {
-		fdctAAN1D(b[:], x, BlockSize)
-	}
-}
-
-// InverseAANRaw runs only the inverse AAN butterflies. Input must carry
-// the scaled convention: orthonormal coefficients multiplied by
-// AANInversePrescale per band (which dequantizers fold into their
-// multipliers).
-func InverseAANRaw(b *Block) {
-	for x := 0; x < BlockSize; x++ {
-		idctAAN1D(b[:], x, BlockSize)
-	}
-	for y := 0; y < BlockSize; y++ {
-		idctAAN1D(b[:], y*BlockSize, 1)
-	}
-}
-
-// ForwardAAN computes the same orthonormal 2-D DCT as Forward using the
-// AAN fast algorithm plus a descaling pass.
-func ForwardAAN(b *Block) {
-	ForwardAANRaw(b)
-	for i := range b {
-		b[i] *= aanDescale2D[i]
-	}
-}
-
-// InverseAAN inverts ForwardAAN (and Forward).
-func InverseAAN(b *Block) {
-	for i := range b {
-		b[i] *= aanPrescale2D[i]
-	}
-	InverseAANRaw(b)
-}

@@ -1,22 +1,19 @@
 package dct
 
-// Batch-of-blocks transforms: the same butterflies as the per-block API,
-// restructured over a contiguous run of 64-float blocks ("flat plane")
-// so the hot loops compile to straight-line code the hardware can
-// pipeline. The per-block kernels (fdctAAN1D/idctAAN1D) index through a
-// closure with a runtime stride, which costs a bounds check per element
-// access and defeats instruction scheduling; the batch kernels below are
-// stride-free — the row pass walks eight-float rows with constant
-// indices, the column pass walks the 8 column lanes of one block with
-// constant row offsets — so every bounds check is provably dead and each
-// lane iteration is an independent dependency chain.
+// Batch-of-blocks transforms: the AAN butterflies over a contiguous run
+// of 64-float blocks ("flat plane"), written so the hot loops compile to
+// straight-line code the hardware can pipeline. The row pass walks
+// eight-float rows with constant indices and the column pass walks the 8
+// column lanes of one block with constant row offsets, so every bounds
+// check is provably dead and each lane iteration is an independent
+// dependency chain.
 //
-// The arithmetic is the per-block arithmetic, expression for expression,
-// in the same order. That is a contract, not an accident: the codec
-// requires batch and per-block pipelines to emit byte-identical streams,
-// which for float64 means bit-identical intermediate values, which means
-// the same IEEE operations in the same order (see batch_test.go, which
-// pins bit equality, and the jpegcodec equivalence suites downstream).
+// The operation order inside each 1-D butterfly is a contract: the AAN
+// scale factors (aan.go) are calibrated by running these same row
+// kernels, and the codec's streams are pinned byte for byte across
+// builds, which for float64 means the same IEEE operations in the same
+// order (see batch_test.go, which pins the kernels against a strided
+// per-block reference bit for bit).
 //
 // Layout: a plane is a []float64 whose length is a multiple of 64; block
 // k occupies p[64k : 64k+64] in row-major order, exactly a *Block laid
@@ -37,8 +34,8 @@ func Blocks(p []float64) int {
 const BlockSize2 = BlockSize * BlockSize
 
 // fdctAANRowsFlat runs the forward AAN butterfly over the 8 rows of one
-// block. It mirrors fdctAAN1D with off = 8y, stride = 1; the (*[8])
-// re-slice pins the row length so the body indexes with constants.
+// block; the (*[8]) re-slice pins the row length so the body indexes
+// with constants.
 func fdctAANRowsFlat(b *Block) {
 	for o := 0; o <= 56; o += 8 {
 		r := (*[8]float64)(b[o:])
@@ -83,7 +80,7 @@ func fdctAANRowsFlat(b *Block) {
 }
 
 // fdctAANColsFlat runs the forward AAN butterfly down the 8 columns of
-// one block: lane x of the loop is fdctAAN1D with off = x, stride = 8,
+// one block: lane x of the loop is the row butterfly on column x,
 // written with constant row offsets so each lane is branch- and
 // bounds-check-free and independent of its neighbours.
 func fdctAANColsFlat(b *Block) {
@@ -129,7 +126,7 @@ func fdctAANColsFlat(b *Block) {
 }
 
 // idctAANColsFlat runs the inverse AAN butterfly down the 8 columns of
-// one block (idctAAN1D with off = x, stride = 8).
+// one block.
 func idctAANColsFlat(b *Block) {
 	for x := 0; x < 8; x++ {
 		tmp0 := b[x]
@@ -180,7 +177,7 @@ func idctAANColsFlat(b *Block) {
 }
 
 // idctAANRowsFlat runs the inverse AAN butterfly over the 8 rows of one
-// block (idctAAN1D with off = 8y, stride = 1).
+// block.
 func idctAANRowsFlat(b *Block) {
 	for o := 0; o <= 56; o += 8 {
 		r := (*[8]float64)(b[o:])
@@ -233,8 +230,8 @@ func idctAANRowsFlat(b *Block) {
 
 // ForwardAANRawBatch runs the raw forward AAN butterflies over every
 // block of p: each block ends up as its orthonormal 2-D DCT divided by
-// AANForwardDescale per band, exactly as ForwardAANRaw leaves a single
-// block. Callers that quantize fold the factor into their divisors.
+// AANForwardDescale per band. Callers that quantize fold the factor into
+// their divisors.
 func ForwardAANRawBatch(p []float64) {
 	n := Blocks(p)
 	for k := 0; k < n; k++ {
@@ -246,7 +243,8 @@ func ForwardAANRawBatch(p []float64) {
 
 // InverseAANRawBatch runs the raw inverse AAN butterflies over every
 // block of p. Input blocks must carry the scaled convention
-// (orthonormal × AANInversePrescale per band), as for InverseAANRaw.
+// (orthonormal × AANInversePrescale per band), which dequantizers fold
+// into their multipliers.
 func InverseAANRawBatch(p []float64) {
 	n := Blocks(p)
 	for k := 0; k < n; k++ {
@@ -256,9 +254,8 @@ func InverseAANRawBatch(p []float64) {
 	}
 }
 
-// ForwardAANBatch computes the orthonormal 2-D DCT of every block of p
-// using the AAN fast algorithm plus the flat descaling pass — the batch
-// form of ForwardAAN.
+// ForwardAANBatch computes the orthonormal 2-D DCT of every block of p:
+// the raw butterflies plus the flat descaling pass.
 func ForwardAANBatch(p []float64) {
 	ForwardAANRawBatch(p)
 	for o := 0; o < len(p); o += BlockSize2 {
@@ -269,8 +266,8 @@ func ForwardAANBatch(p []float64) {
 	}
 }
 
-// InverseAANBatch inverts ForwardAANBatch (and ForwardBatch): the batch
-// form of InverseAAN.
+// InverseAANBatch inverts ForwardAANBatch: the flat prescaling pass plus
+// the raw butterflies.
 func InverseAANBatch(p []float64) {
 	for o := 0; o < len(p); o += BlockSize2 {
 		b := (*Block)(p[o:])
@@ -281,64 +278,17 @@ func InverseAANBatch(p []float64) {
 	InverseAANRawBatch(p)
 }
 
-// ForwardBatch runs the naive separable forward transform over every
-// block of p — the batch form of Forward, sharing its kernel so the two
-// are bit-identical by construction.
-func ForwardBatch(p []float64) {
-	n := Blocks(p)
-	for k := 0; k < n; k++ {
-		Forward((*Block)(p[k*BlockSize2:]))
-	}
-}
+// Transform is the block-transform engine the codec runs. There is one —
+// the AAN butterflies above — so the type is a zero-size handle whose
+// every value runs the same kernels; benchmark harnesses hold one to
+// replay exactly what a default encode or decode runs.
+type Transform struct{}
 
-// InverseBatch runs the naive separable inverse transform over every
-// block of p — the batch form of Inverse.
-func InverseBatch(p []float64) {
-	n := Blocks(p)
-	for k := 0; k < n; k++ {
-		Inverse((*Block)(p[k*BlockSize2:]))
-	}
-}
+// ForwardScaledBatch runs ForwardAANRawBatch: the forward transform of
+// every block of p in the engine's native scaled basis. Quantize the
+// result with divisors from qtable.Table.FwdScaled.
+func (Transform) ForwardScaledBatch(p []float64) { ForwardAANRawBatch(p) }
 
-// ForwardScaledBatch is the batch form of Transform.ForwardScaled: the
-// forward transform of every block of p in the engine's native scaled
-// basis. Pair with divisors built for the same engine
-// (qtable.Table.FwdScaled), exactly as for the per-block call.
-func (t Transform) ForwardScaledBatch(p []float64) {
-	if t == TransformAAN {
-		ForwardAANRawBatch(p)
-		return
-	}
-	ForwardBatch(p)
-}
-
-// InverseScaledBatch is the batch form of Transform.InverseScaled: input
-// blocks must be dequantized with multipliers built for the same engine
-// (qtable.Table.InvScaled).
-func (t Transform) InverseScaledBatch(p []float64) {
-	if t == TransformAAN {
-		InverseAANRawBatch(p)
-		return
-	}
-	InverseBatch(p)
-}
-
-// ForwardBatchOf runs the orthonormal forward transform of the selected
-// engine over every block of p — the batch form of Transform.Forward.
-func (t Transform) ForwardBatchOf(p []float64) {
-	if t == TransformAAN {
-		ForwardAANBatch(p)
-		return
-	}
-	ForwardBatch(p)
-}
-
-// InverseBatchOf runs the orthonormal inverse transform of the selected
-// engine over every block of p — the batch form of Transform.Inverse.
-func (t Transform) InverseBatchOf(p []float64) {
-	if t == TransformAAN {
-		InverseAANBatch(p)
-		return
-	}
-	InverseBatch(p)
-}
+// InverseScaledBatch runs InverseAANRawBatch. Input blocks must be
+// dequantized with multipliers from qtable.Table.InvScaled.
+func (Transform) InverseScaledBatch(p []float64) { InverseAANRawBatch(p) }

@@ -2,8 +2,8 @@ package dct
 
 // Benchmarks for the batch-of-blocks kernels — the per-core throughput
 // numbers behind BENCH_7. Each run reports ns/block (the figure to
-// compare against the per-block benchmarks above it) and MB/s over the
-// plane bytes. The 128-block run is one luma block row of a 1024-wide
+// compare against the single-block Transform benchmarks) and MB/s over
+// the plane bytes. The 128-block run is one luma block row of a 1024-wide
 // frame, the codec's gather unit; 16 blocks models a small component
 // row. Run with:
 //
@@ -49,7 +49,6 @@ func BenchmarkForwardBatch(b *testing.B) {
 		{"aan-raw-16", 16, ForwardAANRawBatch},
 		{"aan-raw-128", benchBatchBlocks, ForwardAANRawBatch},
 		{"aan-128", benchBatchBlocks, ForwardAANBatch},
-		{"naive-128", benchBatchBlocks, ForwardBatch},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			runBatchBench(b, benchPlane(tc.n), tc.fn)
@@ -66,7 +65,6 @@ func BenchmarkInverseBatch(b *testing.B) {
 		{"aan-raw-16", 16, InverseAANRawBatch},
 		{"aan-raw-128", benchBatchBlocks, InverseAANRawBatch},
 		{"aan-128", benchBatchBlocks, InverseAANBatch},
-		{"naive-128", benchBatchBlocks, InverseBatch},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			plane := benchPlane(tc.n)
@@ -74,23 +72,4 @@ func BenchmarkInverseBatch(b *testing.B) {
 			runBatchBench(b, plane, tc.fn)
 		})
 	}
-}
-
-// BenchmarkPerBlockLoop is the baseline the batch kernels replace: the
-// same plane transformed through the per-block API one block at a time.
-// The delta against BenchmarkForwardBatch/aan-raw-128 is the pure
-// restructuring win (no gather or quantizer in either loop).
-func BenchmarkPerBlockLoop(b *testing.B) {
-	plane := benchPlane(benchBatchBlocks)
-	work := make([]float64, len(plane))
-	b.ReportAllocs()
-	b.SetBytes(int64(len(plane) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(work, plane)
-		for k := 0; k < benchBatchBlocks; k++ {
-			ForwardAANRaw((*Block)(work[k*BlockSize2:]))
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatchBlocks), "ns/block")
 }

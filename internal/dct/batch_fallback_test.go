@@ -38,9 +38,9 @@ func TestBatchLayoutContract(t *testing.T) {
 	}
 }
 
-// TestPureGoKernelsMatchStridedReference pins the flat kernels against
-// the strided 1-D passes they restructure (fdctAAN1D/idctAAN1D with the
-// exact off/stride schedule of the per-block API). A future asm path
+// TestPureGoKernelsMatchStridedReference pins each flat kernel pass
+// against the strided 1-D butterflies it restructures (fdctAAN1D/
+// idctAAN1D with the matching off/stride schedule). A future asm path
 // must reproduce these bits; the pure-Go fallback is the oracle.
 func TestPureGoKernelsMatchStridedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(89))

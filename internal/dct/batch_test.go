@@ -1,11 +1,11 @@
 package dct
 
-// Batch-vs-block identity: the batch kernels restructure the loops, not
-// the arithmetic, so their output must be BIT-identical to running the
-// per-block API over each 64-float run — not merely close. Bit equality
-// is what lets the codec swap whole pipelines between the two forms
-// without a single emitted byte changing; these tests are the foundation
-// the jpegcodec stream-equivalence suites stand on.
+// Batch-vs-block identity: the flat batch kernels restructure the loops
+// of the strided per-block butterflies (aan_test.go), not the
+// arithmetic, so their output must be BIT-identical to running the
+// strided form over each 64-float run — not merely close. Bit equality
+// is what keeps the codec's streams pinned across builds; these tests
+// are the foundation the jpegcodec reference suites stand on.
 
 import (
 	"math"
@@ -43,20 +43,28 @@ func randCoefPlane(rng *rand.Rand, n int) []float64 {
 	return p
 }
 
-// batchPairs enumerates every batch entry point against its per-block
-// oracle.
+// batchPairs enumerates every batch entry point against its strided
+// per-block oracle.
 var batchPairs = []struct {
 	name   string
 	batch  func([]float64)
 	block  func(*Block)
 	coefIn bool // input is coefficient-domain (inverse direction)
 }{
-	{"ForwardAANRawBatch", ForwardAANRawBatch, ForwardAANRaw, false},
-	{"InverseAANRawBatch", InverseAANRawBatch, InverseAANRaw, true},
-	{"ForwardAANBatch", ForwardAANBatch, ForwardAAN, false},
-	{"InverseAANBatch", InverseAANBatch, InverseAAN, true},
-	{"ForwardBatch", ForwardBatch, Forward, false},
-	{"InverseBatch", InverseBatch, Inverse, true},
+	{"ForwardAANRawBatch", ForwardAANRawBatch, stridedForwardRaw, false},
+	{"InverseAANRawBatch", InverseAANRawBatch, stridedInverseRaw, true},
+	{"ForwardAANBatch", ForwardAANBatch, func(b *Block) {
+		stridedForwardRaw(b)
+		for i := range b {
+			b[i] *= AANForwardDescale(i)
+		}
+	}, false},
+	{"InverseAANBatch", InverseAANBatch, func(b *Block) {
+		for i := range b {
+			b[i] *= AANInversePrescale(i)
+		}
+		stridedInverseRaw(b)
+	}, true},
 }
 
 func TestBatchBitIdentityWithPerBlock(t *testing.T) {
@@ -88,38 +96,31 @@ func TestBatchBitIdentityWithPerBlock(t *testing.T) {
 	}
 }
 
-// TestScaledBatchBitIdentity pins the engine-dispatching batch methods
-// against their per-block counterparts.
+// TestScaledBatchBitIdentity pins the engine's batch methods — what
+// the codec and the benchmark harness call — against the strided
+// per-block butterflies.
 func TestScaledBatchBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	for _, xf := range []Transform{TransformNaive, TransformAAN} {
-		for _, dir := range []string{"forward", "inverse"} {
-			n := 5 + rng.Intn(20)
-			var plane []float64
-			if dir == "forward" {
-				plane = randPlane(rng, n)
-			} else {
-				plane = randCoefPlane(rng, n)
-			}
-			want := make([]float64, len(plane))
-			copy(want, plane)
-			for k := 0; k < n; k++ {
-				b := (*Block)(want[k*BlockSize2:])
-				if dir == "forward" {
-					xf.ForwardScaled(b)
-				} else {
-					xf.InverseScaled(b)
-				}
-			}
-			if dir == "forward" {
-				xf.ForwardScaledBatch(plane)
-			} else {
-				xf.InverseScaledBatch(plane)
-			}
-			for i := range plane {
-				if math.Float64bits(plane[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%v %s: element %d = %v batch vs %v per-block", xf, dir, i, plane[i], want[i])
-				}
+	var xf Transform
+	for _, dir := range []struct {
+		name  string
+		batch func([]float64)
+		block func(*Block)
+		plane func(*rand.Rand, int) []float64
+	}{
+		{"forward", xf.ForwardScaledBatch, stridedForwardRaw, randPlane},
+		{"inverse", xf.InverseScaledBatch, stridedInverseRaw, randCoefPlane},
+	} {
+		n := 5 + rng.Intn(20)
+		plane := dir.plane(rng, n)
+		want := append([]float64(nil), plane...)
+		for k := 0; k < n; k++ {
+			dir.block((*Block)(want[k*BlockSize2:]))
+		}
+		dir.batch(plane)
+		for i := range plane {
+			if math.Float64bits(plane[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: element %d = %v batch vs %v per-block", dir.name, i, plane[i], want[i])
 			}
 		}
 	}
@@ -129,32 +130,31 @@ func TestScaledBatchBitIdentity(t *testing.T) {
 // batch API and checks the plane reproduces its input.
 func TestBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	for _, xf := range []Transform{TransformNaive, TransformAAN} {
-		plane := randPlane(rng, 9)
-		orig := make([]float64, len(plane))
-		copy(orig, plane)
-		xf.ForwardBatchOf(plane)
-		xf.InverseBatchOf(plane)
-		for i := range plane {
-			if math.Abs(plane[i]-orig[i]) > 1e-9 {
-				t.Fatalf("%v: element %d round-trips to %v, want %v", xf, i, plane[i], orig[i])
-			}
+	plane := randPlane(rng, 9)
+	orig := append([]float64(nil), plane...)
+	ForwardAANBatch(plane)
+	InverseAANBatch(plane)
+	for i := range plane {
+		if math.Abs(plane[i]-orig[i]) > 1e-9 {
+			t.Fatalf("element %d round-trips to %v, want %v", i, plane[i], orig[i])
 		}
 	}
 }
 
-// TestBatchCrossEngineAgreement checks the two engines' batch forwards
-// agree to the same tolerance as their per-block forms.
+// TestBatchCrossEngineAgreement checks the batch forward against the
+// separable row–column DCT block by block, to the tolerance the two
+// engines agreed to when both shipped.
 func TestBatchCrossEngineAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	a := randPlane(rng, 12)
-	b := make([]float64, len(a))
-	copy(b, a)
-	TransformNaive.ForwardBatchOf(a)
-	TransformAAN.ForwardBatchOf(b)
+	b := append([]float64(nil), a...)
+	ForwardAANBatch(a)
+	for k := 0; k < len(b); k += BlockSize2 {
+		separableForward((*Block)(b[k:]))
+	}
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-9 {
-			t.Fatalf("element %d: naive %v vs aan %v", i, a[i], b[i])
+			t.Fatalf("element %d: aan %v vs separable %v", i, a[i], b[i])
 		}
 	}
 }

@@ -1,140 +1,113 @@
 package dct
 
 import (
+	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
+// TestTransformDispatch pins what a Transform value runs: any value —
+// the type is zero-size, so every value is the zero value — must run
+// exactly the raw AAN batch kernels.
 func TestTransformDispatch(t *testing.T) {
+	var xf Transform
+	if unsafe.Sizeof(xf) != 0 {
+		t.Fatalf("Transform occupies %d bytes, want 0", unsafe.Sizeof(xf))
+	}
 	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 50; trial++ {
-		src := randBlock(rng)
-
-		naive, direct := src, src
-		TransformNaive.Forward(&naive)
-		Forward(&direct)
-		if naive != direct {
-			t.Fatalf("trial %d: TransformNaive.Forward diverges from Forward", trial)
-		}
-		TransformNaive.Inverse(&naive)
-		Inverse(&direct)
-		if naive != direct {
-			t.Fatalf("trial %d: TransformNaive.Inverse diverges from Inverse", trial)
-		}
-
-		aan, directAAN := src, src
-		TransformAAN.Forward(&aan)
-		ForwardAAN(&directAAN)
-		if aan != directAAN {
-			t.Fatalf("trial %d: TransformAAN.Forward diverges from ForwardAAN", trial)
-		}
-		TransformAAN.Inverse(&aan)
-		InverseAAN(&directAAN)
-		if aan != directAAN {
-			t.Fatalf("trial %d: TransformAAN.Inverse diverges from InverseAAN", trial)
+	for _, dir := range []struct {
+		name   string
+		engine func([]float64)
+		kernel func([]float64)
+		plane  func(*rand.Rand, int) []float64
+	}{
+		{"forward", xf.ForwardScaledBatch, ForwardAANRawBatch, randPlane},
+		{"inverse", xf.InverseScaledBatch, InverseAANRawBatch, randCoefPlane},
+	} {
+		got := dir.plane(rng, 9)
+		want := append([]float64(nil), got...)
+		dir.engine(got)
+		dir.kernel(want)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: element %d = %v, kernel gives %v", dir.name, i, got[i], want[i])
+			}
 		}
 	}
 }
 
+// TestTransformRoundTrip runs the engine's scaled pair the way the codec
+// does, with the scale factors folded between them: forward, multiply by
+// descale·prescale (what a quantize/dequantize pair with step 1 folds
+// in), inverse — and must land back on the input.
 func TestTransformRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for _, xf := range []Transform{TransformNaive, TransformAAN} {
-		for trial := 0; trial < 50; trial++ {
-			orig := randBlock(rng)
-			b := orig
-			xf.Forward(&b)
-			xf.Inverse(&b)
-			if d := maxAbsDiff(&b, &orig); d > 1e-9 {
-				t.Fatalf("%v trial %d: round-trip error %g", xf, trial, d)
-			}
+	var xf Transform
+	for trial := 0; trial < 50; trial++ {
+		orig := randBlock(rng)
+		b := orig
+		xf.ForwardScaledBatch(b[:])
+		for i := range b {
+			b[i] *= AANForwardDescale(i) * AANInversePrescale(i)
+		}
+		xf.InverseScaledBatch(b[:])
+		if d := maxAbsDiff(&b, &orig); d > 1e-9 {
+			t.Fatalf("trial %d: round-trip error %g", trial, d)
 		}
 	}
 }
 
+// TestTransformEnginesAgree holds the engine to the separable row–column
+// DCT it replaced: descaled forward output and prescaled inverse input
+// must agree with it to the same 1e-9 the two engines agreed to when
+// both were selectable.
 func TestTransformEnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	var xf Transform
 	for trial := 0; trial < 200; trial++ {
 		src := randBlock(rng)
-		naive, aan := src, src
-		TransformNaive.Forward(&naive)
-		TransformAAN.Forward(&aan)
-		if d := maxAbsDiff(&naive, &aan); d > 1e-9 {
-			t.Fatalf("trial %d: forward engines differ by %g", trial, d)
+		sep, aan := src, src
+		separableForward(&sep)
+		xf.ForwardScaledBatch(aan[:])
+		for i := range aan {
+			aan[i] *= AANForwardDescale(i)
 		}
-		TransformNaive.Inverse(&naive)
-		TransformAAN.Inverse(&aan)
-		if d := maxAbsDiff(&naive, &aan); d > 1e-9 {
-			t.Fatalf("trial %d: inverse engines differ by %g", trial, d)
+		if d := maxAbsDiff(&sep, &aan); d > 1e-9 {
+			t.Fatalf("trial %d: forward differs from the separable DCT by %g", trial, d)
 		}
-	}
-}
-
-func TestTransformValidString(t *testing.T) {
-	if !TransformNaive.Valid() || !TransformAAN.Valid() {
-		t.Fatal("known engines must be valid")
-	}
-	if Transform(42).Valid() {
-		t.Fatal("unknown engine must be invalid")
-	}
-	if got := TransformNaive.String(); got != "naive" {
-		t.Fatalf("TransformNaive.String() = %q", got)
-	}
-	if got := TransformAAN.String(); got != "aan" {
-		t.Fatalf("TransformAAN.String() = %q", got)
-	}
-	if got := Transform(42).String(); got != "transform(42)" {
-		t.Fatalf("Transform(42).String() = %q", got)
-	}
-}
-
-func TestParseTransform(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Transform
-		err  bool
-	}{
-		{"naive", TransformNaive, false},
-		{"", TransformNaive, false},
-		{"aan", TransformAAN, false},
-		{"fast", TransformAAN, false},
-		{"simd", TransformNaive, true},
-	}
-	for _, tc := range cases {
-		got, err := ParseTransform(tc.in)
-		if (err != nil) != tc.err {
-			t.Fatalf("ParseTransform(%q) error = %v, want err=%v", tc.in, err, tc.err)
+		separableInverse(&sep)
+		for i := range aan {
+			aan[i] *= AANInversePrescale(i)
 		}
-		if got != tc.want {
-			t.Fatalf("ParseTransform(%q) = %v, want %v", tc.in, got, tc.want)
+		xf.InverseScaledBatch(aan[:])
+		if d := maxAbsDiff(&sep, &aan); d > 1e-9 {
+			t.Fatalf("trial %d: inverse differs from the separable DCT by %g", trial, d)
 		}
 	}
 }
 
+// BenchmarkTransformForward and BenchmarkTransformInverse time the
+// engine on one block, the unit cost behind the batch numbers.
 func BenchmarkTransformForward(b *testing.B) {
-	for _, xf := range []Transform{TransformNaive, TransformAAN} {
-		b.Run(xf.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			blk := randBlock(rng)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				work := blk
-				xf.Forward(&work)
-			}
-		})
+	rng := rand.New(rand.NewSource(1))
+	blk := randBlock(rng)
+	var xf Transform
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		work := blk
+		xf.ForwardScaledBatch(work[:])
 	}
 }
 
 func BenchmarkTransformInverse(b *testing.B) {
-	for _, xf := range []Transform{TransformNaive, TransformAAN} {
-		b.Run(xf.String(), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			blk := randBlock(rng)
-			Forward(&blk)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				work := blk
-				xf.Inverse(&work)
-			}
-		})
+	rng := rand.New(rand.NewSource(1))
+	blk := randBlock(rng)
+	var xf Transform
+	xf.ForwardScaledBatch(blk[:])
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		work := blk
+		xf.InverseScaledBatch(work[:])
 	}
 }

@@ -57,18 +57,20 @@ func (a *Accumulator) AddBlock(b *dct.Block) {
 }
 
 // AddPlane partitions a sample plane into 8×8 blocks (edge-replicated),
-// applies the JPEG level shift and forward DCT, and accumulates every
-// block.
+// applies the JPEG level shift and the orthonormal forward DCT one block
+// row at a time through the batch kernel, and accumulates every block.
 func (a *Accumulator) AddPlane(pix []uint8, w, h int) {
 	grid := imgutil.GridFor(w, h)
+	row := make([]float64, grid.BlocksX*dct.BlockSize2)
 	var tile [64]uint8
-	var blk dct.Block
 	for by := 0; by < grid.BlocksY; by++ {
 		for bx := 0; bx < grid.BlocksX; bx++ {
 			imgutil.ExtractBlock(pix, w, h, bx, by, &tile)
-			dct.LevelShift(tile[:], &blk)
-			dct.Forward(&blk)
-			a.AddBlock(&blk)
+			dct.LevelShift(tile[:], (*dct.Block)(row[bx*dct.BlockSize2:]))
+		}
+		dct.ForwardAANBatch(row)
+		for bx := 0; bx < grid.BlocksX; bx++ {
+			a.AddBlock((*dct.Block)(row[bx*dct.BlockSize2:]))
 		}
 	}
 }

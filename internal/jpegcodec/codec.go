@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/dct"
 	"repro/internal/qtable"
 )
 
@@ -241,17 +240,11 @@ type Options struct {
 	// pay for the fan-out); 1 or any negative value forces sequential;
 	// values ≥ 2 force that many workers, capped at the segment count.
 	ShardWorkers int
-	// Transform selects the block-transform engine for the forward DCT.
-	// The zero value (dct.TransformNaive) keeps the separable row–column
-	// path; dct.TransformAAN switches to the fast AAN butterfly. Both
-	// engines produce identical streams after quantization (see the
-	// transform equivalence tests).
-	Transform dct.Transform
 	// Scaled optionally carries precomputed transform-folded forward
 	// divisors (PrecomputeScaled). Callers that encode many images with
 	// one table set — core.Framework, the server, the batch pipeline —
 	// build them once and attach them to every encode. The encoder uses
-	// the cache only when it matches this Options' tables and engine and
+	// the cache only when it was built from this Options' tables and
 	// derives fresh divisors into pooled scratch otherwise, so a stale
 	// cache degrades to a 128-division setup cost, never to different
 	// streams.
@@ -259,12 +252,11 @@ type Options struct {
 }
 
 // ScaledTables is an immutable cache of fused forward quantization
-// divisors — the luma and chroma tables with the transform engine's
-// scale factors folded in — together with the inputs they were derived
-// from, so the encoder can verify the cache still applies.
+// divisors — the luma and chroma tables with the transform's scale
+// factors folded in — together with the tables they were derived from,
+// so the encoder can verify the cache still applies.
 type ScaledTables struct {
 	luma, chroma qtable.Table
-	xf           dct.Transform
 	fwdLuma      qtable.FwdScaled
 	fwdChroma    qtable.FwdScaled
 }
@@ -272,17 +264,17 @@ type ScaledTables struct {
 // PrecomputeScaled folds the transform's scale factors into the given
 // quantization tables once, for reuse across many encodes via
 // Options.Scaled.
-func PrecomputeScaled(luma, chroma qtable.Table, xf dct.Transform) *ScaledTables {
-	st := &ScaledTables{luma: luma, chroma: chroma, xf: xf}
-	luma.FwdScaledInto(&st.fwdLuma, xf)
-	chroma.FwdScaledInto(&st.fwdChroma, xf)
+func PrecomputeScaled(luma, chroma qtable.Table) *ScaledTables {
+	st := &ScaledTables{luma: luma, chroma: chroma}
+	luma.FwdScaledInto(&st.fwdLuma)
+	chroma.FwdScaledInto(&st.fwdChroma)
 	return st
 }
 
 // matches reports whether the cache was derived from exactly this table
-// set and engine.
-func (st *ScaledTables) matches(luma, chroma *qtable.Table, xf dct.Transform) bool {
-	return st != nil && st.xf == xf && st.luma == *luma && st.chroma == *chroma
+// set.
+func (st *ScaledTables) matches(luma, chroma *qtable.Table) bool {
+	return st != nil && st.luma == *luma && st.chroma == *chroma
 }
 
 // validateRestartInterval rejects intervals the DRI segment cannot
@@ -322,8 +314,8 @@ type component struct {
 	blocksX, blocksY int          // MCU-padded block grid
 	coefs            [][64]int32  // quantized coefficients per block, natural order
 	table            qtable.Table // dequantization table (decoder)
-	// inv is table with the inverse engine's prescale factors folded in,
-	// built once per frame (decoder) so the per-block dequantize loop is a
+	// inv is table with the inverse transform's prescale factors folded
+	// in, built once per frame (decoder) so the dequantize loop is a
 	// single multiply per coefficient.
 	inv qtable.InvScaled
 
@@ -338,19 +330,20 @@ type component struct {
 }
 
 // quantizeTieEps is the half-width of the rounding-boundary snap band in
-// quantize. The transform engines agree to ~1e-12 per coefficient, so any
-// value within 1e-9 of a rounding boundary is treated as sitting exactly
-// on it; without the snap, a coefficient whose exact value lands on a
-// boundary (possible for the rational bands u,v ∈ {0,4}) could round
-// differently under the two engines and break stream equivalence.
+// quantize. The AAN butterflies and the folded divisors agree with the
+// exact orthonormal DCT to ~1e-12 per coefficient, so any value within
+// 1e-9 of a rounding boundary is treated as sitting exactly on it;
+// without the snap, a coefficient whose exact value lands on a boundary
+// (possible for the rational bands u,v ∈ {0,4}) could round below it and
+// the emitted coefficients would no longer equal the quantized
+// dct.ForwardReference transform the reference tests hold them to.
 const quantizeTieEps = 1e-9
 
 // quantize rounds coef/step half away from zero, the quantizer in T.81 and
 // Eq. (1) of the paper's JPEG description. q is a fused divisor — the
-// quantization step with any transform scale factor already folded in —
-// so every engine funnels through this one division. Ties within
-// quantizeTieEps of the boundary round deterministically away from zero
-// regardless of which transform engine (or folding) produced c and q.
+// quantization step with the transform scale factor already folded in.
+// Ties within quantizeTieEps of the boundary round deterministically away
+// from zero regardless of the rounding error the folding introduced.
 func quantize(c float64, q float64) int32 {
 	v := c / q
 	neg := v < 0
@@ -367,37 +360,6 @@ func quantize(c float64, q float64) int32 {
 		out = -out
 	}
 	return out
-}
-
-// blockCoefficients runs the forward path for one 8×8 tile: level shift,
-// DCT in the engine's scaled basis, fused quantization, and optional
-// zero-masking. tbl carries the engine's scale factors folded into its
-// divisors, so the loop is one divide per coefficient — no descale pass.
-// samples is the tile in row-major order; the result is in natural order.
-func blockCoefficients(samples *[64]uint8, tbl *qtable.FwdScaled, mask *qtable.ZeroMask, xf dct.Transform) [64]int32 {
-	var blk dct.Block
-	dct.LevelShift(samples[:], &blk)
-	xf.ForwardScaled(&blk)
-	var out [64]int32
-	for i := 0; i < 64; i++ {
-		if mask != nil && mask[i] {
-			continue
-		}
-		out[i] = quantize(blk[i], tbl[i])
-	}
-	return out
-}
-
-// reconstructBlock runs the inverse path: fused dequantize (the engine's
-// prescale factors live in tbl's multipliers — one multiply per
-// coefficient), IDCT in the scaled basis, level unshift.
-func reconstructBlock(coefs *[64]int32, tbl *qtable.InvScaled, dst *[64]uint8, xf dct.Transform) {
-	var blk dct.Block
-	for i := 0; i < 64; i++ {
-		blk[i] = float64(coefs[i]) * tbl[i]
-	}
-	xf.InverseScaled(&blk)
-	dct.LevelUnshift(&blk, dst[:])
 }
 
 // bitCategory returns the JPEG magnitude category of v: the number of bits

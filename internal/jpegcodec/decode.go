@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/bitio"
-	"repro/internal/dct"
 	"repro/internal/imgutil"
 	"repro/internal/qtable"
 )
@@ -146,11 +145,6 @@ func (d *Decoded) RGBInto(dst *imgutil.RGB) *imgutil.RGB {
 
 // DecodeOptions configures Decode/DecodeInto.
 type DecodeOptions struct {
-	// Transform selects the inverse block-transform engine used to
-	// reconstruct pixels. The zero value (dct.TransformNaive) keeps the
-	// separable row–column path; dct.TransformAAN switches to the fast
-	// AAN butterfly. Engines agree within one grey level (IDCT rounding).
-	Transform dct.Transform
 	// MaxPixels rejects frames whose declared width×height exceeds it
 	// (0 = unlimited). The decoder sizes its planes and coefficient grids
 	// from the SOF header before any entropy data is read, so a tiny
@@ -196,7 +190,6 @@ type decoder struct {
 	bits  *bitio.Reader        // pooled entropy reader
 	quant map[int]qtable.Table // aliases dst.QuantTables during a run
 	dst   *Decoded
-	xf    dct.Transform
 
 	frame frame // per-image state shared by all scans
 
@@ -251,7 +244,6 @@ func (d *decoder) release() {
 	d.bits.Reset(eofReader{})
 	d.quant = nil
 	d.dst = nil
-	d.xf = 0
 	d.frame = frame{}
 	d.huff = [8]*decTable{}
 	d.compArr = [3]component{}
@@ -293,9 +285,6 @@ func DecodeInto(r io.Reader, dst *Decoded, opts *DecodeOptions) error {
 	if opts != nil {
 		o = *opts
 	}
-	if !o.Transform.Valid() {
-		return fmt.Errorf("jpegcodec: unknown transform engine %d", o.Transform)
-	}
 	dst.Reset()
 	if dst.QuantTables == nil {
 		dst.QuantTables = map[int]qtable.Table{}
@@ -307,7 +296,6 @@ func DecodeInto(r io.Reader, dst *Decoded, opts *DecodeOptions) error {
 	d.br = br
 	d.quant = dst.QuantTables
 	d.dst = dst
-	d.xf = o.Transform
 	d.maxPixels = o.MaxPixels
 	d.shard = o.ShardWorkers
 	err := d.run()
@@ -915,7 +903,7 @@ func (d *decoder) reconstructSequential() {
 	for _, c := range d.frame.comps {
 		d.plane = growFloats(d.plane, c.blocksX*64)
 		for by := 0; by < c.blocksY; by++ {
-			reconstructBlockRow(c, by, d.plane, d.xf)
+			reconstructBlockRow(c, by, d.plane)
 		}
 	}
 }
@@ -986,7 +974,7 @@ func (d *decoder) finishFrame() error {
 		// Fold the inverse engine's prescale into the dequantize
 		// multipliers once per frame; reconstructBlockRow then runs one
 		// multiply per coefficient with no prescale pass.
-		tbl.InvScaledInto(&c.inv, d.xf)
+		tbl.InvScaledInto(&c.inv)
 	}
 	if d.reconWorkers > 1 {
 		d.reconstructSharded(d.reconWorkers)

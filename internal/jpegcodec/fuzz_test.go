@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/dct"
 	"repro/internal/imgutil"
 	"repro/internal/qtable"
 )
@@ -67,7 +66,7 @@ func seedStreams(tb testing.TB) map[string][]byte {
 	add("restart", Options{RestartInterval: 2}, false)
 	add("restart-ri1", Options{RestartInterval: 1}, false)
 	add("restart-sharded", Options{RestartInterval: 1, ShardWorkers: 4, OptimizeHuffman: true}, false)
-	add("aan", Options{Transform: dct.TransformAAN}, false)
+	add("gray-restart", Options{RestartInterval: 3}, true)
 	add("lowq", Options{LumaTable: qtable.MustScale(qtable.StdLuminance, 5),
 		ChromaTable: qtable.MustScale(qtable.StdChrominance, 5)}, false)
 
@@ -119,12 +118,6 @@ func FuzzDecode(f *testing.F) {
 				img.W, img.H, len(img.Pix), dec.W, dec.H)
 		}
 		_ = dec.Gray()
-		// The AAN engine must accept exactly the same stream.
-		aan := DecodeOptions{MaxPixels: fuzzMaxPixels, Transform: dct.TransformAAN}
-		var dec2 Decoded
-		if err := DecodeInto(bytes.NewReader(data), &dec2, &aan); err != nil {
-			t.Fatalf("naive engine accepts the stream, AAN rejects it: %v", err)
-		}
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/dct"
 	"repro/internal/qtable"
 )
 
@@ -34,11 +33,8 @@ import (
 // lever); a negative value strips restart markers and a positive one
 // replaces the interval. The source's APPn/COM segments (EXIF, ICC,
 // comments) are re-emitted in order unless opts.StripMetadata is set or
-// opts.Metadata supplies replacements. Because no pixels are touched,
-// the output is independent of Options.Transform — the engine choice
-// only matters on paths that run a DCT — but the option is still
-// validated so a bad configuration fails here exactly as it would on
-// encode.
+// opts.Metadata supplies replacements. No DCT runs: requantization
+// touches coefficients only.
 func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Options) error {
 	if err := luma.Validate(); err != nil {
 		return fmt.Errorf("jpegcodec: requantize luma: %w", err)
@@ -51,9 +47,6 @@ func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Option
 	var o Options
 	if opts != nil {
 		o = *opts
-	}
-	if !o.Transform.Valid() {
-		return fmt.Errorf("jpegcodec: unknown transform engine %d", o.Transform)
 	}
 	if o.RestartInterval == 0 {
 		o.RestartInterval = d.RestartInterval
@@ -77,9 +70,10 @@ func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Option
 	// drawing descriptors and coefficient grids from the pooled encoder
 	// scratch: requantization sits in the same batch loops as encode.
 	// The tables convert to float form once per component — dequantize
-	// multipliers for the coded table, quantize divisors for the new one
-	// (naive/identity scaling: no DCT runs here) — so the per-block loop
-	// is one multiply and one divide per coefficient.
+	// multipliers for the coded table, quantize divisors for the new one,
+	// both the plain integer steps since no transform scale applies here —
+	// so the per-block loop is one multiply and one divide per
+	// coefficient.
 	s := getEncScratch()
 	defer putEncScratch(s)
 	for i := 0; i < d.Components; i++ {
@@ -109,8 +103,10 @@ func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Option
 		}
 		dequant := &s.inv[c.tq]
 		requant := &s.fwd[c.tq]
-		oldTbl.InvScaledInto(dequant, dct.TransformNaive)
-		newTbl.FwdScaledInto(requant, dct.TransformNaive)
+		for j := range oldTbl {
+			dequant[j] = float64(oldTbl[j])
+			requant[j] = float64(newTbl[j])
+		}
 		c.blocksX, c.blocksY = bx, by
 		c.coefs = growCoefs(s.coefs[i], len(src))
 		s.coefs[i] = c.coefs

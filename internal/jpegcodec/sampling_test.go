@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dct"
 	"repro/internal/qtable"
 )
 
@@ -97,35 +96,44 @@ func TestRGBIntoMatchesStdlibOn422Family(t *testing.T) {
 }
 
 // TestSamplingMatrix drives every chroma layout through the full
-// pipeline matrix — transform engine × restart structure × shard
+// pipeline matrix — source transform × restart structure × shard
 // workers — and holds requantization to its contracts: sharded output
 // bytes identical to sequential, a second requantize under the same
 // tables byte-stable, and the result decodable at the source geometry.
+// The source stream comes from the codec's AAN engine ("aan") or from
+// the reference encoder over the textbook DCT ("naive"); the two must
+// be byte-identical, and every check runs on both.
 func TestSamplingMatrix(t *testing.T) {
 	img := testImageRGB(72, 56, 33)
 	newLuma := qtable.MustScale(qtable.StdLuminance, 60)
 	newChroma := qtable.MustScale(qtable.StdChrominance, 60)
 	for _, sub := range samplingLayouts {
-		for _, engine := range []dct.Transform{dct.TransformNaive, dct.TransformAAN} {
+		for _, source := range []string{"naive", "aan"} {
 			for _, restart := range []int{0, 3} {
-				name := sub.String() + "/" + map[dct.Transform]string{
-					dct.TransformNaive: "naive", dct.TransformAAN: "aan"}[engine]
+				name := sub.String() + "/" + source
 				if restart > 0 {
 					name += "/restart"
 				}
 				t.Run(name, func(t *testing.T) {
-					data := encodeToBytes(t, img, &Options{
+					opts := &Options{
 						LumaTable:       qtable.MustScale(qtable.StdLuminance, 90),
 						ChromaTable:     qtable.MustScale(qtable.StdChrominance, 90),
 						Subsampling:     sub,
-						Transform:       engine,
 						RestartInterval: restart,
-					})
+					}
+					data := encodeToBytes(t, img, opts)
+					if source == "naive" {
+						ref := referenceEncodeRGB(t, img, opts)
+						if !bytes.Equal(ref, data) {
+							t.Fatalf("reference-DCT stream differs from the codec's (%d vs %d bytes)", len(ref), len(data))
+						}
+						data = ref
+					}
 					var seq, shard Decoded
-					if err := DecodeInto(bytes.NewReader(data), &seq, &DecodeOptions{Transform: engine, ShardWorkers: 1}); err != nil {
+					if err := DecodeInto(bytes.NewReader(data), &seq, &DecodeOptions{ShardWorkers: 1}); err != nil {
 						t.Fatal(err)
 					}
-					if err := DecodeInto(bytes.NewReader(data), &shard, &DecodeOptions{Transform: engine, ShardWorkers: 4}); err != nil {
+					if err := DecodeInto(bytes.NewReader(data), &shard, &DecodeOptions{ShardWorkers: 4}); err != nil {
 						t.Fatal(err)
 					}
 					decodedEqual(t, &seq, &shard, "sharded decode")

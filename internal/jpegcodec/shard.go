@@ -355,7 +355,7 @@ func (d *decoder) reconstructSharded(workers int) {
 		c := comps[ci]
 		p := growFloats(*planes[w], c.blocksX*64)
 		*planes[w] = p
-		reconstructBlockRow(c, i-rowStart[ci], p, d.xf)
+		reconstructBlockRow(c, i-rowStart[ci], p)
 		return nil
 	})
 }

@@ -1,24 +1,22 @@
 package jpegcodec
 
-// Transform-engine equivalence: the AAN fast DCT and the naive separable
-// DCT must be interchangeable without changing a single emitted byte.
-// Their floating-point outputs differ by ~1e-12 per coefficient, and the
-// tie-snapping quantizer rounds both sides of that difference to the same
-// integer, so streams — not just pixels — are required to be identical
-// for encode and requantize. Decode paths reconstruct pixels (no
-// quantizer downstream), so engines there may differ by one grey level
-// from IDCT rounding.
+// Reference equivalence: the codec's one transform engine — the AAN
+// butterflies, with their scale factors folded into the quantization
+// divisors — must emit exactly the coefficients, and so exactly the
+// streams, that quantizing the textbook DCT (dct.ForwardReference) by
+// the raw integer steps produces. The two differ by ~1e-12 per
+// coefficient before rounding, and the tie-snapping quantizer rounds
+// both sides of that difference to the same integer. Decode
+// reconstructs pixels with no quantizer downstream, so there the engine
+// may differ from the textbook inverse by one grey level.
 
 import (
 	"bytes"
 	"math/rand"
 	"testing"
 
-	"repro/internal/dct"
 	"repro/internal/qtable"
 )
-
-var bothEngines = []dct.Transform{dct.TransformNaive, dct.TransformAAN}
 
 // randTile fills an 8×8 sample tile with uniform noise — the worst case
 // for knife-edge quantizer ties, since integer-valued inputs make the
@@ -39,18 +37,18 @@ func TestBlockCoefficientsEngineEquivalence(t *testing.T) {
 		qtable.Uniform(16),
 	}
 	rng := rand.New(rand.NewSource(31))
+	var fwd qtable.FwdScaled
 	for trial := 0; trial < 2000; trial++ {
 		tile := randTile(rng)
 		tbl := tables[trial%len(tables)]
-		// Each engine quantizes through its own folded divisors — the
-		// production pairing, where the AAN scale lives in the table.
-		naive := blockCoefficients(&tile, tbl.FwdScaled(dct.TransformNaive), nil, dct.TransformNaive)
-		aan := blockCoefficients(&tile, tbl.FwdScaled(dct.TransformAAN), nil, dct.TransformAAN)
-		if naive != aan {
-			for i := range naive {
-				if naive[i] != aan[i] {
-					t.Fatalf("trial %d: band %d quantizes to %d (naive) vs %d (aan)",
-						trial, i, naive[i], aan[i])
+		tbl.FwdScaledInto(&fwd)
+		got := blockCoefficients(&tile, &fwd, nil)
+		want := referenceCoefficients(&tile, &tbl, nil)
+		if got != want {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: band %d quantizes to %d, reference DCT gives %d",
+						trial, i, got[i], want[i])
 				}
 			}
 		}
@@ -76,15 +74,11 @@ func TestEncodeEngineStreamEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for si, sz := range sizes {
 				img := testImageRGB(sz.w, sz.h, int64(100+si))
-				optsNaive := tc.opts
-				optsNaive.Transform = dct.TransformNaive
-				optsAAN := tc.opts
-				optsAAN.Transform = dct.TransformAAN
-				a := encodeToBytes(t, img, &optsNaive)
-				b := encodeToBytes(t, img, &optsAAN)
-				if !bytes.Equal(a, b) {
-					t.Fatalf("%dx%d: engines emit different streams (%d vs %d bytes)",
-						sz.w, sz.h, len(a), len(b))
+				got := encodeToBytes(t, img, &tc.opts)
+				want := referenceEncodeRGB(t, img, &tc.opts)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%dx%d: stream differs from the reference-DCT stream (%d vs %d bytes)",
+						sz.w, sz.h, len(got), len(want))
 				}
 			}
 		})
@@ -93,68 +87,79 @@ func TestEncodeEngineStreamEquivalence(t *testing.T) {
 
 func TestEncodeGrayEngineStreamEquivalence(t *testing.T) {
 	img := testImageGray(48, 31, 7)
-	var a, b bytes.Buffer
-	if err := EncodeGray(&a, img, &Options{Transform: dct.TransformNaive}); err != nil {
+	var got bytes.Buffer
+	if err := EncodeGray(&got, img, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := EncodeGray(&b, img, &Options{Transform: dct.TransformAAN}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("gray engines emit different streams (%d vs %d bytes)", a.Len(), b.Len())
+	if want := referenceEncodeGray(t, img, nil); !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("gray stream differs from the reference-DCT stream (%d vs %d bytes)", got.Len(), len(want))
 	}
 }
 
+// TestRequantizeEngineStreamEquivalence holds requantization to its
+// definition: every coefficient of the output stream is the source
+// coefficient dequantized by the coded step and requantized by the new
+// one — no transform runs on this path.
 func TestRequantizeEngineStreamEquivalence(t *testing.T) {
 	img := testImageRGB(40, 40, 9)
-	stream := encodeToBytes(t, img, &Options{})
+	src, err := Decode(bytes.NewReader(encodeToBytes(t, img, &Options{})))
+	if err != nil {
+		t.Fatal(err)
+	}
 	newLuma := qtable.MustScale(qtable.StdLuminance, 40)
 	newChroma := qtable.MustScale(qtable.StdChrominance, 40)
-	var outs [2][]byte
-	for i, xf := range bothEngines {
-		dec, err := Decode(bytes.NewReader(stream))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		opts := &Options{OptimizeHuffman: true, Transform: xf}
-		if err := Requantize(&buf, dec, newLuma, newChroma, opts); err != nil {
-			t.Fatal(err)
-		}
-		outs[i] = buf.Bytes()
+	var buf bytes.Buffer
+	if err := Requantize(&buf, src, newLuma, newChroma, &Options{OptimizeHuffman: true}); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		t.Fatalf("requantize engines emit different streams (%d vs %d bytes)",
-			len(outs[0]), len(outs[1]))
+	out, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci := 0; ci < src.Components; ci++ {
+		oldTbl, newTbl := src.QuantTables[src.planes[ci].tq], newLuma
+		if ci > 0 {
+			newTbl = newChroma
+		}
+		srcCoefs, _, _ := src.Coefficients(ci)
+		outCoefs, _, _ := out.Coefficients(ci)
+		for bi := range srcCoefs {
+			for i, c := range srcCoefs[bi] {
+				want := quantize(float64(c)*float64(oldTbl[i]), float64(newTbl[i]))
+				if outCoefs[bi][i] != want {
+					t.Fatalf("component %d block %d band %d: requantized to %d, want %d",
+						ci, bi, i, outCoefs[bi][i], want)
+				}
+			}
+		}
 	}
 }
 
-// TestDecodeEngineAgreement bounds the decode-side engine difference: the
-// same stream reconstructed under both IDCTs may differ only by the one
-// grey level that rounding can move.
+// TestDecodeEngineAgreement bounds the decode side: every component
+// plane the engine reconstructs may differ from the textbook inverse DCT
+// of the same coefficients only by the one grey level rounding can move.
 func TestDecodeEngineAgreement(t *testing.T) {
-	img := testImageRGB(56, 35, 13)
-	stream := encodeToBytes(t, img, &Options{})
-	var rgb [2][]uint8
-	for i, xf := range bothEngines {
+	var gray bytes.Buffer
+	if err := EncodeGray(&gray, testImageGray(41, 23, 12), nil); err != nil {
+		t.Fatal(err)
+	}
+	streams := map[string][]byte{
+		"420":  encodeToBytes(t, testImageRGB(56, 35, 13), &Options{}),
+		"444":  encodeToBytes(t, testImageRGB(24, 17, 14), &Options{Subsampling: Sub444}),
+		"gray": gray.Bytes(),
+	}
+	for name, stream := range streams {
 		var dec Decoded
-		if err := DecodeInto(bytes.NewReader(stream), &dec, &DecodeOptions{Transform: xf}); err != nil {
+		if err := DecodeInto(bytes.NewReader(stream), &dec, nil); err != nil {
 			t.Fatal(err)
 		}
-		rgb[i] = dec.RGB().Pix
-	}
-	worst := 0
-	for i := range rgb[0] {
-		d := int(rgb[0][i]) - int(rgb[1][i])
-		if d < 0 {
-			d = -d
+		for ci := 0; ci < dec.Components; ci++ {
+			want := referencePlane(t, &dec, ci)
+			if worst := maxPixelDelta(t, dec.planes[ci].pix, want); worst > 1 {
+				t.Fatalf("%s component %d: decode differs from the reference IDCT by up to %d grey levels",
+					name, ci, worst)
+			}
 		}
-		if d > worst {
-			worst = d
-		}
-	}
-	if worst > 1 {
-		t.Fatalf("decode engines disagree by up to %d grey levels", worst)
 	}
 }
 
@@ -214,21 +219,6 @@ func TestDecodeIntoRejectsBadInput(t *testing.T) {
 	stream := encodeToBytes(t, testImageRGB(8, 8, 5), nil)
 	if err := DecodeInto(bytes.NewReader(stream), nil, nil); err == nil {
 		t.Fatal("nil destination must be rejected")
-	}
-	var dec Decoded
-	if err := DecodeInto(bytes.NewReader(stream), &dec, &DecodeOptions{Transform: dct.Transform(9)}); err == nil {
-		t.Fatal("invalid transform must be rejected")
-	}
-	if err := EncodeRGB(&bytes.Buffer{}, testImageRGB(8, 8, 6), &Options{Transform: dct.Transform(9)}); err == nil {
-		t.Fatal("encode must reject an invalid transform")
-	}
-	d2, err := Decode(bytes.NewReader(stream))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Requantize(&bytes.Buffer{}, d2, qtable.StdLuminance, qtable.StdChrominance,
-		&Options{Transform: dct.Transform(9)}); err == nil {
-		t.Fatal("requantize must reject an invalid transform")
 	}
 }
 

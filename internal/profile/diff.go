@@ -31,8 +31,8 @@ type StatDelta struct {
 
 // Diff is the structured comparison of two profiles.
 type Diff struct {
-	// Fields lists metadata-level differences (transform engine, sampled
-	// count, chroma calibration, PLM parameters) as rendered lines.
+	// Fields lists metadata-level differences (sampled count, chroma
+	// calibration, PLM parameters) as rendered lines.
 	Fields []string
 	// Luma and Chroma list the quantization bands whose steps differ.
 	Luma, Chroma []TableDelta
@@ -55,9 +55,6 @@ func (d *Diff) Identical() bool {
 // and the calibration metadata that changes encoded output.
 func Compare(a, b *Profile) *Diff {
 	d := &Diff{}
-	if a.Transform != b.Transform {
-		d.Fields = append(d.Fields, fmt.Sprintf("transform: %s → %s", a.Transform, b.Transform))
-	}
 	if a.SampledCount != b.SampledCount {
 		d.Fields = append(d.Fields, fmt.Sprintf("sampled: %d → %d images", a.SampledCount, b.SampledCount))
 	}

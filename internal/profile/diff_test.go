@@ -19,6 +19,20 @@ func TestCompareIdentical(t *testing.T) {
 	}
 }
 
+// TestCompareIgnoresEngineByte: the engine byte selects nothing, so two
+// profiles that differ only there encode identically and must compare
+// Identical — diff answers "would these encode differently".
+func TestCompareIgnoresEngineByte(t *testing.T) {
+	a := syntheticProfile(true)
+	b, err := Decode(withEngineByte(t, a, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := Compare(a, b); !d.Identical() {
+		t.Fatalf("profiles differing only in the engine byte diff non-empty: %q", d.String())
+	}
+}
+
 func TestCompareTableDelta(t *testing.T) {
 	a := syntheticProfile(false)
 	b := syntheticProfile(false)

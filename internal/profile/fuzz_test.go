@@ -48,7 +48,7 @@ func FuzzProfileDecode(f *testing.F) {
 			t.Fatal("accepted profile re-encodes to different bytes (non-canonical decode)")
 		}
 		// An accepted profile must restore: Decode already enforces the
-		// table/transform invariants Restore checks.
+		// table invariants Restore checks.
 		if _, err := p.Framework(); err != nil {
 			t.Fatalf("accepted profile does not restore: %v", err)
 		}

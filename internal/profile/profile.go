@@ -18,12 +18,18 @@
 //
 //	magic "DNJP" | format uint16 | flags uint16
 //	name (uint16 len + bytes) | version uint32 | created int64
-//	comment (uint16 len + bytes) | transform uint8 | sampled uint32
+//	comment (uint16 len + bytes) | engine uint8 | sampled uint32
 //	luma table (64×uint16) | chroma table (64×uint16)
 //	PLM params (10×float64 bits)
 //	luma stats (int64 blocks + 4×64 float64 bits)
 //	[chroma stats, when flag bit 0 is set]
 //	crc32 (IEEE, over every preceding byte)
+//
+// The engine byte dates from when the block-transform engine was
+// selectable: 0 named the naive DCT, 1 the AAN DCT. It selects nothing
+// now — every profile restores onto the one engine the codec runs, and
+// both engines emitted the same streams — but Decode still accepts only
+// 0 or 1, and new profiles write 1.
 //
 // The encoding is canonical: a Profile always serializes to the same
 // bytes, and Decode accepts exactly what Encode emits — no trailing
@@ -43,7 +49,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dct"
 	"repro/internal/freqstat"
 	"repro/internal/plm"
 	"repro/internal/qtable"
@@ -97,8 +102,6 @@ type Profile struct {
 	CreatedUnix int64
 	// Comment is free-form provenance (source dataset, trainer, ticket).
 	Comment string
-	// Transform is the block-transform engine the profile's codec runs.
-	Transform dct.Transform
 	// SampledCount is how many images the calibration pass consumed.
 	SampledCount int
 	// Luma and Chroma are the derived quantization tables.
@@ -112,6 +115,11 @@ type Profile struct {
 	// per-band coefficient statistics the tables were derived from.
 	LumaStats   *freqstat.Stats
 	ChromaStats *freqstat.Stats
+
+	// engineByte0 records a profile decoded with engine byte 0, so it
+	// re-encodes to exactly the bytes it was read from (its CRC and its
+	// hub content address stay valid). It changes nothing else.
+	engineByte0 bool
 }
 
 // ValidateName checks a profile name: 1..MaxNameLen characters, lower-case
@@ -172,9 +180,6 @@ func (p *Profile) Validate() error {
 	}
 	if len(p.Comment) > MaxCommentLen {
 		return fmt.Errorf("profile: comment exceeds %d bytes", MaxCommentLen)
-	}
-	if !p.Transform.Valid() {
-		return fmt.Errorf("profile: unknown transform engine %d", p.Transform)
 	}
 	// Bound by int32 (not uint32) so the count round-trips identically on
 	// 32-bit platforms, where int cannot hold the upper uint32 range.
@@ -251,7 +256,11 @@ func (p *Profile) Encode() ([]byte, error) {
 	b = binary.BigEndian.AppendUint64(b, uint64(p.CreatedUnix))
 	b = binary.BigEndian.AppendUint16(b, uint16(len(p.Comment)))
 	b = append(b, p.Comment...)
-	b = append(b, byte(p.Transform))
+	engine := byte(1)
+	if p.engineByte0 {
+		engine = 0
+	}
+	b = append(b, engine)
 	b = binary.BigEndian.AppendUint32(b, uint32(p.SampledCount))
 	b = p.Luma.AppendBinary(b)
 	b = p.Chroma.AppendBinary(b)
@@ -286,7 +295,13 @@ func Decode(data []byte) (*Profile, error) {
 	p.Version = r.uint32()
 	p.CreatedUnix = int64(r.uint64())
 	p.Comment = string(r.varBytes(MaxCommentLen))
-	p.Transform = dct.Transform(r.byte())
+	switch engine := r.byte(); engine {
+	case 0:
+		p.engineByte0 = true
+	case 1:
+	default:
+		return nil, fmt.Errorf("%w: engine byte %d (want 0 or 1)", ErrCorrupt, engine)
+	}
 	p.SampledCount = int(r.uint32())
 	p.Luma = r.table()
 	p.Chroma = r.table()
@@ -392,7 +407,6 @@ func FromFramework(fw *core.Framework, m Meta) (*Profile, error) {
 		Version:          m.Version,
 		CreatedUnix:      m.CreatedUnix,
 		Comment:          m.Comment,
-		Transform:        fw.Transform,
 		SampledCount:     fw.SampledCount,
 		Luma:             fw.LumaTable,
 		Chroma:           fw.ChromaTable,
@@ -413,7 +427,7 @@ func (p *Profile) Framework() (*core.Framework, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return core.Restore(p.Params, p.LumaStats, p.ChromaStats, p.Luma, p.Chroma, p.SampledCount, p.Transform)
+	return core.Restore(p.Params, p.LumaStats, p.ChromaStats, p.Luma, p.Chroma, p.SampledCount)
 }
 
 // reader consumes the profile byte stream with sticky error state, so

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dct"
 	"repro/internal/freqstat"
 	"repro/internal/plm"
 	"repro/internal/qtable"
@@ -37,7 +36,6 @@ func syntheticProfile(chroma bool) *Profile {
 		Version:      3,
 		CreatedUnix:  1700000000,
 		Comment:      "handcrafted golden fixture",
-		Transform:    dct.TransformAAN,
 		SampledCount: 512,
 		Params: plm.Params{
 			A: 255, B: 80, C: 240,
@@ -102,8 +100,7 @@ func TestRoundTrip(t *testing.T) {
 		if !bytes.Equal(data, again) {
 			t.Fatalf("chroma=%v: decode→encode is not byte-identical", chroma)
 		}
-		if back.Ref() != "synthetic@3" || back.Transform != dct.TransformAAN ||
-			back.SampledCount != 512 || back.CreatedUnix != 1700000000 {
+		if back.Ref() != "synthetic@3" || back.SampledCount != 512 || back.CreatedUnix != 1700000000 {
 			t.Fatalf("chroma=%v: fields did not survive: %+v", chroma, back)
 		}
 		if back.LumaStats.Blocks != 4096 || back.LumaStats.Std[0] != p.LumaStats.Std[0] {
@@ -125,7 +122,7 @@ func TestCalibratedRoundTripRestoresFramework(t *testing.T) {
 	if fw2.LumaTable != fw.LumaTable || fw2.ChromaTable != fw.ChromaTable {
 		t.Fatal("restored tables differ from calibrated ones")
 	}
-	if fw2.Transform != fw.Transform || fw2.SampledCount != fw.SampledCount {
+	if fw2.SampledCount != fw.SampledCount {
 		t.Fatal("restored metadata differs")
 	}
 	if *fw2.Stats != *fw.Stats {
@@ -167,6 +164,68 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// engineOffset is the position of the engine byte in p's encoding: it
+// follows the fixed header, the name, version, creation time and
+// comment.
+func engineOffset(p *Profile) int {
+	return len(Magic) + 2 + 2 + 2 + len(p.Name) + 4 + 8 + 2 + len(p.Comment)
+}
+
+// withEngineByte re-encodes p with its engine byte set to e.
+func withEngineByte(tb testing.TB, p *Profile, e byte) []byte {
+	tb.Helper()
+	data := encodeOK(tb, p)
+	data[engineOffset(p)] = e
+	return patchCRC(data)
+}
+
+// TestEngineByteZeroRestoresLikeOne pins the legacy engine byte: a
+// profile written with byte 0 (the naive DCT, when engines were
+// selectable) decodes, re-encodes to exactly its own bytes, and restores
+// to a codec that encodes exactly like its byte-1 twin.
+func TestEngineByteZeroRestoresLikeOne(t *testing.T) {
+	p, _ := calibratedProfile(t, true)
+	one := encodeOK(t, p)
+	if one[engineOffset(p)] != 1 {
+		t.Fatalf("new profiles must write engine byte 1, wrote %d", one[engineOffset(p)])
+	}
+	zero := withEngineByte(t, p, 0)
+	p0, err := Decode(zero)
+	if err != nil {
+		t.Fatalf("engine byte 0 rejected: %v", err)
+	}
+	if again := encodeOK(t, p0); !bytes.Equal(again, zero) {
+		t.Fatal("byte-0 profile does not re-encode to its own bytes")
+	}
+	fw0, err := p0.Framework()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw1, err := p.Framework()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := dataset.Quick()
+	cfg.TrainPerClass, cfg.TestPerClass, cfg.Color = 1, 1, true
+	imgs, _, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, img := range imgs.Images {
+		a, err := fw0.Scheme().EncodeRGB(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fw1.Scheme().EncodeRGB(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("image %d: byte-0 profile encodes differently from its byte-1 twin", i)
+		}
+	}
+}
+
 // patchCRC recomputes the trailing checksum after a deliberate mutation,
 // so corruption tests reach the validation they target instead of
 // stopping at ErrChecksum.
@@ -202,6 +261,10 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{"oversized name length", func(b []byte) []byte { b[8], b[9] = 0xFF, 0xFF; return patchCRC(b) }, ErrCorrupt},
 		{"illegal name character", func(b []byte) []byte { b[10] = '@'; return patchCRC(b) }, ErrCorrupt},
 		{"uppercase name", func(b []byte) []byte { b[10] = 'S'; return patchCRC(b) }, ErrCorrupt},
+		{"bad transform", func(b []byte) []byte {
+			b[engineOffset(syntheticProfile(true))] = 2
+			return patchCRC(b)
+		}, ErrCorrupt},
 		{"version zero", func(b []byte) []byte {
 			off := 10 + len("synthetic") // version uint32 follows the name
 			for i := 0; i < 4; i++ {
@@ -241,7 +304,6 @@ func TestEncodeValidation(t *testing.T) {
 		{"empty name", func(p *Profile) { p.Name = "" }, "name"},
 		{"illegal name", func(p *Profile) { p.Name = "No/Slash" }, "name"},
 		{"version zero", func(p *Profile) { p.Version = 0 }, "version"},
-		{"bad transform", func(p *Profile) { p.Transform = 99 }, "transform"},
 		{"zero table step", func(p *Profile) { p.Luma[0] = 0 }, "luma table"},
 		{"nil stats", func(p *Profile) { p.LumaStats = nil }, "statistics"},
 		{"chroma mismatch", func(p *Profile) { p.ChromaStats = nil }, "chroma"},

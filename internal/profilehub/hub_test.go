@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dct"
 	"repro/internal/freqstat"
 	"repro/internal/plm"
 	"repro/internal/profile"
@@ -32,7 +31,6 @@ func testProfile(tb testing.TB, name string, version uint32) (*profile.Profile, 
 		Name:         name,
 		Version:      version,
 		CreatedUnix:  1700000000,
-		Transform:    dct.TransformAAN,
 		SampledCount: 512,
 		Params: plm.Params{
 			A: 255, B: 80, C: 240,

@@ -13,76 +13,51 @@ package qtable
 //	inverse:  ortho·q → scaled input = coef·q·prescale = coef·(q·prescale)
 //
 // FwdScaled holds the fused divisors q[i]/descale2D[i], InvScaled the
-// fused multipliers q[i]·prescale2D[i]. For the naive engine both are
-// simply float64(q[i]) — the orthonormal basis needs no folding — so one
-// code path serves every engine. Tables are derived per (Table,
-// Transform) pair and are cheap to build but worth caching: the codec
-// builds them once per Framework (and once per decoded stream on the
-// decode side), never per block.
+// fused multipliers q[i]·prescale2D[i]. They are cheap to build but
+// worth caching: the codec builds them once per Framework (and once per
+// decoded stream on the decode side), never per block.
 
 import "repro/internal/dct"
 
 // FwdScaled is a quantization table with the forward transform's scale
 // factors folded in: 64 float divisors in natural order. A coefficient
-// produced by Transform.ForwardScaled quantizes as round(c/FwdScaled[i])
+// produced by dct.ForwardAANRawBatch quantizes as round(c/FwdScaled[i])
 // with no separate descale pass.
 type FwdScaled [64]float64
 
 // InvScaled is a dequantization table with the inverse transform's scale
 // factors folded in: 64 float multipliers in natural order. A quantized
-// coefficient dequantizes for Transform.InverseScaled as c·InvScaled[i].
+// coefficient dequantizes for dct.InverseAANRawBatch as c·InvScaled[i].
 type InvScaled [64]float64
 
-// FwdScaledInto fills dst with the fused forward divisors of t under the
-// given engine. The allocation-free form of FwdScaled for pooled scratch.
-func (t Table) FwdScaledInto(dst *FwdScaled, xf dct.Transform) {
-	if xf == dct.TransformAAN {
-		for i, q := range t {
-			dst[i] = float64(q) / dct.AANForwardDescale(i)
-		}
-		return
-	}
+// FwdScaledInto fills dst with the fused forward divisors of t.
+func (t Table) FwdScaledInto(dst *FwdScaled) {
 	for i, q := range t {
-		dst[i] = float64(q)
+		dst[i] = float64(q) / dct.AANForwardDescale(i)
 	}
 }
 
-// FwdScaled returns the fused forward divisors of t under the given
-// engine.
-func (t Table) FwdScaled(xf dct.Transform) *FwdScaled {
-	dst := new(FwdScaled)
-	t.FwdScaledInto(dst, xf)
-	return dst
-}
-
-// InvScaledInto fills dst with the fused inverse multipliers of t under
-// the given engine. The allocation-free form of InvScaled.
-func (t Table) InvScaledInto(dst *InvScaled, xf dct.Transform) {
-	if xf == dct.TransformAAN {
-		for i, q := range t {
-			dst[i] = float64(q) * dct.AANInversePrescale(i)
-		}
-		return
-	}
+// InvScaledInto fills dst with the fused inverse multipliers of t. The
+// allocation-free form of InvScaled for pooled scratch.
+func (t Table) InvScaledInto(dst *InvScaled) {
 	for i, q := range t {
-		dst[i] = float64(q)
+		dst[i] = float64(q) * dct.AANInversePrescale(i)
 	}
 }
 
-// InvScaled returns the fused inverse multipliers of t under the given
-// engine.
-func (t Table) InvScaled(xf dct.Transform) *InvScaled {
+// InvScaled returns the fused inverse multipliers of t for the given
+// engine. dct.Transform has a single value, the engine the codec runs,
+// so the argument only names what the multipliers are for.
+func (t Table) InvScaled(dct.Transform) *InvScaled {
 	dst := new(InvScaled)
-	t.InvScaledInto(dst, xf)
+	t.InvScaledInto(dst)
 	return dst
 }
 
 // DequantizeBlocks broadcasts the fused multipliers over a run of
 // quantized blocks, writing len(blocks) consecutive 64-float blocks
-// into dst (dct batch layout). The per-coefficient product is exactly
-// the one the per-block dequantize loop computes — float64(c)·t[i] —
-// so a batch inverse transform over dst is bit-identical to per-block
-// reconstruction.
+// into dst (dct batch layout): the per-coefficient product is
+// float64(c)·t[i], ready for one batch inverse transform over dst.
 func (t *InvScaled) DequantizeBlocks(dst []float64, blocks [][64]int32) {
 	for bi := range blocks {
 		src := &blocks[bi]

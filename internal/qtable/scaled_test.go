@@ -6,21 +6,10 @@ import (
 	"repro/internal/dct"
 )
 
-// TestScaledNaiveIsPlainFloat pins the identity folding: the naive
-// engine works in the orthonormal basis, so its scaled tables are the
-// integer steps verbatim.
-func TestScaledNaiveIsPlainFloat(t *testing.T) {
-	tbl := StdLuminance
-	fwd := tbl.FwdScaled(dct.TransformNaive)
-	inv := tbl.InvScaled(dct.TransformNaive)
-	for i, q := range tbl {
-		if fwd[i] != float64(q) {
-			t.Fatalf("fwd[%d] = %g, want %d verbatim", i, fwd[i], q)
-		}
-		if inv[i] != float64(q) {
-			t.Fatalf("inv[%d] = %g, want %d verbatim", i, inv[i], q)
-		}
-	}
+func fwdScaled(t Table) *FwdScaled {
+	dst := new(FwdScaled)
+	t.FwdScaledInto(dst)
+	return dst
 }
 
 // TestScaledAANFoldsFactors checks the folded values band by band
@@ -29,8 +18,8 @@ func TestScaledNaiveIsPlainFloat(t *testing.T) {
 // prescale (q·prescale).
 func TestScaledAANFoldsFactors(t *testing.T) {
 	for _, tbl := range []Table{StdLuminance, StdChrominance, Uniform(1), Uniform(255)} {
-		fwd := tbl.FwdScaled(dct.TransformAAN)
-		inv := tbl.InvScaled(dct.TransformAAN)
+		fwd := fwdScaled(tbl)
+		inv := tbl.InvScaled(dct.Transform{})
 		for i, q := range tbl {
 			if want := float64(q) / dct.AANForwardDescale(i); fwd[i] != want {
 				t.Fatalf("fwd[%d] = %g, want %g", i, fwd[i], want)
@@ -42,21 +31,14 @@ func TestScaledAANFoldsFactors(t *testing.T) {
 	}
 }
 
-// TestScaledIntoMatchesAllocating keeps the pooled-scratch variants in
-// lockstep with the allocating ones.
+// TestScaledIntoMatchesAllocating keeps the pooled-scratch variant in
+// lockstep with the allocating one.
 func TestScaledIntoMatchesAllocating(t *testing.T) {
 	tbl := MustScale(StdLuminance, 75)
-	for _, xf := range []dct.Transform{dct.TransformNaive, dct.TransformAAN} {
-		var fwd FwdScaled
-		var inv InvScaled
-		tbl.FwdScaledInto(&fwd, xf)
-		tbl.InvScaledInto(&inv, xf)
-		if fwd != *tbl.FwdScaled(xf) {
-			t.Fatalf("%v: FwdScaledInto diverges from FwdScaled", xf)
-		}
-		if inv != *tbl.InvScaled(xf) {
-			t.Fatalf("%v: InvScaledInto diverges from InvScaled", xf)
-		}
+	var inv InvScaled
+	tbl.InvScaledInto(&inv)
+	if inv != *tbl.InvScaled(dct.Transform{}) {
+		t.Fatal("InvScaledInto diverges from InvScaled")
 	}
 }
 
@@ -67,8 +49,8 @@ func TestScaledIntoMatchesAllocating(t *testing.T) {
 // unfolded AAN path applies between its butterfly passes.
 func TestScaledRoundTripNeutral(t *testing.T) {
 	tbl := MustScale(StdLuminance, 30)
-	fwd := tbl.FwdScaled(dct.TransformAAN)
-	inv := tbl.InvScaled(dct.TransformAAN)
+	fwd := fwdScaled(tbl)
+	inv := tbl.InvScaled(dct.Transform{})
 	for i := range tbl {
 		got := inv[i] / fwd[i]
 		want := dct.AANForwardDescale(i) * dct.AANInversePrescale(i)

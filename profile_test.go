@@ -2,9 +2,9 @@ package deepnjpeg
 
 // End-to-end acceptance of the persistent-calibration subsystem: a
 // profile written from a calibrated Codec must restore to a codec whose
-// streams are byte-identical to the original's (both transform engines,
-// encode and requantize), and a server booted from a profile directory
-// must answer without any calibration having run.
+// streams are byte-identical to the original's (encode and requantize),
+// and a server booted from a profile directory must answer without any
+// calibration having run.
 
 import (
 	"bytes"
@@ -16,58 +16,56 @@ import (
 
 func TestProfileRoundTripByteIdentical(t *testing.T) {
 	images, labels := calibrationSet(t)
-	for _, tf := range []Transform{TransformNaive, TransformAAN} {
-		codec, err := Calibrate(images, labels, CalibrateConfig{Chroma: true, Transform: tf})
+	codec, err := Calibrate(images, labels, CalibrateConfig{Chroma: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "set@7.dnp")
+	if err := codec.SaveProfile(path, ProfileMeta{Name: "set", Version: 7, Comment: "round trip"}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := LoadProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Ref() != "set@7" || p.CreatedUnix == 0 {
+		t.Fatalf("loaded profile %+v", p)
+	}
+	restored, err := NewCodecFromProfile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.LumaTable() != codec.LumaTable() || restored.ChromaTable() != codec.ChromaTable() {
+		t.Fatal("restored tables differ")
+	}
+	for i, img := range images[:4] {
+		want, err := codec.Encode(img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := filepath.Join(t.TempDir(), "set@7.dnp")
-		if err := codec.SaveProfile(path, ProfileMeta{Name: "set", Version: 7, Comment: "round trip"}); err != nil {
-			t.Fatal(err)
-		}
-		p, err := LoadProfile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Ref() != "set@7" || p.Transform != tf || p.CreatedUnix == 0 {
-			t.Fatalf("transform %v: loaded profile %+v", tf, p)
-		}
-		restored, err := NewCodecFromProfile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if restored.LumaTable() != codec.LumaTable() || restored.ChromaTable() != codec.ChromaTable() {
-			t.Fatalf("transform %v: restored tables differ", tf)
-		}
-		for i, img := range images[:4] {
-			want, err := codec.Encode(img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := restored.Encode(img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("transform %v: image %d: restored codec stream differs", tf, i)
-			}
-		}
-		// Requantization shares the tables too.
-		src, err := EncodeJPEG(images[0], 90)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := codec.Requantize(src, RequantizeOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := restored.Requantize(src, RequantizeOptions{})
+		got, err := restored.Encode(img)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(want, got) {
-			t.Fatalf("transform %v: restored requantize stream differs", tf)
+			t.Fatalf("image %d: restored codec stream differs", i)
 		}
+	}
+	// Requantization shares the tables too.
+	src, err := EncodeJPEG(images[0], 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := codec.Requantize(src, RequantizeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Requantize(src, RequantizeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatal("restored requantize stream differs")
 	}
 }
 

@@ -1,89 +1,177 @@
 package deepnjpeg
 
-// Public-surface tests for the pluggable block-transform engine and the
-// decode reuse APIs: the fast engine must be invisible in the emitted
-// bytes (the interop golden images encode identically under both), and
-// the Into-variants must reproduce their allocating counterparts
-// exactly.
+// Public-surface tests for the block transform and the decode reuse
+// APIs: calibration and encode must agree with the textbook DCT
+// (dct.ForwardReference) on the interop images — the same tables, the
+// same quantized coefficients — and the Into-variants must reproduce
+// their allocating counterparts exactly.
 
 import (
 	"bytes"
 	"context"
 	"image/jpeg"
+	"math"
 	"testing"
+
+	"repro/internal/dct"
+	"repro/internal/freqstat"
+	"repro/internal/imgutil"
+	"repro/internal/jpegcodec"
+	"repro/internal/plm"
 )
 
-// transformCodecs calibrates one codec per engine on the same corpus;
-// the calibrated tables must be bit-identical because statistics always
-// run on the naive engine.
-func transformCodecs(t *testing.T) (naive, aan *Codec, images []*Image) {
+// transformCodec calibrates a chroma-calibrated codec on the interop
+// images.
+func transformCodec(t *testing.T) (*Codec, []*Image) {
 	t.Helper()
 	images, labels := calibrationSet(t)
-	var err error
-	naive, err = Calibrate(images, labels, CalibrateConfig{Chroma: true})
+	codec, err := Calibrate(images, labels, CalibrateConfig{Chroma: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aan, err = Calibrate(images, labels, CalibrateConfig{Chroma: true, Transform: TransformAAN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return naive, aan, images
+	return codec, images
 }
 
+// referenceBlock is the textbook forward DCT of the level-shifted 8×8
+// block (bx, by) of a sample plane, edge-replicated.
+func referenceBlock(pix []uint8, w, h, bx, by int) dct.Block {
+	var tile [64]uint8
+	var blk dct.Block
+	imgutil.ExtractBlock(pix, w, h, bx, by, &tile)
+	dct.LevelShift(tile[:], &blk)
+	dct.ForwardReference(&blk)
+	return blk
+}
+
+// TestTransformEnginesShareCalibratedTables holds calibration to the
+// textbook DCT: statistics accumulated from dct.ForwardReference
+// coefficients, fed through the same segmentation and mapping, must
+// yield exactly the tables Calibrate derives with the codec's engine.
 func TestTransformEnginesShareCalibratedTables(t *testing.T) {
-	naive, aan, _ := transformCodecs(t)
-	if naive.LumaTable() != aan.LumaTable() {
-		t.Fatal("luma tables differ across engines; calibration must be engine-independent")
+	images, labels := calibrationSet(t)
+	codec, err := Calibrate(images, labels, CalibrateConfig{Chroma: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if naive.ChromaTable() != aan.ChromaTable() {
-		t.Fatal("chroma tables differ across engines; calibration must be engine-independent")
+	luma, chroma := freqstat.NewAccumulator(), freqstat.NewAccumulator()
+	add := func(acc *freqstat.Accumulator, pix []uint8, w, h int) {
+		g := imgutil.GridFor(w, h)
+		for by := 0; by < g.BlocksY; by++ {
+			for bx := 0; bx < g.BlocksX; bx++ {
+				blk := referenceBlock(pix, w, h, bx, by)
+				acc.AddBlock(&blk)
+			}
+		}
+	}
+	for _, i := range freqstat.StratifiedIndices(labels, 0) {
+		im := images[i]
+		p := imgutil.ToYCbCr(im)
+		add(luma, p.Y, im.W, im.H)
+		add(chroma, p.Cb, im.W, im.H)
+		add(chroma, p.Cr, im.W, im.H)
+	}
+	lumaStats, err := luma.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chromaStats, err := chroma.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, _, err := plm.FitFromStats(plm.PaperAnchors(), lumaStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		stats *freqstat.Stats
+		got   QuantTable
+	}{{"luma", lumaStats, codec.LumaTable()}, {"chroma", chromaStats, codec.ChromaTable()}} {
+		want, err := params.Table(tc.stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.got != want {
+			t.Fatalf("%s table differs from the one the reference-DCT statistics give:\n%v\nwant\n%v", tc.name, tc.got, want)
+		}
+	}
+}
+
+// quantizeReference rounds c/q half away from zero — the T.81
+// quantizer — treating values within 1e-9 of a half as exact halves, so
+// the textbook transform's own rounding error cannot flip a tie.
+func quantizeReference(c, q float64) int32 {
+	v := math.Abs(c / q)
+	m := math.Floor(v + 0.5)
+	if v+0.5-m > 1-1e-9 {
+		m++
+	}
+	return int32(math.Copysign(m, c))
+}
+
+// requireReferenceCoefficients decodes stream and checks every
+// quantized coefficient of every component against quantizeReference of
+// the textbook DCT of the encoder's input plane for that component.
+func requireReferenceCoefficients(t *testing.T, name string, stream []byte, planes [][]uint8, dims [][2]int, tables []QuantTable) {
+	t.Helper()
+	dec, err := jpegcodec.Decode(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, pix := range planes {
+		coefs, blocksX, blocksY := dec.Coefficients(ci)
+		for by := 0; by < blocksY; by++ {
+			for bx := 0; bx < blocksX; bx++ {
+				ref := referenceBlock(pix, dims[ci][0], dims[ci][1], bx, by)
+				got := &coefs[by*blocksX+bx]
+				for i := range ref {
+					if want := quantizeReference(ref[i], float64(tables[ci][i])); got[i] != want {
+						t.Fatalf("%s component %d block (%d,%d) band %d: coded %d, reference DCT gives %d",
+							name, ci, bx, by, i, got[i], want)
+					}
+				}
+			}
+		}
 	}
 }
 
 // TestTransformEquivalenceOnInteropImages is the golden-image half of
-// the engine-equivalence property: every stream the interop suite
-// validates against the stdlib decoder must come out byte-identical
-// under the AAN engine, for both color and grayscale encodes. With the
-// AAN scale factors folded into the quantization tables, this corpus is
-// also what pins that the fused one-pass hot loop cannot be told apart
-// from the two-pass formulation by a single emitted byte — and that the
-// fast path's output remains plain baseline JFIF to the stdlib decoder.
+// the reference property: every stream the interop suite validates
+// against the stdlib decoder carries exactly the quantized textbook-DCT
+// coefficients of its input, for color (4:2:0) and grayscale encodes.
+// With the AAN scale factors folded into the quantization tables, this
+// corpus also pins that the fused one-pass hot loop cannot be told apart
+// from the two-pass textbook formulation by a single coefficient — and
+// that its output remains plain baseline JFIF to the stdlib decoder.
 func TestTransformEquivalenceOnInteropImages(t *testing.T) {
-	naive, aan, images := transformCodecs(t)
+	codec, images := transformCodec(t)
+	luma, chroma := codec.LumaTable(), codec.ChromaTable()
 	for i, img := range images {
-		a, err := naive.Encode(img)
+		stream, err := codec.Encode(img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := aan.Encode(img)
+		if _, err := jpeg.Decode(bytes.NewReader(stream)); err != nil {
+			t.Fatalf("image %d: stdlib cannot decode the stream: %v", i, err)
+		}
+		p := imgutil.ToYCbCr(img)
+		cb, cw, ch := imgutil.DownsampleInto(nil, p.Cb, img.W, img.H, 2, 2)
+		cr, _, _ := imgutil.DownsampleInto(nil, p.Cr, img.W, img.H, 2, 2)
+		requireReferenceCoefficients(t, "color", stream, [][]uint8{p.Y, cb, cr},
+			[][2]int{{img.W, img.H}, {cw, ch}, {cw, ch}}, []QuantTable{luma, chroma, chroma})
+
+		g := img.ToGray()
+		gs, err := codec.EncodeGray(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("image %d: color streams differ across engines (%d vs %d bytes)", i, len(a), len(b))
-		}
-		if _, err := jpeg.Decode(bytes.NewReader(b)); err != nil {
-			t.Fatalf("image %d: stdlib cannot decode the fused-table AAN stream: %v", i, err)
-		}
-		g := toGray(img)
-		ga, err := naive.EncodeGray(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gb, err := aan.EncodeGray(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ga, gb) {
-			t.Fatalf("image %d: gray streams differ across engines (%d vs %d bytes)", i, len(ga), len(gb))
-		}
+		requireReferenceCoefficients(t, "gray", gs, [][]uint8{g.Pix}, [][2]int{{g.W, g.H}}, []QuantTable{luma})
 	}
 }
 
 func TestDecodeIntoMatchesDecode(t *testing.T) {
-	naive, _, images := transformCodecs(t)
-	stream, err := naive.Encode(images[0])
+	codec, images := transformCodec(t)
+	stream, err := codec.Encode(images[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +179,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fresh (nil dst), reused, and fast-engine decodes of the same stream.
+	// Fresh (nil dst) and reused decodes of the same stream.
 	got, err := DecodeInto(nil, stream, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -110,29 +198,11 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 	if !bytes.Equal(got2.Pix, want.Pix) {
 		t.Fatal("DecodeInto(reuse) diverges from Decode")
 	}
-	fast, err := DecodeInto(nil, stream, DecodeOptions{Transform: TransformAAN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := 0
-	for i := range want.Pix {
-		d := int(want.Pix[i]) - int(fast.Pix[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	// Same quantized coefficients; only IDCT rounding may differ.
-	if worst > 1 {
-		t.Fatalf("AAN decode differs from naive by up to %d levels", worst)
-	}
 }
 
 func TestDecodeBatchIntoMatchesDecodeBatch(t *testing.T) {
-	naive, _, images := transformCodecs(t)
-	streams, err := naive.EncodeBatch(context.Background(), images, BatchOptions{})
+	codec, images := transformCodec(t)
+	streams, err := codec.EncodeBatch(context.Background(), images, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +219,7 @@ func TestDecodeBatchIntoMatchesDecodeBatch(t *testing.T) {
 	for i := range dst {
 		dst[i] = NewImage(1, 1)
 	}
-	reused, err := DecodeBatchInto(context.Background(), streams, dst, BatchOptions{Workers: 2}, DecodeOptions{Transform: TransformAAN})
+	reused, err := DecodeBatchInto(context.Background(), streams, dst, BatchOptions{Workers: 2}, DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,29 +233,12 @@ func TestDecodeBatchIntoMatchesDecodeBatch(t *testing.T) {
 		if reused[i] != dst[i] {
 			t.Fatalf("item %d: DecodeBatchInto must fill the provided buffers", i)
 		}
-		worst := 0
-		for j := range want[i].Pix {
-			d := int(want[i].Pix[j]) - int(reused[i].Pix[j])
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-		if worst > 1 {
-			t.Fatalf("item %d: AAN batch decode differs by up to %d levels", i, worst)
+		if !bytes.Equal(reused[i].Pix, want[i].Pix) {
+			t.Fatalf("item %d: DecodeBatchInto(reused dst) diverges from DecodeBatch", i)
 		}
 	}
 	// Mismatched reuse-slice length is an error, not a silent reallocation.
 	if _, err := DecodeBatchInto(context.Background(), streams, dst[:1], BatchOptions{}, DecodeOptions{}); err == nil {
 		t.Fatal("short dst slice must be rejected")
-	}
-}
-
-func TestCalibrateRejectsUnknownTransform(t *testing.T) {
-	images, labels := calibrationSet(t)
-	if _, err := Calibrate(images, labels, CalibrateConfig{Transform: Transform(9)}); err == nil {
-		t.Fatal("unknown transform engine must be rejected at calibration time")
 	}
 }
