@@ -1,12 +1,12 @@
 # Developer entry points for the DeepN-JPEG reproduction.
 #
-#   make check        # gofmt gate + vet + build + race suite + sampling matrix + paper numbers + fuzz smoke
+#   make check        # gofmt gate + vet + build + race suite + sampling matrix + paper numbers + perfbench + fuzz smoke
 #   make paper        # the paper's Fig 2a/3/5/7 headline values as tolerance bands
+#   make perfbench    # vet + self-tests of the perfbench module
 #   make test         # plain test run (what tier-1 verification executes)
 #   make test-amd64v3 # build+test under GOAMD64=v3 (AVX2-era codegen)
 #   make bench        # DCT/codec/pipeline benchmarks with allocation reporting
-#   make bench-txt    # repeated-count text snapshot → $(NEW) (benchstat input)
-#   make bench-compare# benchstat $(OLD) $(NEW) — old-vs-new regression diff
+#   make bench-txt    # repeated-count text snapshot → $(NEW)
 #   make bench-json   # full benchmark sweep → BENCH_$(PR).json (perf trajectory)
 #   make serve-bench  # requests/sec through the HTTP batch endpoint
 #   make fuzz-smoke   # short native-fuzz run of the decode/requantize/profile fuzzers
@@ -18,9 +18,9 @@ FUZZTIME ?= 5s
 # PR number when recording a data point, e.g. `make bench-json PR=4`.
 PR ?= dev
 
-.PHONY: check fmt vet build build-386 test test-amd64v3 race sampling progressive hub paper bench bench-txt bench-compare bench-json serve-bench fuzz-smoke
+.PHONY: check fmt vet build build-386 test test-amd64v3 race sampling progressive hub paper perfbench bench bench-txt bench-json serve-bench fuzz-smoke
 
-check: fmt vet build build-386 race sampling progressive hub paper fuzz-smoke
+check: fmt vet build build-386 race sampling progressive hub paper perfbench fuzz-smoke
 
 fmt:
 	@out="$$($(GOFMT) -l .)" || exit 1; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -44,9 +44,11 @@ test:
 # GOAMD64=v3 leg: the batch DCT/quantize kernels are flat float64 loops
 # whose lowering changes with the microarchitecture level (v3 unlocks
 # AVX/AVX2-era instruction selection). Building AND running the suite at
-# v3 pins the bit-identity contract — batch vs per-block, fused vs
-# unfused — under the alternate codegen, not just under the default v1.
-# Requires an AVX2-capable host (any x86-64-v3 machine; CI runners are).
+# v3 pins the bit-level contracts — flat kernels vs the strided
+# reference butterflies, coded coefficients vs the textbook DCT, the
+# checked-in stream digests — under the alternate codegen, not just
+# under the default v1. Requires an AVX2-capable host (any x86-64-v3
+# machine; CI runners are).
 test-amd64v3:
 	GOAMD64=v3 $(GO) build ./...
 	GOAMD64=v3 $(GO) test ./...
@@ -91,6 +93,13 @@ hub:
 paper:
 	$(GO) test -count 1 -run '^TestPaperNumbers$$' .
 
+# Benchmark-harness gate: perfbench/ is a module of its own (it replaces
+# repro with this checkout), so ./... above never builds it. Vetting and
+# self-testing it here is what catches an internal API change that would
+# break the benchmark binary. Offline, a few seconds.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Native-fuzz smoke leg: a few seconds per target over the checked-in
 # corpus plus fresh mutations — catches decoder panics before CI does a
 # long run. go test only allows one -fuzz pattern per invocation.
@@ -103,36 +112,20 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseIndex$$' -fuzztime $(FUZZTIME) ./internal/profilehub
 
 bench:
-	$(GO) test -run XXX -bench 'Transform|ForwardAAN|InverseAAN|Batch|PerBlockLoop' -benchmem ./internal/dct
+	$(GO) test -run XXX -bench 'Transform|Batch' -benchmem ./internal/dct
 	$(GO) test -run XXX -bench 'Transform|DecodePooled|EncodeRGB420|DecodeRGB420|Decode422|Requantize422|DecodeProgressive|RequantizeProgressive' -benchmem ./internal/jpegcodec
 	$(GO) test -run XXX -bench 'EncodeBatch|DecodeBatch|CalibrateParallel|DeepNEncodeThroughput' -benchmem ./
 	$(GO) test -run XXX -bench 'Index|BlobVerify|PullCacheHit' -benchmem ./internal/profilehub
 
 # bench-txt records a repeated-count text snapshot of the hot-path
-# benchmarks — the input format benchstat wants. Record one before a
-# change (NEW=bench-old.txt) and one after (the default), then run
-# bench-compare. BENCHCOUNT=10 gives benchstat enough samples to report
-# a confidence interval instead of a point estimate.
+# benchmarks: run it before and after a change (NEW=bench-old.txt for
+# the first) and compare the two files. BENCHCOUNT=10 gives enough
+# samples per benchmark to see the spread, not just a point estimate.
 NEW ?= bench-new.txt
-OLD ?= bench-old.txt
 BENCHCOUNT ?= 10
 bench-txt:
-	$(GO) test -run XXX -bench 'Transform|Batch|PerBlockLoop' -benchmem -count $(BENCHCOUNT) ./internal/dct ./internal/jpegcodec > $(NEW)
+	$(GO) test -run XXX -bench 'Transform|Batch' -benchmem -count $(BENCHCOUNT) ./internal/dct ./internal/jpegcodec > $(NEW)
 	@echo "wrote $(NEW)"
-
-# bench-compare diffs two bench-txt snapshots with benchstat
-# (golang.org/x/perf/cmd/benchstat). The tool is NOT auto-installed —
-# this repo adds no dependencies from the build — so the target checks
-# for it on PATH and explains itself when absent.
-bench-compare:
-	@command -v benchstat >/dev/null 2>&1 || { \
-		echo "bench-compare: benchstat not on PATH."; \
-		echo "  install it once with: go install golang.org/x/perf/cmd/benchstat@latest"; \
-		echo "  then: make bench-txt NEW=bench-old.txt   (on the old commit)"; \
-		echo "        make bench-txt                     (on the new commit)"; \
-		echo "        make bench-compare"; \
-		exit 1; }
-	benchstat $(OLD) $(NEW)
 
 # bench-json records the full benchmark sweep as a machine-readable
 # snapshot (BENCH_$(PR).json) so per-PR performance is diffable across

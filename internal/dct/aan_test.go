@@ -11,8 +11,7 @@ import (
 )
 
 // fdctAAN1D and idctAAN1D are the 1-D AAN butterflies written with a
-// runtime stride, the shape they had before the flat batch kernels
-// replaced them. They are the bit-level oracle for those kernels: same
+// runtime stride: the bit-level oracle for the flat batch kernels — same
 // operations, same order, indexed differently.
 func fdctAAN1D(d []float64, off, stride int) {
 	i := func(k int) int { return off + k*stride }

@@ -1,9 +1,8 @@
 package dct
 
-// The separable row–column DCT was the codec's default engine until the
-// AAN butterflies became the only one. It stays here as an independent
-// O(N³) oracle for the fast transform — different factorization,
-// different rounding — itself checked against the textbook definition.
+// The separable row–column DCT: an independent O(N³) oracle for the
+// fast transform — different factorization, different rounding — itself
+// checked against the textbook definition.
 
 import (
 	"math"

@@ -59,9 +59,8 @@ func TestTransformRoundTrip(t *testing.T) {
 }
 
 // TestTransformEnginesAgree holds the engine to the separable row–column
-// DCT it replaced: descaled forward output and prescaled inverse input
-// must agree with it to the same 1e-9 the two engines agreed to when
-// both were selectable.
+// DCT: descaled forward output and prescaled inverse input must agree
+// with it to 1e-9.
 func TestTransformEnginesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var xf Transform

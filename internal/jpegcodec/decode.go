@@ -971,7 +971,7 @@ func (d *decoder) finishFrame() error {
 			return fmt.Errorf("jpegcodec: missing quantization table %d", c.tq)
 		}
 		c.table = tbl
-		// Fold the inverse engine's prescale into the dequantize
+		// Fold the inverse transform's prescale into the dequantize
 		// multipliers once per frame; reconstructBlockRow then runs one
 		// multiply per coefficient with no prescale pass.
 		tbl.InvScaledInto(&c.inv)

@@ -4,8 +4,8 @@ package jpegcodec
 // requantizer: whatever bytes arrive off the wire, neither may panic.
 // Seeds cover every encode path the codec emits (the interop corpus
 // shape: gray and the full chroma matrix 420/444/422/440/411, optimized
-// Huffman, restart intervals, both transform engines, APPn/COM-laden
-// streams) plus truncations and bit flips of each; regression inputs
+// Huffman, restart intervals, APPn/COM-laden streams) plus truncations
+// and bit flips of each; regression inputs
 // live in testdata/fuzz and are regenerated by TestWriteFuzzSeeds.
 //
 // Both targets decode with a MaxPixels bound, exactly as a server must:

@@ -295,13 +295,8 @@ func Decode(data []byte) (*Profile, error) {
 	p.Version = r.uint32()
 	p.CreatedUnix = int64(r.uint64())
 	p.Comment = string(r.varBytes(MaxCommentLen))
-	switch engine := r.byte(); engine {
-	case 0:
-		p.engineByte0 = true
-	case 1:
-	default:
-		return nil, fmt.Errorf("%w: engine byte %d (want 0 or 1)", ErrCorrupt, engine)
-	}
+	engine := r.byte()
+	p.engineByte0 = engine == 0
 	p.SampledCount = int(r.uint32())
 	p.Luma = r.table()
 	p.Chroma = r.table()
@@ -323,6 +318,9 @@ func Decode(data []byte) (*Profile, error) {
 	}
 	if want := crc32.ChecksumIEEE(data[:payload]); sum != want {
 		return nil, fmt.Errorf("%w: stored %08x, computed %08x", ErrChecksum, sum, want)
+	}
+	if engine > 1 {
+		return nil, fmt.Errorf("%w: engine byte %d (want 0 or 1)", ErrCorrupt, engine)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)

@@ -71,9 +71,9 @@ type servingProfile struct {
 // DefaultProfile is required; every other field has a serving-safe
 // default.
 type Options struct {
-	// Framework supplies the calibrated tables and default transform
-	// engine the unqualified encode/requantize paths use. Optional when
-	// DefaultProfile names a profile to serve instead.
+	// Framework supplies the calibrated tables the unqualified
+	// encode/requantize paths use. Optional when DefaultProfile names a
+	// profile to serve instead.
 	Framework *core.Framework
 	// ProfileDir, when set, loads a registry of persisted calibration
 	// profiles (*.dnp) the server resolves ?profile= references and

@@ -172,9 +172,8 @@ func TestEncodeEndpointMatchesCodec(t *testing.T) {
 		}
 	})
 
-	// ?transform= once chose between two engines; it is now ignored like
-	// any unknown parameter, so both old spellings serve the default
-	// stream.
+	// The server reads no ?transform= parameter: like any unknown
+	// parameter it must leave the default stream unchanged.
 	t.Run("aan-identical", func(t *testing.T) {
 		_, def := post(t, ts.URL+"/v1/encode", "", body, nil)
 		for _, v := range []string{"naive", "aan"} {

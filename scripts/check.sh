@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full pre-merge gate: gofmt, vet, build, the complete test suite under
-# the race detector, the paper-numbers bands, and a short native-fuzz
-# smoke of the decoder and requantizer. Equivalent to `make check` for environments without make.
+# the race detector, the paper-numbers bands, the perfbench module, and
+# a short native-fuzz smoke of the decoder and requantizer. Equivalent to `make check` for environments without make.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -20,6 +20,9 @@ go test -race ./...
 # Paper numbers (skipped under -race): Figs. 2a/3/5/7 headline values
 # held to tolerance bands.
 go test -count 1 -run '^TestPaperNumbers$' .
+# perfbench/ is a nested module that ./... skips; vet and self-test it so
+# an internal API change cannot silently break the benchmark binary.
+(cd perfbench && go vet ./... && go test ./...)
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s ./internal/jpegcodec
 go test -run '^$' -fuzz '^FuzzDecodeSharded$' -fuzztime 5s ./internal/jpegcodec
 go test -run '^$' -fuzz '^FuzzRequantize$' -fuzztime 5s ./internal/jpegcodec
