@@ -4,8 +4,9 @@
 // JPEG entropy-coded data is a big-endian bit stream in which any 0xFF byte
 // produced by the coder must be followed by a stuffed 0x00 byte so that
 // decoders can distinguish data from marker prefixes (ITU-T T.81 §B.1.1.5).
-// Writer performs that stuffing transparently; Reader removes it and stops
-// cleanly at the first marker it encounters.
+// Writer performs that stuffing transparently; Reader removes it, looks
+// ahead up to 8 bytes but never past a marker, and stops cleanly at the
+// first marker it encounters.
 package bitio
 
 import (
@@ -118,13 +119,31 @@ func (bw *Writer) BytesWritten() int64 { return bw.n }
 
 // Reader consumes an MSB-first bit stream, removing JPEG byte stuffing.
 // The zero value is not usable; construct with NewReader.
+//
+// Reader looks ahead: it keeps up to 8 bytes of de-stuffed data in a
+// 64-bit accumulator, topped up a whole byte at a time, so a Huffman
+// decoder can inspect the next bits before deciding how many to take
+// (Peek16, Skip). The lookahead never reads past a marker. When it
+// reaches one — or the end of input, or an error from the source — it
+// stops there and holds that outcome pending, and a read returns it only
+// once the read needs more bits than are really buffered. So every read
+// succeeds or fails exactly as it would on a reader that fetched one
+// byte at a time, and the marker that ends a scan is still the next
+// thing ReadMarker reports.
 type Reader struct {
-	r      io.ByteReader
-	acc    uint32
-	nacc   uint
-	stuff  bool
-	marker byte        // pending marker code once ErrMarker has been returned
-	sr     sliceReader // built-in source for ResetBytes
+	r     io.ByteReader
+	acc   uint64 // buffered bits, MSB-aligned: the next bit is bit 63, the bits below the valid ones are zero
+	nbits uint   // number of valid bits in acc
+	stuff bool
+	// err is why the lookahead stopped: ErrMarker (marker holds the
+	// code), the source's error (io.EOF at the end of input), or nil
+	// while more input may follow.
+	err    error
+	marker byte
+	// dangling records that the lookahead consumed a 0xFF (fill run)
+	// that the end of input cut off before its marker code.
+	dangling bool
+	sr       sliceReader // built-in source for ResetBytes
 }
 
 // sliceReader is the Reader's built-in byte source for ResetBytes: a
@@ -155,14 +174,12 @@ func NewRawReader(r io.ByteReader) *Reader {
 	return &Reader{r: r, stuff: false}
 }
 
-// Reset discards all buffered bits and any pending marker and redirects
-// the Reader to r, keeping the stuffing mode. It lets callers pool
-// Readers across entropy-coded segments.
+// Reset discards all buffered bits and any pending marker or error and
+// redirects the Reader to r, keeping the stuffing mode. It lets callers
+// pool Readers across entropy-coded segments.
 func (br *Reader) Reset(r io.ByteReader) {
 	br.r = r
-	br.acc = 0
-	br.nacc = 0
-	br.marker = 0
+	br.clear()
 	br.sr = sliceReader{}
 }
 
@@ -171,11 +188,14 @@ func (br *Reader) Reset(r io.ByteReader) {
 // one restart segment per ResetBytes, no per-segment allocation, and
 // Exhausted reports whether the segment was consumed completely.
 func (br *Reader) ResetBytes(b []byte) {
-	br.acc = 0
-	br.nacc = 0
-	br.marker = 0
+	br.clear()
 	br.sr = sliceReader{b: b}
 	br.r = &br.sr
+}
+
+func (br *Reader) clear() {
+	br.acc, br.nbits = 0, 0
+	br.err, br.marker, br.dangling = nil, 0, false
 }
 
 // Exhausted reports whether a ResetBytes Reader has consumed its whole
@@ -183,87 +203,135 @@ func (br *Reader) ResetBytes(b []byte) {
 // but (at most) the final byte's padding bits. A restart segment that
 // finishes its MCU quota while whole bytes remain holds trailing data a
 // sequential decoder would trip over at the next marker, so sharded
-// decoding uses this as its segment-completeness check. Only meaningful
-// after ResetBytes.
+// decoding uses this as its segment-completeness check. Bytes the
+// lookahead fetched but no read consumed count as remaining. Only
+// meaningful after ResetBytes.
 func (br *Reader) Exhausted() bool {
-	return br.r == &br.sr && br.sr.i == len(br.sr.b) && br.nacc < 8 && br.marker == 0
+	return br.r == &br.sr && br.sr.i == len(br.sr.b) && br.nbits < 8 && br.marker == 0 && !br.dangling
+}
+
+// fill tops the accumulator up a whole byte at a time until it holds
+// more than 56 bits or the lookahead stops at a marker, the end of input
+// or a source error, which it records in err.
+func (br *Reader) fill() {
+	for br.nbits <= 56 && br.err == nil {
+		b, err := br.r.ReadByte()
+		if err != nil {
+			br.err = err
+			return
+		}
+		if b == 0xFF && br.stuff {
+			// Distinguish stuffed data (FF 00) from a marker, skipping
+			// any run of 0xFF fill bytes (T.81 B.1.1.2).
+			b, err = br.r.ReadByte()
+			for err == nil && b == 0xFF {
+				b, err = br.r.ReadByte()
+			}
+			if err != nil {
+				br.err, br.dangling = err, true
+				return
+			}
+			if b != 0x00 {
+				br.err, br.marker = ErrMarker, b
+				return
+			}
+			b = 0xFF
+		}
+		br.acc |= uint64(b) << (56 - br.nbits)
+		br.nbits += 8
+	}
+}
+
+// Fail reports why the input stopped — ErrMarker, io.EOF or the source's
+// error — to a caller that needs more bits than Peek16 found buffered,
+// and consumes the buffered bits, as a read that runs past them does.
+func (br *Reader) Fail() error {
+	br.acc, br.nbits = 0, 0
+	return br.err
+}
+
+// Peek16 returns the next 16 bits MSB-first without consuming them,
+// together with the number n of them that are real data: past a marker
+// or the end of input the lookahead is zero-filled, so a prefix code no
+// longer than n bits can be matched against it exactly.
+func (br *Reader) Peek16() (bits uint32, n uint) {
+	if br.nbits < 16 {
+		br.fill()
+	}
+	return uint32(br.acc >> 48), br.nbits
+}
+
+// Skip consumes n bits, which the last Peek16 must have reported real.
+func (br *Reader) Skip(n uint) {
+	br.acc <<= n
+	br.nbits -= n
 }
 
 // ReadBits reads n bits (n ≤ 24) MSB-first and returns them in the low bits
 // of the result. It returns ErrMarker when a JPEG marker interrupts the
-// stream and io.EOF at end of input.
+// stream and io.EOF at end of input; either way the buffered bits are
+// consumed.
 func (br *Reader) ReadBits(n uint) (uint32, error) {
+	if n > 24 || br.nbits < n {
+		return br.readBitsSlow(n)
+	}
+	v := uint32(br.acc >> (64 - n))
+	br.acc <<= n
+	br.nbits -= n
+	return v, nil
+}
+
+func (br *Reader) readBitsSlow(n uint) (uint32, error) {
 	if n > 24 {
 		return 0, fmt.Errorf("bitio: ReadBits length %d exceeds 24", n)
 	}
-	for br.nacc < n {
-		b, err := br.nextByte()
-		if err != nil {
-			return 0, err
-		}
-		br.acc = br.acc<<8 | uint32(b)
-		br.nacc += 8
+	br.fill()
+	if br.nbits < n {
+		return 0, br.Fail()
 	}
-	br.nacc -= n
-	v := (br.acc >> br.nacc) & ((1 << n) - 1)
+	v := uint32(br.acc >> (64 - n))
+	br.acc <<= n
+	br.nbits -= n
 	return v, nil
 }
 
 // ReadBit reads a single bit.
 func (br *Reader) ReadBit() (uint32, error) { return br.ReadBits(1) }
 
-func (br *Reader) nextByte() (byte, error) {
-	b, err := br.r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	if !br.stuff || b != 0xFF {
-		return b, nil
-	}
-	// 0xFF: inspect the next byte to distinguish stuffed data from markers.
-	b2, err := br.r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	switch {
-	case b2 == 0x00:
-		return 0xFF, nil // stuffed data byte
-	case b2 == 0xFF:
-		// Fill byte; keep scanning. (T.81 allows runs of 0xFF fill.)
-		for b2 == 0xFF {
-			b2, err = br.r.ReadByte()
-			if err != nil {
-				return 0, err
-			}
-		}
-		if b2 == 0x00 {
-			return 0xFF, nil
-		}
-		br.marker = b2
-		return 0, ErrMarker
-	default:
-		br.marker = b2
-		return 0, ErrMarker
-	}
-}
-
 // Marker returns the marker code (the byte following 0xFF) that terminated
-// the stream, valid only after ReadBits returned ErrMarker.
+// the stream, valid only after a read returned ErrMarker.
 func (br *Reader) Marker() byte { return br.marker }
 
-// Align discards buffered bits so that subsequent reads start at the next
-// byte boundary.
-func (br *Reader) Align() { br.nacc = 0; br.acc = 0 }
+// Align discards the rest of a partially read byte so that subsequent
+// reads start at the next byte boundary.
+func (br *Reader) Align() {
+	k := br.nbits % 8
+	br.acc <<= k
+	br.nbits -= k
+}
 
 // ReadMarker aligns to a byte boundary and consumes the next JPEG marker,
-// returning its code. If a previous ReadBits already ran into a marker
-// (ErrMarker), that pending marker is returned without consuming input.
+// returning its code. A marker the lookahead already reached is returned
+// without consuming input. If whole data bytes are still buffered, the
+// next one is consumed and reported as an error, because a byte of data
+// stands where the marker should be.
 func (br *Reader) ReadMarker() (byte, error) {
 	br.Align()
+	if br.nbits > 0 {
+		b := byte(br.acc >> 56)
+		br.Skip(8)
+		if b == 0xFF && br.stuff {
+			return 0, errors.New("bitio: stuffed byte where marker expected")
+		}
+		return 0, fmt.Errorf("bitio: expected marker, found byte %#02x", b)
+	}
 	if br.marker != 0 {
 		m := br.marker
-		br.marker = 0
+		br.clear()
 		return m, nil
+	}
+	if br.err != nil {
+		return 0, br.err
 	}
 	b, err := br.r.ReadByte()
 	if err != nil {

@@ -114,42 +114,45 @@ func GrowBytes(b []uint8, n int) []uint8 {
 	return make([]uint8, n)
 }
 
-// GrayPlanes wraps a grayscale image as a luma-only plane set.
-func GrayPlanes(g *Gray) *Planes {
-	return &Planes{W: g.W, H: g.H, Y: g.Pix, Grayscale: true}
+// The JFIF inverse color transform's chroma terms, one table per term:
+// for every sample c, exactly the float64 product coefficient·(c−128)
+// that the per-pixel formula
+//
+//	R = Y + 1.402·Cr'
+//	G = Y − 0.344136·Cb' − 0.714136·Cr'
+//	B = Y + 1.772·Cb'    (Cb' = Cb−128, Cr' = Cr−128)
+//
+// computes, so a table read reproduces the multiply bit for bit and only
+// the additions remain per pixel.
+var crR, cbG, crG, cbB [256]float64
+
+func init() {
+	for c := range 256 {
+		v := float64(c) - 128
+		crR[c] = 1.402 * v
+		cbG[c] = 0.344136 * v
+		crG[c] = 0.714136 * v
+		cbB[c] = 1.772 * v
+	}
 }
 
-// ToRGB converts YCbCr planes back to interleaved RGB. Grayscale plane sets
-// replicate luma into all three channels.
-func (p *Planes) ToRGB() *RGB {
-	return p.ToRGBInto(nil)
-}
-
-// ToRGBInto is ToRGB writing into dst, reusing dst's pixel buffer when
-// its capacity suffices. A nil dst allocates a fresh image; the written
-// image is returned either way.
-func (p *Planes) ToRGBInto(dst *RGB) *RGB {
-	im := dst
-	if im == nil {
-		im = &RGB{}
+// YCbCrRowToRGB converts one row of JFIF YCbCr samples to interleaved
+// RGB in dst, which must hold 3·len(y) bytes. Output pixel x takes luma
+// y[x] and the chroma samples cb[cbX[x]] and cr[crX[x]]: the column maps
+// carry any chroma upsampling, so a subsampled row converts without a
+// separate upsampling pass.
+func YCbCrRowToRGB(dst, y, cb, cr []uint8, cbX, crX []int32) {
+	n := len(y)
+	dst = dst[:3*n]
+	cbX, crX = cbX[:n], crX[:n]
+	for x, lum := range y {
+		yv := float64(lum)
+		b, r := cb[cbX[x]], cr[crX[x]]
+		px := dst[3*x : 3*x+3 : 3*x+3]
+		px[0] = clamp8(yv + crR[r])
+		px[1] = clamp8(yv - cbG[b] - crG[r])
+		px[2] = clamp8(yv + cbB[b])
 	}
-	im.W, im.H = p.W, p.H
-	im.Pix = GrowBytes(im.Pix, 3*p.W*p.H)
-	n := p.W * p.H
-	for i := 0; i < n; i++ {
-		y := float64(p.Y[i])
-		if p.Grayscale {
-			v := clamp8(y)
-			im.Pix[3*i], im.Pix[3*i+1], im.Pix[3*i+2] = v, v, v
-			continue
-		}
-		cb := float64(p.Cb[i]) - 128
-		cr := float64(p.Cr[i]) - 128
-		im.Pix[3*i] = clamp8(y + 1.402*cr)
-		im.Pix[3*i+1] = clamp8(y - 0.344136*cb - 0.714136*cr)
-		im.Pix[3*i+2] = clamp8(y + 1.772*cb)
-	}
-	return im
 }
 
 // ToGray extracts the luma plane as a grayscale image.
@@ -194,45 +197,6 @@ func DownsampleInto(dst, pix []uint8, w, h, rx, ry int) (out []uint8, ow, oh int
 		}
 	}
 	return out, ow, oh
-}
-
-// Upsample2x2 expands a plane by 2 in each dimension using sample
-// replication (the baseline JPEG "box" upsampler).
-func Upsample2x2(pix []uint8, w, h, ow, oh int) []uint8 {
-	return UpsampleInto(nil, pix, w, h, ow, oh, 1, 2, 1, 2)
-}
-
-// Upsample2x2Into is Upsample2x2 writing into dst, reusing its backing
-// array when the capacity suffices.
-func Upsample2x2Into(dst, pix []uint8, w, h, ow, oh int) []uint8 {
-	return UpsampleInto(dst, pix, w, h, ow, oh, 1, 2, 1, 2)
-}
-
-// UpsampleInto expands a subsampled w×h plane to ow×oh by nearest-sample
-// replication, the box upsampler baseline JPEG assumes. hs/maxH and
-// vs/maxV are the per-axis sampling ratios — the plane's JPEG sampling
-// factor over the frame maximum — so output pixel (x, y) reads source
-// sample (x*hs/maxH, y*vs/maxV). For integer ratios (4:2:0, 4:2:2,
-// 4:4:0, 4:1:1) that is plain per-axis replication; fractional ratios
-// (legal factor pairs like 2-of-3) floor to the covering sample. Either
-// way the coordinate is clamped to the plane, which covers the
-// ceil-division plane sizes of odd frame dimensions. dst's backing array
-// is reused when its capacity suffices.
-func UpsampleInto(dst, pix []uint8, w, h, ow, oh, hs, maxH, vs, maxV int) []uint8 {
-	out := GrowBytes(dst, ow*oh)
-	for y := 0; y < oh; y++ {
-		sy := min(y*vs/maxV, h-1)
-		srow := pix[sy*w : sy*w+w]
-		drow := out[y*ow : y*ow+ow]
-		if hs == maxH && w == ow {
-			copy(drow, srow)
-			continue
-		}
-		for x := 0; x < ow; x++ {
-			drow[x] = srow[min(x*hs/maxH, w-1)]
-		}
-	}
-	return out
 }
 
 // BlockGrid describes how a plane tiles into 8×8 blocks.

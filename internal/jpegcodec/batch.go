@@ -119,6 +119,22 @@ func roundQuantized(v float64) int32 {
 	return int32(math.Copysign(m, v))
 }
 
+// roundToSample rounds v half away from zero and clamps it to [0, 255]:
+// math.Round plus a clamp, exactly, without math.Round's bit surgery.
+// Below 0.5 the result is 0 and from 254.5 up it is 255. In between,
+// v+0.5 is exact or rounds within the same integer, so truncating it
+// is the rounded value. The explicit lower bound is needed: at v =
+// 0.5−2⁻⁵⁴ the sum v+0.5 rounds up to 1 while math.Round(v) is 0.
+func roundToSample(v float64) uint8 {
+	if v < 0.5 {
+		return 0
+	}
+	if v >= 254.5 {
+		return 255
+	}
+	return uint8(v + 0.5)
+}
+
 // storeBlockRow level-unshifts the blocksX consecutive reconstructed
 // tiles in plane and stores them into pixel row by — the fused form of
 // LevelUnshift+StoreBlock over a whole row. Edge semantics match
@@ -139,13 +155,7 @@ func storeBlockRow(pix []uint8, w, h, by, blocksX int, plane []float64) {
 			src := (*[8]float64)(plane[bx*64+d:])
 			dst := (*[8]uint8)(row[bx*8:])
 			for x := 0; x < 8; x++ {
-				v := math.Round(src[x] + 128)
-				if v < 0 {
-					v = 0
-				} else if v > 255 {
-					v = 255
-				}
-				dst[x] = uint8(v)
+				dst[x] = roundToSample(src[x] + 128)
 			}
 		}
 		for bx := fullX; bx < blocksX; bx++ {
@@ -155,13 +165,7 @@ func storeBlockRow(pix []uint8, w, h, by, blocksX int, plane []float64) {
 				if sx >= w {
 					break
 				}
-				v := math.Round(plane[base+x] + 128)
-				if v < 0 {
-					v = 0
-				} else if v > 255 {
-					v = 255
-				}
-				row[sx] = uint8(v)
+				row[sx] = roundToSample(plane[base+x] + 128)
 			}
 		}
 	}

@@ -37,8 +37,8 @@ type Decoded struct {
 	blocksX    [3]int
 	blocksY    [3]int
 
-	// upCb, upCr hold upsampled chroma scratch reused by RGBInto.
-	upCb, upCr []uint8
+	// cols holds RGBInto's chroma column indices: Cb's, then Cr's.
+	cols []int32
 
 	// QuantTables holds the dequantization tables by table id.
 	QuantTables map[int]qtable.Table
@@ -62,7 +62,7 @@ type Decoded struct {
 }
 
 // Reset clears the decoded content while keeping every allocated buffer
-// (planes, coefficient grids, table map, chroma scratch) for reuse by a
+// (planes, coefficient grids, table map, color scratch) for reuse by a
 // subsequent DecodeInto.
 func (d *Decoded) Reset() {
 	d.W, d.H, d.Components = 0, 0, 0
@@ -117,30 +117,65 @@ func (d *Decoded) RGB() *imgutil.RGB {
 }
 
 // RGBInto is RGB writing into dst, reusing dst's pixel buffer when its
-// capacity suffices; chroma upsampling scratch is cached on the Decoded.
-// A nil dst allocates a fresh image; the result is returned either way
-// and never aliases the Decoded's internal planes.
+// capacity suffices. A nil dst allocates a fresh image; the result is
+// returned either way and never aliases the Decoded's internal planes.
+//
+// Color frames convert in one pass from the Y/Cb/Cr planes to
+// interleaved RGB: chroma is upsampled by nearest-sample replication
+// through row and column indices computed once per call, and the color
+// terms come from tables (imgutil.YCbCrRowToRGB). The indices follow the
+// components' true sampling factors from the SOF header — for
+// ceil-division plane sizes the ratio cannot be recovered from the
+// plane size alone (a 9-wide 4:1:1 frame has a 3-wide chroma plane, and
+// 9/3 ≠ 4) — so output pixel (x, y) reads chroma sample
+// (x·hs/maxH, y·vs/maxV), clamped to the plane. When the Cb plane is
+// frame-sized, every frame-sized chroma plane is read one to one instead.
 func (d *Decoded) RGBInto(dst *imgutil.RGB) *imgutil.RGB {
+	im := dst
+	if im == nil {
+		im = &imgutil.RGB{}
+	}
 	if d.Components == 1 {
-		p := imgutil.Planes{W: d.planes[0].w, H: d.planes[0].h, Y: d.planes[0].pix, Grayscale: true}
-		return p.ToRGBInto(dst)
+		p := &d.planes[0]
+		im.W, im.H = p.w, p.h
+		im.Pix = imgutil.GrowBytes(im.Pix, 3*p.w*p.h)
+		for i, v := range p.pix[:p.w*p.h] {
+			im.Pix[3*i], im.Pix[3*i+1], im.Pix[3*i+2] = v, v, v
+		}
+		return im
 	}
-	p := imgutil.Planes{W: d.W, H: d.H, Y: d.planes[0].pix}
-	if d.planes[1].w == d.W && d.planes[1].h == d.H {
-		p.Cb = d.planes[1].pix
-		p.Cr = d.planes[2].pix
-	} else {
-		// Upsample with the components' true sampling ratios from the SOF
-		// header: for ceil-division plane sizes the ratio cannot be
-		// recovered from plane.w/h alone (e.g. a 9-wide 4:1:1 frame has a
-		// 3-wide chroma plane, and 9/3 ≠ 4).
-		cb, cr := &d.planes[1], &d.planes[2]
-		d.upCb = imgutil.UpsampleInto(d.upCb, cb.pix, cb.w, cb.h, d.W, d.H, cb.hs, d.maxH, cb.vs, d.maxV)
-		d.upCr = imgutil.UpsampleInto(d.upCr, cr.pix, cr.w, cr.h, d.W, d.H, cr.hs, d.maxH, cr.vs, d.maxV)
-		p.Cb = d.upCb
-		p.Cr = d.upCr
+	w, h := d.W, d.H
+	im.W, im.H = w, h
+	im.Pix = imgutil.GrowBytes(im.Pix, 3*w*h)
+	lum, cb, cr := &d.planes[0], &d.planes[1], &d.planes[2]
+	cbDirect := cb.w == w && cb.h == h
+	crDirect := cbDirect && cr.w == w && cr.h == h
+	if cap(d.cols) < 2*w {
+		d.cols = make([]int32, 2*w)
 	}
-	return p.ToRGBInto(dst)
+	cbX, crX := d.cols[:w], d.cols[w:2*w]
+	for x := range w {
+		cbX[x] = int32(chromaIndex(x, cb.hs, d.maxH, cb.w, cbDirect))
+		crX[x] = int32(chromaIndex(x, cr.hs, d.maxH, cr.w, crDirect))
+	}
+	for y := range h {
+		by := chromaIndex(y, cb.vs, d.maxV, cb.h, cbDirect)
+		ry := chromaIndex(y, cr.vs, d.maxV, cr.h, crDirect)
+		imgutil.YCbCrRowToRGB(im.Pix[3*y*w:3*(y+1)*w], lum.pix[y*w:(y+1)*w],
+			cb.pix[by*cb.w:(by+1)*cb.w], cr.pix[ry*cr.w:(ry+1)*cr.w], cbX, crX)
+	}
+	return im
+}
+
+// chromaIndex is the chroma sample that output coordinate i reads along
+// one axis of a plane of n samples with sampling factor s under the
+// frame maximum maxS: i itself when the plane is read one to one,
+// otherwise i·s/maxS clamped to the plane.
+func chromaIndex(i, s, maxS, n int, direct bool) int {
+	if direct {
+		return i
+	}
+	return min(i*s/maxS, n-1)
 }
 
 // DecodeOptions configures Decode/DecodeInto.

@@ -86,9 +86,19 @@ func (t *encTable) emit(bw *bitio.Writer, v uint8) error {
 	return bw.WriteBits(t.code[v], uint(s))
 }
 
-// decTable decodes canonical codes with the MINCODE/MAXCODE/VALPTR scheme
-// of T.81 Annex F.2.2.3.
+// lookupBits is the width of decTable's lookahead index: codes up to
+// this long decode with one table read, longer ones finish with the
+// MAXCODE walk.
+const lookupBits = 9
+
+// decTable decodes canonical codes: a lookahead table for codes of up to
+// lookupBits bits, and the MINCODE/MAXCODE/VALPTR scheme of T.81 Annex
+// F.2.2.3 for the longer ones.
 type decTable struct {
+	// lookup maps the next lookupBits bits of the stream to the code
+	// they start with, as length<<8 | symbol; 0 when that code is longer
+	// than lookupBits bits or unassigned.
+	lookup  [1 << lookupBits]uint16
 	minCode [17]int32 // index = code length
 	maxCode [17]int32 // -1 when no codes of that length
 	valPtr  [17]int32
@@ -111,6 +121,7 @@ func (t *decTable) init(spec *HuffmanSpec) error {
 		return err
 	}
 	t.values = append(t.values[:0], spec.Values...)
+	t.lookup = [1 << lookupBits]uint16{}
 	code := int32(0)
 	k := int32(0)
 	for length := 1; length <= 16; length++ {
@@ -122,30 +133,56 @@ func (t *decTable) init(spec *HuffmanSpec) error {
 		} else {
 			t.valPtr[length] = k
 			t.minCode[length] = code
-			code += n
-			k += n
-			t.maxCode[length] = code - 1
+			t.maxCode[length] = code + n - 1
 		}
+		if length <= lookupBits {
+			// Every lookupBits-bit window that starts with this code.
+			shift := lookupBits - length
+			for i := int32(0); i < n; i++ {
+				e := uint16(length)<<8 | uint16(t.values[k+i])
+				lo := (code + i) << shift
+				for j := lo; j < lo+1<<shift; j++ {
+					t.lookup[j] = e
+				}
+			}
+		}
+		code += n
+		k += n
 		code <<= 1
 	}
 	return nil
 }
 
-// decode reads one symbol from the bit stream.
+// decode reads one symbol from the bit stream. Codes of up to lookupBits
+// bits cost one table read; a code that needs bits past a marker or the
+// end of input fails with the reader's pending error, as a
+// bit-at-a-time walk would.
 func (t *decTable) decode(br *bitio.Reader) (uint8, error) {
-	code := int32(0)
-	for length := 1; length <= 16; length++ {
-		bit, err := br.ReadBit()
-		if err != nil {
-			return 0, err
+	bits, n := br.Peek16()
+	if e := t.lookup[bits>>(16-lookupBits)]; e != 0 {
+		if l := uint(e >> 8); l <= n {
+			br.Skip(l)
+			return uint8(e), nil
 		}
-		code = code<<1 | int32(bit)
-		if t.maxCode[length] >= 0 && code <= t.maxCode[length] {
-			if code >= t.minCode[length] {
-				return t.values[t.valPtr[length]+code-t.minCode[length]], nil
-			}
+		return 0, br.Fail()
+	}
+	return t.decodeLong(br, bits, n)
+}
+
+// decodeLong finishes a code longer than lookupBits bits with the
+// canonical MAXCODE walk over the peeked bits, n of them real.
+func (t *decTable) decodeLong(br *bitio.Reader, bits uint32, n uint) (uint8, error) {
+	for l := lookupBits + 1; l <= 16; l++ {
+		if uint(l) > n {
+			return 0, br.Fail()
+		}
+		code := int32(bits >> (16 - l))
+		if code <= t.maxCode[l] && code >= t.minCode[l] {
+			br.Skip(uint(l))
+			return t.values[t.valPtr[l]+code-t.minCode[l]], nil
 		}
 	}
+	br.Skip(16)
 	return 0, fmt.Errorf("jpegcodec: invalid huffman code (no symbol within 16 bits)")
 }
 
