@@ -1,6 +1,6 @@
 # Developer entry points for the DeepN-JPEG reproduction.
 #
-#   make check        # gofmt gate + vet + build + race suite + sampling matrix + paper numbers + perfbench + fuzz smoke
+#   make check        # gofmt gate + vet + build + race suite + sampling matrix + decode pins + paper numbers + perfbench + fuzz smoke
 #   make paper        # the paper's Fig 2a/3/5/7 headline values as tolerance bands
 #   make perfbench    # vet + self-tests of the perfbench module
 #   make test         # plain test run (what tier-1 verification executes)
@@ -18,9 +18,9 @@ FUZZTIME ?= 5s
 # PR number when recording a data point, e.g. `make bench-json PR=4`.
 PR ?= dev
 
-.PHONY: check fmt vet build build-386 test test-amd64v3 race sampling progressive hub paper perfbench bench bench-txt bench-json serve-bench fuzz-smoke
+.PHONY: check fmt vet build build-386 test test-amd64v3 race sampling progressive decode hub paper perfbench bench bench-txt bench-json serve-bench fuzz-smoke
 
-check: fmt vet build build-386 race sampling progressive hub paper perfbench fuzz-smoke
+check: fmt vet build build-386 race sampling progressive decode hub paper perfbench fuzz-smoke
 
 fmt:
 	@out="$$($(GOFMT) -l .)" || exit 1; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -46,8 +46,8 @@ test:
 # AVX/AVX2-era instruction selection). Building AND running the suite at
 # v3 pins the bit-level contracts — flat kernels vs the strided
 # reference butterflies, coded coefficients vs the textbook DCT, the
-# checked-in stream digests — under the alternate codegen, not just
-# under the default v1. Requires an AVX2-capable host (any x86-64-v3
+# checked-in stream and decode-verdict digests — under the alternate
+# codegen, not just under the default v1. Requires an AVX2-capable host (any x86-64-v3
 # machine; CI runners are).
 test-amd64v3:
 	GOAMD64=v3 $(GO) build ./...
@@ -73,6 +73,17 @@ sampling:
 progressive:
 	$(GO) test -run 'TestProgressive|TestInspect|TestRequantizeProgressive' ./internal/jpegcodec
 	$(GO) test -run 'TestUnsupportedFormatMatrix' ./internal/server
+
+# Decode read-path gate: the cross-commit verdict pins (pixels,
+# coefficients, accept/reject decisions and error text over seeded
+# mutants of the fixture streams, sequential and sharded) and the oracle
+# tests that hold the lookahead bit reader, the table-driven Huffman
+# decoder, the pixel store's rounding and the one-pass color conversion
+# to the formulations they replaced — as their own named leg, so a
+# decode regression is attributable at a glance. The race leg skips the
+# verdict pins (about 90 s under -race); this leg runs them.
+decode:
+	$(GO) test -count 1 -run 'TestDecodeVerdictDigests|Oracle' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
 
 # Profile-hub gate: the whole distribution loop as its own named leg —
 # origin wire protocol, client fault injection (truncation, corruption,
@@ -113,7 +124,7 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -run XXX -bench 'Transform|Batch' -benchmem ./internal/dct
-	$(GO) test -run XXX -bench 'Transform|DecodePooled|EncodeRGB420|DecodeRGB420|Decode422|Requantize422|DecodeProgressive|RequantizeProgressive' -benchmem ./internal/jpegcodec
+	$(GO) test -run XXX -bench 'Transform|DecodePooled|DecodeStages|EncodeRGB420|DecodeRGB420|Decode422|Requantize422|DecodeProgressive|RequantizeProgressive' -benchmem ./internal/jpegcodec
 	$(GO) test -run XXX -bench 'EncodeBatch|DecodeBatch|CalibrateParallel|DeepNEncodeThroughput' -benchmem ./
 	$(GO) test -run XXX -bench 'Index|BlobVerify|PullCacheHit' -benchmem ./internal/profilehub
 
@@ -124,7 +135,7 @@ bench:
 NEW ?= bench-new.txt
 BENCHCOUNT ?= 10
 bench-txt:
-	$(GO) test -run XXX -bench 'Transform|Batch' -benchmem -count $(BENCHCOUNT) ./internal/dct ./internal/jpegcodec > $(NEW)
+	$(GO) test -run XXX -bench 'Transform|Batch|DecodeStages' -benchmem -count $(BENCHCOUNT) ./internal/dct ./internal/jpegcodec > $(NEW)
 	@echo "wrote $(NEW)"
 
 # bench-json records the full benchmark sweep as a machine-readable

@@ -167,6 +167,9 @@ func TestEncodeRejectsBadMetadata(t *testing.T) {
 // contract: repeated DecodeInto of metadata-laden streams reuses the
 // Decoded's segment slice and flat payload buffer.
 func TestDecodeIntoReusesMetadataBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
 	data := encodeWithMeta(t, Sub422)
 	var dec Decoded
 	if err := DecodeInto(bytes.NewReader(data), &dec, nil); err != nil {

@@ -352,7 +352,7 @@ func BenchmarkDecodeProgressive(b *testing.B) {
 	c := progCase{name: "bench", sub: Sub420, w: 256, h: 192, seed: 5, script: stdProgressionScript}
 	fix := c.fixtureStream(b)
 	var dst Decoded
-	b.SetBytes(int64(len(fix)))
+	b.SetBytes(int64(3 * c.w * c.h)) // decoded pixels, like every decode benchmark
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -372,7 +372,7 @@ func BenchmarkRequantizeProgressive(b *testing.B) {
 	chroma := qtable.MustScale(qtable.StdChrominance, 60)
 	var dst Decoded
 	var out bytes.Buffer
-	b.SetBytes(int64(len(fix)))
+	b.SetBytes(int64(3 * c.w * c.h))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -286,7 +286,7 @@ func BenchmarkRequantize422(b *testing.B) {
 	luma := qtable.MustScale(qtable.StdLuminance, 60)
 	chroma := qtable.MustScale(qtable.StdChrominance, 60)
 	b.ReportAllocs()
-	b.SetBytes(int64(len(data)))
+	b.SetBytes(int64(3 * dec.W * dec.H))
 	var buf bytes.Buffer
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
