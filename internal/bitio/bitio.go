@@ -251,9 +251,10 @@ func (br *Reader) Fail() error {
 }
 
 // Peek16 returns the next 16 bits MSB-first without consuming them,
-// together with the number n of them that are real data: past a marker
-// or the end of input the lookahead is zero-filled, so a prefix code no
-// longer than n bits can be matched against it exactly.
+// together with the number n of bits really buffered (n ≥ 16 means all
+// 16 are data). Past a marker or the end of input the lookahead is
+// zero-filled, so a prefix code no longer than n bits can be matched
+// against it exactly.
 func (br *Reader) Peek16() (bits uint32, n uint) {
 	if br.nbits < 16 {
 		br.fill()

@@ -108,24 +108,3 @@ func TestYCbCrRowToRGBOracle(t *testing.T) {
 		}
 	}
 }
-
-// TestYCbCrRowToRGBColumnMaps checks that the column maps carry the
-// upsampling: a 2:1 map over a half-width chroma row converts exactly
-// like the separate upsample pass followed by the formula.
-func TestYCbCrRowToRGBColumnMaps(t *testing.T) {
-	const w, cw = 9, 5
-	lum := []uint8{0, 17, 60, 128, 200, 255, 90, 33, 240}
-	cb := []uint8{0, 90, 128, 201, 255}
-	cr := []uint8{255, 3, 128, 77, 140}
-	cols := make([]int32, w)
-	for x := range cols {
-		cols[x] = int32(min(x/2, cw-1))
-	}
-	got := make([]uint8, 3*w)
-	YCbCrRowToRGB(got, lum, cb, cr, cols, cols)
-	up := func(p []uint8) []uint8 { return UpsampleInto(nil, p, cw, 1, w, 1, 1, 2, 1, 1) }
-	want := (&Planes{W: w, H: 1, Y: lum, Cb: up(cb), Cr: up(cr)}).ToRGB()
-	if !bytes.Equal(got, want.Pix) {
-		t.Fatalf("kernel %v, oracle %v", got, want.Pix)
-	}
-}
