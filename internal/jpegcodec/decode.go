@@ -130,6 +130,8 @@ func (d *Decoded) RGB() *imgutil.RGB {
 // 9/3 ≠ 4) — so output pixel (x, y) reads chroma sample
 // (x·hs/maxH, y·vs/maxV), clamped to the plane. When the Cb plane is
 // frame-sized, every frame-sized chroma plane is read one to one instead.
+// The column indices are scratch kept on the Decoded, so RGBInto must
+// not run concurrently on one Decoded.
 func (d *Decoded) RGBInto(dst *imgutil.RGB) *imgutil.RGB {
 	im := dst
 	if im == nil {
