@@ -65,7 +65,6 @@ import (
 	"time"
 
 	deepnjpeg "repro"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/imgutil"
 	"repro/internal/jpegcodec"
@@ -128,7 +127,6 @@ func runRequantize(args []string) error {
 	optimize := fs.Bool("optimize", true, "optimized Huffman tables")
 	workers := fs.Int("workers", 0, "worker-pool size for directory requantization (0 = GOMAXPROCS)")
 	restart := fs.Int("restart", 0, "output restart interval: 0 = preserve the source's, -1 = strip, n = set n MCUs")
-	shard := fs.Int("shard", 0, "restart-segment workers within one image: 0 = auto, 1 = off, n = force n")
 	stripMeta := fs.Bool("strip-metadata", false, "drop APPn/COM segments (EXIF, ICC, comments) instead of passing them through")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -142,7 +140,6 @@ func runRequantize(args []string) error {
 	ropts := deepnjpeg.RequantizeOptions{
 		OptimizeHuffman: *optimize,
 		RestartInterval: *restart,
-		ShardWorkers:    *shard,
 		StripMetadata:   *stripMeta,
 	}
 	var requant func(src []byte) ([]byte, error)
@@ -625,30 +622,24 @@ func runEncode(args []string) error {
 	optimize := fs.Bool("optimize", false, "optimized Huffman tables")
 	workers := fs.Int("workers", 0, "worker-pool size for directory encoding (0 = GOMAXPROCS)")
 	restart := fs.Int("restart", 0, "insert RSTn markers every n MCUs (0 = none; enables single-image parallel coding)")
-	shard := fs.Int("shard", 0, "restart-segment workers within one image: 0 = auto, 1 = off, n = force n")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *in == "" || *out == "" {
 		return fmt.Errorf("encode needs -in and -out")
 	}
-	opts := jpegcodec.Options{OptimizeHuffman: *optimize, RestartInterval: *restart, ShardWorkers: *shard}
+	opts := jpegcodec.Options{OptimizeHuffman: *optimize, RestartInterval: *restart}
 	var err error
 	if opts.Subsampling, err = jpegcodec.ParseSubsampling(*sub); err != nil {
 		return fmt.Errorf("bad -subsampling %q", *sub)
 	}
 	if *deepn {
-		cfg := dataset.Quick()
-		train, _, err := dataset.Generate(cfg)
+		codec, err := synthNetCodec(deepnjpeg.CalibrateConfig{})
 		if err != nil {
 			return err
 		}
-		fw, err := core.Calibrate(train, core.CalibrateOptions{})
-		if err != nil {
-			return err
-		}
-		opts.LumaTable = fw.LumaTable
-		opts.ChromaTable = fw.ChromaTable
+		opts.LumaTable = codec.LumaTable()
+		opts.ChromaTable = codec.ChromaTable()
 	} else {
 		if opts.LumaTable, err = qtable.Scale(qtable.StdLuminance, *qf); err != nil {
 			return err
@@ -738,22 +729,20 @@ func runDecode(args []string) error {
 	out := fs.String("out", "", "output image (ppm/pgm/png) or directory")
 	format := fs.String("format", "png", "output format for directory decoding: png, ppm or pgm")
 	workers := fs.Int("workers", 0, "worker-pool size for directory decoding (0 = GOMAXPROCS)")
-	shard := fs.Int("shard", 0, "restart-segment workers within one image: 0 = auto, 1 = off, n = force n")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *in == "" || *out == "" {
 		return fmt.Errorf("decode needs -in and -out")
 	}
-	opts := deepnjpeg.DecodeOptions{ShardWorkers: *shard}
 	if st, err := os.Stat(*in); err == nil && st.IsDir() {
-		return decodeDir(*in, *out, *format, *workers, opts)
+		return decodeDir(*in, *out, *format, *workers)
 	}
 	data, err := os.ReadFile(*in)
 	if err != nil {
 		return err
 	}
-	img, err := deepnjpeg.DecodeInto(nil, data, opts)
+	img, err := deepnjpeg.Decode(data)
 	if err != nil {
 		return err
 	}
@@ -767,7 +756,7 @@ func runDecode(args []string) error {
 // decodeDir batch-decodes every JPEG in inDir onto outDir through the
 // concurrent pipeline, with the same output-collision detection and
 // partial-failure reporting as encodeDir.
-func decodeDir(inDir, outDir, format string, workers int, opts deepnjpeg.DecodeOptions) error {
+func decodeDir(inDir, outDir, format string, workers int) error {
 	switch format {
 	case "png", "ppm", "pgm":
 	default:
@@ -794,7 +783,7 @@ func decodeDir(inDir, outDir, format string, workers int, opts deepnjpeg.DecodeO
 		if err != nil {
 			return err
 		}
-		img, err := deepnjpeg.DecodeInto(nil, data, opts)
+		img, err := deepnjpeg.Decode(data)
 		if err != nil {
 			return err
 		}

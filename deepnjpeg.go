@@ -42,12 +42,18 @@
 // Arai–Agui–Nakajima fast transform over flat batches of blocks. Its
 // scale factors are folded into the quantization tables (libjpeg's
 // scaled-table trick): the codec runs only the raw butterflies and
-// quantizes through fused divisors built once per calibrated codec, so
-// the hot loop is a single multiply or divide per coefficient with no
-// descale pass. The emitted coefficients equal those of the textbook
+// quantizes through fused divisors derived once per encode, so the hot
+// loop is a single multiply or divide per coefficient with no descale
+// pass. The emitted coefficients equal those of the textbook
 // DCT quantized by the integer steps — the floating-point differences,
 // folding included, are absorbed by the tie-snapping quantizer — and
 // decoded pixels are within one grey level of the textbook inverse.
+//
+// Within one image, restart intervals are the unit of parallelism: a
+// frame of at least 1024 MCUs split into two or more restart segments
+// (EncodeOptions.RestartInterval) is entropy-coded and decoded across up
+// to GOMAXPROCS workers. The codec makes that choice itself; output
+// bytes and decoded pixels are identical to a sequential run.
 //
 // Decode-side buffers are reusable too: DecodeInto fills a caller-owned
 // image and DecodeBatchInto a caller-owned slice of them, making the
@@ -250,13 +256,6 @@ type EncodeOptions struct {
 	// single-image parallel entropy coding on both the encode and decode
 	// side.
 	RestartInterval int
-	// ShardWorkers controls restart-interval sharded entropy coding:
-	// 0 selects auto (parallel across GOMAXPROCS on large frames), 1 or
-	// any negative value forces the sequential path, values ≥ 2 force
-	// that many workers. The stream is byte-identical either way; the
-	// knob only trades latency against cores. Ignored without a restart
-	// interval.
-	ShardWorkers int
 	// OptimizeHuffman derives per-image Huffman tables (two-pass encode),
 	// matching libjpeg's -optimize flag.
 	OptimizeHuffman bool
@@ -266,12 +265,11 @@ type EncodeOptions struct {
 }
 
 // EncodeWith is Encode with explicit stream-shaping options — restart
-// intervals, sharded entropy coding, Huffman optimization — on top of
-// the calibrated tables.
+// intervals, Huffman optimization, chroma subsampling — on top of the
+// calibrated tables.
 func (c *Codec) EncodeWith(img *Image, opts EncodeOptions) ([]byte, error) {
 	s := c.fw.Scheme()
 	s.Opts.RestartInterval = opts.RestartInterval
-	s.Opts.ShardWorkers = opts.ShardWorkers
 	s.Opts.OptimizeHuffman = opts.OptimizeHuffman
 	s.Opts.Subsampling = opts.Subsampling
 	return s.EncodeRGB(img)
@@ -281,7 +279,6 @@ func (c *Codec) EncodeWith(img *Image, opts EncodeOptions) ([]byte, error) {
 func (c *Codec) EncodeGrayWith(img *Gray, opts EncodeOptions) ([]byte, error) {
 	s := c.fw.Scheme()
 	s.Opts.RestartInterval = opts.RestartInterval
-	s.Opts.ShardWorkers = opts.ShardWorkers
 	s.Opts.OptimizeHuffman = opts.OptimizeHuffman
 	return s.EncodeGray(img)
 }
@@ -330,14 +327,6 @@ type DecodeOptions struct {
 	// sizes its working set from the header, so a tiny hostile stream can
 	// otherwise demand gigabytes.
 	MaxPixels int
-	// ShardWorkers controls restart-interval sharded decoding: streams
-	// that carry a restart interval split into independently decodable
-	// segments, which fan out across a worker pool. 0 selects auto
-	// (parallel across GOMAXPROCS on large frames), 1 or any negative
-	// value forces the sequential path, values ≥ 2 force that many
-	// workers. Accepted streams and decoded pixels are identical either
-	// way.
-	ShardWorkers int
 }
 
 // DecodeBatch decodes a batch of baseline JFIF/JPEG streams concurrently
@@ -362,7 +351,7 @@ func DecodeBatchInto(ctx context.Context, streams [][]byte, dst []*Image, opts B
 	} else if len(dst) != len(streams) {
 		return nil, fmt.Errorf("deepnjpeg: %d reuse buffers for %d streams", len(dst), len(streams))
 	}
-	jopts := jpegcodec.DecodeOptions{MaxPixels: dopts.MaxPixels, ShardWorkers: dopts.ShardWorkers}
+	jopts := jpegcodec.DecodeOptions{MaxPixels: dopts.MaxPixels}
 	// One Decoded and one reader per pool worker, checked out for the
 	// whole batch: items share their worker's parse state and planes
 	// instead of cycling them through the pool per stream.
@@ -407,7 +396,7 @@ func Decode(data []byte) (*Image, error) {
 func DecodeInto(dst *Image, data []byte, opts DecodeOptions) (*Image, error) {
 	dec := decodedPool.Get().(*jpegcodec.Decoded)
 	defer decodedPool.Put(dec)
-	jopts := jpegcodec.DecodeOptions{MaxPixels: opts.MaxPixels, ShardWorkers: opts.ShardWorkers}
+	jopts := jpegcodec.DecodeOptions{MaxPixels: opts.MaxPixels}
 	if err := jpegcodec.DecodeInto(bytes.NewReader(data), dec, &jopts); err != nil {
 		return nil, err
 	}
@@ -483,9 +472,6 @@ type RequantizeOptions struct {
 	// structure-preserving by default), a negative value strips restart
 	// markers, and a positive value ≤ 65535 sets a new interval.
 	RestartInterval int
-	// ShardWorkers controls restart-interval sharded entropy coding of
-	// the output, as in EncodeOptions.ShardWorkers.
-	ShardWorkers int
 	// StripMetadata drops the source stream's APPn/COM segments (EXIF,
 	// ICC profiles, comments) instead of passing them through
 	// byte-identical, which is the default.
@@ -547,7 +533,6 @@ func requantizeInto(dec *jpegcodec.Decoded, src []byte, luma, chroma QuantTable,
 	jopts := jpegcodec.Options{
 		OptimizeHuffman: opts.OptimizeHuffman,
 		RestartInterval: opts.RestartInterval,
-		ShardWorkers:    opts.ShardWorkers,
 		StripMetadata:   opts.StripMetadata,
 	}
 	if err := jpegcodec.Requantize(&buf, dec, luma, chroma, &jopts); err != nil {

@@ -23,34 +23,25 @@ var ErrMarker = errors.New("bitio: encountered JPEG marker in entropy data")
 // Writer accumulates bits MSB-first and flushes them to an io.Writer.
 // The zero value is not usable; construct with NewWriter.
 type Writer struct {
-	w     io.Writer
-	acc   uint32 // bit accumulator, bits occupy the low `nacc` positions
-	nacc  uint   // number of valid bits in acc
-	stuff bool   // insert 0x00 after every 0xFF data byte
-	buf   []byte // pending output bytes
-	n     int64  // total bytes written (including stuffed bytes)
+	w    io.Writer
+	acc  uint32 // bit accumulator, bits occupy the low `nacc` positions
+	nacc uint   // number of valid bits in acc
+	buf  []byte // pending output bytes
 }
 
 // NewWriter returns a Writer that performs JPEG byte stuffing.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: w, stuff: true, buf: make([]byte, 0, 4096)}
-}
-
-// NewRawWriter returns a Writer without byte stuffing, for generic
-// MSB-first bit packing outside entropy-coded segments.
-func NewRawWriter(w io.Writer) *Writer {
-	return &Writer{w: w, stuff: false, buf: make([]byte, 0, 4096)}
+	return &Writer{w: w, buf: make([]byte, 0, 4096)}
 }
 
 // Reset discards all buffered state and redirects the Writer to w,
 // keeping the allocated output buffer. It lets callers pool Writers
-// across encodes; the stuffing mode is preserved.
+// across encodes.
 func (bw *Writer) Reset(w io.Writer) {
 	bw.w = w
 	bw.acc = 0
 	bw.nacc = 0
 	bw.buf = bw.buf[:0]
-	bw.n = 0
 }
 
 // WriteBits appends the low n bits of v to the stream, most significant bit
@@ -75,10 +66,8 @@ func (bw *Writer) WriteBits(v uint32, n uint) error {
 
 func (bw *Writer) emit(b byte) {
 	bw.buf = append(bw.buf, b)
-	bw.n++
-	if bw.stuff && b == 0xFF {
+	if b == 0xFF {
 		bw.buf = append(bw.buf, 0x00)
-		bw.n++
 	}
 }
 
@@ -113,10 +102,6 @@ func (bw *Writer) Flush() error {
 	return nil
 }
 
-// BytesWritten reports the number of bytes emitted so far, including
-// stuffed 0x00 bytes but excluding bits still held in the accumulator.
-func (bw *Writer) BytesWritten() int64 { return bw.n }
-
 // Reader consumes an MSB-first bit stream, removing JPEG byte stuffing.
 // The zero value is not usable; construct with NewReader.
 //
@@ -134,7 +119,6 @@ type Reader struct {
 	r     io.ByteReader
 	acc   uint64 // buffered bits, MSB-aligned: the next bit is bit 63, the bits below the valid ones are zero
 	nbits uint   // number of valid bits in acc
-	stuff bool
 	// err is why the lookahead stopped: ErrMarker (marker holds the
 	// code), the source's error (io.EOF at the end of input), or nil
 	// while more input may follow.
@@ -166,17 +150,12 @@ func (sr *sliceReader) ReadByte() (byte, error) {
 // NewReader returns a Reader that removes JPEG byte stuffing and stops at
 // markers.
 func NewReader(r io.ByteReader) *Reader {
-	return &Reader{r: r, stuff: true}
-}
-
-// NewRawReader returns a Reader without stuffing semantics.
-func NewRawReader(r io.ByteReader) *Reader {
-	return &Reader{r: r, stuff: false}
+	return &Reader{r: r}
 }
 
 // Reset discards all buffered bits and any pending marker or error and
-// redirects the Reader to r, keeping the stuffing mode. It lets callers
-// pool Readers across entropy-coded segments.
+// redirects the Reader to r. It lets callers pool Readers across
+// entropy-coded segments.
 func (br *Reader) Reset(r io.ByteReader) {
 	br.r = r
 	br.clear()
@@ -220,7 +199,7 @@ func (br *Reader) fill() {
 			br.err = err
 			return
 		}
-		if b == 0xFF && br.stuff {
+		if b == 0xFF {
 			// Distinguish stuffed data (FF 00) from a marker, skipping
 			// any run of 0xFF fill bytes (T.81 B.1.1.2).
 			b, err = br.r.ReadByte()
@@ -321,7 +300,7 @@ func (br *Reader) ReadMarker() (byte, error) {
 	if br.nbits > 0 {
 		b := byte(br.acc >> 56)
 		br.Skip(8)
-		if b == 0xFF && br.stuff {
+		if b == 0xFF {
 			return 0, errors.New("bitio: stuffed byte where marker expected")
 		}
 		return 0, fmt.Errorf("bitio: expected marker, found byte %#02x", b)

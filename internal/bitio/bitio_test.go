@@ -11,7 +11,7 @@ import (
 
 func TestWriteBitsBasic(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewRawWriter(&buf)
+	w := NewWriter(&buf)
 	// 0b1010_1010 = 0xAA, written as 4+4 bits.
 	if err := w.WriteBits(0b1010, 4); err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestWriteBitsBasic(t *testing.T) {
 
 func TestFlushPadsWithOnes(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewRawWriter(&buf)
+	w := NewWriter(&buf)
 	if err := w.WriteBits(0, 3); err != nil { // 000 then pad 11111
 		t.Fatal(err)
 	}
@@ -56,9 +56,6 @@ func TestByteStuffing(t *testing.T) {
 	want := []byte{0xFF, 0x00, 0x12}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("got % X, want % X", buf.Bytes(), want)
-	}
-	if w.BytesWritten() != 3 {
-		t.Fatalf("BytesWritten = %d, want 3", w.BytesWritten())
 	}
 }
 
@@ -108,7 +105,7 @@ func TestReaderSkipsFillBytes(t *testing.T) {
 }
 
 func TestReaderEOF(t *testing.T) {
-	r := NewRawReader(bytes.NewReader([]byte{0xA0}))
+	r := NewReader(bytes.NewReader([]byte{0xA0}))
 	if _, err := r.ReadBits(8); err != nil {
 		t.Fatal(err)
 	}
@@ -118,18 +115,18 @@ func TestReaderEOF(t *testing.T) {
 }
 
 func TestWriteBitsRejectsWideWrites(t *testing.T) {
-	w := NewRawWriter(&bytes.Buffer{})
+	w := NewWriter(&bytes.Buffer{})
 	if err := w.WriteBits(0, 25); err == nil {
 		t.Fatal("expected error for 25-bit write")
 	}
-	r := NewRawReader(bytes.NewReader(nil))
+	r := NewReader(bytes.NewReader(nil))
 	if _, err := r.ReadBits(25); err == nil {
 		t.Fatal("expected error for 25-bit read")
 	}
 }
 
 func TestAlign(t *testing.T) {
-	r := NewRawReader(bytes.NewReader([]byte{0xF0, 0x0F}))
+	r := NewReader(bytes.NewReader([]byte{0xF0, 0x0F}))
 	if v, _ := r.ReadBits(4); v != 0xF {
 		t.Fatalf("got %#x", v)
 	}

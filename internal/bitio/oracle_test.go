@@ -20,13 +20,12 @@ type serialReader struct {
 	r      io.ByteReader
 	acc    uint32
 	nacc   uint
-	stuff  bool
 	marker byte
 	sr     sliceReader
 }
 
 func (br *serialReader) resetBytes(b []byte) {
-	*br = serialReader{stuff: br.stuff, sr: sliceReader{b: b}}
+	*br = serialReader{sr: sliceReader{b: b}}
 	br.r = &br.sr
 }
 
@@ -55,7 +54,7 @@ func (br *serialReader) nextByte() (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	if !br.stuff || b != 0xFF {
+	if b != 0xFF {
 		return b, nil
 	}
 	b2, err := br.r.ReadByte()
@@ -146,18 +145,17 @@ func sameErr(a, b error) bool {
 // TestReaderOracle drives the Reader and the oracle through the same
 // random operations — reads of 0..24 bits and over-long reads, single
 // bits, Peek16+Skip, Align and ReadMarker — on random streams, from an
-// io.ByteReader and from ResetBytes, stuffed and raw. Values, errors,
-// markers and Exhausted must agree at every step. After a failed read
-// only ReadMarker follows: reading on past an error is unspecified.
+// io.ByteReader and from ResetBytes. Values, errors, markers and
+// Exhausted must agree at every step. After a failed read only
+// ReadMarker follows: reading on past an error is unspecified.
 func TestReaderOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 trials:
 	for trial := 0; trial < 20000; trial++ {
 		stream := oracleStream(rng)
-		stuff := trial%5 != 0
 		slice := trial%2 == 0
-		got := &Reader{stuff: stuff}
-		want := &serialReader{stuff: stuff}
+		got := &Reader{}
+		want := &serialReader{}
 		if slice {
 			got.ResetBytes(stream)
 			want.resetBytes(stream)
@@ -168,18 +166,13 @@ trials:
 		failed := false
 		fail := func(step int, format string, args ...any) {
 			t.Helper()
-			t.Fatalf("trial %d (stream % X, stuff %v, slice %v) step %d: %s",
-				trial, stream, stuff, slice, step, fmt.Sprintf(format, args...))
+			t.Fatalf("trial %d (stream % X, slice %v) step %d: %s",
+				trial, stream, slice, step, fmt.Sprintf(format, args...))
 		}
 		for step := 0; step < 60; step++ {
 			op := rng.Intn(20)
-			switch {
-			case failed && !stuff:
-				continue trials
-			case failed:
+			if failed {
 				op = 19
-			case !stuff && op >= 17:
-				op = 1 // raw streams hold no markers to look for
 			}
 			switch {
 			case op < 12:

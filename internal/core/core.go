@@ -63,15 +63,6 @@ type Framework struct {
 	LumaTable    qtable.Table
 	ChromaTable  qtable.Table
 	SampledCount int // images used for calibration
-
-	// scaled caches the transform-folded forward quantization divisors of
-	// LumaTable/ChromaTable, built once by Calibrate or Restore and
-	// attached to every Scheme the framework hands out — the encoder then
-	// never derives them per image (let alone per block). The cache
-	// carries the tables it was built from and the encoder verifies them,
-	// so a framework whose tables were mutated after construction
-	// degrades to per-call derivation, never to different streams.
-	scaled *jpegcodec.ScaledTables
 }
 
 // Calibrate runs the full design flow on a labeled dataset.
@@ -130,7 +121,6 @@ func Calibrate(ds *dataset.Dataset, opts CalibrateOptions) (*Framework, error) {
 	} else {
 		f.ChromaTable = qtable.MustScale(qtable.StdChrominance, 95)
 	}
-	f.scaled = jpegcodec.PrecomputeScaled(f.LumaTable, f.ChromaTable)
 	return f, nil
 }
 
@@ -160,7 +150,6 @@ func Restore(params plm.Params, stats, chromaStats *freqstat.Stats, luma, chroma
 		LumaTable:    luma,
 		ChromaTable:  chroma,
 		SampledCount: sampled,
-		scaled:       jpegcodec.PrecomputeScaled(luma, chroma),
 	}, nil
 }
 
@@ -250,15 +239,12 @@ func SchemeSameQ(q int) Scheme {
 	}}
 }
 
-// Scheme returns the calibrated DeepN-JPEG scheme. Its Options carry the
-// framework's cached transform-folded divisors, so encodes under the
-// scheme skip per-call scaled-table derivation as well as the per-block
-// descale pass.
+// Scheme returns the calibrated DeepN-JPEG scheme: the framework's
+// current luma and chroma tables over the codec's defaults.
 func (f *Framework) Scheme() Scheme {
 	return Scheme{Name: "deepn-jpeg", Opts: jpegcodec.Options{
 		LumaTable:   f.LumaTable,
 		ChromaTable: f.ChromaTable,
-		Scaled:      f.scaled,
 	}}
 }
 

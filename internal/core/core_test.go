@@ -216,6 +216,37 @@ func TestSchemeEncodeDecodableByCodec(t *testing.T) {
 	}
 }
 
+// TestMutatedFrameworkFallsBackToFreshTables pins that a Scheme encodes
+// with the framework's current tables: copying a framework and swapping
+// its luma table must produce exactly the stream a plain encode under
+// the new table produces.
+func TestMutatedFrameworkFallsBackToFreshTables(t *testing.T) {
+	ds := quickDataset(t)
+	f, err := Calibrate(ds, CalibrateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutated := *f
+	mutated.LumaTable = qtable.MustScale(qtable.StdLuminance, 70)
+
+	img := ds.Images[0]
+	got, err := mutated.Scheme().EncodeRGB(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	opts := jpegcodec.Options{
+		LumaTable:   mutated.LumaTable,
+		ChromaTable: f.ChromaTable,
+	}
+	if err := jpegcodec.EncodeRGB(&want, img, &opts); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("mutated framework did not encode with its current tables")
+	}
+}
+
 func TestRemoveHFComponents(t *testing.T) {
 	ds := quickDataset(t)
 	img := ds.Images[0].ToGray()

@@ -162,19 +162,6 @@ func (p *Planes) ToGray() *Gray {
 	return g
 }
 
-// Downsample2x2 reduces a plane by 2 in each dimension by box averaging,
-// the subsampling JPEG uses for 4:2:0 chroma. Odd dimensions replicate the
-// final row/column.
-func Downsample2x2(pix []uint8, w, h int) (out []uint8, ow, oh int) {
-	return DownsampleInto(nil, pix, w, h, 2, 2)
-}
-
-// Downsample2x2Into is Downsample2x2 writing into dst, reusing its
-// backing array when the capacity suffices.
-func Downsample2x2Into(dst, pix []uint8, w, h int) (out []uint8, ow, oh int) {
-	return DownsampleInto(dst, pix, w, h, 2, 2)
-}
-
 // DownsampleInto reduces a w×h plane by integer factors rx×ry with box
 // averaging (rounding half up), the subsampling JPEG uses for chroma.
 // The output is ceil(w/rx)×ceil(h/ry); boxes that hang past the plane

@@ -100,7 +100,7 @@ func TestDownsampleUpsampleShapes(t *testing.T) {
 	for _, dims := range [][2]int{{8, 8}, {9, 7}, {1, 1}, {16, 2}, {3, 3}} {
 		w, h := dims[0], dims[1]
 		pix := make([]uint8, w*h)
-		down, dw, dh := Downsample2x2(pix, w, h)
+		down, dw, dh := DownsampleInto(nil, pix, w, h, 2, 2)
 		if dw != (w+1)/2 || dh != (h+1)/2 {
 			t.Fatalf("%dx%d: downsampled to %dx%d", w, h, dw, dh)
 		}
@@ -114,7 +114,7 @@ func TestDownsampleUpsampleShapes(t *testing.T) {
 func TestDownsampleAveragesBox(t *testing.T) {
 	// 2x2 plane with values 10,20,30,40 → single sample (10+20+30+40+2)/4 = 25.
 	pix := []uint8{10, 20, 30, 40}
-	out, w, h := Downsample2x2(pix, 2, 2)
+	out, w, h := DownsampleInto(nil, pix, 2, 2, 2, 2)
 	if w != 1 || h != 1 || out[0] != 25 {
 		t.Fatalf("got %v (%dx%d), want [25] 1x1", out, w, h)
 	}
@@ -126,7 +126,7 @@ func TestDownsampleConstantIsIdentity(t *testing.T) {
 		for i := range pix {
 			pix[i] = v
 		}
-		out, _, _ := Downsample2x2(pix, 16, 16)
+		out, _, _ := DownsampleInto(nil, pix, 16, 16, 2, 2)
 		for _, o := range out {
 			if o != v {
 				return false

@@ -229,52 +229,18 @@ type Options struct {
 	// Requantize, 0 inherits the source stream's interval and a negative
 	// value strips restart markers from the output.
 	RestartInterval int
-	// ShardWorkers controls restart-interval sharded entropy coding, the
-	// single-image parallelism lever. When RestartInterval > 0 every
-	// restart segment is independently codable (the DC predictor resets
-	// at each RSTn and segments start byte-aligned), so Huffman
-	// statistics gathering and scan emission fan out across a worker
-	// pool and the segment buffers are stitched back in order — the
-	// output is byte-identical to the sequential path. 0 selects auto
-	// mode (shard across GOMAXPROCS when the frame is large enough to
-	// pay for the fan-out); 1 or any negative value forces sequential;
-	// values ≥ 2 force that many workers, capped at the segment count.
+	// ShardWorkers overrides restart-interval sharded entropy coding for
+	// tests and measurement; no production code sets it. When
+	// RestartInterval > 0 every restart segment is independently codable
+	// (the DC predictor resets at each RSTn and segments start
+	// byte-aligned), so Huffman statistics gathering and scan emission
+	// fan out across a worker pool and the output stays byte-identical.
+	// 0 leaves the choice to the codec (shard across GOMAXPROCS on frames
+	// of at least 1024 MCUs); 1 or any negative value forces the
+	// sequential path, the reference the shard-equivalence tests compare
+	// against; values ≥ 2 force that many workers, capped at the segment
+	// count.
 	ShardWorkers int
-	// Scaled optionally carries precomputed transform-folded forward
-	// divisors (PrecomputeScaled). Callers that encode many images with
-	// one table set — core.Framework, the server, the batch pipeline —
-	// build them once and attach them to every encode. The encoder uses
-	// the cache only when it was built from this Options' tables and
-	// derives fresh divisors into pooled scratch otherwise, so a stale
-	// cache degrades to a 128-division setup cost, never to different
-	// streams.
-	Scaled *ScaledTables
-}
-
-// ScaledTables is an immutable cache of fused forward quantization
-// divisors — the luma and chroma tables with the transform's scale
-// factors folded in — together with the tables they were derived from,
-// so the encoder can verify the cache still applies.
-type ScaledTables struct {
-	luma, chroma qtable.Table
-	fwdLuma      qtable.FwdScaled
-	fwdChroma    qtable.FwdScaled
-}
-
-// PrecomputeScaled folds the transform's scale factors into the given
-// quantization tables once, for reuse across many encodes via
-// Options.Scaled.
-func PrecomputeScaled(luma, chroma qtable.Table) *ScaledTables {
-	st := &ScaledTables{luma: luma, chroma: chroma}
-	luma.FwdScaledInto(&st.fwdLuma)
-	chroma.FwdScaledInto(&st.fwdChroma)
-	return st
-}
-
-// matches reports whether the cache was derived from exactly this table
-// set.
-func (st *ScaledTables) matches(luma, chroma *qtable.Table) bool {
-	return st != nil && st.luma == *luma && st.chroma == *chroma
 }
 
 // validateRestartInterval rejects intervals the DRI segment cannot

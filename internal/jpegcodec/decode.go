@@ -188,17 +188,18 @@ type DecodeOptions struct {
 	// hostile stream can otherwise demand gigabytes; servers and fuzzers
 	// feeding untrusted bytes should always set a bound.
 	MaxPixels int
-	// ShardWorkers controls restart-interval sharded decoding, the
-	// single-image parallelism lever: when the stream declares a restart
-	// interval the entropy data is byte-scanned into its restart
-	// segments (markers are byte-aligned and cannot occur inside stuffed
-	// entropy data) and the segments decode concurrently, each on its
-	// own pooled bit reader with a fresh DC predictor. 0 selects auto
-	// mode (shard across GOMAXPROCS when the frame is large enough to
-	// pay for the fan-out); 1 or any negative value forces the
-	// sequential path; values ≥ 2 force that many workers, capped at the
-	// segment count. The set of accepted streams and the decoded output
-	// are identical either way. Sharding applies only to baseline fully
+	// ShardWorkers overrides restart-interval sharded decoding for tests
+	// and measurement; no production code sets it. When the stream
+	// declares a restart interval the entropy data is byte-scanned into
+	// its restart segments (markers are byte-aligned and cannot occur
+	// inside stuffed entropy data) and the segments decode concurrently,
+	// each on its own pooled bit reader with a fresh DC predictor. 0
+	// leaves the choice to the decoder (shard across GOMAXPROCS on frames
+	// of at least 1024 MCUs); 1 or any negative value forces the
+	// sequential path, the reference the shard-equivalence tests compare
+	// against; values ≥ 2 force that many workers, capped at the segment
+	// count. The set of accepted streams and the decoded output are
+	// identical either way. Sharding applies only to baseline fully
 	// interleaved scans; progressive and non-interleaved scans always
 	// decode sequentially (see shard.go for the guard's rationale).
 	ShardWorkers int
@@ -906,20 +907,8 @@ func (d *decoder) scanBaseline(scomps []*component, interleaved bool) (byte, err
 			}
 		}
 		if interleaved {
-			my, mx := mcu/f.mcusX, mcu%f.mcusX
-			for ci, c := range scomps {
-				dcTab := d.huff[0<<2|c.td]
-				acTab := d.huff[1<<2|c.ta]
-				for vy := 0; vy < c.v; vy++ {
-					for vx := 0; vx < c.h; vx++ {
-						bx, by := mx*c.h+vx, my*c.v+vy
-						coefs := &c.coefs[by*c.blocksX+bx]
-						if err := decodeBlockInto(br, dcTab, acTab, prevDC[ci], coefs); err != nil {
-							return 0, err
-						}
-						prevDC[ci] = coefs[0]
-					}
-				}
+			if err := decodeMCU(br, scomps, &d.huff, f.mcusX, mcu, &prevDC); err != nil {
+				return 0, err
 			}
 			continue
 		}
@@ -931,6 +920,27 @@ func (d *decoder) scanBaseline(scomps []*component, interleaved bool) (byte, err
 		prevDC[0] = coefs[0]
 	}
 	return d.scanEnd(), nil
+}
+
+// decodeMCU entropy-decodes the mcu-th MCU (scan order) of an
+// interleaved scan into the components' coefficient grids, advancing the
+// caller's DC predictors — the decoding unit shared by the sequential
+// and sharded scan readers, mirroring encodeMCU.
+func decodeMCU(br *bitio.Reader, scomps []*component, huff *[8]*decTable, mcusX, mcu int, prevDC *[4]int32) error {
+	my, mx := mcu/mcusX, mcu%mcusX
+	for ci, c := range scomps {
+		dcTab, acTab := huff[0<<2|c.td], huff[1<<2|c.ta]
+		for vy := 0; vy < c.v; vy++ {
+			for vx := 0; vx < c.h; vx++ {
+				coefs := &c.coefs[(my*c.v+vy)*c.blocksX+mx*c.h+vx]
+				if err := decodeBlockInto(br, dcTab, acTab, prevDC[ci], coefs); err != nil {
+					return err
+				}
+				prevDC[ci] = coefs[0]
+			}
+		}
+	}
+	return nil
 }
 
 // reconstructSequential runs the batched inverse stage over every

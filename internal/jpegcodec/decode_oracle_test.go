@@ -300,8 +300,10 @@ func encodeWithFactors(t *testing.T, w, h int, factors [3][2]int) []byte {
 		comps[i] = &component{id: uint8(i + 1), h: f[0], v: f[1], tq: tq, td: tq, ta: tq, w: cw, hgt: ch, pix: pix}
 	}
 	o := Options{}.withDefaults()
+	s := getEncScratch()
+	defer putEncScratch(s)
 	var buf bytes.Buffer
-	if err := encode(&buf, w, h, comps, &o, nil); err != nil {
+	if err := encode(&buf, w, h, comps, &o, s); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -79,7 +79,8 @@ func EncodeGray(w io.Writer, img *imgutil.Gray, opts *Options) error {
 
 // encode runs the shared encoding pipeline: coefficient computation,
 // optional Huffman optimization, then marker and scan emission. scratch
-// donates reusable coefficient grids and may be nil.
+// holds the fused divisors, the block-row plane and the coefficient
+// grids.
 func encode(w io.Writer, width, height int, comps []*component, o *Options, scratch *encScratch) error {
 	if err := validateRestartInterval(o.RestartInterval); err != nil {
 		return err
@@ -92,48 +93,22 @@ func encode(w io.Writer, width, height int, comps []*component, o *Options, scra
 	mcusX := (width + 8*maxH - 1) / (8 * maxH)
 	mcusY := (height + 8*maxV - 1) / (8 * maxV)
 
-	// Resolve the fused forward divisors: the caller's cache when it
-	// matches this exact table set (one build per Framework), otherwise
-	// derived into the pooled scratch — never per block.
-	var fwdLuma, fwdChroma *qtable.FwdScaled
-	if o.Scaled.matches(&o.LumaTable, &o.ChromaTable) {
-		fwdLuma, fwdChroma = &o.Scaled.fwdLuma, &o.Scaled.fwdChroma
-	} else {
-		var localFwd [2]qtable.FwdScaled
-		fwd := &localFwd
-		if scratch != nil {
-			fwd = &scratch.fwd
-		}
-		o.LumaTable.FwdScaledInto(&fwd[0])
-		o.ChromaTable.FwdScaledInto(&fwd[1])
-		fwdLuma, fwdChroma = &fwd[0], &fwd[1]
-	}
+	// Fold the transform's scale factors into both tables once per call,
+	// never per block.
+	fwd := &scratch.fwd
+	o.LumaTable.FwdScaledInto(&fwd[0])
+	o.ChromaTable.FwdScaledInto(&fwd[1])
 
 	// Forward-transform every block in the MCU-padded grid, one whole
 	// block row at a time: fused gather into the flat plane, one batch
 	// transform, one fused quantize pass into the coefficient grid.
-	var plane []float64
-	if scratch != nil {
-		plane = scratch.plane
-	}
 	for ci, c := range comps {
-		tbl := fwdLuma
-		if c.tq == 1 {
-			tbl = fwdChroma
-		}
 		c.blocksX = mcusX * c.h
 		c.blocksY = mcusY * c.v
-		if scratch != nil {
-			c.coefs = growCoefs(scratch.coefs[ci], c.blocksX*c.blocksY)
-			scratch.coefs[ci] = c.coefs
-		} else {
-			c.coefs = make([][64]int32, c.blocksX*c.blocksY)
-		}
-		plane = growFloats(plane, c.blocksX*64)
-		transformComponent(c, tbl, o.ZeroMask, plane)
-	}
-	if scratch != nil {
-		scratch.plane = plane
+		c.coefs = growCoefs(scratch.coefs[ci], c.blocksX*c.blocksY)
+		scratch.coefs[ci] = c.coefs
+		scratch.plane = growFloats(scratch.plane, c.blocksX*64)
+		transformComponent(c, &fwd[c.tq], o.ZeroMask, scratch.plane)
 	}
 	return encodeTail(w, width, height, comps, mcusX, mcusY, o)
 }

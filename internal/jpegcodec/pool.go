@@ -29,8 +29,8 @@ type encScratch struct {
 	coefs  [3][][64]int32      // per-component quantized coefficient grids
 	comps  [3]component        // component descriptors
 	refs   [3]*component       // backing array for the []*component slice
-	fwd    [2]qtable.FwdScaled // fused forward divisors (luma, chroma) when the caller caches none
-	inv    [2]qtable.InvScaled // fused dequantize multipliers (requantize source tables)
+	fwd    [2]qtable.FwdScaled // forward divisors (luma, chroma): fused per encode, plain steps in requantize
+	inv    [2]qtable.InvScaled // dequantize multipliers (requantize source tables)
 	plane  []float64           // flat block-row plane for the batch transform stage
 }
 

@@ -10,7 +10,6 @@ package jpegcodec
 // where it happens rather than as an opaque byte diff.
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -101,32 +100,4 @@ func TestFusedDequantizationMatchesUnfused(t *testing.T) {
 			t.Fatalf("trial %d: fused reconstruction differs by %d grey levels", trial, worst)
 		}
 	}
-}
-
-// TestEncodeHonorsPrecomputedScaled pins the cache fast path end to end:
-// attaching a matching precomputed cache must not change a single output
-// byte, and a stale cache (tables swapped after precompute) must degrade
-// to fresh derivation — same bytes again — rather than encode through
-// the wrong divisors.
-func TestEncodeHonorsPrecomputedScaled(t *testing.T) {
-	img := testImageRGB(48, 40, 21)
-	luma := qtable.MustScale(qtable.StdLuminance, 60)
-	chroma := qtable.MustScale(qtable.StdChrominance, 60)
-	base := Options{LumaTable: luma, ChromaTable: chroma}
-	want := encodeToBytes(t, img, &base)
-
-	t.Run("matching-cache", func(t *testing.T) {
-		opts := base
-		opts.Scaled = PrecomputeScaled(luma, chroma)
-		if got := encodeToBytes(t, img, &opts); !bytes.Equal(got, want) {
-			t.Fatal("a matching precomputed cache changed the emitted stream")
-		}
-	})
-	t.Run("stale-tables", func(t *testing.T) {
-		opts := base
-		opts.Scaled = PrecomputeScaled(qtable.StdLuminance, qtable.StdChrominance)
-		if got := encodeToBytes(t, img, &opts); !bytes.Equal(got, want) {
-			t.Fatal("a stale cache must be ignored, not trusted")
-		}
-	})
 }

@@ -296,20 +296,8 @@ func (d *decoder) scanSharded(scomps []*component, workers int) (byte, error) {
 		var prevDC [4]int32
 		lo, hi := segmentBounds(seg, ri, total)
 		for mcu := lo; mcu < hi; mcu++ {
-			my, mx := mcu/f.mcusX, mcu%f.mcusX
-			for ci, c := range scomps {
-				dcTab := d.huff[0<<2|c.td]
-				acTab := d.huff[1<<2|c.ta]
-				for vy := 0; vy < c.v; vy++ {
-					for vx := 0; vx < c.h; vx++ {
-						bx, by := mx*c.h+vx, my*c.v+vy
-						coefs := &c.coefs[by*c.blocksX+bx]
-						if err := decodeBlockInto(br, dcTab, acTab, prevDC[ci], coefs); err != nil {
-							return err
-						}
-						prevDC[ci] = coefs[0]
-					}
-				}
+			if err := decodeMCU(br, scomps, &d.huff, f.mcusX, mcu, &prevDC); err != nil {
+				return err
 			}
 		}
 		if seg < len(segs)-1 && !br.Exhausted() {

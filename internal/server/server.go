@@ -737,9 +737,10 @@ func (s *Server) encodeOptions(fw *core.Framework, q url.Values) (jpegcodec.Opti
 	if opts.RestartInterval, err = parseRestartParam(q, false); err != nil {
 		return opts, err
 	}
-	// ShardWorkers stays 0 (auto): one request saturating every core is
-	// fine when the box is idle, and under concurrent load the scheduler
-	// time-slices the segment goroutines like any other work.
+	// Restart sharding is the codec's own choice: one request saturating
+	// every core is fine when the box is idle, and under concurrent load
+	// the scheduler time-slices the segment goroutines like any other
+	// work.
 	return opts, nil
 }
 

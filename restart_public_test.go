@@ -2,15 +2,18 @@ package deepnjpeg
 
 // Public-API coverage for restart intervals and single-image sharded
 // entropy coding: EncodeWith/EncodeGrayWith stream shaping, the
-// DecodeOptions.ShardWorkers knob, and the restart semantics of
-// Requantize (inherit by default, strip on negative, replace on
-// positive). The byte-level matrix lives in internal/jpegcodec; this
-// file pins the exported surface.
+// codec's automatic sharding on large restart-interval frames, and the
+// restart semantics of Requantize (inherit by default, strip on
+// negative, replace on positive). The byte-level matrix lives in
+// internal/jpegcodec; this file pins the exported surface.
 
 import (
 	"bytes"
 	"image/jpeg"
+	"runtime"
 	"testing"
+
+	"repro/internal/jpegcodec"
 )
 
 // driValue walks the marker segments before SOS and returns the DRI
@@ -88,55 +91,18 @@ func TestEncodeWithRestartInterval(t *testing.T) {
 		t.Fatalf("stdlib cannot decode restarted stream: %v", err)
 	}
 
-	// Sharded encoding is byte-identical to sequential, RGB and gray.
-	sharded, err := codec.EncodeWith(img, EncodeOptions{RestartInterval: 2, ShardWorkers: 4})
+	grayStream, err := codec.EncodeGrayWith(img.ToGray(), EncodeOptions{RestartInterval: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(restarted, sharded) {
-		t.Fatal("sharded encode differs from sequential")
-	}
-	gray := img.ToGray()
-	graySeq, err := codec.EncodeGrayWith(gray, EncodeOptions{RestartInterval: 2, ShardWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	grayShard, err := codec.EncodeGrayWith(gray, EncodeOptions{RestartInterval: 2, ShardWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := driValue(t, graySeq); got != 2 {
+	if got := driValue(t, grayStream); got != 2 {
 		t.Fatalf("gray DRI = %d, want 2", got)
-	}
-	if !bytes.Equal(graySeq, grayShard) {
-		t.Fatal("sharded gray encode differs from sequential")
 	}
 
 	// The 16-bit DRI bound is enforced at the public surface.
 	if _, err := codec.EncodeWith(img, EncodeOptions{RestartInterval: 65536}); err == nil {
 		t.Fatal("RestartInterval 65536 accepted")
 	}
-}
-
-func TestDecodeOptionsShardWorkers(t *testing.T) {
-	images, labels := calibrationSet(t)
-	codec, err := Calibrate(images, labels, CalibrateConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := codec.EncodeWith(images[0], EncodeOptions{RestartInterval: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := DecodeInto(nil, stream, DecodeOptions{ShardWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard, err := DecodeInto(nil, stream, DecodeOptions{ShardWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pixelsEqual(t, seq, shard, "sharded-vs-sequential decode")
 }
 
 func TestRequantizeRestartSemantics(t *testing.T) {
@@ -179,13 +145,73 @@ func TestRequantizeRestartSemantics(t *testing.T) {
 	if _, err := codec.Requantize(src, RequantizeOptions{RestartInterval: 65536}); err == nil {
 		t.Fatal("RestartInterval 65536 accepted by Requantize")
 	}
+}
 
-	// Sharded requantize output is byte-identical to sequential.
-	shard, err := codec.Requantize(src, RequantizeOptions{ShardWorkers: 4})
+// TestPublicRestartShardingAuto pins the public surface's only sharding
+// mode, the codec's own rule. On a frame where it engages — 512×512
+// 4:2:0 is 1024 MCUs, and RestartInterval 4 splits it into 256
+// segments — with GOMAXPROCS 4, EncodeWith, DecodeInto and Requantize
+// must match the sequential jpegcodec path (ShardWorkers 1) byte for
+// byte and pixel for pixel, with standard and optimized Huffman tables.
+func TestPublicRestartShardingAuto(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	images, labels := calibrationSet(t)
+	codec, err := Calibrate(images, labels, CalibrateConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(inherited, shard) {
-		t.Fatal("sharded requantize differs from sequential")
+	const ri = 4
+	img := gradientImage(512, 512)
+	var src bytes.Buffer // an Annex-K source frame for Requantize
+	if err := jpegcodec.EncodeRGB(&src, img, &jpegcodec.Options{RestartInterval: ri, ShardWorkers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var srcDec jpegcodec.Decoded
+	if err := jpegcodec.DecodeInto(bytes.NewReader(src.Bytes()), &srcDec, &jpegcodec.DecodeOptions{ShardWorkers: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, optimize := range []bool{false, true} {
+		seq := jpegcodec.Options{
+			LumaTable:       codec.LumaTable(),
+			ChromaTable:     codec.ChromaTable(),
+			RestartInterval: ri,
+			OptimizeHuffman: optimize,
+			ShardWorkers:    1,
+		}
+		stream, err := codec.EncodeWith(img, EncodeOptions{RestartInterval: ri, OptimizeHuffman: optimize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := jpegcodec.EncodeRGB(&want, img, &seq); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stream, want.Bytes()) {
+			t.Fatalf("optimize=%v: EncodeWith differs from the sequential encode", optimize)
+		}
+
+		got, err := DecodeInto(nil, stream, DecodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dec jpegcodec.Decoded
+		if err := jpegcodec.DecodeInto(bytes.NewReader(stream), &dec, &jpegcodec.DecodeOptions{ShardWorkers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		pixelsEqual(t, dec.RGBInto(nil), got, "DecodeInto vs sequential decode")
+
+		requant, err := codec.Requantize(src.Bytes(), RequantizeOptions{OptimizeHuffman: optimize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Reset()
+		seq.RestartInterval = 0 // inherit the source's, as the public call does
+		if err := jpegcodec.Requantize(&want, &srcDec, codec.LumaTable(), codec.ChromaTable(), &seq); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(requant, want.Bytes()) {
+			t.Fatalf("optimize=%v: Requantize differs from the sequential requantize", optimize)
+		}
 	}
 }
