@@ -124,7 +124,7 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -run XXX -bench 'Transform|Batch' -benchmem ./internal/dct
-	$(GO) test -run XXX -bench 'Transform|DecodePooled|DecodeStages|EncodeRGB420|DecodeRGB420|Decode422|Requantize422|DecodeProgressive|RequantizeProgressive' -benchmem ./internal/jpegcodec
+	$(GO) test -run XXX -bench 'Transform|DecodePooled|DecodeStages|RequantizeStages|EncodeRGB420|DecodeRGB420|Decode422|Requantize422|DecodeProgressive|RequantizeProgressive' -benchmem ./internal/jpegcodec
 	$(GO) test -run XXX -bench 'EncodeBatch|DecodeBatch|CalibrateParallel|DeepNEncodeThroughput' -benchmem ./
 	$(GO) test -run XXX -bench 'Index|BlobVerify|PullCacheHit' -benchmem ./internal/profilehub
 
@@ -135,7 +135,7 @@ bench:
 NEW ?= bench-new.txt
 BENCHCOUNT ?= 10
 bench-txt:
-	$(GO) test -run XXX -bench 'Transform|Batch|DecodeStages' -benchmem -count $(BENCHCOUNT) ./internal/dct ./internal/jpegcodec > $(NEW)
+	$(GO) test -run XXX -bench 'Transform|Batch|DecodeStages|RequantizeStages' -benchmem -count $(BENCHCOUNT) ./internal/dct ./internal/jpegcodec > $(NEW)
 	@echo "wrote $(NEW)"
 
 # bench-json records the full benchmark sweep as a machine-readable

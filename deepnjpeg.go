@@ -64,14 +64,16 @@
 // # Archive requantization
 //
 // Requantize, RequantizeBatch and their RequantizeJPEG counterparts
-// re-target existing baseline JPEG streams onto new tables entirely in
-// the coefficient domain — dequantize with the coded table, requantize
-// with the new one — skipping the IDCT→pixels→DCT round trip and its
-// second generation loss. This is how a storage system retrofits
-// DeepN-JPEG tables onto an archive of already-compressed images. Any
-// legal baseline sampling layout transcodes (4:4:4, 4:2:2, 4:2:0,
-// 4:4:0, 4:1:1, …), and the source's APPn/COM segments — EXIF, ICC
-// profiles, comments — pass through byte-identical unless
+// re-target existing baseline or progressive JPEG streams onto new
+// tables entirely in the coefficient domain — each coefficient
+// dequantized with the coded table and requantized with the new one in
+// exact integer arithmetic — skipping the IDCT→pixels→DCT round trip and
+// its second generation loss; no pixel is reconstructed on the way. The
+// output is always a baseline stream. This is how a storage system
+// retrofits DeepN-JPEG tables onto an archive of already-compressed
+// images. Any legal baseline sampling layout transcodes (4:4:4, 4:2:2,
+// 4:2:0, 4:4:0, 4:1:1, …), and the source's APPn/COM segments — EXIF,
+// ICC profiles, comments — pass through byte-identical unless
 // RequantizeOptions.StripMetadata opts out.
 //
 // # Calibration profiles
@@ -478,12 +480,13 @@ type RequantizeOptions struct {
 	StripMetadata bool
 }
 
-// Requantize re-targets an existing baseline JPEG stream onto the codec's
-// calibrated tables entirely in the coefficient domain: coefficients are
-// dequantized with the table they were coded with and requantized with
-// the calibrated one, skipping the IDCT→pixels→DCT round trip and its
-// second generation loss. This is how a storage system retrofits
-// DeepN-JPEG tables onto an archive of already-compressed JPEGs.
+// Requantize re-targets an existing baseline or progressive JPEG stream
+// onto the codec's calibrated tables entirely in the coefficient domain,
+// emitting a baseline stream: coefficients are dequantized with the
+// table they were coded with and requantized with the calibrated one,
+// skipping the IDCT→pixels→DCT round trip and its second generation
+// loss. This is how a storage system retrofits DeepN-JPEG tables onto an
+// archive of already-compressed JPEGs.
 func (c *Codec) Requantize(src []byte, opts RequantizeOptions) ([]byte, error) {
 	dec := decodedPool.Get().(*jpegcodec.Decoded)
 	defer decodedPool.Put(dec)
@@ -500,8 +503,9 @@ func (c *Codec) RequantizeBatch(ctx context.Context, streams [][]byte, bopts Bat
 }
 
 // RequantizeJPEG is Requantize onto the standard Annex-K tables scaled to
-// a quality factor — coefficient-domain re-targeting of an existing JPEG
-// without a calibrated codec.
+// a quality factor — coefficient-domain re-targeting of an existing
+// baseline or progressive JPEG, emitted as baseline, without a
+// calibrated codec.
 func RequantizeJPEG(src []byte, qf int, opts RequantizeOptions) ([]byte, error) {
 	luma, chroma, err := stdTables(qf)
 	if err != nil {

@@ -184,14 +184,13 @@ func transformComponent(c *component, tbl *qtable.FwdScaled, mask *qtable.ZeroMa
 	}
 }
 
-// reconstructBlockRow runs the inverse stage for one block row of a
-// decoder component: broadcast the fused dequantize multipliers over
-// the row's coefficients, one batch of raw inverse AAN butterflies, one
-// fused unshift+store pass.
-func reconstructBlockRow(c *component, by int, plane []float64) {
-	row := c.coefs[by*c.blocksX : (by+1)*c.blocksX]
+// reconstructBlockRow runs the inverse stage for block row by of a
+// w×h pixel plane whose coefficients are row: broadcast the fused
+// dequantize multipliers over the row, one batch of raw inverse AAN
+// butterflies, one fused unshift+store pass.
+func reconstructBlockRow(pix []uint8, w, h, by int, row [][64]int32, inv *qtable.InvScaled, plane []float64) {
 	run := len(row) * 64
-	c.inv.DequantizeBlocks(plane[:run], row)
+	inv.DequantizeBlocks(plane[:run], row)
 	dct.InverseAANRawBatch(plane[:run])
-	storeBlockRow(c.pix, c.w, c.hgt, by, c.blocksX, plane[:run])
+	storeBlockRow(pix, w, h, by, len(row), plane[:run])
 }

@@ -182,28 +182,27 @@ func TestReconstructRowMatchesPerBlock(t *testing.T) {
 	qtable.StdChrominance.InvScaledInto(&inv)
 	for _, dim := range edgeDims {
 		blocksX, blocksY := paddedGrid(dim.w, dim.h)
-		c := &component{w: dim.w, hgt: dim.h, inv: inv, blocksX: blocksX, blocksY: blocksY}
-		c.coefs = make([][64]int32, blocksX*blocksY)
-		for bi := range c.coefs {
+		coefs := make([][64]int32, blocksX*blocksY)
+		for bi := range coefs {
 			for i := 0; i < 64; i++ {
 				if rng.Intn(3) == 0 {
-					c.coefs[bi][i] = int32(rng.Intn(255) - 127)
+					coefs[bi][i] = int32(rng.Intn(255) - 127)
 				}
 			}
 		}
-		c.pix = randPixPlane(rng, dim.w, dim.h)
-		want := make([]uint8, len(c.pix))
-		copy(want, c.pix)
+		pix := randPixPlane(rng, dim.w, dim.h)
+		want := make([]uint8, len(pix))
+		copy(want, pix)
 		plane := make([]float64, blocksX*64)
 		for by := 0; by < blocksY; by++ {
-			reconstructBlockRow(c, by, plane)
+			reconstructBlockRow(pix, dim.w, dim.h, by, coefs[by*blocksX:(by+1)*blocksX], &inv, plane)
 			for bx := 0; bx < blocksX; bx++ {
 				var tile [64]uint8
-				reconstructBlock(&c.coefs[by*blocksX+bx], &c.inv, &tile)
+				reconstructBlock(&coefs[by*blocksX+bx], &inv, &tile)
 				imgutil.StoreBlock(want, dim.w, dim.h, bx, by, &tile)
 			}
 		}
-		if !bytes.Equal(c.pix, want) {
+		if !bytes.Equal(pix, want) {
 			t.Fatalf("%dx%d: batched reconstruction diverges from reconstructBlock+StoreBlock", dim.w, dim.h)
 		}
 	}

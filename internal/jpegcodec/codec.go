@@ -14,11 +14,12 @@
 // coefficients into those planes — baseline interleaved, baseline
 // non-interleaved, or progressive DC/AC first/refinement scans — and a
 // single batched reconstruction stage turns the finished planes into
-// pixels. Progressive (SOF2) streams therefore decode through the exact
-// coefficient domain Requantize transcodes from, so progressive inputs
-// re-emit as baseline output. Progressive encoding is not implemented;
-// arithmetic-coded, lossless and hierarchical processes are rejected
-// with UnsupportedFormatError.
+// pixels on the first pixel read, so a caller that reads only
+// coefficients never runs it. Progressive (SOF2) streams therefore
+// decode through the exact coefficient domain Requantize transcodes
+// from, so progressive inputs re-emit as baseline output. Progressive
+// encoding is not implemented; arithmetic-coded, lossless and
+// hierarchical processes are rejected with UnsupportedFormatError.
 package jpegcodec
 
 import (
@@ -275,15 +276,10 @@ type component struct {
 	td, ta int   // huffman table ids (DC, AC)
 
 	w, hgt int     // plane dimensions in samples
-	pix    []uint8 // plane samples (decoder) or source samples (encoder)
+	pix    []uint8 // source samples (encoder)
 
-	blocksX, blocksY int          // MCU-padded block grid
-	coefs            [][64]int32  // quantized coefficients per block, natural order
-	table            qtable.Table // dequantization table (decoder)
-	// inv is table with the inverse transform's prescale factors folded
-	// in, built once per frame (decoder) so the dequantize loop is a
-	// single multiply per coefficient.
-	inv qtable.InvScaled
+	blocksX, blocksY int         // MCU-padded block grid
+	coefs            [][64]int32 // quantized coefficients per block, natural order
 
 	// Decoder per-frame scan state. scanned marks components that took
 	// part in at least one scan; primed marks coefficient grids that hold

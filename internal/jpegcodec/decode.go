@@ -16,6 +16,13 @@ import (
 // reused across decodes through DecodeInto, which recycles its planes,
 // coefficient grids and table map instead of reallocating them — the
 // allocation-free steady state batch transcode loops rely on.
+//
+// Decoding stops at the quantized coefficients. Pixels reconstruct on
+// the first pixel read (Gray, GrayInto, RGB, RGBInto), once per decode,
+// so a caller that only reads coefficients — Requantize — never pays
+// for the inverse DCT. Because that first read fills the Decoded's
+// planes, no pixel reader may run concurrently with another on one
+// Decoded.
 type Decoded struct {
 	W, H       int
 	Components int // 1 (grayscale) or 3 (YCbCr)
@@ -25,17 +32,26 @@ type Decoded struct {
 	// table id from the SOF header — RGBInto needs the true factors to
 	// upsample correctly (plane-size ratios are ambiguous for fractional
 	// ceil-division sizes) and Requantize needs tq to find each
-	// component's coded table.
+	// component's coded table. inv is that table with the inverse
+	// transform's prescale folded in, bound at the end of the stream;
+	// pix is filled from the coefficients on the first pixel read.
 	planes [3]struct {
 		w, h   int
 		hs, vs int // sampling factors (1..4)
 		tq     int // quantization table id
+		inv    qtable.InvScaled
 		pix    []uint8
 	}
 	maxH, maxV int            // frame maximum sampling factors
 	coefs      [3][][64]int32 // quantized coefficients in block-row order
 	blocksX    [3]int
 	blocksY    [3]int
+
+	// pixPending marks pixel planes not yet reconstructed from this
+	// decode's coefficients; reconWorkers is the entropy decode's shard
+	// fan-out (0 when it ran sequentially), which reconstruction reuses.
+	pixPending   bool
+	reconWorkers int
 
 	// cols holds RGBInto's chroma column indices: Cb's, then Cr's.
 	cols []int32
@@ -70,6 +86,8 @@ func (d *Decoded) Reset() {
 	d.RestartInterval = 0
 	d.Progressive = false
 	d.maxH, d.maxV = 0, 0
+	d.pixPending = false
+	d.reconWorkers = 0
 	d.Metadata = d.Metadata[:0]
 	d.metaBuf = d.metaBuf[:0]
 	for i := range d.planes {
@@ -91,8 +109,11 @@ func (d *Decoded) Gray() *imgutil.Gray {
 }
 
 // GrayInto copies the luma plane into dst, reusing dst's buffer when its
-// capacity suffices. A nil dst allocates a fresh image.
+// capacity suffices. A nil dst allocates a fresh image. The first pixel
+// read after a decode reconstructs the planes, so GrayInto must not run
+// concurrently with another pixel reader on one Decoded.
 func (d *Decoded) GrayInto(dst *imgutil.Gray) *imgutil.Gray {
+	d.reconstruct()
 	g := dst
 	if g == nil {
 		g = &imgutil.Gray{}
@@ -130,9 +151,11 @@ func (d *Decoded) RGB() *imgutil.RGB {
 // 9/3 ≠ 4) — so output pixel (x, y) reads chroma sample
 // (x·hs/maxH, y·vs/maxV), clamped to the plane. When the Cb plane is
 // frame-sized, every frame-sized chroma plane is read one to one instead.
-// The column indices are scratch kept on the Decoded, so RGBInto must
-// not run concurrently on one Decoded.
+// The first pixel read after a decode reconstructs the planes, and the
+// column indices are scratch kept on the Decoded, so RGBInto must not
+// run concurrently with another pixel reader on one Decoded.
 func (d *Decoded) RGBInto(dst *imgutil.RGB) *imgutil.RGB {
+	d.reconstruct()
 	im := dst
 	if im == nil {
 		im = &imgutil.RGB{}
@@ -210,7 +233,8 @@ type DecodeOptions struct {
 // planes every scan accumulates into. Baseline frames complete in one
 // (interleaved) scan or one scan per component; progressive frames
 // spread the coefficient data over many DC/AC first/refinement scans.
-// Either way reconstruction runs once, over the finished planes.
+// Either way the decode ends at the finished coefficient planes; pixels
+// reconstruct from them on the first read (Decoded.reconstruct).
 type frame struct {
 	w, h         int
 	progressive  bool
@@ -245,9 +269,6 @@ type decoder struct {
 	// the number of further blocks (beyond the current one) whose band
 	// is already over. It never crosses a scan or restart boundary.
 	eobRun int32
-	// reconWorkers is > 1 when the scan's entropy data decoded sharded;
-	// finishFrame then reconstructs with the same fan-out.
-	reconWorkers int
 
 	// Sharded-decode scratch, retained across decodes: the raw scan
 	// bytes, the segment end offsets within them, and the derived
@@ -255,11 +276,6 @@ type decoder struct {
 	scanBuf   []byte
 	segBounds []int
 	segs      [][]byte
-
-	// plane is the flat block-row scratch for the batched reconstruction
-	// stage, retained across decodes (the parallel path checks extra
-	// planes out of planePool instead).
-	plane []float64
 
 	// metaSpans records APPn/COM segments during the parse as offsets
 	// into dst.metaBuf; finish materializes them into dst.Metadata.
@@ -291,7 +307,6 @@ func (d *decoder) release() {
 	d.maxPixels = 0
 	d.shard = 0
 	d.eobRun = 0
-	d.reconWorkers = 0
 	d.segs = d.segs[:0]
 	d.metaSpans = d.metaSpans[:0]
 	decoderPool.Put(d)
@@ -313,8 +328,10 @@ func Decode(r io.Reader) (*Decoded, error) {
 // reusing dst's planes, coefficient grids and table map when their
 // capacity suffices. It is the allocation-free steady-state decode path:
 // a caller that decodes many streams through one (per-worker) Decoded
-// pays for output buffers once. On error dst's contents are unspecified.
-// A nil opts selects the defaults.
+// pays for output buffers once. DecodeInto stops at the quantized
+// coefficients; dst's pixels reconstruct on their first read (GrayInto,
+// RGBInto), sharded like the entropy decode was. On error dst's contents
+// are unspecified. A nil opts selects the defaults.
 func DecodeInto(r io.Reader, dst *Decoded, opts *DecodeOptions) error {
 	if dst == nil {
 		return errors.New("jpegcodec: DecodeInto needs a non-nil destination")
@@ -346,8 +363,7 @@ func DecodeInto(r io.Reader, dst *Decoded, opts *DecodeOptions) error {
 // run is the marker loop. Scans hand back the marker that terminated
 // their entropy data (pending), so a multi-scan stream — progressive or
 // non-interleaved baseline — keeps parsing DHT/DQT/DRI/SOS segments
-// between scans until EOI (or a clean end of input) triggers the single
-// reconstruction pass.
+// between scans until EOI (or a clean end of input) finishes the frame.
 func (d *decoder) run() error {
 	m, err := d.readMarkerByte()
 	if err != nil {
@@ -601,8 +617,8 @@ func (d *decoder) parseDRI() error {
 
 // parseSOF reads the frame header and establishes everything every scan
 // shares: component geometry, the interleaved MCU grid, and the
-// full-image pixel and coefficient planes (grown from the destination so
-// repeated DecodeInto calls reuse them). Progressive frames zero their
+// full-image coefficient planes (grown from the destination so repeated
+// DecodeInto calls reuse them). Progressive frames zero their
 // coefficient grids here — scans accumulate bits into them rather than
 // overwriting whole blocks, so pooled leftovers must not shine through.
 func (d *decoder) parseSOF(progressive bool) error {
@@ -694,8 +710,6 @@ func (d *decoder) parseSOF(progressive bool) error {
 		c.blocksY = f.mcusY * c.v
 		// Output buffers come from the destination so repeated DecodeInto
 		// calls reuse them.
-		c.pix = imgutil.GrowBytes(d.dst.planes[i].pix, c.w*c.hgt)
-		d.dst.planes[i].pix = c.pix
 		c.coefs = growCoefs(d.dst.coefs[i], c.blocksX*c.blocksY)
 		d.dst.coefs[i] = c.coefs
 		if progressive {
@@ -943,18 +957,6 @@ func decodeMCU(br *bitio.Reader, scomps []*component, huff *[8]*decTable, mcusX,
 	return nil
 }
 
-// reconstructSequential runs the batched inverse stage over every
-// component on the calling goroutine, reusing the decoder's retained
-// plane.
-func (d *decoder) reconstructSequential() {
-	for _, c := range d.frame.comps {
-		d.plane = growFloats(d.plane, c.blocksX*64)
-		for by := 0; by < c.blocksY; by++ {
-			reconstructBlockRow(c, by, d.plane)
-		}
-	}
-}
-
 // decodeBlockInto entropy-decodes one block into natural-order
 // coefficients, writing straight into the caller's grid slot (which may
 // hold stale pooled data — it is zeroed first). On error the slot's
@@ -1001,12 +1003,11 @@ func decodeBlockInto(br *bitio.Reader, dcTab, acTab *decTable, prevDC int32, coe
 
 // finishFrame runs once per image, after the last scan: it zero-fills
 // the grids of components no scan touched, binds the dequantization
-// tables in effect at the end of the stream, reconstructs pixels with
-// the batched inverse stage — sharded with the entropy decoder's
-// fan-out when the scan decoded sharded — and publishes the result.
+// tables in effect at the end of the stream and publishes the result.
+// Pixels are left to the first pixel read (Decoded.reconstruct).
 func (d *decoder) finishFrame() error {
 	f := &d.frame
-	for _, c := range f.comps {
+	for i, c := range f.comps {
 		if !c.primed {
 			// No scan carried this component; it reconstructs as a flat
 			// mid-gray plane rather than pooled leftovers.
@@ -1017,16 +1018,10 @@ func (d *decoder) finishFrame() error {
 		if !ok {
 			return fmt.Errorf("jpegcodec: missing quantization table %d", c.tq)
 		}
-		c.table = tbl
 		// Fold the inverse transform's prescale into the dequantize
 		// multipliers once per frame; reconstructBlockRow then runs one
 		// multiply per coefficient with no prescale pass.
-		tbl.InvScaledInto(&c.inv)
-	}
-	if d.reconWorkers > 1 {
-		d.reconstructSharded(d.reconWorkers)
-	} else {
-		d.reconstructSequential()
+		tbl.InvScaledInto(&d.dst.planes[i].inv)
 	}
 	return d.finish()
 }
@@ -1041,6 +1036,7 @@ func (d *decoder) finish() error {
 	out.RestartInterval = d.ri
 	out.Progressive = f.progressive
 	out.maxH, out.maxV = f.maxH, f.maxV
+	out.pixPending = true
 	if len(f.comps) == 3 {
 		out.Sampling = classifySampling(f.comps)
 	}
@@ -1050,7 +1046,6 @@ func (d *decoder) finish() error {
 		out.planes[i].hs = c.h
 		out.planes[i].vs = c.v
 		out.planes[i].tq = c.tq
-		out.planes[i].pix = c.pix
 		out.coefs[i] = c.coefs
 		out.blocksX[i] = c.blocksX
 		out.blocksY[i] = c.blocksY

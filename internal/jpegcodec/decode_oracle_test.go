@@ -233,7 +233,9 @@ func TestRoundToSampleOracle(t *testing.T) {
 // kernel: every chroma plane upsampled to frame size in a pass of its
 // own (a division per pixel), then the per-pixel float color formula.
 // Frame-sized chroma is read one to one when the Cb plane is frame-sized.
+// It reads the pixel planes directly, so it reconstructs them first.
 func rgbOracle(d *Decoded) []uint8 {
+	d.reconstruct()
 	clamp8 := func(v float64) uint8 {
 		if v <= 0 {
 			return 0

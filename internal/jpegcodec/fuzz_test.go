@@ -157,10 +157,32 @@ func FuzzRequantize(f *testing.F) {
 		if err := DecodeInto(bytes.NewReader(data), &dec, &opts); err != nil {
 			return
 		}
+		luma := qtable.MustScale(qtable.StdLuminance, 60)
+		chroma := qtable.MustScale(qtable.StdChrominance, 60)
+		// The integer requantize pass must match the float chain it
+		// replaced on every grid the decoder accepts, hostile DC included.
+		for ci := 0; ci < dec.Components && oracleComparable(); ci++ {
+			from, ok := dec.QuantTables[dec.planes[ci].tq]
+			if !ok {
+				continue // Requantize reports the missing table below
+			}
+			to := &luma
+			if ci > 0 {
+				to = &chroma
+			}
+			src := dec.coefs[ci]
+			got, want := make([][64]int32, len(src)), make([][64]int32, len(src))
+			requantizeBlocks(got, src, &from, to, nil)
+			requantizeOracle(want, src, &from, to, nil)
+			for bi := range src {
+				if got[bi] != want[bi] {
+					t.Fatalf("component %d block %d: integer pass %v, float chain %v (source %v)",
+						ci, bi, got[bi], want[bi], src[bi])
+				}
+			}
+		}
 		var buf bytes.Buffer
-		err := Requantize(&buf, &dec, qtable.MustScale(qtable.StdLuminance, 60),
-			qtable.MustScale(qtable.StdChrominance, 60), nil)
-		if err != nil {
+		if err := Requantize(&buf, &dec, luma, chroma, nil); err != nil {
 			return // unsupported geometry / missing tables: error, not panic
 		}
 		// Whatever Requantize emits must be a well-formed stream with the

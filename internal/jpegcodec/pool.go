@@ -29,8 +29,7 @@ type encScratch struct {
 	coefs  [3][][64]int32      // per-component quantized coefficient grids
 	comps  [3]component        // component descriptors
 	refs   [3]*component       // backing array for the []*component slice
-	fwd    [2]qtable.FwdScaled // forward divisors (luma, chroma): fused per encode, plain steps in requantize
-	inv    [2]qtable.InvScaled // dequantize multipliers (requantize source tables)
+	fwd    [2]qtable.FwdScaled // fused forward divisors (luma, chroma), derived per encode
 	plane  []float64           // flat block-row plane for the batch transform stage
 }
 
@@ -89,9 +88,9 @@ func growFloats(b []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// planePool recycles flat block-row planes for the parallel batch
-// reconstruction workers (the sequential paths retain a plane on their
-// scratch/decoder instead).
+// planePool recycles flat block-row planes for pixel reconstruction,
+// one per worker (or one for the sequential pass); encode retains its
+// plane on encScratch instead.
 var planePool = sync.Pool{New: func() any { return new([]float64) }}
 
 // bufwPool recycles the buffered marker/scan writers.

@@ -9,10 +9,11 @@ package jpegcodec
 // scan (Ah == 0) delivers coefficients at reduced precision — values
 // shifted left by the point transform Al — and each refinement scan
 // (Ah == Al+1) appends exactly one more magnitude bit. The frame's
-// coefficient planes accumulate across scans and reconstruction runs
-// once, after the last scan (decoder.finishFrame) — which is also what
-// lets Requantize transcode progressive inputs: by then the planes are
-// in exactly the representation a baseline decode produces.
+// coefficient planes accumulate across scans and are complete after the
+// last scan (decoder.finishFrame); pixels reconstruct from them once, on
+// the first pixel read. That is also what lets Requantize transcode
+// progressive inputs: by then the planes are in exactly the
+// representation a baseline decode produces.
 //
 // The AC decoders carry an end-of-band run between blocks: an EOBn
 // symbol (RRRR = n < 15, SSSS = 0) encodes a run of 2^n plus n appended

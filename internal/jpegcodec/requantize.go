@@ -3,6 +3,7 @@ package jpegcodec
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/qtable"
 )
@@ -10,9 +11,9 @@ import (
 // Requantize re-encodes a decoded stream under new quantization tables
 // entirely in the coefficient domain: each quantized coefficient is
 // dequantized with the table it was coded with and requantized with the
-// new one, skipping the IDCT→pixels→DCT round trip and its second
-// generation loss. This is how a storage system retrofits DeepN-JPEG
-// tables onto an existing JPEG archive.
+// new one, in exact integer arithmetic, skipping the IDCT→pixels→DCT
+// round trip and its second generation loss. This is how a storage
+// system retrofits DeepN-JPEG tables onto an existing JPEG archive.
 //
 // The source may be any stream the decoder accepts — baseline
 // (interleaved or not) or progressive. Decoding normalizes them all to
@@ -33,8 +34,10 @@ import (
 // lever); a negative value strips restart markers and a positive one
 // replaces the interval. The source's APPn/COM segments (EXIF, ICC,
 // comments) are re-emitted in order unless opts.StripMetadata is set or
-// opts.Metadata supplies replacements. No DCT runs: requantization
-// touches coefficients only.
+// opts.Metadata supplies replacements. No DCT runs, neither here nor in
+// the DecodeInto that produced d: requantization reads coefficients
+// only, and d's pixels are never reconstructed unless a caller reads
+// them.
 func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Options) error {
 	if err := luma.Validate(); err != nil {
 		return fmt.Errorf("jpegcodec: requantize luma: %w", err)
@@ -69,11 +72,6 @@ func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Option
 	// Rebuild encoder components from the decoded coefficient planes,
 	// drawing descriptors and coefficient grids from the pooled encoder
 	// scratch: requantization sits in the same batch loops as encode.
-	// The tables convert to float form once per component — dequantize
-	// multipliers for the coded table, quantize divisors for the new one,
-	// both the plain integer steps since no transform scale applies here —
-	// so the per-block loop is one multiply and one divide per
-	// coefficient.
 	s := getEncScratch()
 	defer putEncScratch(s)
 	for i := 0; i < d.Components; i++ {
@@ -101,26 +99,10 @@ func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Option
 		if len(src) == 0 {
 			return fmt.Errorf("jpegcodec: component %d has no coefficients", i)
 		}
-		dequant := &s.inv[c.tq]
-		requant := &s.fwd[c.tq]
-		for j := range oldTbl {
-			dequant[j] = float64(oldTbl[j])
-			requant[j] = float64(newTbl[j])
-		}
 		c.blocksX, c.blocksY = bx, by
 		c.coefs = growCoefs(s.coefs[i], len(src))
 		s.coefs[i] = c.coefs
-		// Recode one block row at a time through the batch helpers: one
-		// dequantize broadcast into the flat plane, one fused requantize
-		// pass into the destination grid — the same bits the per-block
-		// dequantize+quantize chain produces.
-		s.plane = growFloats(s.plane, bx*64)
-		for lo := 0; lo < len(src); lo += bx {
-			hi := min(lo+bx, len(src))
-			run := src[lo:hi]
-			dequant.DequantizeBlocks(s.plane, run)
-			quantizeRunInto(c.coefs[lo:hi], s.plane[:len(run)*64], requant, o.ZeroMask)
-		}
+		requantizeBlocks(c.coefs, src, &oldTbl, newTbl, o.ZeroMask)
 	}
 	comps := s.components(d.Components)
 
@@ -138,4 +120,54 @@ func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Option
 	}
 
 	return encodeTail(w, d.W, d.H, comps, mcusX, mcusY, &o)
+}
+
+// requantizeBlocks recodes the blocks src, quantized with the steps from,
+// into dst under the steps to, which must lie in 1..256 (Requantize's
+// Validate allows 1..255): each coefficient c in band i becomes
+// round-half-away(c·from[i] / to[i]), computed exactly in int64, and the
+// bands mask zeroes come out zero (as if from[i] were 0).
+//
+// With q = to[i] and a = |c·from[i]|, the rounded magnitude ⌊a/q + ½⌋ is
+// ⌊n/q⌋ for n = a + ⌊q/2⌋ (for odd q the dropped half never carries).
+// Below 2²⁴, n/q is one multiply by the reciprocal m = ⌊2³²/q⌋ + 1 and a
+// shift: 2³² < m·q ≤ 2³² + 2⁸, so ⌊n·m / 2³²⌋ = ⌊n/q⌋ for every
+// n < 2²⁴ (Granlund and Montgomery, 1994, Theorem 4.2). That covers any
+// 8-bit-table source coefficient below 2¹⁵ in magnitude; larger ones (a
+// 16-bit source table, a hostile stream's accumulated DC) divide.
+//
+// It produces the bits of the float chain it replaced — dequantize to
+// float64, divide, round with quantize's tie snap — on every input,
+// which TestRequantizeIntegerOracle pins: a < 2⁴⁷ is exact in float64,
+// and a quotient that is not a tie sits at least 1/(2q) from a rounding
+// boundary, far outside both quantizeTieEps and the division's rounding
+// error. A rounded magnitude of 2³¹ or more, which only a hostile
+// stream's accumulated DC reaches, yields math.MinInt32, as the float
+// chain's out-of-range conversion did on amd64.
+func requantizeBlocks(dst, src [][64]int32, from, to *qtable.Table, mask *qtable.ZeroMask) {
+	var num, half [64]int64
+	var recip [64]uint64
+	for i := range num {
+		if mask == nil || !mask[i] {
+			num[i] = int64(from[i])
+		}
+		half[i] = int64(to[i] >> 1)
+		recip[i] = 1<<32/uint64(to[i]) + 1
+	}
+	for bi := range src {
+		s, d := &src[bi], &dst[bi]
+		for i := range 64 {
+			p := int64(s[i]) * num[i]
+			neg := p >> 63 // 0, or -1 when p < 0
+			n := (p ^ neg) - neg + half[i]
+			var r int64
+			if n < 1<<24 {
+				r = int64(uint64(n) * recip[i] >> 32)
+			} else if r = n / int64(to[i]); r > math.MaxInt32 {
+				d[i] = math.MinInt32
+				continue
+			}
+			d[i] = int32((r ^ neg) - neg)
+		}
+	}
 }

@@ -19,8 +19,10 @@ package jpegcodec
 //     entropy data, because the coder stuffs a 0x00 after every 0xFF it
 //     emits — then the segments decode concurrently, each on a pooled
 //     segment-bounded bitio.Reader with a fresh DC predictor. Block
-//     outputs land in disjoint regions of the coefficient grids and
-//     pixel planes, so workers share them without synchronization.
+//     outputs land in disjoint regions of the coefficient grids, so
+//     workers share them without synchronization. The pixel planes
+//     reconstruct later, on the first pixel read, with the same fan-out
+//     over block rows.
 //
 // Acceptance behavior is kept identical to the sequential paths: the
 // byte scan validates the RSTn sequence exactly like the sequential
@@ -53,6 +55,7 @@ import (
 	"io"
 
 	"repro/internal/bitio"
+	"repro/internal/imgutil"
 	"repro/internal/pipeline"
 )
 
@@ -264,8 +267,9 @@ scan:
 // segment-bounded reader, and every non-final segment must consume its
 // bytes exactly (leftovers are what the sequential reader would reject
 // at the next marker; data after the final MCU is ignored on both
-// paths). Reconstruction is deferred to finishFrame like every other
-// scan shape; reconWorkers records the fan-out it should reuse.
+// paths). Reconstruction is left to the first pixel read like on every
+// other scan shape; the Decoded's reconWorkers records the fan-out it
+// should reuse.
 func (d *decoder) scanSharded(scomps []*component, workers int) (byte, error) {
 	f := &d.frame
 	for _, c := range scomps {
@@ -308,24 +312,37 @@ func (d *decoder) scanSharded(scomps []*component, workers int) (byte, error) {
 	if err != nil {
 		return 0, firstShardError(err)
 	}
-	d.reconWorkers = workers
+	d.dst.reconWorkers = workers
 	return next, nil
 }
 
-// reconstructSharded runs the batched inverse stage with block-row
-// parallelism: rows are disjoint pixel regions over read-only
-// coefficients, so workers share the planes without synchronization.
-// Each worker checks a flat scratch plane out of planePool (the
-// sequential path reuses the decoder's retained plane instead).
-func (d *decoder) reconstructSharded(workers int) {
-	comps := d.frame.comps
-	rows := 0
-	var rowStart [3]int
-	for i, c := range comps {
-		rowStart[i] = rows
-		rows += c.blocksY
+// reconstruct fills the pixel planes from the coefficient grids with the
+// batched inverse stage — dequantize, inverse DCT, pixel store — once
+// per decode, on the first pixel read. When the entropy decode ran
+// sharded, reconstruction fans out the same way, over block rows: rows
+// are disjoint pixel regions over read-only coefficients, so workers
+// share the planes without synchronization. Each worker (or the calling
+// goroutine, sequentially) checks a flat scratch plane out of planePool.
+func (d *Decoded) reconstruct() {
+	if !d.pixPending {
+		return
 	}
-	planes := make([]*[]float64, pipeline.Workers(workers, rows))
+	d.pixPending = false
+	rows := 0
+	for i := range d.Components {
+		p := &d.planes[i]
+		p.pix = imgutil.GrowBytes(p.pix, p.w*p.h)
+		rows += d.blocksY[i]
+	}
+	if d.reconWorkers <= 1 {
+		plane := planePool.Get().(*[]float64)
+		for r := range rows {
+			d.reconstructRow(r, plane)
+		}
+		planePool.Put(plane)
+		return
+	}
+	planes := make([]*[]float64, pipeline.Workers(d.reconWorkers, rows))
 	for i := range planes {
 		planes[i] = planePool.Get().(*[]float64)
 	}
@@ -335,15 +352,23 @@ func (d *decoder) reconstructSharded(workers int) {
 		}
 	}()
 	// The callback cannot fail and the context is never canceled.
-	_ = pipeline.RunWorker(context.Background(), rows, workers, func(_ context.Context, w, i int) error {
-		ci := len(comps) - 1
-		for ci > 0 && i < rowStart[ci] {
-			ci--
-		}
-		c := comps[ci]
-		p := growFloats(*planes[w], c.blocksX*64)
-		*planes[w] = p
-		reconstructBlockRow(c, i-rowStart[ci], p)
+	_ = pipeline.RunWorker(context.Background(), rows, d.reconWorkers, func(_ context.Context, w, r int) error {
+		d.reconstructRow(r, planes[w])
 		return nil
 	})
+}
+
+// reconstructRow reconstructs block row r of the frame, counting the
+// components' block rows in component order, growing *plane to the
+// row's scratch size.
+func (d *Decoded) reconstructRow(r int, plane *[]float64) {
+	ci := 0
+	for r >= d.blocksY[ci] {
+		r -= d.blocksY[ci]
+		ci++
+	}
+	p := &d.planes[ci]
+	bx := d.blocksX[ci]
+	*plane = growFloats(*plane, bx*64)
+	reconstructBlockRow(p.pix, p.w, p.h, r, d.coefs[ci][r*bx:(r+1)*bx], &p.inv, *plane)
 }

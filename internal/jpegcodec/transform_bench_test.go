@@ -1,19 +1,24 @@
 package jpegcodec
 
 // Benchmarks for the full encode and decode pipelines on one 256×256
-// frame, for the pooled decode path and for the decode stages. Run with:
+// frame, for the pooled decode path and for the decode and requantize
+// stages. Run with:
 //
-//	go test ./internal/jpegcodec -run XXX -bench 'Transform|DecodePooled|DecodeStages' -benchmem
+//	go test ./internal/jpegcodec -run XXX -bench 'Transform|DecodePooled|DecodeStages|RequantizeStages' -benchmem
 //
 // EncodeTransform/DecodeTransform time the whole pipeline around the
 // block transform; DecodePooled isolates output-buffer reuse;
-// DecodeStages reports the decode read path stage by stage.
+// DecodeStages and RequantizeStages report the decode read path and the
+// archive requantize stage by stage.
 
 import (
 	"bytes"
+	"image/jpeg"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/imgutil"
+	"repro/internal/qtable"
 )
 
 func benchStream(b *testing.B, w, h int) []byte {
@@ -104,25 +109,33 @@ func BenchmarkTransformAANFullLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeStages splits the decode read path into its stages on
-// one 256×256 4:2:0 SynthNet frame, each reported in ns/px:
-//
-//   - decode: the whole DecodeInto — marker parse, entropy decode and
-//     reconstruction;
-//   - reconstruct: the reconstruction alone — dequantize, inverse DCT and
-//     pixel store over every component;
-//   - rgb: RGBInto — chroma upsampling and color conversion.
-//
-// decode − reconstruct is parse plus entropy decode.
-func BenchmarkDecodeStages(b *testing.B) {
+// synthFrame256 is the stage benchmarks' input: one 256×256 color
+// SynthNet frame.
+func synthFrame256(b *testing.B) *imgutil.RGB {
+	b.Helper()
 	train, _, err := dataset.Generate(dataset.Config{
 		Classes: 2, Size: 256, TrainPerClass: 1, TestPerClass: 1, Color: true, NoiseStd: 5, Seed: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	return train.Images[0]
+}
+
+// BenchmarkDecodeStages splits the decode read path into its stages on
+// one 256×256 4:2:0 SynthNet frame, each reported in ns/px:
+//
+//   - decode: DecodeInto — marker parse and entropy decode; it stops at
+//     the coefficients;
+//   - reconstruct: what the first pixel read after a decode runs —
+//     dequantize, inverse DCT and pixel store over every component;
+//   - rgb: RGBInto on reconstructed planes — chroma upsampling and
+//     color conversion.
+//
+// The three rows sum to DecodeInto followed by its first RGBInto.
+func BenchmarkDecodeStages(b *testing.B) {
 	var buf bytes.Buffer
-	if err := EncodeRGB(&buf, train.Images[0], &Options{Subsampling: Sub420}); err != nil {
+	if err := EncodeRGB(&buf, synthFrame256(b), &Options{Subsampling: Sub420}); err != nil {
 		b.Fatal(err)
 	}
 	stream := buf.Bytes()
@@ -147,24 +160,10 @@ func BenchmarkDecodeStages(b *testing.B) {
 		perPixel(b)
 	})
 	b.Run("reconstruct", func(b *testing.B) {
-		comps := make([]component, dec.Components)
-		for i := range comps {
-			c, p := &comps[i], &dec.planes[i]
-			c.w, c.hgt, c.pix = p.w, p.h, make([]uint8, p.w*p.h)
-			c.coefs, c.blocksX, c.blocksY = dec.coefs[i], dec.blocksX[i], dec.blocksY[i]
-			dec.QuantTables[p.tq].InvScaledInto(&c.inv)
-		}
-		var plane []float64
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for ci := range comps {
-				c := &comps[ci]
-				plane = growFloats(plane, c.blocksX*64)
-				for by := 0; by < c.blocksY; by++ {
-					reconstructBlockRow(c, by, plane)
-				}
-			}
+			dec.pixPending = true
+			dec.reconstruct()
 		}
 		perPixel(b)
 	})
@@ -174,6 +173,76 @@ func BenchmarkDecodeStages(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rgb = dec.RGBInto(rgb)
+		}
+		perPixel(b)
+	})
+}
+
+// BenchmarkRequantizeStages splits a coefficient-domain requantize into
+// its stages, each reported in ns/px. The source is the archive case:
+// one 256×256 SynthNet frame written by stdlib image/jpeg at quality 90
+// (4:2:0), requantized onto the QF-50 standard tables.
+//
+//   - decode: DecodeInto — marker parse and entropy decode;
+//   - requant: the integer requantize pass alone, over every component;
+//   - requantize: Requantize — that pass plus the Huffman emit.
+//
+// decode + requantize is one archive requantize; no pixel is
+// reconstructed on the way.
+func BenchmarkRequantizeStages(b *testing.B) {
+	var src bytes.Buffer
+	if err := jpeg.Encode(&src, synthFrame256(b).ToImage(), &jpeg.Options{Quality: 90}); err != nil {
+		b.Fatal(err)
+	}
+	stream := src.Bytes()
+	var dec Decoded
+	if err := DecodeInto(bytes.NewReader(stream), &dec, nil); err != nil {
+		b.Fatal(err)
+	}
+	luma := qtable.MustScale(qtable.StdLuminance, 50)
+	chroma := qtable.MustScale(qtable.StdChrominance, 50)
+	px := float64(dec.W * dec.H)
+	perPixel := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/px, "ns/px")
+	}
+	b.Run("decode", func(b *testing.B) {
+		var dst Decoded
+		r := bytes.NewReader(stream)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Reset(stream)
+			if err := DecodeInto(r, &dst, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perPixel(b)
+	})
+	b.Run("requant", func(b *testing.B) {
+		var dst [3][][64]int32
+		for ci := range dec.Components {
+			dst[ci] = make([][64]int32, len(dec.coefs[ci]))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for ci := range dec.Components {
+				old, to := dec.QuantTables[dec.planes[ci].tq], &luma
+				if ci > 0 {
+					to = &chroma
+				}
+				requantizeBlocks(dst[ci], dec.coefs[ci], &old, to, nil)
+			}
+		}
+		perPixel(b)
+	})
+	b.Run("requantize", func(b *testing.B) {
+		var out bytes.Buffer
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out.Reset()
+			if err := Requantize(&out, &dec, luma, chroma, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 		perPixel(b)
 	})

@@ -153,6 +153,7 @@ func TestDecodeEngineAgreement(t *testing.T) {
 		if err := DecodeInto(bytes.NewReader(stream), &dec, nil); err != nil {
 			t.Fatal(err)
 		}
+		dec.reconstruct() // the planes are read directly below
 		for ci := 0; ci < dec.Components; ci++ {
 			want := referencePlane(t, &dec, ci)
 			if worst := maxPixelDelta(t, dec.planes[ci].pix, want); worst > 1 {
@@ -229,7 +230,11 @@ func TestDecodedReset(t *testing.T) {
 	if err := DecodeInto(bytes.NewReader(stream), &dec, nil); err != nil {
 		t.Fatal(err)
 	}
+	dec.RGB() // pixels reconstruct on first read; grow the planes
 	pixCap := cap(dec.planes[0].pix)
+	if pixCap == 0 {
+		t.Fatal("RGB left the luma plane unallocated")
+	}
 	dec.Reset()
 	if dec.W != 0 || dec.H != 0 || dec.Components != 0 || len(dec.QuantTables) != 0 {
 		t.Fatalf("Reset left metadata behind: %+v", dec)
