@@ -80,8 +80,12 @@ progressive:
 # tests that hold the lookahead bit reader, the table-driven Huffman
 # decoder, the pixel store's rounding and the one-pass color conversion
 # to the formulations they replaced — as their own named leg, so a
-# decode regression is attributable at a glance. The race leg skips the
-# verdict pins (about 90 s under -race); this leg runs them.
+# decode regression is attributable at a glance. The Oracle pattern also
+# runs the encode-side oracles: the one-pass color conversion and chroma
+# subsampling (imgutil), and the quantizer's integer rounding and the
+# integer requantize pass (jpegcodec). The race leg skips the verdict
+# pins (about 90 s under -race) and the rounding oracle; this leg runs
+# them.
 decode:
 	$(GO) test -count 1 -run 'TestDecodeVerdictDigests|Oracle' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
 
@@ -124,7 +128,7 @@ fuzz-smoke:
 
 bench:
 	$(GO) test -run XXX -bench 'Transform|Batch' -benchmem ./internal/dct
-	$(GO) test -run XXX -bench 'Transform|DecodePooled|DecodeStages|RequantizeStages|EncodeRGB420|DecodeRGB420|Decode422|Requantize422|DecodeProgressive|RequantizeProgressive' -benchmem ./internal/jpegcodec
+	$(GO) test -run XXX -bench 'Transform|DecodePooled|EncodeStages|DecodeStages|RequantizeStages|EncodeRGB420|DecodeRGB420|Decode422|Requantize422|DecodeProgressive|RequantizeProgressive' -benchmem ./internal/jpegcodec
 	$(GO) test -run XXX -bench 'EncodeBatch|DecodeBatch|CalibrateParallel|DeepNEncodeThroughput' -benchmem ./
 	$(GO) test -run XXX -bench 'Index|BlobVerify|PullCacheHit' -benchmem ./internal/profilehub
 
@@ -135,7 +139,7 @@ bench:
 NEW ?= bench-new.txt
 BENCHCOUNT ?= 10
 bench-txt:
-	$(GO) test -run XXX -bench 'Transform|Batch|DecodeStages|RequantizeStages' -benchmem -count $(BENCHCOUNT) ./internal/dct ./internal/jpegcodec > $(NEW)
+	$(GO) test -run XXX -bench 'Transform|Batch|EncodeStages|DecodeStages|RequantizeStages' -benchmem -count $(BENCHCOUNT) ./internal/dct ./internal/jpegcodec > $(NEW)
 	@echo "wrote $(NEW)"
 
 # bench-json records the full benchmark sweep as a machine-readable

@@ -108,10 +108,20 @@ func TestDecodeBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestEncodeBatchPerItemErrors: images the encoder rejects fail as their
+// own items while the rest of the batch completes. A pixel buffer shorter
+// than W×H pixels must fail as an error, not panic the pool worker and
+// with it the process; a longer one must not be encoded from its prefix.
 func TestEncodeBatchPerItemErrors(t *testing.T) {
 	codec, images := batchCodec(t)
-	batch := append([]*Image{}, images[:4]...)
+	batch := append([]*Image{}, images[:6]...)
+	short, long := *images[1], *images[4]
+	short.Pix = short.Pix[:len(short.Pix)-3]
+	long.Pix = append(long.Pix[:len(long.Pix):len(long.Pix)], 0, 0, 0)
+	batch[1] = &short
 	batch[2] = NewImage(0, 0) // empty image: encoder rejects it
+	batch[4] = &long
+	bad := map[int]bool{1: true, 2: true, 4: true}
 	out, err := codec.EncodeBatch(context.Background(), batch, BatchOptions{Workers: 2})
 	if err == nil {
 		t.Fatal("expected a batch error")
@@ -120,11 +130,16 @@ func TestEncodeBatchPerItemErrors(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("error %T does not unwrap to *BatchError", err)
 	}
-	if len(be.Items) != 1 || be.Items[0].Index != 2 {
+	if len(be.Items) != len(bad) {
 		t.Fatalf("unexpected failed items %v", be.Items)
 	}
+	for _, it := range be.Items {
+		if !bad[it.Index] {
+			t.Fatalf("unexpected failed items %v", be.Items)
+		}
+	}
 	for i, data := range out {
-		if i == 2 {
+		if bad[i] {
 			if data != nil {
 				t.Fatal("failed item produced output")
 			}

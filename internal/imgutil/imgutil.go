@@ -9,6 +9,7 @@ import (
 	"image"
 	"image/color"
 	"math"
+	"math/bits"
 )
 
 // Gray is a single-plane 8-bit image in row-major order.
@@ -72,11 +73,17 @@ func clamp8(v float64) uint8 {
 	return uint8(v + 0.5)
 }
 
-// Planes holds the three JFIF YCbCr planes of an image at full resolution.
+// Planes holds the three JFIF YCbCr planes of an image. Y is always at
+// full resolution, W×H. Cb and Cr are CW×CH: full resolution after
+// FromRGB, box-subsampled after FromRGBSubsampled with a box larger
+// than 1×1.
 type Planes struct {
 	W, H      int
+	CW, CH    int // chroma plane dimensions
 	Y, Cb, Cr []uint8
 	Grayscale bool // true when the source had no chroma (Cb, Cr == nil)
+
+	rows []uint8 // one box row of full-resolution chroma: ry Cb rows, then ry Cr rows
 }
 
 // ToYCbCr converts an RGB image to full-resolution JFIF YCbCr planes using
@@ -87,22 +94,130 @@ func ToYCbCr(im *RGB) *Planes {
 	return p
 }
 
-// FromRGB converts im into p, reusing p's plane buffers when their
-// capacity suffices — the allocation-free path pooled encoders rely on.
-func (p *Planes) FromRGB(im *RGB) {
-	n := im.W * im.H
-	p.W, p.H, p.Grayscale = im.W, im.H, false
-	p.Y = GrowBytes(p.Y, n)
-	p.Cb = GrowBytes(p.Cb, n)
-	p.Cr = GrowBytes(p.Cr, n)
-	for i := 0; i < n; i++ {
-		r := float64(im.Pix[3*i])
-		g := float64(im.Pix[3*i+1])
-		b := float64(im.Pix[3*i+2])
-		p.Y[i] = clamp8(0.299*r + 0.587*g + 0.114*b)
-		p.Cb[i] = clamp8(-0.168736*r - 0.331264*g + 0.5*b + 128)
-		p.Cr[i] = clamp8(0.5*r - 0.418688*g - 0.081312*b + 128)
+// FromRGB converts im into p at full resolution, reusing p's plane
+// buffers when their capacity suffices: FromRGBSubsampled with a 1×1 box.
+func (p *Planes) FromRGB(im *RGB) { p.FromRGBSubsampled(im, 1, 1) }
+
+// FromRGBSubsampled converts im into p with Cb and Cr box-averaged over
+// rx×ry pixels, rounding half up, in one pass over the image. The planes
+// equal FromRGB followed by DownsampleInto on each chroma plane, but
+// full-resolution chroma only ever exists for the ry rows of one box
+// row. The box is one of the encoder's layouts — 1×1, 2×2, 2×1, 1×2 or
+// 4×1 — so it holds n = 1, 2 or 4 samples and the average is
+// (s + n/2) >> log₂n. p's buffers are reused when their capacity
+// suffices.
+func (p *Planes) FromRGBSubsampled(im *RGB, rx, ry int) {
+	w, h := im.W, im.H
+	cw, ch := (w+rx-1)/rx, (h+ry-1)/ry
+	p.W, p.H, p.CW, p.CH, p.Grayscale = w, h, cw, ch, false
+	p.Y = GrowBytes(p.Y, w*h)
+	p.Cb = GrowBytes(p.Cb, cw*ch)
+	p.Cr = GrowBytes(p.Cr, cw*ch)
+	if rx == 1 && ry == 1 {
+		convertRow(p.Y, p.Cb, p.Cr, im.Pix)
+		return
 	}
+	p.rows = GrowBytes(p.rows, 2*ry*w)
+	cb, cr := p.rows[:ry*w], p.rows[ry*w:]
+	for cy := range ch {
+		for dy := range ry {
+			o := dy * w
+			if sy := cy*ry + dy; sy < h {
+				convertRow(p.Y[sy*w:sy*w+w], cb[o:o+w], cr[o:o+w], im.Pix[3*sy*w:3*(sy*w+w)])
+			} else {
+				// The box hangs past the image: replicate its last row.
+				copy(cb[o:o+w], cb[o-w:o])
+				copy(cr[o:o+w], cr[o-w:o])
+			}
+		}
+		boxRow(p.Cb[cy*cw:cy*cw+cw], cb, w, rx, ry)
+		boxRow(p.Cr[cy*cw:cy*cw+cw], cr, w, rx, ry)
+	}
+}
+
+// The JFIF forward color transform, one table per source channel: entry
+// c holds exactly the float64 products of c and that channel's
+// coefficients in the per-pixel formula
+//
+//	Y  =  0.299·R + 0.587·G + 0.114·B
+//	Cb = −0.168736·R − 0.331264·G + 0.5·B + 128
+//	Cr =  0.5·R − 0.418688·G − 0.081312·B + 128
+//
+// in (Y, Cb, Cr) order, so a table read reproduces each multiply bit for
+// bit and only the additions, in the formula's order, remain per pixel.
+var rTerms, gTerms, bTerms [256][3]float64
+
+func init() {
+	for c := range 256 {
+		v := float64(c)
+		rTerms[c] = [3]float64{0.299 * v, -0.168736 * v, 0.5 * v}
+		gTerms[c] = [3]float64{0.587 * v, 0.331264 * v, 0.418688 * v}
+		bTerms[c] = [3]float64{0.114 * v, 0.5 * v, 0.081312 * v}
+	}
+}
+
+// luma returns the Y sample of one (R, G, B) pixel.
+func luma(r, g, b uint8) uint8 {
+	return clamp8(rTerms[r][0] + gTerms[g][0] + bTerms[b][0])
+}
+
+// convertRow converts len(y) interleaved RGB pixels into luma and
+// full-resolution chroma samples.
+func convertRow(y, cb, cr, rgb []uint8) {
+	n := len(y)
+	cb, cr, rgb = cb[:n], cr[:n], rgb[:3*n]
+	for x := range y {
+		px := rgb[3*x : 3*x+3 : 3*x+3]
+		r, g, b := px[0], px[1], px[2]
+		y[x] = luma(r, g, b)
+		rt, gt, bt := &rTerms[r], &gTerms[g], &bTerms[b]
+		cb[x] = clamp8(rt[1] - gt[1] + bt[1] + 128)
+		cr[x] = clamp8(rt[2] - gt[2] - bt[2] + 128)
+	}
+}
+
+// boxRow averages ry buffered rows of w samples into one row of
+// ceil(w/rx) samples. A box that hangs past the right margin replicates
+// column w−1.
+func boxRow(dst, rows []uint8, w, rx, ry int) {
+	full := w / rx
+	switch {
+	case rx == 2 && ry == 2:
+		a, b := rows[:2*full], rows[w:w+2*full]
+		for x := range full {
+			s := uint(a[2*x]) + uint(a[2*x+1]) + uint(b[2*x]) + uint(b[2*x+1])
+			dst[x] = uint8((s + 2) >> 2)
+		}
+	case rx == 2 && ry == 1:
+		a := rows[:2*full]
+		for x := range full {
+			dst[x] = uint8((uint(a[2*x]) + uint(a[2*x+1]) + 1) >> 1)
+		}
+	case rx == 1 && ry == 2:
+		a, b := rows[:full], rows[w:w+full]
+		for x := range full {
+			dst[x] = uint8((uint(a[x]) + uint(b[x]) + 1) >> 1)
+		}
+	case rx == 4 && ry == 1:
+		a := rows[:4*full]
+		for x := range full {
+			s := uint(a[4*x]) + uint(a[4*x+1]) + uint(a[4*x+2]) + uint(a[4*x+3])
+			dst[x] = uint8((s + 2) >> 2)
+		}
+	default:
+		panic(fmt.Sprintf("imgutil: %dx%d is not a chroma box layout", rx, ry))
+	}
+	if full == len(dst) {
+		return
+	}
+	n := uint(rx * ry)
+	s := uint(0)
+	for dy := range ry {
+		for dx := range rx {
+			s += uint(rows[dy*w+min(full*rx+dx, w-1)])
+		}
+	}
+	dst[full] = uint8((s + n/2) >> bits.TrailingZeros(n))
 }
 
 // GrowBytes returns a slice of length n, reusing b's backing array when
@@ -166,7 +281,8 @@ func (p *Planes) ToGray() *Gray {
 // averaging (rounding half up), the subsampling JPEG uses for chroma.
 // The output is ceil(w/rx)×ceil(h/ry); boxes that hang past the plane
 // replicate the final row/column, matching the 8×8 block edge-extension
-// policy. dst's backing array is reused when its capacity suffices.
+// policy. dst's backing array is reused when its capacity suffices. It is
+// the reference FromRGBSubsampled's fused averaging is held to.
 func DownsampleInto(dst, pix []uint8, w, h, rx, ry int) (out []uint8, ow, oh int) {
 	ow, oh = (w+rx-1)/rx, (h+ry-1)/ry
 	out = GrowBytes(dst, ow*oh)
@@ -295,12 +411,9 @@ func (im *RGB) ToImage() *image.RGBA {
 // ToGray converts an RGB image to grayscale via the BT.601 luma weights.
 func (im *RGB) ToGray() *Gray {
 	g := NewGray(im.W, im.H)
-	n := im.W * im.H
-	for i := 0; i < n; i++ {
-		r := float64(im.Pix[3*i])
-		gg := float64(im.Pix[3*i+1])
-		b := float64(im.Pix[3*i+2])
-		g.Pix[i] = clamp8(0.299*r + 0.587*gg + 0.114*b)
+	for i := range g.Pix {
+		px := im.Pix[3*i : 3*i+3 : 3*i+3]
+		g.Pix[i] = luma(px[0], px[1], px[2])
 	}
 	return g
 }

@@ -1,14 +1,34 @@
 package imgutil
 
 // Test oracles: the separate upsample pass and the per-pixel float color
-// conversion the decoder ran before YCbCrRowToRGB fused them, kept here
-// so the kernel can be checked against the formula it must reproduce
-// bit for bit.
+// conversion the decoder ran before YCbCrRowToRGB fused them, and the
+// per-pixel forward conversion the encoder ran before FromRGBSubsampled
+// read product tables and averaged chroma boxes in the same pass, kept
+// here so both kernels can be checked against the formulas they must
+// reproduce bit for bit.
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
+
+// fromRGBFormula converts im to full-resolution planes by evaluating the
+// JFIF forward formula per pixel.
+func fromRGBFormula(im *RGB) *Planes {
+	n := im.W * im.H
+	p := &Planes{W: im.W, H: im.H, CW: im.W, CH: im.H,
+		Y: make([]uint8, n), Cb: make([]uint8, n), Cr: make([]uint8, n)}
+	for i := 0; i < n; i++ {
+		r := float64(im.Pix[3*i])
+		g := float64(im.Pix[3*i+1])
+		b := float64(im.Pix[3*i+2])
+		p.Y[i] = clamp8(0.299*r + 0.587*g + 0.114*b)
+		p.Cb[i] = clamp8(-0.168736*r - 0.331264*g + 0.5*b + 128)
+		p.Cr[i] = clamp8(0.5*r - 0.418688*g - 0.081312*b + 128)
+	}
+	return p
+}
 
 // GrayPlanes wraps a grayscale image as a luma-only plane set.
 func GrayPlanes(g *Gray) *Planes {
@@ -104,6 +124,54 @@ func TestYCbCrRowToRGBOracle(t *testing.T) {
 					t.Fatalf("Y=%d Cb=%d Cr=%d: kernel %v, formula %v",
 						y, cb[i], cr[i], got[3*i:3*i+3], want.Pix[3*i:3*i+3])
 				}
+			}
+		}
+	}
+}
+
+// TestFromRGBSubsampledOracle holds the table-driven one-pass conversion
+// to the per-pixel formula. At 1×1 it runs every (R, G, B) triple
+// through FromRGB and ToGray; for every encode layout it compares seeded
+// random images, at sizes that leave partial boxes on either margin or
+// are smaller than the box, against the formula followed by
+// DownsampleInto. One Planes value is reused throughout, so stale pooled
+// buffers would show.
+func TestFromRGBSubsampledOracle(t *testing.T) {
+	var p Planes
+	const n = 1 << 16 // one row per R value: all (G, B) pairs
+	im := NewRGB(n, 1)
+	for r := range 256 {
+		for i := range n {
+			im.Pix[3*i], im.Pix[3*i+1], im.Pix[3*i+2] = uint8(r), uint8(i>>8), uint8(i)
+		}
+		p.FromRGB(im)
+		want := fromRGBFormula(im)
+		gray := im.ToGray()
+		for i := range n {
+			if p.Y[i] != want.Y[i] || p.Cb[i] != want.Cb[i] || p.Cr[i] != want.Cr[i] || gray.Pix[i] != want.Y[i] {
+				t.Fatalf("RGB (%d,%d,%d): tables Y/Cb/Cr %d/%d/%d, ToGray %d, formula %d/%d/%d",
+					r, i>>8, i&0xFF, p.Y[i], p.Cb[i], p.Cr[i], gray.Pix[i], want.Y[i], want.Cb[i], want.Cr[i])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(71))
+	sizes := [][2]int{{1, 1}, {2, 1}, {1, 2}, {3, 1}, {2, 2}, {3, 3}, {5, 4}, {7, 5}, {8, 8}, {9, 7}, {17, 9}, {31, 33}, {64, 48}}
+	for _, box := range [][2]int{{1, 1}, {2, 2}, {2, 1}, {1, 2}, {4, 1}} {
+		rx, ry := box[0], box[1]
+		for _, sz := range sizes {
+			w, h := sz[0], sz[1]
+			im := randRGB(rng, w, h)
+			p.FromRGBSubsampled(im, rx, ry)
+			want := fromRGBFormula(im)
+			cb, cw, ch := DownsampleInto(nil, want.Cb, w, h, rx, ry)
+			cr, _, _ := DownsampleInto(nil, want.Cr, w, h, rx, ry)
+			if p.W != w || p.H != h || p.CW != cw || p.CH != ch {
+				t.Fatalf("%dx%d box %dx%d: planes %dx%d chroma %dx%d, want %dx%d chroma %dx%d",
+					w, h, rx, ry, p.W, p.H, p.CW, p.CH, w, h, cw, ch)
+			}
+			if !bytes.Equal(p.Y, want.Y) || !bytes.Equal(p.Cb, cb) || !bytes.Equal(p.Cr, cr) {
+				t.Fatalf("%dx%d box %dx%d: one pass Y %v Cb %v Cr %v, formula+DownsampleInto %v %v %v",
+					w, h, rx, ry, p.Y, p.Cb, p.Cr, want.Y, cb, cr)
 			}
 		}
 	}

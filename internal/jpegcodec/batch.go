@@ -13,8 +13,9 @@ package jpegcodec
 //     eight-lane copy (ExtractBlock pays the clamp per pixel);
 //   - quantization runs as two passes over the whole run — a pure
 //     division pass whose independent divisions pipeline back to back,
-//     then a branch-free rounding pass (abs/floor/copysign instead of
-//     the sign branches the per-block quantizer takes per coefficient);
+//     then a rounding pass in integers, with the sign applied from the
+//     sign bit instead of the branches the per-block quantizer takes per
+//     coefficient;
 //   - dequantization broadcasts the 64 fused multipliers over the run,
 //     and pixels are stored row-contiguously with the clamp hoisted off
 //     the interior blocks.
@@ -70,13 +71,13 @@ func gatherBlockRow(plane []float64, pix []uint8, w, h, by, blocksX int) {
 }
 
 // quantizeRunInto quantizes len(dst) consecutive blocks from plane
-// through the fused divisors, quantize applied to every coefficient of
-// the run. plane is consumed (overwritten by the division pass).
+// through the fused divisors: every coefficient of the run divided by
+// its divisor and rounded by roundQuantized. plane is consumed
+// (overwritten by the division pass).
 // Two passes instead of one chain per coefficient: the divisions are
-// independent and saturate the divider, and the rounding pass replaces
-// the per-coefficient sign branches with abs/floor/copysign — same
-// bits out (quantize's tie snap included), no branch misprediction per
-// negative coefficient.
+// independent and saturate the divider, and the rounding pass has no
+// branch that depends on the coefficient's sign. The division stays a
+// division: a reciprocal multiply is not bit-exact.
 func quantizeRunInto(dst [][64]int32, plane []float64, tbl *qtable.FwdScaled, mask *qtable.ZeroMask) {
 	n := len(dst)
 	for bi := 0; bi < n; bi++ {
@@ -105,18 +106,26 @@ func quantizeRunInto(dst [][64]int32, plane []float64, tbl *qtable.FwdScaled, ma
 }
 
 // roundQuantized rounds an already-divided coefficient half away from
-// zero with quantize's tie snap. It must agree with quantize(c, q) for
-// v = c/q on every input — pinned by TestQuantizeRunMatchesPerBlock —
-// and differs only in shape: math.Abs/math.Copysign are branch-free
-// intrinsics where quantize branches on the sign twice.
+// zero, snapping a value within quantizeTieEps below a rounding boundary
+// up onto it. It works in integers: r = |v| + 0.5 rounds down by
+// truncation, which is floor for r > 0, and v's sign bit s applies as
+// (t ^ s) − s. A magnitude that rounds to 2³¹ or more, and NaN, yield
+// MinInt32, as the float formulation in the tests does on amd64;
+// TestRoundQuantizedOracle holds the two bit for bit. Below 2³¹ the snap
+// cannot carry t past MaxInt32: from 2³⁰ up, r − t is a multiple of
+// 2⁻²² and stays below 1 − quantizeTieEps.
 func roundQuantized(v float64) int32 {
-	a := math.Abs(v)
-	r := a + 0.5
-	m := math.Floor(r)
-	if r-m > 1-quantizeTieEps {
-		m++
+	b := math.Float64bits(v)
+	r := math.Float64frombits(b&^(1<<63)) + 0.5
+	if !(r < 1<<31) {
+		return math.MinInt32
 	}
-	return int32(math.Copysign(m, v))
+	t := int32(r)
+	if r-float64(t) > 1-quantizeTieEps {
+		t++
+	}
+	s := int32(int64(b) >> 63) // 0, or −1 when the sign bit is set
+	return (t ^ s) - s
 }
 
 // roundToSample rounds v half away from zero and clamps it to [0, 255]:

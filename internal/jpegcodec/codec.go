@@ -24,7 +24,6 @@ package jpegcodec
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/qtable"
 )
@@ -292,7 +291,7 @@ type component struct {
 }
 
 // quantizeTieEps is the half-width of the rounding-boundary snap band in
-// quantize. The AAN butterflies and the folded divisors agree with the
+// roundQuantized. The AAN butterflies and the folded divisors agree with the
 // exact orthonormal DCT to ~1e-12 per coefficient, so any value within
 // 1e-9 of a rounding boundary is treated as sitting exactly on it;
 // without the snap, a coefficient whose exact value lands on a boundary
@@ -300,29 +299,6 @@ type component struct {
 // the emitted coefficients would no longer equal the quantized
 // dct.ForwardReference transform the reference tests hold them to.
 const quantizeTieEps = 1e-9
-
-// quantize rounds coef/step half away from zero, the quantizer in T.81 and
-// Eq. (1) of the paper's JPEG description. q is a fused divisor — the
-// quantization step with the transform scale factor already folded in.
-// Ties within quantizeTieEps of the boundary round deterministically away
-// from zero regardless of the rounding error the folding introduced.
-func quantize(c float64, q float64) int32 {
-	v := c / q
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	r := v + 0.5
-	m := math.Floor(r)
-	if r-m > 1-quantizeTieEps {
-		m++
-	}
-	out := int32(m)
-	if neg {
-		out = -out
-	}
-	return out
-}
 
 // bitCategory returns the JPEG magnitude category of v: the number of bits
 // needed to represent |v| (0 for v == 0).

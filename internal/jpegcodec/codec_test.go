@@ -386,6 +386,53 @@ func TestEncodeErrors(t *testing.T) {
 	}
 }
 
+// TestEncodePixelBufferSize holds EncodeRGB and EncodeGray to their
+// images' documented buffer sizes, 3·W·H and W·H: a short buffer is an
+// error rather than an index panic, and a long one is an error rather
+// than silently encoding a prefix. The 65535² rows would need a buffer
+// of about 12 GB; the size is computed in int64, so they are rejected
+// where int is 32 bits as well.
+func TestEncodePixelBufferSize(t *testing.T) {
+	rgb := func(w, h, n int) *imgutil.RGB { return &imgutil.RGB{W: w, H: h, Pix: make([]uint8, n)} }
+	gray := func(w, h, n int) *imgutil.Gray { return &imgutil.Gray{W: w, H: h, Pix: make([]uint8, n)} }
+	cases := []struct {
+		name    string
+		image   any
+		wantErr bool
+	}{
+		{"rgb exact", rgb(9, 7, 3*9*7), false},
+		{"rgb short", rgb(9, 7, 3*9*7-1), true},
+		{"rgb long", rgb(9, 7, 3*9*7+1), true},
+		{"rgb nil", &imgutil.RGB{W: 9, H: 7}, true},
+		{"rgb gray-sized", rgb(9, 7, 9*7), true},
+		{"rgb 65535 square", rgb(0xFFFF, 0xFFFF, 64), true},
+		{"gray exact", gray(9, 7, 9*7), false},
+		{"gray short", gray(9, 7, 9*7-1), true},
+		{"gray long", gray(9, 7, 9*7+1), true},
+		{"gray nil", &imgutil.Gray{W: 9, H: 7}, true},
+		{"gray rgb-sized", gray(9, 7, 3*9*7), true},
+		{"gray 65535 square", gray(0xFFFF, 0xFFFF, 64), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			var err error
+			switch im := tc.image.(type) {
+			case *imgutil.RGB:
+				err = EncodeRGB(&buf, im, nil)
+			case *imgutil.Gray:
+				err = EncodeGray(&buf, im, nil)
+			}
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if err != nil && buf.Len() != 0 {
+				t.Fatalf("rejected image wrote %d bytes", buf.Len())
+			}
+		})
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":       {},

@@ -13,11 +13,8 @@ import (
 // EncodeRGB writes img as a baseline JFIF stream. A nil opts uses defaults
 // (4:2:0, Annex-K tables, standard Huffman).
 func EncodeRGB(w io.Writer, img *imgutil.RGB, opts *Options) error {
-	if img.W <= 0 || img.H <= 0 {
-		return fmt.Errorf("jpegcodec: empty image %dx%d", img.W, img.H)
-	}
-	if img.W > 0xFFFF || img.H > 0xFFFF {
-		return fmt.Errorf("jpegcodec: image %dx%d exceeds 65535 limit", img.W, img.H)
+	if err := checkImage(img.W, img.H, len(img.Pix), 3); err != nil {
+		return err
 	}
 	var o Options
 	if opts != nil {
@@ -30,10 +27,6 @@ func EncodeRGB(w io.Writer, img *imgutil.RGB, opts *Options) error {
 	if err := o.ChromaTable.Validate(); err != nil {
 		return err
 	}
-
-	s := getEncScratch()
-	defer putEncScratch(s)
-	s.planes.FromRGB(img)
 	// The luma sampling factors double as the chroma box-downsample
 	// ratios: 4:2:0 → 2×2 luma and 2×2 chroma reduction, 4:2:2 → 2×1,
 	// 4:4:0 → 1×2, 4:1:1 → 4×1, 4:4:4 → no reduction.
@@ -41,27 +34,29 @@ func EncodeRGB(w io.Writer, img *imgutil.RGB, opts *Options) error {
 	if !ok {
 		return fmt.Errorf("jpegcodec: subsampling %v is not an encode option", o.Subsampling)
 	}
-	s.comps[0] = component{id: 1, h: h, v: v, tq: 0, td: 0, ta: 0, w: img.W, hgt: img.H, pix: s.planes.Y}
-	cw, ch := img.W, img.H
-	cb, cr := s.planes.Cb, s.planes.Cr
-	if h > 1 || v > 1 {
-		s.cb, cw, ch = imgutil.DownsampleInto(s.cb, s.planes.Cb, img.W, img.H, h, v)
-		s.cr, _, _ = imgutil.DownsampleInto(s.cr, s.planes.Cr, img.W, img.H, h, v)
-		cb, cr = s.cb, s.cr
-	}
-	s.comps[1] = component{id: 2, h: 1, v: 1, tq: 1, td: 1, ta: 1, w: cw, hgt: ch, pix: cb}
-	s.comps[2] = component{id: 3, h: 1, v: 1, tq: 1, td: 1, ta: 1, w: cw, hgt: ch, pix: cr}
-	return encode(w, img.W, img.H, s.components(3), &o, s)
+
+	s := getEncScratch()
+	defer putEncScratch(s)
+	return encode(w, img.W, img.H, s.rgbComponents(img, h, v), &o, s)
+}
+
+// rgbComponents converts img into the scratch planes, luma at full
+// resolution and chroma box-subsampled h×v, and describes them as the
+// three frame components with luma sampling factors h×v.
+func (s *encScratch) rgbComponents(img *imgutil.RGB, h, v int) []*component {
+	p := &s.planes
+	p.FromRGBSubsampled(img, h, v)
+	s.comps[0] = component{id: 1, h: h, v: v, tq: 0, td: 0, ta: 0, w: img.W, hgt: img.H, pix: p.Y}
+	s.comps[1] = component{id: 2, h: 1, v: 1, tq: 1, td: 1, ta: 1, w: p.CW, hgt: p.CH, pix: p.Cb}
+	s.comps[2] = component{id: 3, h: 1, v: 1, tq: 1, td: 1, ta: 1, w: p.CW, hgt: p.CH, pix: p.Cr}
+	return s.components(3)
 }
 
 // EncodeGray writes img as a single-component baseline JFIF stream. Only
 // the luma quantization table is used.
 func EncodeGray(w io.Writer, img *imgutil.Gray, opts *Options) error {
-	if img.W <= 0 || img.H <= 0 {
-		return fmt.Errorf("jpegcodec: empty image %dx%d", img.W, img.H)
-	}
-	if img.W > 0xFFFF || img.H > 0xFFFF {
-		return fmt.Errorf("jpegcodec: image %dx%d exceeds 65535 limit", img.W, img.H)
+	if err := checkImage(img.W, img.H, len(img.Pix), 1); err != nil {
+		return err
 	}
 	var o Options
 	if opts != nil {
@@ -77,6 +72,24 @@ func EncodeGray(w io.Writer, img *imgutil.Gray, opts *Options) error {
 	return encode(w, img.W, img.H, s.components(1), &o, s)
 }
 
+// checkImage rejects a w×h image the encoder cannot write: empty, wider
+// or taller than a SOF can declare, or with a pixel buffer that does not
+// hold exactly channels·w·h samples. The size is computed in int64 so
+// it cannot overflow where int is 32 bits.
+func checkImage(w, h, pixLen, channels int) error {
+	if w <= 0 || h <= 0 {
+		return fmt.Errorf("jpegcodec: empty image %dx%d", w, h)
+	}
+	if w > 0xFFFF || h > 0xFFFF {
+		return fmt.Errorf("jpegcodec: image %dx%d exceeds 65535 limit", w, h)
+	}
+	if want := int64(channels) * int64(w) * int64(h); int64(pixLen) != want {
+		return fmt.Errorf("jpegcodec: %dx%d image with %d channels holds %d pixel bytes, want %d",
+			w, h, channels, pixLen, want)
+	}
+	return nil
+}
+
 // encode runs the shared encoding pipeline: coefficient computation,
 // optional Huffman optimization, then marker and scan emission. scratch
 // holds the fused divisors, the block-row plane and the coefficient
@@ -85,13 +98,21 @@ func encode(w io.Writer, width, height int, comps []*component, o *Options, scra
 	if err := validateRestartInterval(o.RestartInterval); err != nil {
 		return err
 	}
+	mcusX, mcusY := transformComponents(width, height, comps, o, scratch)
+	return encodeTail(w, width, height, comps, mcusX, mcusY, o)
+}
+
+// transformComponents computes the quantized coefficients of every
+// component over the MCU-padded block grid and returns that grid's size
+// in MCUs.
+func transformComponents(width, height int, comps []*component, o *Options, scratch *encScratch) (mcusX, mcusY int) {
 	maxH, maxV := 1, 1
 	for _, c := range comps {
 		maxH = max(maxH, c.h)
 		maxV = max(maxV, c.v)
 	}
-	mcusX := (width + 8*maxH - 1) / (8 * maxH)
-	mcusY := (height + 8*maxV - 1) / (8 * maxV)
+	mcusX = (width + 8*maxH - 1) / (8 * maxH)
+	mcusY = (height + 8*maxV - 1) / (8 * maxV)
 
 	// Fold the transform's scale factors into both tables once per call,
 	// never per block.
@@ -110,7 +131,7 @@ func encode(w io.Writer, width, height int, comps []*component, o *Options, scra
 		scratch.plane = growFloats(scratch.plane, c.blocksX*64)
 		transformComponent(c, &fwd[c.tq], o.ZeroMask, scratch.plane)
 	}
-	return encodeTail(w, width, height, comps, mcusX, mcusY, o)
+	return mcusX, mcusY
 }
 
 // encodeTail chooses Huffman tables and emits the complete stream for

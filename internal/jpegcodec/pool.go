@@ -11,9 +11,9 @@ import (
 )
 
 // This file holds the pooled per-call working set of the codec. Encoding
-// an image needs three YCbCr planes, subsampled chroma planes, one
-// coefficient array per component, a marker writer, and an entropy bit
-// writer; decoding needs a buffered reader, an entropy bit reader,
+// an image needs a luma plane, two chroma planes (subsampled unless
+// 4:4:4), one coefficient array per component, a marker writer, and an
+// entropy bit writer; decoding needs a buffered reader, an entropy bit reader,
 // segment payload and Huffman-table scratch — all of it state that dies
 // with the call. Re-allocating it per image dominates the allocation
 // profile once the codec sits in a batch pipeline's inner loop, so every
@@ -24,8 +24,7 @@ import (
 
 // encScratch is the reusable working set of one encode call.
 type encScratch struct {
-	planes imgutil.Planes      // full-resolution YCbCr conversion buffers
-	cb, cr []uint8             // 4:2:0 subsampled chroma buffers
+	planes imgutil.Planes      // Y and subsampled Cb/Cr conversion buffers
 	coefs  [3][][64]int32      // per-component quantized coefficient grids
 	comps  [3]component        // component descriptors
 	refs   [3]*component       // backing array for the []*component slice

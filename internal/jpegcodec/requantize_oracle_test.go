@@ -11,18 +11,24 @@ import (
 
 // requantizeOracle is the float chain requantizeBlocks replaced: the
 // source blocks dequantized by the plain coded steps (DequantizeBlocks
-// over multipliers that are the steps themselves), then quantizeRunInto
-// by the plain new steps, with its tie-snapped rounding.
+// over multipliers that are the steps themselves), then divided by the
+// plain new steps and rounded by roundQuantizedFloat, the tie-snapped
+// rounding quantizeRunInto ran when the integer pass replaced the chain.
 func requantizeOracle(dst, src [][64]int32, from, to *qtable.Table, mask *qtable.ZeroMask) {
 	var dequant qtable.InvScaled
-	var requant qtable.FwdScaled
 	for i := range from {
 		dequant[i] = float64(from[i])
-		requant[i] = float64(to[i])
 	}
 	plane := make([]float64, len(src)*64)
 	dequant.DequantizeBlocks(plane, src)
-	quantizeRunInto(dst, plane, &requant, mask)
+	for bi := range dst {
+		for i := range 64 {
+			dst[bi][i] = 0
+			if mask == nil || !mask[i] {
+				dst[bi][i] = roundQuantizedFloat(plane[bi*64+i] / float64(to[i]))
+			}
+		}
+	}
 }
 
 // oracleComparable reports whether the float oracle is defined on every

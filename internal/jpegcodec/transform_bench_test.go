@@ -1,15 +1,16 @@
 package jpegcodec
 
 // Benchmarks for the full encode and decode pipelines on one 256×256
-// frame, for the pooled decode path and for the decode and requantize
-// stages. Run with:
+// frame, for the pooled decode path and for the encode, decode and
+// requantize stages. Run with:
 //
-//	go test ./internal/jpegcodec -run XXX -bench 'Transform|DecodePooled|DecodeStages|RequantizeStages' -benchmem
+//	go test ./internal/jpegcodec -run XXX -bench 'Transform|DecodePooled|EncodeStages|DecodeStages|RequantizeStages' -benchmem
 //
 // EncodeTransform/DecodeTransform time the whole pipeline around the
 // block transform; DecodePooled isolates output-buffer reuse;
-// DecodeStages and RequantizeStages report the decode read path and the
-// archive requantize stage by stage.
+// EncodeStages, DecodeStages and RequantizeStages report the encode
+// write path, the decode read path and the archive requantize stage by
+// stage.
 
 import (
 	"bytes"
@@ -122,6 +123,56 @@ func synthFrame256(b *testing.B) *imgutil.RGB {
 	return train.Images[0]
 }
 
+// perPixel reports a stage benchmark's mean time per pixel of a frame of
+// px pixels.
+func perPixel(b *testing.B, px float64) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/px, "ns/px")
+}
+
+// BenchmarkEncodeStages splits EncodeRGB into its stages on one 256×256
+// 4:2:0 SynthNet frame, each reported in ns/px:
+//
+//   - color: the one-pass color conversion and chroma subsampling;
+//   - transform: gather, forward DCT and quantize for every component;
+//   - emit: encodeTail — Huffman emit and markers.
+//
+// The three rows sum to roughly one EncodeRGB.
+func BenchmarkEncodeStages(b *testing.B) {
+	img := synthFrame256(b)
+	o := Options{Subsampling: Sub420}.withDefaults()
+	h, v, _ := o.Subsampling.factors()
+	s := getEncScratch()
+	defer putEncScratch(s)
+	comps := s.rgbComponents(img, h, v)
+	mcusX, mcusY := transformComponents(img.W, img.H, comps, &o, s)
+	px := float64(img.W * img.H)
+	b.Run("color", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.rgbComponents(img, h, v)
+		}
+		perPixel(b, px)
+	})
+	b.Run("transform", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			transformComponents(img.W, img.H, comps, &o, s)
+		}
+		perPixel(b, px)
+	})
+	b.Run("emit", func(b *testing.B) {
+		var out bytes.Buffer
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			out.Reset()
+			if err := encodeTail(&out, img.W, img.H, comps, mcusX, mcusY, &o); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perPixel(b, px)
+	})
+}
+
 // BenchmarkDecodeStages splits the decode read path into its stages on
 // one 256×256 4:2:0 SynthNet frame, each reported in ns/px:
 //
@@ -144,9 +195,6 @@ func BenchmarkDecodeStages(b *testing.B) {
 		b.Fatal(err)
 	}
 	px := float64(dec.W * dec.H)
-	perPixel := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/px, "ns/px")
-	}
 	b.Run("decode", func(b *testing.B) {
 		var dst Decoded
 		r := bytes.NewReader(stream)
@@ -157,7 +205,7 @@ func BenchmarkDecodeStages(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		perPixel(b)
+		perPixel(b, px)
 	})
 	b.Run("reconstruct", func(b *testing.B) {
 		b.ReportAllocs()
@@ -165,7 +213,7 @@ func BenchmarkDecodeStages(b *testing.B) {
 			dec.pixPending = true
 			dec.reconstruct()
 		}
-		perPixel(b)
+		perPixel(b, px)
 	})
 	b.Run("rgb", func(b *testing.B) {
 		rgb := dec.RGBInto(nil)
@@ -174,7 +222,7 @@ func BenchmarkDecodeStages(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			rgb = dec.RGBInto(rgb)
 		}
-		perPixel(b)
+		perPixel(b, px)
 	})
 }
 
@@ -202,9 +250,6 @@ func BenchmarkRequantizeStages(b *testing.B) {
 	luma := qtable.MustScale(qtable.StdLuminance, 50)
 	chroma := qtable.MustScale(qtable.StdChrominance, 50)
 	px := float64(dec.W * dec.H)
-	perPixel := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/px, "ns/px")
-	}
 	b.Run("decode", func(b *testing.B) {
 		var dst Decoded
 		r := bytes.NewReader(stream)
@@ -215,7 +260,7 @@ func BenchmarkRequantizeStages(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		perPixel(b)
+		perPixel(b, px)
 	})
 	b.Run("requant", func(b *testing.B) {
 		var dst [3][][64]int32
@@ -233,7 +278,7 @@ func BenchmarkRequantizeStages(b *testing.B) {
 				requantizeBlocks(dst[ci], dec.coefs[ci], &old, to, nil)
 			}
 		}
-		perPixel(b)
+		perPixel(b, px)
 	})
 	b.Run("requantize", func(b *testing.B) {
 		var out bytes.Buffer
@@ -244,6 +289,6 @@ func BenchmarkRequantizeStages(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		perPixel(b)
+		perPixel(b, px)
 	})
 }

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Full pre-merge gate: gofmt, vet, build, the complete test suite under
-# the race detector, the decode verdict pins and oracles, the
-# paper-numbers bands, the perfbench module, and a short native-fuzz
-# smoke of the decoder and requantizer. Equivalent to `make check` for
-# environments without make.
+# the race detector, the decode verdict pins and the decode and encode
+# kernel oracles, the paper-numbers bands, the perfbench module, and a
+# short native-fuzz smoke of the decoder and requantizer. Equivalent to
+# `make check` for environments without make.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -20,7 +20,10 @@ GOARCH=386 go build ./...
 GOARCH=386 go vet ./...
 go test -race ./...
 # Decode read path (the verdict pins skip under -race): cross-commit
-# pixel/coefficient/error pins and the kernel oracles.
+# pixel/coefficient/error pins and the kernel oracles — decode side, and
+# on the encode side the one-pass color conversion and chroma
+# subsampling and the quantizer's integer rounding (which also skips
+# under -race).
 go test -count 1 -run 'TestDecodeVerdictDigests|Oracle' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
 # Paper numbers (skipped under -race): Figs. 2a/3/5/7 headline values
 # held to tolerance bands.
