@@ -74,12 +74,11 @@ func clamp8(v float64) uint8 {
 }
 
 // Planes holds the three JFIF YCbCr planes of an image. Y is always at
-// full resolution, W×H. Cb and Cr are CW×CH: full resolution after
-// FromRGB, box-subsampled after FromRGBSubsampled with a box larger
-// than 1×1.
+// full resolution, W×H. Cb and Cr are full resolution after FromRGB and
+// box-subsampled, at the size it returns, after FromRGBSubsampled with a
+// box larger than 1×1.
 type Planes struct {
 	W, H      int
-	CW, CH    int // chroma plane dimensions
 	Y, Cb, Cr []uint8
 	Grayscale bool // true when the source had no chroma (Cb, Cr == nil)
 
@@ -99,23 +98,23 @@ func ToYCbCr(im *RGB) *Planes {
 func (p *Planes) FromRGB(im *RGB) { p.FromRGBSubsampled(im, 1, 1) }
 
 // FromRGBSubsampled converts im into p with Cb and Cr box-averaged over
-// rx×ry pixels, rounding half up, in one pass over the image. The planes
-// equal FromRGB followed by DownsampleInto on each chroma plane, but
-// full-resolution chroma only ever exists for the ry rows of one box
-// row. The box is one of the encoder's layouts — 1×1, 2×2, 2×1, 1×2 or
-// 4×1 — so it holds n = 1, 2 or 4 samples and the average is
-// (s + n/2) >> log₂n. p's buffers are reused when their capacity
-// suffices.
-func (p *Planes) FromRGBSubsampled(im *RGB, rx, ry int) {
+// rx×ry pixels, rounding half up, in one pass over the image, and returns
+// the chroma planes' size. The planes equal FromRGB followed by
+// DownsampleInto on each chroma plane, but full-resolution chroma only
+// ever exists for the ry rows of one box row. The box must hold a power
+// of two n = rx·ry samples — the encoder's layouts 1×1, 2×2, 2×1, 1×2
+// and 4×1 hold 1, 2 or 4 — so the average is (s + n/2) >> log₂n. p's
+// buffers are reused when their capacity suffices.
+func (p *Planes) FromRGBSubsampled(im *RGB, rx, ry int) (cw, ch int) {
 	w, h := im.W, im.H
-	cw, ch := (w+rx-1)/rx, (h+ry-1)/ry
-	p.W, p.H, p.CW, p.CH, p.Grayscale = w, h, cw, ch, false
+	cw, ch = (w+rx-1)/rx, (h+ry-1)/ry
+	p.W, p.H, p.Grayscale = w, h, false
 	p.Y = GrowBytes(p.Y, w*h)
 	p.Cb = GrowBytes(p.Cb, cw*ch)
 	p.Cr = GrowBytes(p.Cr, cw*ch)
 	if rx == 1 && ry == 1 {
 		convertRow(p.Y, p.Cb, p.Cr, im.Pix)
-		return
+		return cw, ch
 	}
 	p.rows = GrowBytes(p.rows, 2*ry*w)
 	cb, cr := p.rows[:ry*w], p.rows[ry*w:]
@@ -133,6 +132,7 @@ func (p *Planes) FromRGBSubsampled(im *RGB, rx, ry int) {
 		boxRow(p.Cb[cy*cw:cy*cw+cw], cb, w, rx, ry)
 		boxRow(p.Cr[cy*cw:cy*cw+cw], cr, w, rx, ry)
 	}
+	return cw, ch
 }
 
 // The JFIF forward color transform, one table per source channel: entry
@@ -178,46 +178,30 @@ func convertRow(y, cb, cr, rgb []uint8) {
 
 // boxRow averages ry buffered rows of w samples into one row of
 // ceil(w/rx) samples. A box that hangs past the right margin replicates
-// column w−1.
+// column w−1. The 2×2 box of 4:2:0, the default layout and the one the
+// benchmark encodes, has its own loop over the boxes that fit; every
+// other box, and a 2×2 box at the margin, sums its samples generically.
 func boxRow(dst, rows []uint8, w, rx, ry int) {
-	full := w / rx
-	switch {
-	case rx == 2 && ry == 2:
-		a, b := rows[:2*full], rows[w:w+2*full]
-		for x := range full {
+	x0 := 0
+	if rx == 2 && ry == 2 {
+		x0 = w / 2
+		a, b := rows[:2*x0], rows[w:w+2*x0]
+		for x := range x0 {
 			s := uint(a[2*x]) + uint(a[2*x+1]) + uint(b[2*x]) + uint(b[2*x+1])
 			dst[x] = uint8((s + 2) >> 2)
 		}
-	case rx == 2 && ry == 1:
-		a := rows[:2*full]
-		for x := range full {
-			dst[x] = uint8((uint(a[2*x]) + uint(a[2*x+1]) + 1) >> 1)
-		}
-	case rx == 1 && ry == 2:
-		a, b := rows[:full], rows[w:w+full]
-		for x := range full {
-			dst[x] = uint8((uint(a[x]) + uint(b[x]) + 1) >> 1)
-		}
-	case rx == 4 && ry == 1:
-		a := rows[:4*full]
-		for x := range full {
-			s := uint(a[4*x]) + uint(a[4*x+1]) + uint(a[4*x+2]) + uint(a[4*x+3])
-			dst[x] = uint8((s + 2) >> 2)
-		}
-	default:
-		panic(fmt.Sprintf("imgutil: %dx%d is not a chroma box layout", rx, ry))
-	}
-	if full == len(dst) {
-		return
 	}
 	n := uint(rx * ry)
-	s := uint(0)
-	for dy := range ry {
-		for dx := range rx {
-			s += uint(rows[dy*w+min(full*rx+dx, w-1)])
+	shift := bits.TrailingZeros(n)
+	for x := x0; x < len(dst); x++ {
+		s := uint(0)
+		for dy := range ry {
+			for dx := range rx {
+				s += uint(rows[dy*w+min(x*rx+dx, w-1)])
+			}
 		}
+		dst[x] = uint8((s + n/2) >> shift)
 	}
-	dst[full] = uint8((s + n/2) >> bits.TrailingZeros(n))
 }
 
 // GrowBytes returns a slice of length n, reusing b's backing array when

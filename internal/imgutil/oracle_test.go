@@ -17,8 +17,7 @@ import (
 // JFIF forward formula per pixel.
 func fromRGBFormula(im *RGB) *Planes {
 	n := im.W * im.H
-	p := &Planes{W: im.W, H: im.H, CW: im.W, CH: im.H,
-		Y: make([]uint8, n), Cb: make([]uint8, n), Cr: make([]uint8, n)}
+	p := &Planes{W: im.W, H: im.H, Y: make([]uint8, n), Cb: make([]uint8, n), Cr: make([]uint8, n)}
 	for i := 0; i < n; i++ {
 		r := float64(im.Pix[3*i])
 		g := float64(im.Pix[3*i+1])
@@ -161,13 +160,13 @@ func TestFromRGBSubsampledOracle(t *testing.T) {
 		for _, sz := range sizes {
 			w, h := sz[0], sz[1]
 			im := randRGB(rng, w, h)
-			p.FromRGBSubsampled(im, rx, ry)
+			gotW, gotH := p.FromRGBSubsampled(im, rx, ry)
 			want := fromRGBFormula(im)
 			cb, cw, ch := DownsampleInto(nil, want.Cb, w, h, rx, ry)
 			cr, _, _ := DownsampleInto(nil, want.Cr, w, h, rx, ry)
-			if p.W != w || p.H != h || p.CW != cw || p.CH != ch {
+			if p.W != w || p.H != h || gotW != cw || gotH != ch {
 				t.Fatalf("%dx%d box %dx%d: planes %dx%d chroma %dx%d, want %dx%d chroma %dx%d",
-					w, h, rx, ry, p.W, p.H, p.CW, p.CH, w, h, cw, ch)
+					w, h, rx, ry, p.W, p.H, gotW, gotH, w, h, cw, ch)
 			}
 			if !bytes.Equal(p.Y, want.Y) || !bytes.Equal(p.Cb, cb) || !bytes.Equal(p.Cr, cr) {
 				t.Fatalf("%dx%d box %dx%d: one pass Y %v Cb %v Cr %v, formula+DownsampleInto %v %v %v",

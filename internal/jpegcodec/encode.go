@@ -45,10 +45,10 @@ func EncodeRGB(w io.Writer, img *imgutil.RGB, opts *Options) error {
 // three frame components with luma sampling factors h×v.
 func (s *encScratch) rgbComponents(img *imgutil.RGB, h, v int) []*component {
 	p := &s.planes
-	p.FromRGBSubsampled(img, h, v)
+	cw, ch := p.FromRGBSubsampled(img, h, v)
 	s.comps[0] = component{id: 1, h: h, v: v, tq: 0, td: 0, ta: 0, w: img.W, hgt: img.H, pix: p.Y}
-	s.comps[1] = component{id: 2, h: 1, v: 1, tq: 1, td: 1, ta: 1, w: p.CW, hgt: p.CH, pix: p.Cb}
-	s.comps[2] = component{id: 3, h: 1, v: 1, tq: 1, td: 1, ta: 1, w: p.CW, hgt: p.CH, pix: p.Cr}
+	s.comps[1] = component{id: 2, h: 1, v: 1, tq: 1, td: 1, ta: 1, w: cw, hgt: ch, pix: p.Cb}
+	s.comps[2] = component{id: 3, h: 1, v: 1, tq: 1, td: 1, ta: 1, w: cw, hgt: ch, pix: p.Cr}
 	return s.components(3)
 }
 
