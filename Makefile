@@ -1,6 +1,6 @@
 # Developer entry points for the DeepN-JPEG reproduction.
 #
-#   make check        # gofmt gate + vet + build + race suite + sampling matrix + decode pins + paper numbers + perfbench + fuzz smoke
+#   make check        # gofmt gate + vet + build + race suite + sampling matrix + decode pins + server suite + paper numbers + perfbench + fuzz smoke
 #   make paper        # the paper's Fig 2a/3/5/7 headline values as tolerance bands
 #   make perfbench    # vet + self-tests of the perfbench module
 #   make test         # plain test run (what tier-1 verification executes)
@@ -8,7 +8,7 @@
 #   make bench        # DCT/codec/pipeline benchmarks with allocation reporting
 #   make bench-txt    # repeated-count text snapshot → $(NEW)
 #   make bench-json   # full benchmark sweep → BENCH_$(PR).json (perf trajectory)
-#   make serve-bench  # requests/sec through the HTTP batch endpoint
+#   make serve-bench  # requests/sec through the HTTP endpoints + per-route handler cost
 #   make fuzz-smoke   # short native-fuzz run of the decode/requantize/profile fuzzers
 
 GO ?= go
@@ -18,9 +18,9 @@ FUZZTIME ?= 5s
 # PR number when recording a data point, e.g. `make bench-json PR=4`.
 PR ?= dev
 
-.PHONY: check fmt vet build build-386 test test-amd64v3 race sampling progressive decode hub paper perfbench bench bench-txt bench-json serve-bench fuzz-smoke
+.PHONY: check fmt vet build build-386 test test-amd64v3 race sampling progressive decode hub serve paper perfbench bench bench-txt bench-json serve-bench fuzz-smoke
 
-check: fmt vet build build-386 race sampling progressive decode hub paper perfbench fuzz-smoke
+check: fmt vet build build-386 race sampling progressive decode hub serve paper perfbench fuzz-smoke
 
 fmt:
 	@out="$$($(GOFMT) -l .)" || exit 1; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -100,6 +100,14 @@ hub:
 	$(GO) test -run 'TestRegistryLazyFetch|TestSyncSource|TestWatchSyncs|TestLazyFetchSingleFlight|TestSignature|TestReadSignature|TestGC|TestCompare|TestWriteFileAtomic|TestReadChecksum' ./internal/profile
 	$(GO) test -run 'TestFleet|TestServerHub' ./internal/server
 
+# HTTP-server gate: the whole internal/server suite (under a second) —
+# single routes and /v1/batch against the codec goldens, their parity on
+# the one operation path, error envelopes, tenants, profiles and
+# graceful shutdown — as its own named leg, so a server regression is
+# attributable at a glance. The package also runs inside `race`.
+serve:
+	$(GO) test -count 1 ./internal/server
+
 # Paper-numbers gate: reruns Figs. 2a, 3, 5 and 7 at benchmark scale
 # and holds their headline values (the ones every BENCH_*.json snapshot
 # recorded) to tolerance bands — ±0.02 on compression ratios, one test
@@ -157,4 +165,4 @@ bench-json:
 	@echo "wrote BENCH_$(PR).json"
 
 serve-bench:
-	$(GO) test -run XXX -bench 'ServeBatchEncode|ServeEncodeSingle' -benchmem ./internal/server
+	$(GO) test -run XXX -bench 'ServeBatchEncode|ServeEncodeSingle|ServeRoutes' -benchmem ./internal/server

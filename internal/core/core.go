@@ -16,14 +16,15 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/dct"
 	"repro/internal/freqstat"
 	"repro/internal/imgutil"
 	"repro/internal/jpegcodec"
+	"repro/internal/pipeline"
 	"repro/internal/plm"
 	"repro/internal/qtable"
 )
@@ -47,7 +48,7 @@ type CalibrateOptions struct {
 	// values at the positional boundaries.
 	PositionBased bool
 	// Workers fans the frequency-statistics accumulation across a worker
-	// pool. Values ≤ 1 keep the single-threaded path. Each worker owns a
+	// pool. Values ≤ 1 run it as one chunk on one worker. Each worker owns a
 	// deterministic contiguous slice of the sampled images and the partial
 	// accumulators merge in worker order, so a given worker count always
 	// produces the same result regardless of goroutine scheduling.
@@ -154,47 +155,30 @@ func Restore(params plm.Params, stats, chromaStats *freqstat.Stats, luma, chroma
 }
 
 // accumulateStats folds the sampled images into per-band accumulators,
-// fanning the work across workers when more than one is requested. Each
-// worker owns a contiguous chunk of idx fixed by index arithmetic, and
-// the partial accumulators merge in worker order, so the outcome depends
-// only on the worker count — never on goroutine scheduling.
+// one per chunk, on the pipeline worker pool. Each chunk is a contiguous
+// slice of idx fixed by index arithmetic, and the partial accumulators
+// merge in chunk order, so the outcome depends only on the worker count
+// — never on goroutine scheduling. One chunk (workers ≤ 1) folds every
+// image in order with nothing to merge.
 func accumulateStats(ds *dataset.Dataset, idx []int, chroma bool, workers int) (luma, chromaAcc *freqstat.Accumulator) {
-	if workers > len(idx) {
-		workers = len(idx)
-	}
-	if workers <= 1 {
-		luma, chromaAcc = freqstat.NewAccumulator(), freqstat.NewAccumulator()
-		for _, i := range idx {
-			luma.AddRGBLuma(ds.Images[i])
+	chunks := max(1, min(workers, len(idx)))
+	lumaParts := make([]*freqstat.Accumulator, chunks)
+	chromaParts := make([]*freqstat.Accumulator, chunks)
+	pipeline.Run(context.Background(), chunks, chunks, func(_ context.Context, c int) error {
+		la, ca := freqstat.NewAccumulator(), freqstat.NewAccumulator()
+		for _, i := range idx[c*len(idx)/chunks : (c+1)*len(idx)/chunks] {
+			la.AddRGBLuma(ds.Images[i])
 			if chroma {
-				chromaAcc.AddRGBChroma(ds.Images[i])
+				ca.AddRGBChroma(ds.Images[i])
 			}
 		}
-		return luma, chromaAcc
-	}
-	lumaParts := make([]*freqstat.Accumulator, workers)
-	chromaParts := make([]*freqstat.Accumulator, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lumaParts[w] = freqstat.NewAccumulator()
-		chromaParts[w] = freqstat.NewAccumulator()
-		lo, hi := w*len(idx)/workers, (w+1)*len(idx)/workers
-		wg.Add(1)
-		go func(la, ca *freqstat.Accumulator, chunk []int) {
-			defer wg.Done()
-			for _, i := range chunk {
-				la.AddRGBLuma(ds.Images[i])
-				if chroma {
-					ca.AddRGBChroma(ds.Images[i])
-				}
-			}
-		}(lumaParts[w], chromaParts[w], idx[lo:hi])
-	}
-	wg.Wait()
+		lumaParts[c], chromaParts[c] = la, ca
+		return nil
+	})
 	luma, chromaAcc = lumaParts[0], chromaParts[0]
-	for w := 1; w < workers; w++ {
-		luma.Merge(lumaParts[w])
-		chromaAcc.Merge(chromaParts[w])
+	for c := 1; c < chunks; c++ {
+		luma.Merge(lumaParts[c])
+		chromaAcc.Merge(chromaParts[c])
 	}
 	return luma, chromaAcc
 }

@@ -12,6 +12,8 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // benchServer builds an open-access server and a ready-made batch body.
@@ -95,4 +97,47 @@ func BenchmarkServeEncodeSingle(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+}
+
+// BenchmarkServeRoutes drives each single-image route through
+// Server.Handler in process, with no network in between, so ns/op and
+// allocs/op are the handler's own per-request cost plus a fixed
+// httptest request and recorder. Decode answers PPM, as perfbench's
+// serve-mix does; requantize retargets a QF-90 stream onto the
+// calibrated tables.
+func BenchmarkServeRoutes(b *testing.B) {
+	fw := testFramework()
+	s, err := New(Options{Framework: fw})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	img := testImages(b, 1)[0]
+	stream, err := fw.Scheme().EncodeRGB(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	archive, err := core.SchemeJPEG(90).EncodeRGB(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name, target string
+		body         []byte
+	}{
+		{"encode", "/v1/encode", ppmBody(b, img)},
+		{"decode", "/v1/decode?format=ppm", stream},
+		{"requantize", "/v1/requantize", archive},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, bc.target, bytes.NewReader(bc.body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+				}
+			}
+		})
+	}
 }

@@ -16,9 +16,12 @@
 //	GET  /healthz        liveness + uptime
 //	GET  /metrics        expvar-style JSON counters
 //
-// Request options travel as query parameters (?quality=,
-// ?subsampling=, ?optimize=, ?format=, ?strip_metadata=); errors come
-// back as structured
+// The three single-image routes and every /v1/batch part run the same
+// per-verb operation (opFor); a batch picks its verb with ?op=.
+//
+// Request options travel as query parameters (?quality=, ?profile=,
+// ?subsampling=, ?optimize=, ?restart=, ?format=, ?strip_metadata=,
+// ?op=); errors come back as structured
 // JSON ({"error":{"code","message"},"status"}). Authentication is a
 // static API-key table (X-API-Key or Authorization: Bearer); a server
 // constructed without keys runs open with a single anonymous tenant.
@@ -313,9 +316,9 @@ func New(opts Options) (*Server, error) {
 	m.Set("profile", expvar.Func(func() any { return s.profileStatus() }))
 	s.metrics = m
 
-	s.mux.HandleFunc("/v1/encode", s.endpoint(s.handleEncode))
-	s.mux.HandleFunc("/v1/decode", s.endpoint(s.handleDecode))
-	s.mux.HandleFunc("/v1/requantize", s.endpoint(s.handleRequantize))
+	for _, verb := range []string{"encode", "decode", "requantize"} {
+		s.mux.HandleFunc("/v1/"+verb, s.endpoint(s.handleItem(verb)))
+	}
 	s.mux.HandleFunc("/v1/batch", s.endpoint(s.handleBatch))
 	s.mux.HandleFunc("/admin/profiles/reload", s.endpoint(s.handleProfileReload))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -699,49 +702,53 @@ func parseQuality(q url.Values) (int, bool, error) {
 	return qf, true, nil
 }
 
-// stdTablesFor scales the Annex-K reference tables to a quality factor,
-// mapping scaling failures onto the request-level error envelope.
-func stdTablesFor(qf int) (luma, chroma qtable.Table, err error) {
-	luma, lerr := qtable.Scale(qtable.StdLuminance, qf)
-	chroma, cerr := qtable.Scale(qtable.StdChrominance, qf)
-	if lerr != nil || cerr != nil {
-		return luma, chroma, errf(http.StatusBadRequest, "bad_quality", "cannot scale tables to quality %d", qf)
+// tablesFor picks the quantization tables of an encode or requantize
+// request: the framework's calibrated tables, or the Annex-K tables
+// scaled to ?quality= (parseQuality bounds it to the range Scale takes).
+func tablesFor(fw *core.Framework, q url.Values) (luma, chroma qtable.Table, err error) {
+	qf, ok, err := parseQuality(q)
+	if err != nil || !ok {
+		return fw.LumaTable, fw.ChromaTable, err
 	}
-	return luma, chroma, nil
+	return qtable.MustScale(qtable.StdLuminance, qf), qtable.MustScale(qtable.StdChrominance, qf), nil
 }
 
-// encodeOptions assembles the encoder configuration of one request
-// against the resolved framework: its calibrated tables by default,
-// Annex-K tables when ?quality= is given.
-func (s *Server) encodeOptions(fw *core.Framework, q url.Values) (jpegcodec.Options, error) {
-	opts := fw.Scheme().Opts
-	if qf, ok, err := parseQuality(q); err != nil {
-		return opts, err
-	} else if ok {
-		luma, chroma, terr := stdTablesFor(qf)
-		if terr != nil {
-			return opts, terr
+// encodeOptions assembles the encoder configuration of one request.
+func encodeOptions(fw *core.Framework, q url.Values) (o jpegcodec.Options, err error) {
+	if o.LumaTable, o.ChromaTable, err = tablesFor(fw, q); err != nil {
+		return o, err
+	}
+	if v := q.Get("subsampling"); v != "" {
+		if o.Subsampling, err = jpegcodec.ParseSubsampling(v); err != nil {
+			return o, errf(http.StatusBadRequest, "bad_subsampling",
+				"subsampling=%q is not one of 420, 444, 422, 440, 411", v)
 		}
-		opts.LumaTable, opts.ChromaTable = luma, chroma
 	}
-	var err error
-	if v := q.Get("subsampling"); v == "" {
-		opts.Subsampling = jpegcodec.Sub420
-	} else if opts.Subsampling, err = jpegcodec.ParseSubsampling(v); err != nil {
-		return opts, errf(http.StatusBadRequest, "bad_subsampling",
-			"subsampling=%q is not one of 420, 444, 422, 440, 411", v)
-	}
-	if opts.OptimizeHuffman, err = parseBoolParam(q, "optimize", false); err != nil {
-		return opts, err
-	}
-	if opts.RestartInterval, err = parseRestartParam(q, false); err != nil {
-		return opts, err
+	if o.OptimizeHuffman, err = parseBoolParam(q, "optimize", false); err != nil {
+		return o, err
 	}
 	// Restart sharding is the codec's own choice: one request saturating
 	// every core is fine when the box is idle, and under concurrent load
 	// the scheduler time-slices the segment goroutines like any other
 	// work.
-	return opts, nil
+	o.RestartInterval, err = parseRestartParam(q, false)
+	return o, err
+}
+
+// requantizeOptions assembles the requantizer configuration of one
+// request; unlike encode, it optimizes Huffman tables by default.
+func requantizeOptions(fw *core.Framework, q url.Values) (o jpegcodec.Options, err error) {
+	if o.LumaTable, o.ChromaTable, err = tablesFor(fw, q); err != nil {
+		return o, err
+	}
+	if o.OptimizeHuffman, err = parseBoolParam(q, "optimize", true); err != nil {
+		return o, err
+	}
+	if o.RestartInterval, err = parseRestartParam(q, true); err != nil {
+		return o, err
+	}
+	o.StripMetadata, err = parseBoolParam(q, "strip_metadata", false)
+	return o, err
 }
 
 // parseRestartParam reads the ?restart= query parameter, the output
@@ -763,17 +770,6 @@ func parseRestartParam(q url.Values, allowNegative bool) (int, error) {
 			"restart=%q must be an integer in [%d,65535]", v, lo)
 	}
 	return ri, nil
-}
-
-// requantizeTables picks the target tables of a requantize request
-// against the resolved framework.
-func (s *Server) requantizeTables(fw *core.Framework, q url.Values) (luma, chroma qtable.Table, err error) {
-	if qf, ok, qerr := parseQuality(q); qerr != nil {
-		return luma, chroma, qerr
-	} else if ok {
-		return stdTablesFor(qf)
-	}
-	return fw.LumaTable, fw.ChromaTable, nil
 }
 
 type outputFormat struct {
@@ -908,73 +904,104 @@ func (s *Server) checkPNMDims(body []byte) error {
 	return nil
 }
 
-// --- the four codec endpoints -------------------------------------------
+// --- the codec operations -----------------------------------------------
 
-func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request, t *tenant) error {
-	fw, err := s.frameworkFor(r.URL.Query(), t)
-	if err != nil {
-		return err
-	}
-	opts, err := s.encodeOptions(fw, r.URL.Query())
-	if err != nil {
-		return err
-	}
-	body, err := s.readBody(r, t)
-	if err != nil {
-		return err
-	}
-	img, err := s.parseImage(body)
-	if err != nil {
-		return err
-	}
-	buf := s.bufPool.Get().(*bytes.Buffer)
-	defer func() { buf.Reset(); s.bufPool.Put(buf) }()
-	buf.Reset()
-	if err := jpegcodec.EncodeRGB(buf, img, &opts); err != nil {
-		return err
-	}
-	w.Header().Set("Content-Type", "image/jpeg")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	_, err = w.Write(buf.Bytes())
-	return err
+// scratch is the reusable per-item state of one single-image request or
+// one batch worker. The decoder working set and the decoded image come
+// out of the server's pools on first use, so an encode holds no decode
+// state; release returns them.
+type scratch struct {
+	rd  bytes.Reader
+	dec *jpegcodec.Decoded
+	img *imgutil.RGB
 }
 
-func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request, t *tenant) error {
-	q := r.URL.Query()
-	// Decoding needs no calibrated tables, but ?profile= still resolves
-	// so a bad reference fails here as it does on every other route.
-	if _, err := s.frameworkFor(q, t); err != nil {
-		return err
+// decode reads one JPEG item into the scratch's decoder working set.
+func (s *Server) decode(sc *scratch, item []byte) error {
+	if sc.dec == nil {
+		sc.dec = s.decPool.Get().(*jpegcodec.Decoded)
 	}
-	format, err := parseFormat(q)
-	if err != nil {
-		return err
+	sc.rd.Reset(item)
+	return jpegcodec.DecodeInto(&sc.rd, sc.dec, &jpegcodec.DecodeOptions{MaxPixels: s.opts.MaxPixels})
+}
+
+// release returns the scratch's pooled state.
+func (s *Server) release(sc *scratch) {
+	if sc.dec != nil {
+		s.decPool.Put(sc.dec)
 	}
-	body, err := s.readBody(r, t)
-	if err != nil {
-		return err
+	if sc.img != nil {
+		s.imgPool.Put(sc.img)
 	}
-	dec := s.decPool.Get().(*jpegcodec.Decoded)
-	defer s.decPool.Put(dec)
-	dopts := jpegcodec.DecodeOptions{MaxPixels: s.opts.MaxPixels}
-	if err := jpegcodec.DecodeInto(bytes.NewReader(body), dec, &dopts); err != nil {
-		return err
+}
+
+// op is one codec verb compiled against a request. run processes one
+// item into out and, only on success, sets the item's descriptive
+// headers in h: X-Image-Width and X-Image-Height on decode,
+// X-Source-Bytes on requantize.
+type op struct {
+	contentType string
+	run         func(sc *scratch, item []byte, out *bytes.Buffer, h http.Header) error
+}
+
+// opFor compiles verb (encode, decode or requantize) against the query
+// parameters and the resolved framework, before the body is read, so
+// configuration errors surface once. The framework is captured, so every
+// item of a batch runs on the same profile snapshot even if a hot reload
+// lands mid-request.
+func (s *Server) opFor(verb string, fw *core.Framework, q url.Values) (op, error) {
+	switch verb {
+	case "encode":
+		o, err := encodeOptions(fw, q)
+		if err != nil {
+			return op{}, err
+		}
+		return op{"image/jpeg", func(_ *scratch, item []byte, out *bytes.Buffer, _ http.Header) error {
+			img, err := s.parseImage(item)
+			if err != nil {
+				return err
+			}
+			return jpegcodec.EncodeRGB(out, img, &o)
+		}}, nil
+	case "decode":
+		format, err := parseFormat(q)
+		if err != nil {
+			return op{}, err
+		}
+		return op{format.contentType, func(sc *scratch, item []byte, out *bytes.Buffer, h http.Header) error {
+			if err := s.decode(sc, item); err != nil {
+				return err
+			}
+			if sc.img == nil {
+				sc.img = s.imgPool.Get().(*imgutil.RGB)
+			}
+			sc.img = sc.dec.RGBInto(sc.img)
+			if err := writeImage(out, sc.img, format); err != nil {
+				return err
+			}
+			h.Set("X-Image-Width", strconv.Itoa(sc.img.W))
+			h.Set("X-Image-Height", strconv.Itoa(sc.img.H))
+			return nil
+		}}, nil
+	case "requantize":
+		o, err := requantizeOptions(fw, q)
+		if err != nil {
+			return op{}, err
+		}
+		return op{"image/jpeg", func(sc *scratch, item []byte, out *bytes.Buffer, h http.Header) error {
+			if err := s.decode(sc, item); err != nil {
+				return err
+			}
+			if err := jpegcodec.Requantize(out, sc.dec, o.LumaTable, o.ChromaTable, &o); err != nil {
+				return err
+			}
+			h.Set("X-Source-Bytes", strconv.Itoa(len(item)))
+			return nil
+		}}, nil
+	default:
+		return op{}, errf(http.StatusBadRequest, "bad_op",
+			"op=%q is not one of encode, decode, requantize", verb)
 	}
-	img := s.imgPool.Get().(*imgutil.RGB)
-	defer s.imgPool.Put(img)
-	img = dec.RGBInto(img)
-	buf := s.bufPool.Get().(*bytes.Buffer)
-	defer func() { buf.Reset(); s.bufPool.Put(buf) }()
-	buf.Reset()
-	if err := writeImage(buf, img, format); err != nil {
-		return err
-	}
-	w.Header().Set("Content-Type", format.contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Header().Set("X-Image-Width", strconv.Itoa(img.W))
-	w.Header().Set("X-Image-Height", strconv.Itoa(img.H))
-	_, err = w.Write(buf.Bytes())
-	return err
 }
 
 func writeImage(w io.Writer, img *imgutil.RGB, format outputFormat) error {
@@ -990,146 +1017,37 @@ func writeImage(w io.Writer, img *imgutil.RGB, format outputFormat) error {
 	}
 }
 
-func (s *Server) handleRequantize(w http.ResponseWriter, r *http.Request, t *tenant) error {
-	q := r.URL.Query()
-	fw, err := s.frameworkFor(q, t)
-	if err != nil {
-		return err
-	}
-	luma, chroma, err := s.requantizeTables(fw, q)
-	if err != nil {
-		return err
-	}
-	optimize, err := parseBoolParam(q, "optimize", true)
-	if err != nil {
-		return err
-	}
-	restart, err := parseRestartParam(q, true)
-	if err != nil {
-		return err
-	}
-	stripMeta, err := parseBoolParam(q, "strip_metadata", false)
-	if err != nil {
-		return err
-	}
-	body, err := s.readBody(r, t)
-	if err != nil {
-		return err
-	}
-	dec := s.decPool.Get().(*jpegcodec.Decoded)
-	defer s.decPool.Put(dec)
-	dopts := jpegcodec.DecodeOptions{MaxPixels: s.opts.MaxPixels}
-	if err := jpegcodec.DecodeInto(bytes.NewReader(body), dec, &dopts); err != nil {
-		return err
-	}
-	buf := s.bufPool.Get().(*bytes.Buffer)
-	defer func() { buf.Reset(); s.bufPool.Put(buf) }()
-	buf.Reset()
-	jopts := jpegcodec.Options{OptimizeHuffman: optimize, RestartInterval: restart, StripMetadata: stripMeta}
-	if err := jpegcodec.Requantize(buf, dec, luma, chroma, &jopts); err != nil {
-		return err
-	}
-	w.Header().Set("Content-Type", "image/jpeg")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Header().Set("X-Source-Bytes", strconv.Itoa(len(body)))
-	_, err = w.Write(buf.Bytes())
-	return err
-}
-
-// --- batch --------------------------------------------------------------
-
-// batchScratch is the per-worker reusable state of one /v1/batch
-// request: decode working set, reader and output image survive across
-// every item the worker claims.
-type batchScratch struct {
-	dec *jpegcodec.Decoded
-	rd  bytes.Reader
-	img *imgutil.RGB
-}
-
-// batchOp runs one item on a worker's scratch, returning the response
-// payload (a fresh slice — results of all items coexist).
-type batchOp struct {
-	contentType string
-	run         func(sc *batchScratch, item []byte) ([]byte, error)
-}
-
-// batchOpFor compiles the query parameters into the per-item runner of
-// this request against the resolved framework; configuration errors
-// surface once, before any part is read. The framework is captured once,
-// so every item of a batch runs on the same profile snapshot even if a
-// hot reload lands mid-request.
-func (s *Server) batchOpFor(fw *core.Framework, q url.Values) (*batchOp, error) {
-	switch op := q.Get("op"); op {
-	case "", "encode":
-		opts, err := s.encodeOptions(fw, q)
+// handleItem serves the single-image route of verb: it runs the op on
+// the request body and answers with its output.
+func (s *Server) handleItem(verb string) func(http.ResponseWriter, *http.Request, *tenant) error {
+	return func(w http.ResponseWriter, r *http.Request, t *tenant) error {
+		q := r.URL.Query()
+		// Decoding needs no calibrated tables, but ?profile= still
+		// resolves so a bad reference fails on every route alike.
+		fw, err := s.frameworkFor(q, t)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return &batchOp{contentType: "image/jpeg", run: func(sc *batchScratch, item []byte) ([]byte, error) {
-			img, err := s.parseImage(item)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			o := opts
-			if err := jpegcodec.EncodeRGB(&buf, img, &o); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		}}, nil
-	case "decode":
-		format, err := parseFormat(q)
+		op, err := s.opFor(verb, fw, q)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		dopts := jpegcodec.DecodeOptions{MaxPixels: s.opts.MaxPixels}
-		return &batchOp{contentType: format.contentType, run: func(sc *batchScratch, item []byte) ([]byte, error) {
-			sc.rd.Reset(item)
-			if err := jpegcodec.DecodeInto(&sc.rd, sc.dec, &dopts); err != nil {
-				return nil, err
-			}
-			sc.img = sc.dec.RGBInto(sc.img)
-			var buf bytes.Buffer
-			if err := writeImage(&buf, sc.img, format); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		}}, nil
-	case "requantize":
-		luma, chroma, err := s.requantizeTables(fw, q)
+		body, err := s.readBody(r, t)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		optimize, err := parseBoolParam(q, "optimize", true)
-		if err != nil {
-			return nil, err
+		var sc scratch
+		defer s.release(&sc)
+		buf := s.bufPool.Get().(*bytes.Buffer)
+		defer func() { buf.Reset(); s.bufPool.Put(buf) }()
+		buf.Reset()
+		if err := op.run(&sc, body, buf, w.Header()); err != nil {
+			return err
 		}
-		restart, err := parseRestartParam(q, true)
-		if err != nil {
-			return nil, err
-		}
-		stripMeta, err := parseBoolParam(q, "strip_metadata", false)
-		if err != nil {
-			return nil, err
-		}
-		dopts := jpegcodec.DecodeOptions{MaxPixels: s.opts.MaxPixels}
-		jopts := jpegcodec.Options{OptimizeHuffman: optimize, RestartInterval: restart, StripMetadata: stripMeta}
-		return &batchOp{contentType: "image/jpeg", run: func(sc *batchScratch, item []byte) ([]byte, error) {
-			sc.rd.Reset(item)
-			if err := jpegcodec.DecodeInto(&sc.rd, sc.dec, &dopts); err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			o := jopts
-			if err := jpegcodec.Requantize(&buf, sc.dec, luma, chroma, &o); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		}}, nil
-	default:
-		return nil, errf(http.StatusBadRequest, "bad_op",
-			"op=%q is not one of encode, decode, requantize", q.Get("op"))
+		w.Header().Set("Content-Type", op.contentType)
+		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+		_, err = w.Write(buf.Bytes())
+		return err
 	}
 }
 
@@ -1139,11 +1057,16 @@ func (s *Server) batchOpFor(fw *core.Framework, q url.Values) (*batchOp, error) 
 // application/json error parts flagged X-Batch-Error: true; the request
 // itself still answers 200 so partial progress survives.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, t *tenant) error {
-	fw, err := s.frameworkFor(r.URL.Query(), t)
+	q := r.URL.Query()
+	fw, err := s.frameworkFor(q, t)
 	if err != nil {
 		return err
 	}
-	op, err := s.batchOpFor(fw, r.URL.Query())
+	verb := q.Get("op")
+	if verb == "" {
+		verb = "encode"
+	}
+	op, err := s.opFor(verb, fw, q)
 	if err != nil {
 		return err
 	}
@@ -1190,23 +1113,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, t *tenant) 
 	t.bytesIn.Add(int64(total))
 	t.items.Add(int64(len(items)))
 
-	nw := pipeline.Workers(s.opts.BatchWorkers, len(items))
-	scratch := make([]*batchScratch, nw)
-	for i := range scratch {
-		scratch[i] = &batchScratch{
-			dec: s.decPool.Get().(*jpegcodec.Decoded),
-			img: s.imgPool.Get().(*imgutil.RGB),
-		}
-	}
+	scs := make([]scratch, pipeline.Workers(s.opts.BatchWorkers, len(items)))
 	defer func() {
-		for _, sc := range scratch {
-			s.decPool.Put(sc.dec)
-			s.imgPool.Put(sc.img)
+		for i := range scs {
+			s.release(&scs[i])
 		}
 	}()
+	// Each item gets its own output buffer and part header, because the
+	// results of all items coexist until the answer is written.
+	hdrs := make([]textproto.MIMEHeader, len(items))
 	results, runErr := pipeline.MapWorker(r.Context(), len(items), s.opts.BatchWorkers,
 		func(_ context.Context, wk, i int) ([]byte, error) {
-			return op.run(scratch[wk], items[i])
+			var buf bytes.Buffer
+			hdrs[i] = make(textproto.MIMEHeader, 4)
+			err := op.run(&scs[wk], items[i], &buf, http.Header(hdrs[i]))
+			return buf.Bytes(), err
 		})
 	itemErrs := make(map[int]error)
 	if runErr != nil {
@@ -1231,8 +1152,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, t *tenant) 
 	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
 	w.Header().Set("X-Batch-Items", strconv.Itoa(len(items)))
 	w.Header().Set("X-Batch-Failed", strconv.Itoa(len(itemErrs)))
-	for i := range items {
-		hdr := make(textproto.MIMEHeader, 3)
+	for i, hdr := range hdrs {
 		hdr.Set("X-Batch-Index", strconv.Itoa(i))
 		if err, failed := itemErrs[i]; failed {
 			hdr.Set("Content-Type", "application/json")

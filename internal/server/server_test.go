@@ -14,6 +14,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"net/textproto"
 	"strconv"
 	"strings"
 	"sync"
@@ -404,6 +405,7 @@ type batchPart struct {
 	index   int
 	isError bool
 	data    []byte
+	hdr     textproto.MIMEHeader
 }
 
 func readMultipart(tb testing.TB, resp *http.Response, body []byte) []batchPart {
@@ -434,6 +436,7 @@ func readMultipart(tb testing.TB, resp *http.Response, body []byte) []batchPart 
 			index:   idx,
 			isError: p.Header.Get("X-Batch-Error") == "true",
 			data:    data,
+			hdr:     p.Header,
 		})
 	}
 	return parts
@@ -585,6 +588,87 @@ func TestBatchDecodeAndRequantizeOps(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSingleRouteMatchesBatchPart pins the one operation path: a
+// single-image route and the part of a one-item /v1/batch request with
+// the same verb and options answer the same bytes, Content-Type and
+// per-item headers, and a failing item the same error message.
+func TestSingleRouteMatchesBatchPart(t *testing.T) {
+	fw := testFramework()
+	_, ts := newTestServer(t, Options{})
+	img := testImages(t, 1)[0]
+	stream, err := fw.Scheme().EncodeRGB(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The requantize source carries a restart interval and a comment, so
+	// restart=-1 and strip_metadata=true both change the output.
+	var archive bytes.Buffer
+	aopts := core.SchemeJPEG(95).Opts
+	aopts.RestartInterval = 2
+	aopts.Metadata = []jpegcodec.MetaSegment{{Marker: 0xFE, Payload: []byte("archive copy")}}
+	if err := jpegcodec.EncodeRGB(&archive, img, &aopts); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, verb, query string
+		item              []byte
+	}{
+		{"encode-default", "encode", "", ppmBody(t, img)},
+		{"encode-q85-444-optimize", "encode", "quality=85&subsampling=444&optimize=true", ppmBody(t, img)},
+		{"encode-restart-4", "encode", "restart=4", ppmBody(t, img)},
+		{"encode-undecodable", "encode", "", []byte("GIF89a nonsense")},
+		{"decode-ppm", "decode", "format=ppm", stream},
+		{"decode-png", "decode", "format=png", stream},
+		{"decode-pgm", "decode", "format=pgm", stream},
+		{"decode-undecodable", "decode", "format=ppm", stream[:len(stream)/3]},
+		{"requantize-default", "requantize", "", archive.Bytes()},
+		{"requantize-q50-strip", "requantize", "quality=50&restart=-1&strip_metadata=true", archive.Bytes()},
+		{"requantize-undecodable", "requantize", "", []byte("not a JPEG stream")},
+	}
+	message := func(t *testing.T, body []byte) string {
+		t.Helper()
+		var env struct {
+			Error struct {
+				Message string `json:"message"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(body, &env); err != nil || env.Error.Message == "" {
+			t.Fatalf("no error message in %q: %v", body, err)
+		}
+		return env.Error.Message
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, got := post(t, ts.URL+"/v1/"+tc.verb+"?"+tc.query, "", tc.item, nil)
+			body, ct := buildMultipart(t, [][]byte{tc.item})
+			bresp, bbody := post(t, ts.URL+"/v1/batch?op="+tc.verb+"&"+tc.query, ct, body, nil)
+			if bresp.StatusCode != http.StatusOK {
+				t.Fatalf("batch status %d: %s", bresp.StatusCode, bbody)
+			}
+			parts := readMultipart(t, bresp, bbody)
+			if len(parts) != 1 {
+				t.Fatalf("%d batch parts for one item", len(parts))
+			}
+			part := parts[0]
+			if failed := resp.StatusCode != http.StatusOK; failed != part.isError {
+				t.Fatalf("single route status %d, batch part failed: %v (%s / %s)", resp.StatusCode, part.isError, got, part.data)
+			}
+			if part.isError {
+				if sm, bm := message(t, got), message(t, part.data); sm != bm {
+					t.Fatalf("error messages differ: single %q, batch %q", sm, bm)
+				}
+			} else if !bytes.Equal(got, part.data) {
+				t.Fatalf("single route body (%d bytes) differs from batch part (%d bytes)", len(got), len(part.data))
+			}
+			for _, h := range []string{"Content-Type", "X-Image-Width", "X-Image-Height", "X-Source-Bytes"} {
+				if sv, bv := resp.Header.Get(h), part.hdr.Get(h); sv != bv {
+					t.Fatalf("%s: single route %q, batch part %q", h, sv, bv)
+				}
+			}
+		})
+	}
 }
 
 func TestErrorPaths(t *testing.T) {

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full pre-merge gate: gofmt, vet, build, the complete test suite under
 # the race detector, the decode verdict pins and the decode and encode
-# kernel oracles, the paper-numbers bands, the perfbench module, and a
+# kernel oracles, the HTTP server suite, the paper-numbers bands, the perfbench module, and a
 # short native-fuzz smoke of the decoder and requantizer. Equivalent to
 # `make check` for environments without make.
 set -eux
@@ -25,6 +25,8 @@ go test -race ./...
 # subsampling and the quantizer's integer rounding (which also skips
 # under -race).
 go test -count 1 -run 'TestDecodeVerdictDigests|Oracle' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
+# HTTP server suite as its own leg (also inside the race run above).
+go test -count 1 ./internal/server
 # Paper numbers (skipped under -race): Figs. 2a/3/5/7 headline values
 # held to tolerance bands.
 go test -count 1 -run '^TestPaperNumbers$' .
