@@ -83,11 +83,14 @@ progressive:
 # decode regression is attributable at a glance. The Oracle pattern also
 # runs the encode-side oracles: the one-pass color conversion and chroma
 # subsampling (imgutil), and the quantizer's integer rounding and the
-# integer requantize pass (jpegcodec). The race leg skips the verdict
-# pins (about 90 s under -race) and the rounding oracle; this leg runs
-# them.
+# integer requantize pass (jpegcodec). TestReconstructRow and
+# TestLazyPixels hold the reconstruction's dispatch on recorded block
+# extents (DC-only fill, prefix dequantize) to the dense per-block
+# reference and to fresh decodes on a reused Decoded. The race leg skips
+# the verdict pins (about 90 s under -race) and the rounding oracle;
+# this leg runs them.
 decode:
-	$(GO) test -count 1 -run 'TestDecodeVerdictDigests|Oracle' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
+	$(GO) test -count 1 -run 'TestDecodeVerdictDigests|Oracle|TestReconstructRow|TestLazyPixels' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
 
 # Profile-hub gate: the whole distribution loop as its own named leg —
 # origin wire protocol, client fault injection (truncation, corruption,

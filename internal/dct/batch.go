@@ -6,7 +6,8 @@ package dct
 // eight-float rows with constant indices and the column pass walks the 8
 // column lanes of one block with constant row offsets, so every bounds
 // check is provably dead and each lane iteration is an independent
-// dependency chain.
+// dependency chain. The inverse column pass skips, with one branch, a
+// lane whose AC terms are all zero.
 //
 // The operation order inside each 1-D butterfly is a contract: the AAN
 // scale factors (aan.go) are calibrated by running these same row
@@ -17,9 +18,12 @@ package dct
 //
 // Layout: a plane is a []float64 whose length is a multiple of 64; block
 // k occupies p[64k : 64k+64] in row-major order, exactly a *Block laid
-// end to end. Callers gather whole runs (a block row of a component, a
-// restart segment) into a pooled plane, run one batch call, and fuse the
-// quantizer pass over the same run — no per-block dispatch remains.
+// end to end. The encoder gathers whole runs (a block row of a
+// component) into a pooled plane, runs one batch call, and fuses the
+// quantizer pass over the same run. Decode reconstruction calls the
+// inverse on one block at a time, for the blocks that are not DC-only.
+
+import "math"
 
 // Blocks returns the number of 64-float blocks in p, panicking if p is
 // not block-aligned. Every batch entry point funnels through it.
@@ -126,9 +130,25 @@ func fdctAANColsFlat(b *Block) {
 }
 
 // idctAANColsFlat runs the inverse AAN butterfly down the 8 columns of
-// one block.
+// one block. A column whose AC terms are all zero takes IJG
+// jidctflt.c's shortcut and copies its DC term down: that is exactly
+// what the butterfly computes, because every term it adds to or
+// subtracts from the DC is a zero and x ± 0 = x in IEEE arithmetic.
+// (Dequantized coefficients are never −0, the one DC the shortcut would
+// carry through where the butterfly yields +0.) The test ORs the AC
+// terms' bits with the sign bit shifted out, which is zero exactly when
+// every term is ±0, in one branch.
 func idctAANColsFlat(b *Block) {
 	for x := 0; x < 8; x++ {
+		ac := math.Float64bits(b[x+8]) | math.Float64bits(b[x+16]) | math.Float64bits(b[x+24]) |
+			math.Float64bits(b[x+32]) | math.Float64bits(b[x+40]) | math.Float64bits(b[x+48]) |
+			math.Float64bits(b[x+56])
+		if ac<<1 == 0 {
+			dc := b[x]
+			b[x+8], b[x+16], b[x+24], b[x+32] = dc, dc, dc, dc
+			b[x+40], b[x+48], b[x+56] = dc, dc, dc
+			continue
+		}
 		tmp0 := b[x]
 		tmp1 := b[x+16]
 		tmp2 := b[x+32]

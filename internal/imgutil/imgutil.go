@@ -213,26 +213,99 @@ func GrowBytes(b []uint8, n int) []uint8 {
 	return make([]uint8, n)
 }
 
-// The JFIF inverse color transform's chroma terms, one table per term:
-// for every sample c, exactly the float64 product coefficient·(c−128)
-// that the per-pixel formula
+// The JFIF inverse color transform
 //
 //	R = Y + 1.402·Cr'
 //	G = Y − 0.344136·Cb' − 0.714136·Cr'
 //	B = Y + 1.772·Cb'    (Cb' = Cb−128, Cr' = Cr−128)
 //
-// computes, so a table read reproduces the multiply bit for bit and only
-// the additions remain per pixel.
-var crR, cbG, crG, cbB [256]float64
+// has rational coefficients, here numerators over colorDen. Y is an
+// integer and every channel rounds half up, so a channel is Y plus its
+// chroma term rounded half up, clamped to [0, 255]. The kernels read the
+// rounded terms from tables and agree with the float formula on every
+// (Y, Cb, Cr): a float product lies far closer to its exact term than
+// the exact term lies to a rounding boundary, unless it sits on one. R
+// and B take ⌊term + ½⌋; B's two terms on a boundary, ±221.5, are exact
+// in float64 and round half up there too. G's term is a sum of two, in
+// 16.16 fixed point, close enough to the exact sum to round as it does,
+// except for the pairs whose exact sum is a half-integer. There the
+// float formula's own rounding decides, depending on Y, so gTie names
+// those pairs and they run the float formula.
+const (
+	crRNum   = 1402000 // 1.402
+	cbGNum   = 344136  // 0.344136
+	crGNum   = 714136  // 0.714136
+	cbBNum   = 1772000 // 1.772
+	colorDen = 1000000
+)
+
+var (
+	rOff, bOff [256]int32 // ⌊1.402·Cr' + ½⌋ by Cr, ⌊1.772·Cb' + ½⌋ by Cb
+	// G's terms in 16.16 fixed point, each rounded to nearest; gCr
+	// carries the ½ of the final rounding, so (gCb[Cb]+gCr[Cr])>>16 is
+	// G − Y rounded half up.
+	gCb, gCr [256]int32
+	// gTie[Cb] is the Cr whose (Cb, Cr) pair has a half-integer exact G
+	// term, or −1; cbG and crG hold the float formula's G products,
+	// 0.344136·Cb' and 0.714136·Cr', for those pairs.
+	gTie     [256]int16
+	cbG, crG [256]float64
+
+	clip [1024]uint8 // clip[v+512] is v clamped to [0, 255]
+)
+
+// roundRational returns ⌊num/den + ½⌋ for den > 0.
+func roundRational(num, den int64) int32 {
+	n, d := 2*num+den, 2*den
+	q := n / d
+	if n%d < 0 {
+		q--
+	}
+	return int32(q)
+}
 
 func init() {
-	for c := range 256 {
-		v := float64(c) - 128
-		crR[c] = 1.402 * v
-		cbG[c] = 0.344136 * v
-		crG[c] = 0.714136 * v
-		cbB[c] = 1.772 * v
+	for i := range clip {
+		clip[i] = uint8(min(max(i-512, 0), 255))
 	}
+	for c := range 256 {
+		v := int64(c) - 128
+		rOff[c] = roundRational(crRNum*v, colorDen)
+		bOff[c] = roundRational(cbBNum*v, colorDen)
+		gCb[c] = roundRational(-cbGNum*v<<16, colorDen)
+		gCr[c] = roundRational(-crGNum*v<<16, colorDen) + 1<<15
+		cbG[c] = 0.344136 * float64(v)
+		crG[c] = 0.714136 * float64(v)
+		gTie[c] = -1
+		for r := range 256 {
+			// The exact term is n/colorDen: a half-integer when n is an
+			// odd multiple of colorDen/2.
+			n := cbGNum*v + crGNum*(int64(r)-128)
+			if n%(colorDen/2) == 0 && n%colorDen != 0 {
+				gTie[c] = int16(r)
+			}
+		}
+	}
+}
+
+// clip8 clamps an integer channel value to [0, 255] with one lookup in
+// clip, as libjpeg's range_limit table does. A channel is Y plus one
+// rounded term, −227 to 480, so the masked index is v+512 itself.
+func clip8(v int32) uint8 {
+	return clip[(v+512)&1023]
+}
+
+// putRGB writes the pixel of luma y whose chroma terms are ro, g and bo
+// into px.
+func putRGB(px *[3]uint8, y, ro, g, bo int32) {
+	px[0] = clip8(y + ro)
+	px[1] = clip8(y + g)
+	px[2] = clip8(y + bo)
+}
+
+// tieG is G by the float formula, for a (Cb, Cr) pair that gTie names.
+func tieG(y, b, r uint8) uint8 {
+	return clamp8(float64(y) - cbG[b] - crG[r])
 }
 
 // YCbCrRowToRGB converts one row of JFIF YCbCr samples to interleaved
@@ -245,12 +318,50 @@ func YCbCrRowToRGB(dst, y, cb, cr []uint8, cbX, crX []int32) {
 	dst = dst[:3*n]
 	cbX, crX = cbX[:n], crX[:n]
 	for x, lum := range y {
-		yv := float64(lum)
 		b, r := cb[cbX[x]], cr[crX[x]]
-		px := dst[3*x : 3*x+3 : 3*x+3]
-		px[0] = clamp8(yv + crR[r])
-		px[1] = clamp8(yv - cbG[b] - crG[r])
-		px[2] = clamp8(yv + cbB[b])
+		px := (*[3]uint8)(dst[3*x:])
+		putRGB(px, int32(lum), rOff[r], (gCb[b]+gCr[r])>>16, bOff[b])
+		if gTie[b] == int16(r) {
+			px[1] = tieG(lum, b, r)
+		}
+	}
+}
+
+// YCbCr420RowsToRGB converts two rows of JFIF YCbCr samples that share
+// one row of 4:2:0 chroma to interleaved RGB in dst0 and dst1, each of
+// which must hold 3·len(y0) bytes: pixel x of either row takes chroma
+// sample x/2, so each chroma sample's terms are read once for its 2×2
+// luma pixels, as libjpeg's merged h2v2 upsampler does. y1 must be as
+// long as y0; for a frame's odd last row, pass that row as both rows.
+func YCbCr420RowsToRGB(dst0, dst1, y0, y1, cb, cr []uint8) {
+	w := len(y0)
+	dst0, dst1, y1 = dst0[:3*w], dst1[:3*w], y1[:w]
+	cb, cr = cb[:(w+1)/2], cr[:(w+1)/2]
+	for cx := range w / 2 {
+		b, r := cb[cx], cr[cx]
+		ro, g, bo := rOff[r], (gCb[b]+gCr[r])>>16, bOff[b]
+		l0, l1 := (*[2]uint8)(y0[2*cx:]), (*[2]uint8)(y1[2*cx:])
+		p0, p1 := (*[6]uint8)(dst0[6*cx:]), (*[6]uint8)(dst1[6*cx:])
+		putRGB((*[3]uint8)(p0[:3]), int32(l0[0]), ro, g, bo)
+		putRGB((*[3]uint8)(p0[3:]), int32(l0[1]), ro, g, bo)
+		putRGB((*[3]uint8)(p1[:3]), int32(l1[0]), ro, g, bo)
+		putRGB((*[3]uint8)(p1[3:]), int32(l1[1]), ro, g, bo)
+		if gTie[b] == int16(r) {
+			p0[1], p0[4] = tieG(l0[0], b, r), tieG(l0[1], b, r)
+			p1[1], p1[4] = tieG(l1[0], b, r), tieG(l1[1], b, r)
+		}
+	}
+	if w%2 == 1 {
+		// The last column's chroma sample covers one pixel per row.
+		x := w - 1
+		b, r := cb[x/2], cr[x/2]
+		ro, g, bo := rOff[r], (gCb[b]+gCr[r])>>16, bOff[b]
+		p0, p1 := (*[3]uint8)(dst0[3*x:]), (*[3]uint8)(dst1[3*x:])
+		putRGB(p0, int32(y0[x]), ro, g, bo)
+		putRGB(p1, int32(y1[x]), ro, g, bo)
+		if gTie[b] == int16(r) {
+			p0[1], p1[1] = tieG(y0[x], b, r), tieG(y1[x], b, r)
+		}
 	}
 }
 

@@ -128,6 +128,51 @@ func TestYCbCrRowToRGBOracle(t *testing.T) {
 	}
 }
 
+// TestYCbCr420RowsToRGBOracle runs every (Y, Cb, Cr) triple through the
+// merged 4:2:0 kernel and the per-pixel formula. One chroma row holds
+// all (Cb, Cr) pairs, the two half-integer G pairs among them, and each
+// sample covers four luma values, one per pixel of its 2×2 box, so 64
+// row pairs reach all 256 luma values. Every other row pair drops the
+// last column, which leaves the last chroma sample one pixel per row.
+func TestYCbCr420RowsToRGBOracle(t *testing.T) {
+	const n = 1 << 16 // chroma samples per row: all (Cb, Cr) pairs
+	cb, cr := make([]uint8, n), make([]uint8, n)
+	for i := range n {
+		cb[i], cr[i] = uint8(i>>8), uint8(i)
+	}
+	up := func(c []uint8) []uint8 { // the chroma row under each pixel
+		out := make([]uint8, 2*n)
+		for x := range out {
+			out[x] = c[x/2]
+		}
+		return out
+	}
+	cbUp, crUp := up(cb), up(cr)
+	y0, y1 := make([]uint8, 2*n), make([]uint8, 2*n)
+	got0, got1 := make([]uint8, 6*n), make([]uint8, 6*n)
+	var want *RGB
+	for y := range 64 {
+		for x := range y0 {
+			y0[x] = uint8(y + 128*(x&1))
+			y1[x] = uint8(y + 64 + 128*(x&1))
+		}
+		w := 2*n - y&1
+		YCbCr420RowsToRGB(got0[:3*w], got1[:3*w], y0[:w], y1[:w], cb, cr)
+		for row, got := range [][]uint8{got0[:3*w], got1[:3*w]} {
+			lum := [][]uint8{y0, y1}[row][:w]
+			want = (&Planes{W: w, H: 1, Y: lum, Cb: cbUp[:w], Cr: crUp[:w]}).ToRGBInto(want)
+			if !bytes.Equal(got, want.Pix) {
+				for x := range w {
+					if !bytes.Equal(got[3*x:3*x+3], want.Pix[3*x:3*x+3]) {
+						t.Fatalf("width %d row %d: Y=%d Cb=%d Cr=%d: kernel %v, formula %v",
+							w, row, lum[x], cbUp[x], crUp[x], got[3*x:3*x+3], want.Pix[3*x:3*x+3])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFromRGBSubsampledOracle holds the table-driven one-pass conversion
 // to the per-pixel formula. At 1×1 it runs every (R, G, B) triple
 // through FromRGB and ToGray; for every encode layout it compares seeded

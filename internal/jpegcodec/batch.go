@@ -16,11 +16,14 @@ package jpegcodec
 //     then a rounding pass in integers, with the sign applied from the
 //     sign bit instead of the branches the per-block quantizer takes per
 //     coefficient;
-//   - dequantization broadcasts the 64 fused multipliers over the run,
-//     and pixels are stored row-contiguously with the clamp hoisted off
-//     the interior blocks.
+//   - reconstruction dispatches on each block's recorded extent: a
+//     DC-only block fills its pixels with one rounded sample, every
+//     other block dequantizes only its zigzag prefix, and pixels are
+//     stored row-contiguously with the clamp hoisted off the interior
+//     blocks.
 
 import (
+	"encoding/binary"
 	"math"
 
 	"repro/internal/dct"
@@ -144,15 +147,14 @@ func roundToSample(v float64) uint8 {
 	return uint8(v + 0.5)
 }
 
-// storeBlockRow level-unshifts the blocksX consecutive reconstructed
-// tiles in plane and stores them into pixel row by — the fused form of
-// LevelUnshift+StoreBlock over a whole row. Edge semantics match
+// storeBlockRow level-unshifts the reconstructed tiles of block row by
+// in plane (block bx at plane[64bx:]) and stores them into the pixel
+// plane — the fused form of LevelUnshift+StoreBlock over a whole row. A
+// block whose extent is 0 is DC-only: reconstructBlockRow fills it
+// without a tile, so the store skips it. Edge semantics match
 // StoreBlock: samples past the plane bounds are discarded.
-func storeBlockRow(pix []uint8, w, h, by, blocksX int, plane []float64) {
-	fullX := w >> 3
-	if fullX > blocksX {
-		fullX = blocksX
-	}
+func storeBlockRow(pix []uint8, w, h, by int, ext []uint8, plane []float64) {
+	fullX := min(w>>3, len(ext))
 	for y := 0; y < 8; y++ {
 		sy := by*8 + y
 		if sy >= h {
@@ -161,13 +163,25 @@ func storeBlockRow(pix []uint8, w, h, by, blocksX int, plane []float64) {
 		row := pix[sy*w : sy*w+w]
 		d := y * 8
 		for bx := 0; bx < fullX; bx++ {
+			if ext[bx] == 0 {
+				continue
+			}
+			// Unrolled: the compiler does not unroll the eight lanes itself.
 			src := (*[8]float64)(plane[bx*64+d:])
 			dst := (*[8]uint8)(row[bx*8:])
-			for x := 0; x < 8; x++ {
-				dst[x] = roundToSample(src[x] + 128)
-			}
+			dst[0] = roundToSample(src[0] + 128)
+			dst[1] = roundToSample(src[1] + 128)
+			dst[2] = roundToSample(src[2] + 128)
+			dst[3] = roundToSample(src[3] + 128)
+			dst[4] = roundToSample(src[4] + 128)
+			dst[5] = roundToSample(src[5] + 128)
+			dst[6] = roundToSample(src[6] + 128)
+			dst[7] = roundToSample(src[7] + 128)
 		}
-		for bx := fullX; bx < blocksX; bx++ {
+		for bx := fullX; bx < len(ext); bx++ {
+			if ext[bx] == 0 {
+				continue
+			}
 			base := bx*64 + d
 			for x := 0; x < 8; x++ {
 				sx := bx*8 + x
@@ -177,6 +191,41 @@ func storeBlockRow(pix []uint8, w, h, by, blocksX int, plane []float64) {
 				row[sx] = roundToSample(plane[base+x] + 128)
 			}
 		}
+	}
+}
+
+// fillBlock sets every sample of block (bx, by) that lies inside the
+// w×h pixel plane to v: the store of a DC-only block, whose inverse
+// transform is v at every position.
+func fillBlock(pix []uint8, w, h, bx, by int, v uint8) {
+	x0 := bx * 8
+	if x0 >= w {
+		return
+	}
+	if x0+8 <= w {
+		v8 := uint64(v) * 0x0101010101010101
+		for sy := by * 8; sy < min(by*8+8, h); sy++ {
+			binary.LittleEndian.PutUint64(pix[sy*w+x0:], v8)
+		}
+		return
+	}
+	for sy := by * 8; sy < min(by*8+8, h); sy++ {
+		row := pix[sy*w+x0 : sy*w+w]
+		for i := range row {
+			row[i] = v
+		}
+	}
+}
+
+// dequantizePrefix zeroes tile and dequantizes the zigzag prefix
+// 0..ext of coefs into it, each coefficient by its fused multiplier:
+// the product DequantizeBlocks forms, for the only coefficients that
+// can be nonzero. The zero bands read +0 either way.
+func dequantizePrefix(tile *[64]float64, coefs *[64]int32, ext uint8, inv *qtable.InvScaled) {
+	*tile = [64]float64{}
+	for _, n := range qtable.ZigZagOrder[:int(ext)+1] {
+		n &= 63
+		tile[n] = float64(coefs[n]) * inv[n]
 	}
 }
 
@@ -194,12 +243,28 @@ func transformComponent(c *component, tbl *qtable.FwdScaled, mask *qtable.ZeroMa
 }
 
 // reconstructBlockRow runs the inverse stage for block row by of a
-// w×h pixel plane whose coefficients are row: broadcast the fused
-// dequantize multipliers over the row, one batch of raw inverse AAN
-// butterflies, one fused unshift+store pass.
-func reconstructBlockRow(pix []uint8, w, h, by int, row [][64]int32, inv *qtable.InvScaled, plane []float64) {
-	run := len(row) * 64
-	inv.DequantizeBlocks(plane[:run], row)
-	dct.InverseAANRawBatch(plane[:run])
-	storeBlockRow(pix, w, h, by, len(row), plane[:run])
+// w×h pixel plane whose coefficients are row and whose blocks' extents
+// (the last zigzag index each block's entropy decode may have written;
+// every coefficient past it is zero) are ext. A DC-only block (extent 0)
+// is one dequantize multiply and one rounded sample filled into its
+// pixels: with every AC term zero, each output of the inverse
+// butterflies is the DC term exactly. Every other block dequantizes its
+// zigzag prefix into a zeroed tile and takes the raw inverse AAN
+// butterflies, and one fused unshift+store pass stores the tiles.
+func reconstructBlockRow(pix []uint8, w, h, by int, row [][64]int32, ext []uint8, inv *qtable.InvScaled, plane []float64) {
+	ext = ext[:len(row)]
+	for bx, e := range ext {
+		if e == 0 {
+			// The explicit conversion rounds the product before the level
+			// shift, as the tile path's store to memory does, so no
+			// compiler may fuse the two into one FMA (arm64's would).
+			dc := float64(float64(row[bx][0]) * inv[0])
+			fillBlock(pix, w, h, bx, by, roundToSample(dc+128))
+			continue
+		}
+		tile := (*[64]float64)(plane[bx*64:])
+		dequantizePrefix(tile, &row[bx], e, inv)
+		dct.InverseAANRawBatch(tile[:])
+	}
+	storeBlockRow(pix, w, h, by, ext, plane)
 }

@@ -123,12 +123,13 @@ func TestStoreBlockRowMatchesStoreBlock(t *testing.T) {
 		got := randPixPlane(rng, dim.w, dim.h)
 		want := make([]uint8, len(got))
 		copy(want, got)
+		ext := bytes.Repeat([]uint8{63}, blocksX) // no DC-only block: store every tile
 		for by := 0; by < blocksY; by++ {
 			for i := range plane {
 				// Reconstruction range including values that clamp.
 				plane[i] = float64(rng.Intn(701)-350) + rng.Float64()
 			}
-			storeBlockRow(got, dim.w, dim.h, by, blocksX, plane)
+			storeBlockRow(got, dim.w, dim.h, by, ext, plane)
 			for bx := 0; bx < blocksX; bx++ {
 				var tile [64]uint8
 				dct.LevelUnshift((*dct.Block)(plane[bx*64:]), tile[:])
@@ -173,37 +174,146 @@ func TestTransformComponentMatchesPerBlock(t *testing.T) {
 	}
 }
 
-// TestReconstructRowMatchesPerBlock pins the batched inverse stage —
-// dequantize broadcast, batch inverse transform, fused store — against
-// reconstructBlock+StoreBlock.
+// sparseBlock draws one block's coefficients and the extent the entropy
+// decoder would record for them. Each generator draws one zero-pattern
+// class of the blocks reconstructBlockRow dispatches on.
+type sparseBlock func(rng *rand.Rand, c *[64]int32) (ext uint8)
+
+// coefValue draws a nonzero coefficient in [−127, 127].
+func coefValue(rng *rand.Rand) int32 {
+	v := int32(rng.Intn(254) - 127)
+	if v >= 0 {
+		v++
+	}
+	return v
+}
+
+// lastNonzero returns the zigzag index of c's last nonzero coefficient,
+// or 0: the extent an entropy decode records when no ZRL precedes EOB.
+func lastNonzero(c *[64]int32) uint8 {
+	for z := 63; z > 0; z-- {
+		if c[qtable.ZigZagOrder[z]] != 0 {
+			return uint8(z)
+		}
+	}
+	return 0
+}
+
+var sparseBlocks = []struct {
+	name string
+	gen  sparseBlock
+}{
+	{"dense", func(rng *rand.Rand, c *[64]int32) uint8 {
+		// Every coefficient nonzero with probability ⅓.
+		for i := range c {
+			if rng.Intn(3) == 0 {
+				c[i] = coefValue(rng)
+			}
+		}
+		return lastNonzero(c)
+	}},
+	{"dc-only", func(rng *rand.Rand, c *[64]int32) uint8 {
+		c[0] = coefValue(rng)
+		return 0
+	}},
+	{"all-zero", func(rng *rand.Rand, c *[64]int32) uint8 {
+		return 0
+	}},
+	{"row0", func(rng *rand.Rand, c *[64]int32) uint8 {
+		// AC terms only in row 0: one nonzero column-pass input per column.
+		c[0] = coefValue(rng)
+		for i := 1; i < 8; i++ {
+			if rng.Intn(2) == 0 {
+				c[i] = coefValue(rng)
+			}
+		}
+		c[1+rng.Intn(7)] = coefValue(rng)
+		return lastNonzero(c)
+	}},
+	{"col0", func(rng *rand.Rand, c *[64]int32) uint8 {
+		// AC terms only in column 0: one column left for the butterfly.
+		c[0] = coefValue(rng)
+		for i := 8; i < 64; i += 8 {
+			if rng.Intn(2) == 0 {
+				c[i] = coefValue(rng)
+			}
+		}
+		c[8*(1+rng.Intn(7))] = coefValue(rng)
+		return lastNonzero(c)
+	}},
+	{"prefix", func(rng *rand.Rand, c *[64]int32) uint8 {
+		// A random zigzag prefix whose last coefficient is nonzero.
+		e := 1 + rng.Intn(62)
+		for z := 0; z < e; z++ {
+			if rng.Intn(2) == 0 {
+				c[qtable.ZigZagOrder[z]] = coefValue(rng)
+			}
+		}
+		c[qtable.ZigZagOrder[e]] = coefValue(rng)
+		return uint8(e)
+	}},
+	{"extent63", func(rng *rand.Rand, c *[64]int32) uint8 {
+		for z := 0; z < 63; z++ {
+			if rng.Intn(4) == 0 {
+				c[qtable.ZigZagOrder[z]] = coefValue(rng)
+			}
+		}
+		c[63] = coefValue(rng)
+		return 63
+	}},
+	{"overestimated", func(rng *rand.Rand, c *[64]int32) uint8 {
+		// A ZRL before EOB: the recorded extent lies past the last
+		// nonzero coefficient, down to a DC-only block with extent > 0.
+		last := rng.Intn(48)
+		for z := 1; z <= last; z++ {
+			if rng.Intn(2) == 0 {
+				c[qtable.ZigZagOrder[z]] = coefValue(rng)
+			}
+		}
+		c[0] = coefValue(rng)
+		return uint8(int(lastNonzero(c)) + 1 + rng.Intn(16))
+	}},
+}
+
+// TestReconstructRowMatchesPerBlock pins the batched inverse stage — the
+// dispatch on recorded extents (DC-only fill, prefix dequantize), the
+// batch inverse transform and its zero-column shortcut, the fused store
+// — against the dense reconstructBlock+StoreBlock, once per zero-pattern
+// class and once with the classes mixed within each row.
 func TestReconstructRowMatchesPerBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	var inv qtable.InvScaled
 	qtable.StdChrominance.InvScaledInto(&inv)
-	for _, dim := range edgeDims {
-		blocksX, blocksY := paddedGrid(dim.w, dim.h)
-		coefs := make([][64]int32, blocksX*blocksY)
-		for bi := range coefs {
-			for i := 0; i < 64; i++ {
-				if rng.Intn(3) == 0 {
-					coefs[bi][i] = int32(rng.Intn(255) - 127)
+	classes := append(sparseBlocks, struct {
+		name string
+		gen  sparseBlock
+	}{"mixed", func(rng *rand.Rand, c *[64]int32) uint8 {
+		return sparseBlocks[rng.Intn(len(sparseBlocks))].gen(rng, c)
+	}})
+	for _, class := range classes {
+		for _, dim := range edgeDims {
+			blocksX, blocksY := paddedGrid(dim.w, dim.h)
+			coefs := make([][64]int32, blocksX*blocksY)
+			ext := make([]uint8, len(coefs))
+			for bi := range coefs {
+				ext[bi] = class.gen(rng, &coefs[bi])
+			}
+			pix := randPixPlane(rng, dim.w, dim.h)
+			want := make([]uint8, len(pix))
+			copy(want, pix)
+			plane := make([]float64, blocksX*64)
+			for by := 0; by < blocksY; by++ {
+				row := by * blocksX
+				reconstructBlockRow(pix, dim.w, dim.h, by, coefs[row:row+blocksX], ext[row:row+blocksX], &inv, plane)
+				for bx := 0; bx < blocksX; bx++ {
+					var tile [64]uint8
+					reconstructBlock(&coefs[row+bx], &inv, &tile)
+					imgutil.StoreBlock(want, dim.w, dim.h, bx, by, &tile)
 				}
 			}
-		}
-		pix := randPixPlane(rng, dim.w, dim.h)
-		want := make([]uint8, len(pix))
-		copy(want, pix)
-		plane := make([]float64, blocksX*64)
-		for by := 0; by < blocksY; by++ {
-			reconstructBlockRow(pix, dim.w, dim.h, by, coefs[by*blocksX:(by+1)*blocksX], &inv, plane)
-			for bx := 0; bx < blocksX; bx++ {
-				var tile [64]uint8
-				reconstructBlock(&coefs[by*blocksX+bx], &inv, &tile)
-				imgutil.StoreBlock(want, dim.w, dim.h, bx, by, &tile)
+			if !bytes.Equal(pix, want) {
+				t.Fatalf("%s %dx%d: batched reconstruction diverges from reconstructBlock+StoreBlock", class.name, dim.w, dim.h)
 			}
-		}
-		if !bytes.Equal(pix, want) {
-			t.Fatalf("%dx%d: batched reconstruction diverges from reconstructBlock+StoreBlock", dim.w, dim.h)
 		}
 	}
 }

@@ -279,6 +279,7 @@ type component struct {
 
 	blocksX, blocksY int         // MCU-padded block grid
 	coefs            [][64]int32 // quantized coefficients per block, natural order
+	ext              []uint8     // decoder: each block's extent (see Decoded.ext)
 
 	// Decoder per-frame scan state. scanned marks components that took
 	// part in at least one scan; primed marks coefficient grids that hold

@@ -47,6 +47,13 @@ type Decoded struct {
 	blocksX    [3]int
 	blocksY    [3]int
 
+	// ext holds each block's extent beside its coefficients: the last
+	// zigzag index the entropy decode may have written, so every
+	// coefficient past it is zero. It is recorded at the block's EOB
+	// (0 for a DC-only block), and it is 63 in progressive frames and
+	// for blocks no baseline scan writes. Reconstruction dispatches on it.
+	ext [3][]uint8
+
 	// pixPending marks pixel planes not yet reconstructed from this
 	// decode's coefficients; reconWorkers is the entropy decode's shard
 	// fan-out (0 when it ran sequentially), which reconstruction reuses.
@@ -96,6 +103,7 @@ func (d *Decoded) Reset() {
 		d.planes[i].tq = 0
 		d.planes[i].pix = d.planes[i].pix[:0]
 		d.coefs[i] = d.coefs[i][:0]
+		d.ext[i] = d.ext[i][:0]
 		d.blocksX[i], d.blocksY[i] = 0, 0
 	}
 	for k := range d.QuantTables {
@@ -126,7 +134,11 @@ func (d *Decoded) GrayInto(dst *imgutil.Gray) *imgutil.Gray {
 
 // Coefficients returns the quantized DCT coefficients of component i in
 // natural order, along with the MCU-padded block-grid dimensions. Blocks
-// are stored row-major (by*blocksX + bx).
+// are stored row-major (by*blocksX + bx). The grid is read-only: pixels
+// reconstruct from it lazily, on the first pixel read, and read each
+// block only up to the extent its entropy decode recorded, so a write
+// before that read would change the pixels, or be lost past a block's
+// extent.
 func (d *Decoded) Coefficients(i int) (blocks [][64]int32, blocksX, blocksY int) {
 	return d.coefs[i], d.blocksX[i], d.blocksY[i]
 }
@@ -142,15 +154,18 @@ func (d *Decoded) RGB() *imgutil.RGB {
 // returned either way and never aliases the Decoded's internal planes.
 //
 // Color frames convert in one pass from the Y/Cb/Cr planes to
-// interleaved RGB: chroma is upsampled by nearest-sample replication
-// through row and column indices computed once per call, and the color
-// terms come from tables (imgutil.YCbCrRowToRGB). The indices follow the
-// components' true sampling factors from the SOF header — for
-// ceil-division plane sizes the ratio cannot be recovered from the
-// plane size alone (a 9-wide 4:1:1 frame has a 3-wide chroma plane, and
-// 9/3 ≠ 4) — so output pixel (x, y) reads chroma sample
-// (x·hs/maxH, y·vs/maxV), clamped to the plane. When the Cb plane is
-// frame-sized, every frame-sized chroma plane is read one to one instead.
+// interleaved RGB, with the color terms rounded to integers and read
+// from tables. 4:2:0 frames convert two rows at a time, each chroma
+// sample's terms once for its 2×2 luma box (imgutil.YCbCr420RowsToRGB).
+// Every other layout upsamples chroma by nearest-sample replication
+// through row and column indices computed once per call
+// (imgutil.YCbCrRowToRGB). The indices follow the components' true
+// sampling factors from the SOF header — for ceil-division plane sizes
+// the ratio cannot be recovered from the plane size alone (a 9-wide
+// 4:1:1 frame has a 3-wide chroma plane, and 9/3 ≠ 4) — so output pixel
+// (x, y) reads chroma sample (x·hs/maxH, y·vs/maxV), clamped to the
+// plane. When the Cb plane is frame-sized, every frame-sized chroma
+// plane is read one to one instead.
 // The first pixel read after a decode reconstructs the planes, and the
 // column indices are scratch kept on the Decoded, so RGBInto must not
 // run concurrently with another pixel reader on one Decoded.
@@ -173,6 +188,17 @@ func (d *Decoded) RGBInto(dst *imgutil.RGB) *imgutil.RGB {
 	im.W, im.H = w, h
 	im.Pix = imgutil.GrowBytes(im.Pix, 3*w*h)
 	lum, cb, cr := &d.planes[0], &d.planes[1], &d.planes[2]
+	if d.Sampling == Sub420 {
+		// Each chroma sample covers a 2×2 luma box: convert two rows per
+		// chroma row (an odd last row pairs with itself).
+		for y := 0; y < h; y += 2 {
+			y1, c := min(y+1, h-1), y/2
+			imgutil.YCbCr420RowsToRGB(im.Pix[3*y*w:3*(y+1)*w], im.Pix[3*y1*w:3*(y1+1)*w],
+				lum.pix[y*w:(y+1)*w], lum.pix[y1*w:(y1+1)*w],
+				cb.pix[c*cb.w:(c+1)*cb.w], cr.pix[c*cr.w:(c+1)*cr.w])
+		}
+		return im
+	}
 	cbDirect := cb.w == w && cb.h == h
 	crDirect := cbDirect && cr.w == w && cr.h == h
 	if cap(d.cols) < 2*w {
@@ -712,9 +738,10 @@ func (d *decoder) parseSOF(progressive bool) error {
 		// calls reuse them.
 		c.coefs = growCoefs(d.dst.coefs[i], c.blocksX*c.blocksY)
 		d.dst.coefs[i] = c.coefs
+		c.ext = imgutil.GrowBytes(d.dst.ext[i], len(c.coefs))
+		d.dst.ext[i] = c.ext
 		if progressive {
-			zeroCoefs(c.coefs)
-			c.primed = true
+			d.primeComponent(c)
 		}
 	}
 	return nil
@@ -852,12 +879,17 @@ func (d *decoder) decodeScan() (byte, error) {
 }
 
 // primeComponent zeroes a component's pooled coefficient grid once per
-// decode, before the first scan that does not overwrite every block.
+// decode, before the first scan that does not overwrite every block,
+// and sets every block's extent to 63: a block that a later scan does
+// not write stays zero, and progressive scans never record extents.
 func (d *decoder) primeComponent(c *component) {
 	if c.primed {
 		return
 	}
 	zeroCoefs(c.coefs)
+	for i := range c.ext {
+		c.ext[i] = 63
+	}
 	c.primed = true
 }
 
@@ -926,12 +958,11 @@ func (d *decoder) scanBaseline(scomps []*component, interleaved bool) (byte, err
 			}
 			continue
 		}
-		by, bx := mcu/sbw, mcu%sbw
-		coefs := &c0.coefs[by*c0.blocksX+bx]
-		if err := decodeBlockInto(br, d.huff[0<<2|c0.td], d.huff[1<<2|c0.ta], prevDC[0], coefs); err != nil {
+		k := mcu/sbw*c0.blocksX + mcu%sbw
+		if err := decodeBlockInto(br, d.huff[0<<2|c0.td], d.huff[1<<2|c0.ta], prevDC[0], &c0.coefs[k], &c0.ext[k]); err != nil {
 			return 0, err
 		}
-		prevDC[0] = coefs[0]
+		prevDC[0] = c0.coefs[k][0]
 	}
 	return d.scanEnd(), nil
 }
@@ -946,11 +977,11 @@ func decodeMCU(br *bitio.Reader, scomps []*component, huff *[8]*decTable, mcusX,
 		dcTab, acTab := huff[0<<2|c.td], huff[1<<2|c.ta]
 		for vy := 0; vy < c.v; vy++ {
 			for vx := 0; vx < c.h; vx++ {
-				coefs := &c.coefs[(my*c.v+vy)*c.blocksX+mx*c.h+vx]
-				if err := decodeBlockInto(br, dcTab, acTab, prevDC[ci], coefs); err != nil {
+				k := (my*c.v+vy)*c.blocksX + mx*c.h + vx
+				if err := decodeBlockInto(br, dcTab, acTab, prevDC[ci], &c.coefs[k], &c.ext[k]); err != nil {
 					return err
 				}
-				prevDC[ci] = coefs[0]
+				prevDC[ci] = c.coefs[k][0]
 			}
 		}
 	}
@@ -959,9 +990,12 @@ func decodeMCU(br *bitio.Reader, scomps []*component, huff *[8]*decTable, mcusX,
 
 // decodeBlockInto entropy-decodes one block into natural-order
 // coefficients, writing straight into the caller's grid slot (which may
-// hold stale pooled data — it is zeroed first). On error the slot's
-// contents are unspecified.
-func decodeBlockInto(br *bitio.Reader, dcTab, acTab *decTable, prevDC int32, coefs *[64]int32) error {
+// hold stale pooled data — it is zeroed first), and records the block's
+// extent in *ext: at EOB, the zigzag index before the next unread
+// position, which is at least the last nonzero one (a ZRL before EOB
+// leaves it past that), and 63 for a block that runs to its end. On
+// error the slot's contents are unspecified.
+func decodeBlockInto(br *bitio.Reader, dcTab, acTab *decTable, prevDC int32, coefs *[64]int32, ext *uint8) error {
 	*coefs = [64]int32{}
 	s, err := dcTab.decode(br)
 	if err != nil {
@@ -980,6 +1014,7 @@ func decodeBlockInto(br *bitio.Reader, dcTab, acTab *decTable, prevDC int32, coe
 		run, size := int(sym>>4), int(sym&0x0F)
 		switch {
 		case size == 0 && run == 0: // EOB
+			*ext = uint8(z - 1)
 			return nil
 		case size == 0 && run == 15: // ZRL
 			z += 16
@@ -998,6 +1033,7 @@ func decodeBlockInto(br *bitio.Reader, dcTab, acTab *decTable, prevDC int32, coe
 			z++
 		}
 	}
+	*ext = 63
 	return nil
 }
 
@@ -1008,12 +1044,9 @@ func decodeBlockInto(br *bitio.Reader, dcTab, acTab *decTable, prevDC int32, coe
 func (d *decoder) finishFrame() error {
 	f := &d.frame
 	for i, c := range f.comps {
-		if !c.primed {
-			// No scan carried this component; it reconstructs as a flat
-			// mid-gray plane rather than pooled leftovers.
-			zeroCoefs(c.coefs)
-			c.primed = true
-		}
+		// A component no scan carried reconstructs as a flat mid-gray
+		// plane rather than pooled leftovers.
+		d.primeComponent(c)
 		tbl, ok := d.quant[c.tq]
 		if !ok {
 			return fmt.Errorf("jpegcodec: missing quantization table %d", c.tq)
@@ -1047,6 +1080,7 @@ func (d *decoder) finish() error {
 		out.planes[i].vs = c.v
 		out.planes[i].tq = c.tq
 		out.coefs[i] = c.coefs
+		out.ext[i] = c.ext
 		out.blocksX[i] = c.blocksX
 		out.blocksY[i] = c.blocksY
 	}

@@ -315,10 +315,12 @@ func encodeWithFactors(t *testing.T, w, h int, factors [3][2]int) []byte {
 // image — with the oracle over the five named chroma layouts and
 // grayscale at edge sizes, and over mixed-factor layouts: chroma
 // components with factors of their own, and frame-sized chroma planes at
-// fractional ratios, where the one-to-one read applies.
+// fractional ratios, where the one-to-one read applies. The sizes pair
+// odd and even dimensions every way, so 4:2:0's merged two-row kernel
+// meets whole 2×2 boxes, an odd last column and an odd last row.
 func TestRGBIntoOracle(t *testing.T) {
 	streams := map[string][]byte{}
-	sizes := [][2]int{{1, 1}, {9, 9}, {17, 23}, {33, 7}, {255, 1}}
+	sizes := [][2]int{{1, 1}, {9, 9}, {17, 23}, {33, 7}, {255, 1}, {2, 2}, {16, 16}, {8, 3}, {3, 8}}
 	for _, sz := range sizes {
 		img := testImageRGB(sz[0], sz[1], int64(sz[0]+sz[1]))
 		for _, sub := range []Subsampling{Sub444, Sub420, Sub422, Sub440, Sub411} {

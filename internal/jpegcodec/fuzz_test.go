@@ -96,6 +96,26 @@ func seedStreams(tb testing.TB) map[string][]byte {
 	return seeds
 }
 
+// checkExtents holds an accepted decode to the invariant reconstruction
+// relies on: every coefficient past a block's recorded extent is zero.
+func checkExtents(t *testing.T, dec *Decoded, label string) {
+	t.Helper()
+	for i := range dec.Components {
+		coefs, ext := dec.coefs[i], dec.ext[i]
+		if len(ext) != len(coefs) {
+			t.Fatalf("%s: component %d has %d extents for %d blocks", label, i, len(ext), len(coefs))
+		}
+		for k := range coefs {
+			for z := int(ext[k]) + 1; z < 64; z++ {
+				if v := coefs[k][qtable.ZigZagOrder[z]]; v != 0 {
+					t.Fatalf("%s: component %d block %d: coefficient %d at zigzag %d, past the recorded extent %d",
+						label, i, k, v, z, ext[k])
+				}
+			}
+		}
+	}
+}
+
 func FuzzDecode(f *testing.F) {
 	for _, data := range seedStreams(f) {
 		f.Add(data)
@@ -107,6 +127,7 @@ func FuzzDecode(f *testing.F) {
 		if err := DecodeInto(bytes.NewReader(data), &dec, &opts); err != nil {
 			return // rejecting garbage is fine; panicking is not
 		}
+		checkExtents(t, &dec, "decode")
 		// A stream the decoder accepts must reconstruct to its declared
 		// geometry through both output paths.
 		if dec.W <= 0 || dec.H <= 0 || dec.W*dec.H > fuzzMaxPixels {
@@ -143,6 +164,8 @@ func FuzzDecodeSharded(f *testing.F) {
 		if seqErr != nil {
 			return
 		}
+		checkExtents(t, &want, "sequential")
+		checkExtents(t, &got, "sharded")
 		decodedEqual(t, &want, &got, "sharded-vs-sequential")
 	})
 }

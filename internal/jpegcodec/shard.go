@@ -370,5 +370,5 @@ func (d *Decoded) reconstructRow(r int, plane *[]float64) {
 	p := &d.planes[ci]
 	bx := d.blocksX[ci]
 	*plane = growFloats(*plane, bx*64)
-	reconstructBlockRow(p.pix, p.w, p.h, r, d.coefs[ci][r*bx:(r+1)*bx], &p.inv, *plane)
+	reconstructBlockRow(p.pix, p.w, p.h, r, d.coefs[ci][r*bx:(r+1)*bx], d.ext[ci][r*bx:(r+1)*bx], &p.inv, *plane)
 }

@@ -183,47 +183,75 @@ func BenchmarkEncodeStages(b *testing.B) {
 //   - rgb: RGBInto on reconstructed planes — chroma upsampling and
 //     color conversion.
 //
-// The three rows sum to DecodeInto followed by its first RGBInto.
+// The three rows sum to DecodeInto followed by its first RGBInto. They
+// run on two streams of the frame: std, the default tables, and rmhf,
+// the paper's RM-HF scheme, which keeps the 16 lowest zigzag bands
+// (ZeroMask TopZigZag(48)). Every row also reports dconly/block, the
+// share of DC-only blocks, which reconstruct fills without an inverse
+// DCT.
 func BenchmarkDecodeStages(b *testing.B) {
-	var buf bytes.Buffer
-	if err := EncodeRGB(&buf, synthFrame256(b), &Options{Subsampling: Sub420}); err != nil {
-		b.Fatal(err)
-	}
-	stream := buf.Bytes()
-	var dec Decoded
-	if err := DecodeInto(bytes.NewReader(stream), &dec, nil); err != nil {
-		b.Fatal(err)
-	}
-	px := float64(dec.W * dec.H)
-	b.Run("decode", func(b *testing.B) {
-		var dst Decoded
-		r := bytes.NewReader(stream)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.Reset(stream)
-			if err := DecodeInto(r, &dst, nil); err != nil {
-				b.Fatal(err)
+	frame := synthFrame256(b)
+	rmhf := qtable.TopZigZag(48)
+	for _, in := range []struct {
+		name string
+		opts Options
+	}{
+		{"std", Options{Subsampling: Sub420}},
+		{"rmhf", Options{Subsampling: Sub420, ZeroMask: &rmhf}},
+	} {
+		var buf bytes.Buffer
+		if err := EncodeRGB(&buf, frame, &in.opts); err != nil {
+			b.Fatal(err)
+		}
+		stream := buf.Bytes()
+		var dec Decoded
+		if err := DecodeInto(bytes.NewReader(stream), &dec, nil); err != nil {
+			b.Fatal(err)
+		}
+		px := float64(dec.W * dec.H)
+		dcOnly, blocks := 0, 0
+		for i := range dec.Components {
+			for _, e := range dec.ext[i] {
+				if e == 0 {
+					dcOnly++
+				}
 			}
+			blocks += len(dec.ext[i])
 		}
-		perPixel(b, px)
-	})
-	b.Run("reconstruct", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dec.pixPending = true
-			dec.reconstruct()
+		report := func(b *testing.B) {
+			perPixel(b, px)
+			b.ReportMetric(float64(dcOnly)/float64(blocks), "dconly/block")
 		}
-		perPixel(b, px)
-	})
-	b.Run("rgb", func(b *testing.B) {
-		rgb := dec.RGBInto(nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rgb = dec.RGBInto(rgb)
-		}
-		perPixel(b, px)
-	})
+		b.Run(in.name+"/decode", func(b *testing.B) {
+			var dst Decoded
+			r := bytes.NewReader(stream)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.Reset(stream)
+				if err := DecodeInto(r, &dst, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			report(b)
+		})
+		b.Run(in.name+"/reconstruct", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dec.pixPending = true
+				dec.reconstruct()
+			}
+			report(b)
+		})
+		b.Run(in.name+"/rgb", func(b *testing.B) {
+			rgb := dec.RGBInto(nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rgb = dec.RGBInto(rgb)
+			}
+			report(b)
+		})
+	}
 }
 
 // BenchmarkRequantizeStages splits a coefficient-domain requantize into

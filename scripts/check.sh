@@ -23,8 +23,9 @@ go test -race ./...
 # pixel/coefficient/error pins and the kernel oracles — decode side, and
 # on the encode side the one-pass color conversion and chroma
 # subsampling and the quantizer's integer rounding (which also skips
-# under -race).
-go test -count 1 -run 'TestDecodeVerdictDigests|Oracle' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
+# under -race) — plus the reconstruction's dispatch on recorded block
+# extents against the dense reference and on a reused Decoded.
+go test -count 1 -run 'TestDecodeVerdictDigests|Oracle|TestReconstructRow|TestLazyPixels' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
 # HTTP server suite as its own leg (also inside the race run above).
 go test -count 1 ./internal/server
 # Paper numbers (skipped under -race): Figs. 2a/3/5/7 headline values
