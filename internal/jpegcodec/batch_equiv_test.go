@@ -199,10 +199,13 @@ func lastNonzero(c *[64]int32) uint8 {
 	return 0
 }
 
-var sparseBlocks = []struct {
+// sparseClass names one zero-pattern class and its generator.
+type sparseClass struct {
 	name string
 	gen  sparseBlock
-}{
+}
+
+var sparseBlocks = []sparseClass{
 	{"dense", func(rng *rand.Rand, c *[64]int32) uint8 {
 		// Every coefficient nonzero with probability ⅓.
 		for i := range c {
@@ -284,10 +287,7 @@ func TestReconstructRowMatchesPerBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	var inv qtable.InvScaled
 	qtable.StdChrominance.InvScaledInto(&inv)
-	classes := append(sparseBlocks, struct {
-		name string
-		gen  sparseBlock
-	}{"mixed", func(rng *rand.Rand, c *[64]int32) uint8 {
+	classes := append(sparseBlocks, sparseClass{"mixed", func(rng *rand.Rand, c *[64]int32) uint8 {
 		return sparseBlocks[rng.Intn(len(sparseBlocks))].gen(rng, c)
 	}})
 	for _, class := range classes {
