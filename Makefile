@@ -1,6 +1,6 @@
 # Developer entry points for the DeepN-JPEG reproduction.
 #
-#   make check        # gofmt gate + vet + build + race suite + sampling matrix + decode pins + server suite + paper numbers + perfbench + fuzz smoke
+#   make check        # gofmt gate + vet + build + race suite + allocation pins + sampling matrix + progressive leg + decode pins + hub suite + server suite + paper numbers + perfbench + fuzz smoke
 #   make paper        # the paper's Fig 2a/3/5/7 headline values as tolerance bands
 #   make perfbench    # vet + self-tests of the perfbench module
 #   make test         # plain test run (what tier-1 verification executes)
@@ -18,9 +18,9 @@ FUZZTIME ?= 5s
 # PR number when recording a data point, e.g. `make bench-json PR=4`.
 PR ?= dev
 
-.PHONY: check fmt vet build build-386 test test-amd64v3 race sampling progressive decode hub serve paper perfbench bench bench-txt bench-json serve-bench fuzz-smoke
+.PHONY: check fmt vet build build-386 test test-amd64v3 race alloc sampling progressive decode hub serve paper perfbench bench bench-txt bench-json serve-bench fuzz-smoke
 
-check: fmt vet build build-386 race sampling progressive decode hub serve paper perfbench fuzz-smoke
+check: fmt vet build build-386 race alloc sampling progressive decode hub serve paper perfbench fuzz-smoke
 
 fmt:
 	@out="$$($(GOFMT) -l .)" || exit 1; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -55,6 +55,13 @@ test-amd64v3:
 
 race:
 	$(GO) test -race ./...
+
+# Allocation gate: the steady-state AllocsPerRun pins of the batch APIs
+# (root) and of single-image encode and decode (jpegcodec). Every pin
+# skips under -race, which skews allocation counts, so the race leg
+# runs none of them; this leg runs all nine.
+alloc:
+	$(GO) test -count 1 -run 'Allocs|ReusesMetadataBuffers' . ./internal/jpegcodec
 
 # Chroma-sampling matrix gate: runs the table-driven layout suite
 # (4:4:4/4:2:0/4:2:2/4:4:0/4:1:1) — stdlib-agreeing decodes, byte-stable

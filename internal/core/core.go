@@ -159,18 +159,25 @@ func Restore(params plm.Params, stats, chromaStats *freqstat.Stats, luma, chroma
 // slice of idx fixed by index arithmetic, and the partial accumulators
 // merge in chunk order, so the outcome depends only on the worker count
 // — never on goroutine scheduling. One chunk (workers ≤ 1) folds every
-// image in order with nothing to merge.
+// image in order with nothing to merge. With chroma, each image converts
+// to YCbCr once: Y feeds the luma accumulator, Cb then Cr the chroma one.
 func accumulateStats(ds *dataset.Dataset, idx []int, chroma bool, workers int) (luma, chromaAcc *freqstat.Accumulator) {
 	chunks := max(1, min(workers, len(idx)))
 	lumaParts := make([]*freqstat.Accumulator, chunks)
 	chromaParts := make([]*freqstat.Accumulator, chunks)
 	pipeline.Run(context.Background(), chunks, chunks, func(_ context.Context, c int) error {
 		la, ca := freqstat.NewAccumulator(), freqstat.NewAccumulator()
+		var p imgutil.Planes
 		for _, i := range idx[c*len(idx)/chunks : (c+1)*len(idx)/chunks] {
-			la.AddRGBLuma(ds.Images[i])
-			if chroma {
-				ca.AddRGBChroma(ds.Images[i])
+			im := ds.Images[i]
+			if !chroma {
+				la.AddRGBLuma(im)
+				continue
 			}
+			p.FromRGB(im)
+			la.AddPlane(p.Y, im.W, im.H)
+			ca.AddPlane(p.Cb, im.W, im.H)
+			ca.AddPlane(p.Cr, im.W, im.H)
 		}
 		lumaParts[c], chromaParts[c] = la, ca
 		return nil

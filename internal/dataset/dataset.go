@@ -126,14 +126,6 @@ func specFor(class int) classSpec {
 	return spec
 }
 
-// SignatureBand exposes the discriminative DCT band of a class in natural
-// 8×8 index form (v*8+u), used by experiments that reason about which
-// bands matter.
-func SignatureBand(class int) int {
-	s := specFor(class)
-	return s.sigV*8 + s.sigU
-}
-
 // IsHFClass reports whether a class carries its signature in a
 // high-frequency band (pair member 1).
 func IsHFClass(class int) bool { return class%2 == 1 }
@@ -265,14 +257,4 @@ func (d *Dataset) Map(fn func(*imgutil.RGB) (*imgutil.RGB, error)) (*Dataset, er
 		out.Images[i] = t
 	}
 	return out, nil
-}
-
-// Subset returns the images whose indices are listed, preserving order.
-func (d *Dataset) Subset(indices []int) *Dataset {
-	out := &Dataset{Classes: d.Classes, Size: d.Size}
-	for _, i := range indices {
-		out.Images = append(out.Images, d.Images[i])
-		out.Labels = append(out.Labels, d.Labels[i])
-	}
-	return out
 }

@@ -131,7 +131,7 @@ func TestSignatureBandCarriesEnergy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sig := SignatureBand(class)
+		sig := signatureBand(class)
 		// Measure band energy as mean² + σ² (total second moment).
 		energy := func(b int) float64 {
 			return stats.Mean[b]*stats.Mean[b] + stats.Std[b]*stats.Std[b]
@@ -151,6 +151,13 @@ func TestSignatureBandCarriesEnergy(t *testing.T) {
 			t.Fatalf("class %d: signature band %d energy %.1f < 3×median %.1f", class, sig, sigE, med)
 		}
 	}
+}
+
+// signatureBand is the discriminative DCT band of a class in natural
+// 8×8 index form (v*8+u).
+func signatureBand(class int) int {
+	s := specFor(class)
+	return s.sigV*8 + s.sigU
 }
 
 func median(xs []float64) float64 {
@@ -179,8 +186,8 @@ func TestPairedClassesShareShape(t *testing.T) {
 		t.Fatal("pair member 1 must be the HF class")
 	}
 	// HF member's band must rank later in zig-zag order than MF member's.
-	z0 := zigzagOf(SignatureBand(0))
-	z1 := zigzagOf(SignatureBand(1))
+	z0 := zigzagOf(signatureBand(0))
+	z1 := zigzagOf(signatureBand(1))
 	if z1 <= z0 {
 		t.Fatalf("HF class band zig-zag %d not beyond MF class %d", z1, z0)
 	}
@@ -269,15 +276,3 @@ func TestMap(t *testing.T) {
 }
 
 var errSentinel = fmt.Errorf("sentinel")
-
-func TestSubset(t *testing.T) {
-	cfg := Config{Classes: 2, Size: 16, TrainPerClass: 3, TestPerClass: 1, Seed: 1}
-	train, _, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := train.Subset([]int{0, 5})
-	if sub.Len() != 2 || sub.Labels[0] != train.Labels[0] || sub.Labels[1] != train.Labels[5] {
-		t.Fatalf("subset %+v", sub.Labels)
-	}
-}

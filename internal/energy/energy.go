@@ -34,9 +34,6 @@ var (
 	WiFi   = Link{Name: "Wi-Fi", ThroughputBps: ReferenceImageBytes / 0.095, RadioPowerW: 0.9}
 )
 
-// Links lists the built-in links in the paper's presentation order.
-func Links() []Link { return []Link{ThreeG, LTE, WiFi} }
-
 // TransferLatency returns the air time for a payload.
 func (l Link) TransferLatency(bytes int64) time.Duration {
 	if bytes <= 0 {
@@ -53,9 +50,6 @@ func (l Link) TransferEnergy(bytes int64) float64 {
 	}
 	return l.RadioPowerW * float64(bytes) / l.ThroughputBps
 }
-
-// EnergyPerByte returns the link's marginal energy cost in joules/byte.
-func (l Link) EnergyPerByte() float64 { return l.RadioPowerW / l.ThroughputBps }
 
 // Compute models on-device DNN arithmetic energy.
 type Compute struct {
@@ -103,27 +97,4 @@ func NormalizedPower(sizes []SchemeBytes, baseline string) (map[string]float64, 
 		out[s.Scheme] = float64(s.Bytes) / float64(base)
 	}
 	return out, nil
-}
-
-// OffloadReport is one row of the edge-offloading comparison: what it
-// costs to ship a payload over each link.
-type OffloadReport struct {
-	Link    string
-	Latency time.Duration
-	Joules  float64
-}
-
-// Offload evaluates a payload against every built-in link, sorted by the
-// paper's order.
-func Offload(bytes int64) []OffloadReport {
-	links := Links()
-	out := make([]OffloadReport, 0, len(links))
-	for _, l := range links {
-		out = append(out, OffloadReport{
-			Link:    l.Name,
-			Latency: l.TransferLatency(bytes),
-			Joules:  l.TransferEnergy(bytes),
-		})
-	}
-	return out
 }

@@ -75,22 +75,15 @@ func (a *Accumulator) AddPlane(pix []uint8, w, h int) {
 	}
 }
 
-// AddGray accumulates a grayscale image.
-func (a *Accumulator) AddGray(g *imgutil.Gray) { a.AddPlane(g.Pix, g.W, g.H) }
-
 // AddRGBLuma accumulates the luma plane of a color image, the channel the
-// paper's analysis (and the luma quantization table) is driven by.
+// paper's analysis (and the luma quantization table) is driven by. It
+// converts luma only. Its samples equal the Y plane of
+// imgutil.Planes.FromRGB, which a calibration that also gathers chroma
+// feeds in its place, so the luma statistics do not depend on that
+// choice.
 func (a *Accumulator) AddRGBLuma(im *imgutil.RGB) {
-	p := imgutil.ToYCbCr(im)
-	a.AddPlane(p.Y, im.W, im.H)
-}
-
-// AddRGBChroma accumulates both chroma planes of a color image, for
-// deriving a chroma quantization table with the same machinery.
-func (a *Accumulator) AddRGBChroma(im *imgutil.RGB) {
-	p := imgutil.ToYCbCr(im)
-	a.AddPlane(p.Cb, im.W, im.H)
-	a.AddPlane(p.Cr, im.W, im.H)
+	g := im.ToGray()
+	a.AddPlane(g.Pix, g.W, g.H)
 }
 
 // Blocks reports how many blocks have been accumulated.
@@ -186,13 +179,6 @@ func StatsFromBinary(b []byte) (*Stats, error) {
 		}
 	}
 	return s, nil
-}
-
-// LaplaceScale returns the maximum-entropy Laplace scale parameter b for a
-// band under the zero-mean model of Reininger & Gibson (variance = 2b²),
-// the distribution the paper cites for AC coefficients.
-func (s *Stats) LaplaceScale(band int) float64 {
-	return s.Std[band] / math.Sqrt2
 }
 
 // MaxStd returns the largest per-band standard deviation, the δmax anchor

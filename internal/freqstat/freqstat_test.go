@@ -91,7 +91,7 @@ func TestFlatPlaneHasZeroACStd(t *testing.T) {
 		g.Pix[i] = 180
 	}
 	a := NewAccumulator()
-	a.AddGray(g)
+	a.AddPlane(g.Pix, g.W, g.H)
 	s, err := a.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestSinusoidConcentratesEnergy(t *testing.T) {
 		}
 	}
 	a := NewAccumulator()
-	a.AddGray(g)
+	a.AddPlane(g.Pix, g.W, g.H)
 	s, err := a.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +138,10 @@ func TestSinusoidConcentratesEnergy(t *testing.T) {
 	}
 }
 
+// TestAddRGBLumaAndChroma: AddRGBLuma converts luma only, and its
+// statistics equal those of the Y plane of a full YCbCr conversion, the
+// plane calibration feeds the luma accumulator when it also gathers
+// chroma. Both chroma planes go to one accumulator.
 func TestAddRGBLumaAndChroma(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	im := imgutil.NewRGB(16, 16)
@@ -147,18 +151,18 @@ func TestAddRGBLumaAndChroma(t *testing.T) {
 	if luma.Blocks() != 4 {
 		t.Fatalf("luma blocks = %d, want 4", luma.Blocks())
 	}
+	var p imgutil.Planes
+	p.FromRGB(im)
+	full := NewAccumulator()
+	full.AddPlane(p.Y, im.W, im.H)
+	if *luma != *full {
+		t.Fatal("AddRGBLuma statistics differ from the Y plane of Planes.FromRGB")
+	}
 	chroma := NewAccumulator()
-	chroma.AddRGBChroma(im)
+	chroma.AddPlane(p.Cb, im.W, im.H)
+	chroma.AddPlane(p.Cr, im.W, im.H)
 	if chroma.Blocks() != 8 {
 		t.Fatalf("chroma blocks = %d, want 8 (both planes)", chroma.Blocks())
-	}
-}
-
-func TestLaplaceScale(t *testing.T) {
-	s := &Stats{}
-	s.Std[5] = math.Sqrt2
-	if got := s.LaplaceScale(5); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("LaplaceScale = %g, want 1", got)
 	}
 }
 
@@ -290,6 +294,6 @@ func BenchmarkAddPlane64(b *testing.B) {
 	a := NewAccumulator()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.AddGray(g)
+		a.AddPlane(g.Pix, g.W, g.H)
 	}
 }

@@ -85,16 +85,9 @@ type Planes struct {
 	rows []uint8 // one box row of full-resolution chroma: ry Cb rows, then ry Cr rows
 }
 
-// ToYCbCr converts an RGB image to full-resolution JFIF YCbCr planes using
-// the BT.601 matrix (the one mandated by JFIF 1.02).
-func ToYCbCr(im *RGB) *Planes {
-	p := &Planes{}
-	p.FromRGB(im)
-	return p
-}
-
-// FromRGB converts im into p at full resolution, reusing p's plane
-// buffers when their capacity suffices: FromRGBSubsampled with a 1×1 box.
+// FromRGB converts im into p at full resolution with the BT.601 matrix
+// that JFIF 1.02 mandates, reusing p's plane buffers when their capacity
+// suffices: FromRGBSubsampled with a 1×1 box.
 func (p *Planes) FromRGB(im *RGB) { p.FromRGBSubsampled(im, 1, 1) }
 
 // FromRGBSubsampled converts im into p with Cb and Cr box-averaged over

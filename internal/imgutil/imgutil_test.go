@@ -39,7 +39,9 @@ func TestSetAt(t *testing.T) {
 func TestYCbCrRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	im := randRGB(rng, 16, 16)
-	back := ToYCbCr(im).ToRGB()
+	var p Planes
+	p.FromRGB(im)
+	back := p.ToRGB()
 	maxErr := 0
 	for i := range im.Pix {
 		d := int(im.Pix[i]) - int(back.Pix[i])
@@ -70,7 +72,8 @@ func TestYCbCrKnownValues(t *testing.T) {
 	for _, c := range cases {
 		im := NewRGB(1, 1)
 		im.Set(0, 0, c.r, c.g, c.b)
-		p := ToYCbCr(im)
+		var p Planes
+		p.FromRGB(im)
 		if p.Y[0] != c.y || p.Cb[0] != c.cb || p.Cr[0] != c.cr {
 			t.Errorf("%s: got Y=%d Cb=%d Cr=%d, want %d/%d/%d",
 				c.name, p.Y[0], p.Cb[0], p.Cr[0], c.y, c.cb, c.cr)

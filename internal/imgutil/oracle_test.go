@@ -93,9 +93,10 @@ func UpsampleInto(dst, pix []uint8, w, h, ow, oh, hs, maxH, vs, maxV int) []uint
 }
 
 // TestYCbCrRowToRGBOracle runs every (Y, Cb, Cr) triple through the
-// table-driven kernel and the per-pixel formula: the tables must hold
-// exactly the products the formula computes, so every output byte
-// agrees.
+// row kernel and the per-pixel float formula. The kernel adds integer
+// chroma terms to Y, each rounded half up from the exact rational
+// coefficients, and falls back to the formula for the (Cb, Cr) pairs
+// whose G term is a half-integer, so every output byte must agree.
 func TestYCbCrRowToRGBOracle(t *testing.T) {
 	const n = 1 << 16 // one row per luma value: all (Cb, Cr) pairs
 	cb, cr := make([]uint8, n), make([]uint8, n)

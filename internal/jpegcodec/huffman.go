@@ -105,15 +105,6 @@ type decTable struct {
 	values  []uint8
 }
 
-// buildDecTable derives decoder tables from a spec.
-func buildDecTable(spec *HuffmanSpec) (*decTable, error) {
-	t := &decTable{}
-	if err := t.init(spec); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // init (re)derives the decoder tables from a spec in place, reusing t's
 // values buffer — the allocation-free path the pooled decoder relies on.
 func (t *decTable) init(spec *HuffmanSpec) error {

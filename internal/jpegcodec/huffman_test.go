@@ -74,8 +74,8 @@ func encodeDecodeSymbols(t *testing.T, spec *HuffmanSpec, syms []uint8) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := buildDecTable(spec)
-	if err != nil {
+	var dec decTable
+	if err := dec.init(spec); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -201,8 +201,8 @@ func TestPropertyOptimizedSpecRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := buildDecTable(spec)
-		if err != nil {
+		var dec decTable
+		if err := dec.init(spec); err != nil {
 			return false
 		}
 		var buf bytes.Buffer
@@ -248,8 +248,8 @@ func TestDecodeInvalidCode(t *testing.T) {
 	// A spec with a single 1-bit code "0": reading a stream of 1s must fail
 	// within 16 bits rather than loop.
 	spec := HuffmanSpec{Counts: [16]uint8{1}, Values: []uint8{5}}
-	dec, err := buildDecTable(&spec)
-	if err != nil {
+	var dec decTable
+	if err := dec.init(&spec); err != nil {
 		t.Fatal(err)
 	}
 	br := bitio.NewReader(bytes.NewReader([]byte{0xFF, 0x00, 0xFF, 0x00, 0xFF, 0x00}))

@@ -39,7 +39,7 @@ func checkLayerGradients(t *testing.T, layer Layer, x *Tensor, seed int64, tol f
 	// Analytic pass. Forward again to ensure caches match the dout pass.
 	layer.Forward(x.Clone(), true)
 	for _, p := range layer.Params() {
-		p.Grad.Zero()
+		clear(p.Grad.Data)
 	}
 	dx := layer.Backward(dout)
 
@@ -58,7 +58,7 @@ func checkLayerGradients(t *testing.T, layer Layer, x *Tensor, seed int64, tol f
 			idx := rng.Intn(len(p.Data.Data))
 			// Re-run analytic pass because numericalGrad clobbered caches.
 			layer.Forward(x.Clone(), true)
-			p.Grad.Zero()
+			clear(p.Grad.Data)
 			layer.Backward(dout)
 			got := float64(p.Grad.Data[idx])
 			num := numericalGrad(layer, x, dout, p.Data.Data, idx)

@@ -55,37 +55,10 @@ func (t *Tensor) Clone() *Tensor {
 	return out
 }
 
-// Zero clears all elements in place.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
-// SameShape reports whether two tensors have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.Shape) != len(o.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != o.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // FillNormal initializes elements from N(0, std²) using rng.
 func (t *Tensor) FillNormal(rng *rand.Rand, std float64) {
 	for i := range t.Data {
 		t.Data[i] = float32(rng.NormFloat64() * std)
-	}
-}
-
-// FillUniform initializes elements from U(−a, a) using rng.
-func (t *Tensor) FillUniform(rng *rand.Rand, a float64) {
-	for i := range t.Data {
-		t.Data[i] = float32((rng.Float64()*2 - 1) * a)
 	}
 }
 

@@ -162,14 +162,11 @@ type Model struct {
 // NewModel wraps a network.
 func NewModel(net Layer) *Model { return &Model{Net: net} }
 
-// newTrainRNG builds the deterministic shuffling stream for a seed.
-func newTrainRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
 // Train runs SGD over train for cfg.Epochs and returns per-epoch mean
 // training losses.
 func (m *Model) Train(train *Dataset, cfg TrainConfig) []float64 {
 	cfg = cfg.withDefaults()
-	rng := newTrainRNG(cfg.Seed)
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	opt := NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
 	params := m.Net.Params()
 	n := train.Len()

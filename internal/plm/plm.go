@@ -111,21 +111,6 @@ func (p Params) Table(stats *freqstat.Stats) (qtable.Table, error) {
 	return t, nil
 }
 
-// TableFromSigmas is Table for callers that hold raw δ values.
-func (p Params) TableFromSigmas(sigmas *[64]float64) (qtable.Table, error) {
-	if err := p.Validate(); err != nil {
-		return qtable.Table{}, err
-	}
-	var t qtable.Table
-	for i := 0; i < 64; i++ {
-		t[i] = p.Step(sigmas[i])
-	}
-	if err := t.Validate(); err != nil {
-		return qtable.Table{}, fmt.Errorf("plm: derived table invalid: %w", err)
-	}
-	return t, nil
-}
-
 // Anchors are the measurable quantities that pin down the PLM: the largest
 // accuracy-safe steps for the HF and MF bands (Q1, Q2 — the critical
 // points of the Fig. 5 sweeps), the LF protection floor QMin, the baseline
@@ -188,16 +173,4 @@ func Fit(a Anchors, t1, t2, sigmaMax float64) (Params, error) {
 		return Params{}, err
 	}
 	return p, nil
-}
-
-// FitFromStats runs magnitude-based segmentation on dataset statistics and
-// fits the PLM to its thresholds — the full calibration step of the
-// DeepN-JPEG design flow.
-func FitFromStats(a Anchors, stats *freqstat.Stats) (Params, freqstat.Segmentation, error) {
-	seg := freqstat.SegmentByMagnitude(stats)
-	p, err := Fit(a, seg.T1, seg.T2, stats.MaxStd())
-	if err != nil {
-		return Params{}, seg, err
-	}
-	return p, seg, nil
 }

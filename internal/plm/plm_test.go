@@ -185,13 +185,17 @@ func TestPropertyFitInvariants(t *testing.T) {
 	}
 }
 
+// TestFitFromStats runs the magnitude branch of the design flow:
+// segment the bands by δ, then fit the PLM to the segmentation's
+// thresholds and the largest δ.
 func TestFitFromStats(t *testing.T) {
 	// Synthetic stats: DC and a few low bands energetic, tail quiet.
 	var stats freqstat.Stats
 	for i := range stats.Std {
 		stats.Std[i] = 80 * math.Exp(-float64(i)/10)
 	}
-	p, seg, err := FitFromStats(PaperAnchors(), &stats)
+	seg := freqstat.SegmentByMagnitude(&stats)
+	p, err := Fit(PaperAnchors(), seg.T1, seg.T2, stats.MaxStd())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,18 +227,19 @@ func TestFitFromStatsDegenerateFails(t *testing.T) {
 	for i := range stats.Std {
 		stats.Std[i] = 10
 	}
-	if _, _, err := FitFromStats(PaperAnchors(), &stats); err == nil {
+	seg := freqstat.SegmentByMagnitude(&stats)
+	if _, err := Fit(PaperAnchors(), seg.T1, seg.T2, stats.MaxStd()); err == nil {
 		t.Fatal("degenerate stats accepted")
 	}
 }
 
 func TestTableFromSigmas(t *testing.T) {
 	p := PaperImageNet()
-	var sig [64]float64
-	for i := range sig {
-		sig[i] = float64(i)
+	var stats freqstat.Stats
+	for i := range stats.Std {
+		stats.Std[i] = float64(i)
 	}
-	tbl, err := p.TableFromSigmas(&sig)
+	tbl, err := p.Table(&stats)
 	if err != nil {
 		t.Fatal(err)
 	}

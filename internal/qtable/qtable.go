@@ -142,17 +142,6 @@ func TopZigZag(n int) ZeroMask {
 	return m
 }
 
-// Count returns the number of dropped bands.
-func (m ZeroMask) Count() int {
-	n := 0
-	for _, b := range m {
-		if b {
-			n++
-		}
-	}
-	return n
-}
-
 // RMHF builds the paper's RM-HF baseline: the QF=100 luminance table plus a
 // mask that zeroes the top-n zig-zag bands.
 func RMHF(n int) (Table, ZeroMask) {

@@ -385,15 +385,6 @@ func (s *Server) profileStatus() map[string]any {
 	return status
 }
 
-// HubStats exposes the hub client counters (zero value when the server
-// runs without a hub origin).
-func (s *Server) HubStats() profilehub.ClientStats {
-	if s.hub == nil {
-		return profilehub.ClientStats{}
-	}
-	return s.hub.Stats()
-}
-
 // reresolveDefault re-resolves the default profile reference after a
 // registry reload and publishes the fresh framework with one atomic
 // swap. In-flight requests keep the snapshot they loaded; if the default

@@ -1,9 +1,11 @@
 #!/bin/sh
 # Full pre-merge gate: gofmt, vet, build, the complete test suite under
-# the race detector, the decode verdict pins and the decode and encode
-# kernel oracles, the HTTP server suite, the paper-numbers bands, the perfbench module, and a
-# short native-fuzz smoke of the decoder and requantizer. Equivalent to
-# `make check` for environments without make.
+# the race detector, the allocation pins, the chroma-sampling matrix, the
+# progressive-JPEG leg, the decode verdict pins and the decode and encode
+# kernel oracles, the profile-hub leg, the HTTP server suite, the
+# paper-numbers bands, the perfbench module, and a short native-fuzz
+# smoke of the decoder, requantizer and profile format. Runs the legs of
+# `make check`, in its order, for environments without make.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -19,6 +21,17 @@ go build ./...
 GOARCH=386 go build ./...
 GOARCH=386 go vet ./...
 go test -race ./...
+# Allocation pins (all skip under -race): steady-state AllocsPerRun of
+# the batch APIs and of single-image encode and decode.
+go test -count 1 -run 'Allocs|ReusesMetadataBuffers' . ./internal/jpegcodec
+# Chroma-sampling matrix: stdlib-agreeing decodes, byte-stable sharded
+# requantization and metadata passthrough over every layout.
+go test -run 'TestSamplingMatrix|TestRGBIntoMatchesStdlibOn422Family|TestSingleComponentFactorsNormalized|TestSOFBaselineBlocksPerMCULimit|Metadata' ./internal/jpegcodec
+go test -run 'TestSubsamplingMatrixInterop|TestRequantizeMetadataPassthroughPublic' .
+# Progressive JPEG: scan-script matrix, stdlib interop, progressive to
+# baseline requantization, the inspector and the server's 415 matrix.
+go test -run 'TestProgressive|TestInspect|TestRequantizeProgressive' ./internal/jpegcodec
+go test -run 'TestUnsupportedFormatMatrix' ./internal/server
 # Decode read path (the verdict pins skip under -race): cross-commit
 # pixel/coefficient/error pins and the kernel oracles — decode side, and
 # on the encode side the one-pass color conversion and chroma
@@ -26,6 +39,11 @@ go test -race ./...
 # under -race) — plus the reconstruction's dispatch on recorded block
 # extents against the dense reference and on a reused Decoded.
 go test -count 1 -run 'TestDecodeVerdictDigests|Oracle|TestReconstructRow|TestLazyPixels' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
+# Profile hub: origin wire protocol, client fault injection, registry
+# lazy fetch and sync, and the two-server fleet scenario.
+go test ./internal/profilehub
+go test -run 'TestRegistryLazyFetch|TestSyncSource|TestWatchSyncs|TestLazyFetchSingleFlight|TestSignature|TestReadSignature|TestGC|TestCompare|TestWriteFileAtomic|TestReadChecksum' ./internal/profile
+go test -run 'TestFleet|TestServerHub' ./internal/server
 # HTTP server suite as its own leg (also inside the race run above).
 go test -count 1 ./internal/server
 # Paper numbers (skipped under -race): Figs. 2a/3/5/7 headline values

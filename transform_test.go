@@ -65,7 +65,8 @@ func TestTransformEnginesShareCalibratedTables(t *testing.T) {
 	}
 	for _, i := range freqstat.StratifiedIndices(labels, 0) {
 		im := images[i]
-		p := imgutil.ToYCbCr(im)
+		var p imgutil.Planes
+		p.FromRGB(im)
 		add(luma, p.Y, im.W, im.H)
 		add(chroma, p.Cb, im.W, im.H)
 		add(chroma, p.Cr, im.W, im.H)
@@ -78,7 +79,8 @@ func TestTransformEnginesShareCalibratedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params, _, err := plm.FitFromStats(plm.PaperAnchors(), lumaStats)
+	seg := freqstat.SegmentByMagnitude(lumaStats)
+	params, err := plm.Fit(plm.PaperAnchors(), seg.T1, seg.T2, lumaStats.MaxStd())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,8 @@ func TestTransformEquivalenceOnInteropImages(t *testing.T) {
 		if _, err := jpeg.Decode(bytes.NewReader(stream)); err != nil {
 			t.Fatalf("image %d: stdlib cannot decode the stream: %v", i, err)
 		}
-		p := imgutil.ToYCbCr(img)
+		var p imgutil.Planes
+		p.FromRGB(img)
 		cb, cw, ch := imgutil.DownsampleInto(nil, p.Cb, img.W, img.H, 2, 2)
 		cr, _, _ := imgutil.DownsampleInto(nil, p.Cr, img.W, img.H, 2, 2)
 		requireReferenceCoefficients(t, "color", stream, [][]uint8{p.Y, cb, cr},
