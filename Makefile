@@ -9,7 +9,7 @@
 #   make bench-txt    # repeated-count text snapshot → $(NEW)
 #   make bench-json   # full benchmark sweep → BENCH_$(PR).json (perf trajectory)
 #   make serve-bench  # requests/sec through the HTTP endpoints + per-route handler cost
-#   make fuzz-smoke   # short native-fuzz run of the decode/requantize/profile fuzzers
+#   make fuzz-smoke   # short native-fuzz run of the decode/requantize/bit-reader/profile fuzzers
 
 GO ?= go
 GOFMT ?= gofmt
@@ -87,7 +87,10 @@ progressive:
 # tests that hold the lookahead bit reader, the table-driven Huffman
 # decoder, the pixel store's rounding and the one-pass color conversion
 # to the formulations they replaced — as their own named leg, so a
-# decode regression is attributable at a glance. The Oracle pattern also
+# decode regression is attributable at a glance. The bitio oracles hold
+# the word-wide reader refill and writer stores to byte-at-a-time
+# readers and writers, and TestDecodeBytesAliasOracle holds a slice
+# decode to leaving nothing that refers to its input. The Oracle pattern also
 # runs the encode-side oracles: the one-pass color conversion and chroma
 # subsampling (imgutil), and the quantizer's integer rounding and the
 # integer requantize pass (jpegcodec). TestReconstructRow and
@@ -134,13 +137,15 @@ perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Native-fuzz smoke leg: a few seconds per target over the checked-in
-# corpus plus fresh mutations — catches decoder panics before CI does a
-# long run. go test only allows one -fuzz pattern per invocation.
+# corpus plus fresh mutations — catches decoder panics, and the bit
+# reader and writer parting from their byte-at-a-time oracles, before CI
+# does a long run. go test only allows one -fuzz pattern per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/jpegcodec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSharded$$' -fuzztime $(FUZZTIME) ./internal/jpegcodec
 	$(GO) test -run '^$$' -fuzz '^FuzzRequantize$$' -fuzztime $(FUZZTIME) ./internal/jpegcodec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeProgressive$$' -fuzztime $(FUZZTIME) ./internal/jpegcodec
+	$(GO) test -run '^$$' -fuzz '^FuzzReaderOracle$$' -fuzztime $(FUZZTIME) ./internal/bitio
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileDecode$$' -fuzztime $(FUZZTIME) ./internal/profile
 	$(GO) test -run '^$$' -fuzz '^FuzzParseIndex$$' -fuzztime $(FUZZTIME) ./internal/profilehub
 

@@ -836,8 +836,8 @@ func runInspect(args []string) error {
 		fmt.Printf("\ncoding process not supported by this decoder (%s); marker structure only\n", info.Frame.Name)
 		return nil
 	}
-	dec, err := jpegcodec.Decode(bytes.NewReader(data))
-	if err != nil {
+	dec := new(jpegcodec.Decoded)
+	if err := jpegcodec.DecodeBytes(data, dec, nil); err != nil {
 		return err
 	}
 	fmt.Printf("\n%s: %dx%d, %d component(s), %v", *in, dec.W, dec.H, dec.Components, dec.Sampling)

@@ -354,15 +354,13 @@ func DecodeBatchInto(ctx context.Context, streams [][]byte, dst []*Image, opts B
 		return nil, fmt.Errorf("deepnjpeg: %d reuse buffers for %d streams", len(dst), len(streams))
 	}
 	jopts := jpegcodec.DecodeOptions{MaxPixels: dopts.MaxPixels}
-	// One Decoded and one reader per pool worker, checked out for the
-	// whole batch: items share their worker's parse state and planes
-	// instead of cycling them through the pool per stream.
+	// One Decoded per pool worker, checked out for the whole batch: items
+	// share their worker's planes instead of cycling them through the
+	// pool per stream.
 	nw := pipeline.Workers(opts.Workers, len(streams))
 	decs := make([]*jpegcodec.Decoded, nw)
-	rds := make([]*bytes.Reader, nw)
 	for w := range decs {
 		decs[w] = decodedPool.Get().(*jpegcodec.Decoded)
-		rds[w] = new(bytes.Reader)
 	}
 	defer func() {
 		for _, d := range decs {
@@ -370,8 +368,7 @@ func DecodeBatchInto(ctx context.Context, streams [][]byte, dst []*Image, opts B
 		}
 	}()
 	err := pipeline.RunWorker(ctx, len(streams), opts.Workers, func(_ context.Context, w, i int) error {
-		rds[w].Reset(streams[i])
-		if err := jpegcodec.DecodeInto(rds[w], decs[w], &jopts); err != nil {
+		if err := jpegcodec.DecodeBytes(streams[i], decs[w], &jopts); err != nil {
 			return err
 		}
 		dst[i] = decs[w].RGBInto(dst[i])
@@ -399,7 +396,7 @@ func DecodeInto(dst *Image, data []byte, opts DecodeOptions) (*Image, error) {
 	dec := decodedPool.Get().(*jpegcodec.Decoded)
 	defer decodedPool.Put(dec)
 	jopts := jpegcodec.DecodeOptions{MaxPixels: opts.MaxPixels}
-	if err := jpegcodec.DecodeInto(bytes.NewReader(data), dec, &jopts); err != nil {
+	if err := jpegcodec.DecodeBytes(data, dec, &jopts); err != nil {
 		return nil, err
 	}
 	return dec.RGBInto(dst), nil
@@ -410,7 +407,7 @@ func DecodeInto(dst *Image, data []byte, opts DecodeOptions) (*Image, error) {
 func DecodeGray(data []byte) (*Gray, error) {
 	dec := decodedPool.Get().(*jpegcodec.Decoded)
 	defer decodedPool.Put(dec)
-	if err := jpegcodec.DecodeInto(bytes.NewReader(data), dec, nil); err != nil {
+	if err := jpegcodec.DecodeBytes(data, dec, nil); err != nil {
 		return nil, err
 	}
 	return dec.Gray(), nil
@@ -530,7 +527,7 @@ func RequantizeJPEGBatch(ctx context.Context, streams [][]byte, qf int, bopts Ba
 // under the given tables. dec's buffers are reused across calls.
 func requantizeInto(dec *jpegcodec.Decoded, src []byte, luma, chroma QuantTable, opts RequantizeOptions) ([]byte, error) {
 	dopts := jpegcodec.DecodeOptions{MaxPixels: opts.MaxPixels}
-	if err := jpegcodec.DecodeInto(bytes.NewReader(src), dec, &dopts); err != nil {
+	if err := jpegcodec.DecodeBytes(src, dec, &dopts); err != nil {
 		return nil, err
 	}
 	var buf bytes.Buffer

@@ -7,9 +7,18 @@
 // Writer performs that stuffing transparently; Reader removes it, looks
 // ahead up to 8 bytes but never past a marker, and stops cleanly at the
 // first marker it encounters.
+//
+// Both sides move machine words where the data allows it. Writer keeps a
+// 64-bit accumulator, takes up to 32 bits per Put and stores 4 bytes at
+// once when none of them is 0xFF. Reader parses a byte slice and refills
+// 8 bytes at once when none of them is 0xFF. A word that holds a 0xFF —
+// stuffing, fill bytes or a marker — takes the byte-at-a-time path, so
+// the stream's bytes and every read's outcome are exactly those of a
+// coder that moves one byte at a time.
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -20,12 +29,22 @@ import (
 // entropy-coded data.
 var ErrMarker = errors.New("bitio: encountered JPEG marker in entropy data")
 
+// Lane masks for the SWAR 0xFF tests: x holds a 0xFF byte exactly when
+// ^x holds a zero byte, and v has a zero byte exactly when
+// (v - lo) & ^v & hi is nonzero.
+const (
+	lo32 = 0x01010101
+	hi32 = 0x80808080
+	lo64 = 0x0101010101010101
+	hi64 = 0x8080808080808080
+)
+
 // Writer accumulates bits MSB-first and flushes them to an io.Writer.
 // The zero value is not usable; construct with NewWriter.
 type Writer struct {
 	w    io.Writer
-	acc  uint32 // bit accumulator, bits occupy the low `nacc` positions
-	nacc uint   // number of valid bits in acc
+	acc  uint64 // bit accumulator: the pending bits are its low nacc bits
+	nacc uint   // number of pending bits, < 32 between calls
 	buf  []byte // pending output bytes
 }
 
@@ -50,18 +69,33 @@ func (bw *Writer) WriteBits(v uint32, n uint) error {
 	if n > 24 {
 		return fmt.Errorf("bitio: WriteBits length %d exceeds 24", n)
 	}
-	if n == 0 {
-		return nil
-	}
-	v &= (1 << n) - 1
-	bw.acc = bw.acc<<n | v
-	bw.nacc += n
-	for bw.nacc >= 8 {
-		bw.nacc -= 8
-		b := byte(bw.acc >> bw.nacc)
-		bw.emit(b)
-	}
+	bw.Put(v&(1<<n-1), n)
 	return nil
+}
+
+// Put appends the n low bits of v, most significant first, with no
+// checks: n must be at most 32 and v must be below 1<<n. It is the
+// entropy coder's hot path — a Huffman code and the magnitude bits that
+// follow it go in one call.
+func (bw *Writer) Put(v uint32, n uint) {
+	bw.acc = bw.acc<<n | uint64(v)
+	bw.nacc += n
+	if bw.nacc >= 32 {
+		bw.nacc -= 32
+		bw.store(uint32(bw.acc >> bw.nacc))
+	}
+}
+
+// store appends 4 whole bytes: at once when none is 0xFF, otherwise one
+// at a time with a 0x00 stuffed after each 0xFF.
+func (bw *Writer) store(x uint32) {
+	if (^x-lo32)&x&hi32 == 0 {
+		bw.buf = binary.BigEndian.AppendUint32(bw.buf, x)
+		return
+	}
+	for shift := 24; shift >= 0; shift -= 8 {
+		bw.emit(byte(x >> shift))
+	}
 }
 
 func (bw *Writer) emit(b byte) {
@@ -74,19 +108,25 @@ func (bw *Writer) emit(b byte) {
 // Pad completes the final partial byte with 1-bits (the JPEG convention,
 // which makes padding decode as a fill prefix of a marker) without
 // flushing, so a segment encoder can take the finished bytes with Bytes
-// and stitch them between restart markers itself.
+// and stitch them between restart markers itself. The whole bytes still
+// in the accumulator go out first.
 func (bw *Writer) Pad() {
+	for bw.nacc >= 8 {
+		bw.nacc -= 8
+		bw.emit(byte(bw.acc >> bw.nacc))
+	}
 	if bw.nacc > 0 {
 		pad := 8 - bw.nacc
-		bw.acc = bw.acc<<pad | ((1 << pad) - 1)
+		bw.acc = bw.acc<<pad | (1<<pad - 1)
 		bw.nacc = 0
 		bw.emit(byte(bw.acc))
 	}
 }
 
 // Bytes returns the pending output bytes accumulated since the last Reset
-// or Flush. The slice aliases the Writer's internal buffer and is
-// invalidated by the next WriteBits, Pad, Flush or Reset.
+// or Flush. Bits still in the accumulator are not included, so callers
+// Pad first. The slice aliases the Writer's internal buffer and is
+// invalidated by the next Put, WriteBits, Pad, Flush or Reset.
 func (bw *Writer) Bytes() []byte { return bw.buf }
 
 // Flush pads the final partial byte with 1-bits and writes all pending
@@ -102,128 +142,120 @@ func (bw *Writer) Flush() error {
 	return nil
 }
 
-// Reader consumes an MSB-first bit stream, removing JPEG byte stuffing.
-// The zero value is not usable; construct with NewReader.
+// Reader consumes an MSB-first bit stream from a byte slice, removing
+// JPEG byte stuffing. The zero value reads an empty slice; construct with
+// NewReader or Reset.
 //
 // Reader looks ahead: it keeps up to 8 bytes of de-stuffed data in a
-// 64-bit accumulator, topped up a whole byte at a time, so a Huffman
-// decoder can inspect the next bits before deciding how many to take
-// (Peek16, Skip). The lookahead never reads past a marker. When it
-// reaches one — or the end of input, or an error from the source — it
-// stops there and holds that outcome pending, and a read returns it only
-// once the read needs more bits than are really buffered. So every read
-// succeeds or fails exactly as it would on a reader that fetched one
-// byte at a time, and the marker that ends a scan is still the next
-// thing ReadMarker reports.
+// 64-bit accumulator, so a Huffman decoder can inspect the next bits
+// before deciding how many to take (Peek16, Peek32, Skip). When none of
+// the next 8 input bytes is 0xFF, a refill loads as many of them as fit
+// in one word; otherwise it goes a byte at a time, removing stuffing and
+// fill bytes. The lookahead never reads past a marker. When it reaches
+// one — or the end of the slice — it stops there and holds that outcome
+// pending, and a read returns it only once the read needs more bits than
+// are really buffered. So every read succeeds or fails exactly as it
+// would on a reader that fetched one byte at a time, and the marker that
+// ends a scan is still the next thing ReadMarker reports.
 type Reader struct {
-	r     io.ByteReader
+	b     []byte // input
+	i     int    // next unread index in b
 	acc   uint64 // buffered bits, MSB-aligned: the next bit is bit 63, the bits below the valid ones are zero
 	nbits uint   // number of valid bits in acc
 	// err is why the lookahead stopped: ErrMarker (marker holds the
-	// code), the source's error (io.EOF at the end of input), or nil
-	// while more input may follow.
+	// code), io.EOF at the end of the slice, or nil while more input may
+	// follow.
 	err    error
 	marker byte
 	// dangling records that the lookahead consumed a 0xFF (fill run)
 	// that the end of input cut off before its marker code.
 	dangling bool
-	sr       sliceReader // built-in source for ResetBytes
 }
 
-// sliceReader is the Reader's built-in byte source for ResetBytes: a
-// cursor over a caller-owned slice, so segment-bounded reading costs no
-// bytes.Reader allocation per segment.
-type sliceReader struct {
-	b []byte
-	i int
-}
-
-func (sr *sliceReader) ReadByte() (byte, error) {
-	if sr.i >= len(sr.b) {
-		return 0, io.EOF
-	}
-	b := sr.b[sr.i]
-	sr.i++
-	return b, nil
-}
-
-// NewReader returns a Reader that removes JPEG byte stuffing and stops at
-// markers.
-func NewReader(r io.ByteReader) *Reader {
-	return &Reader{r: r}
+// NewReader returns a Reader over b that removes JPEG byte stuffing and
+// stops at markers. The Reader does not copy b.
+func NewReader(b []byte) *Reader {
+	return &Reader{b: b}
 }
 
 // Reset discards all buffered bits and any pending marker or error and
-// redirects the Reader to r. It lets callers pool Readers across
-// entropy-coded segments.
-func (br *Reader) Reset(r io.ByteReader) {
-	br.r = r
-	br.clear()
-	br.sr = sliceReader{}
+// redirects the Reader to b. It lets callers pool Readers across
+// entropy-coded segments with no allocation per segment.
+func (br *Reader) Reset(b []byte) {
+	*br = Reader{b: b}
 }
 
-// ResetBytes is Reset reading from a byte slice through the Reader's
-// internal cursor. It is the segment-bounded mode sharded decoding uses:
-// one restart segment per ResetBytes, no per-segment allocation, and
-// Exhausted reports whether the segment was consumed completely.
-func (br *Reader) ResetBytes(b []byte) {
-	br.clear()
-	br.sr = sliceReader{b: b}
-	br.r = &br.sr
-}
+// Offset returns how many bytes of the slice the Reader has consumed,
+// the bytes its lookahead buffered included. Right after ReadMarker
+// returns a marker it is the index just past that marker.
+func (br *Reader) Offset() int { return br.i }
 
-func (br *Reader) clear() {
-	br.acc, br.nbits = 0, 0
-	br.err, br.marker, br.dangling = nil, 0, false
-}
-
-// Exhausted reports whether a ResetBytes Reader has consumed its whole
-// slice with fewer than 8 buffered bits remaining — i.e. nothing is left
-// but (at most) the final byte's padding bits. A restart segment that
-// finishes its MCU quota while whole bytes remain holds trailing data a
+// Exhausted reports whether the Reader has consumed its whole slice with
+// fewer than 8 buffered bits remaining — i.e. nothing is left but (at
+// most) the final byte's padding bits. A restart segment that finishes
+// its MCU quota while whole bytes remain holds trailing data a
 // sequential decoder would trip over at the next marker, so sharded
 // decoding uses this as its segment-completeness check. Bytes the
-// lookahead fetched but no read consumed count as remaining. Only
-// meaningful after ResetBytes.
+// lookahead fetched but no read consumed count as remaining.
 func (br *Reader) Exhausted() bool {
-	return br.r == &br.sr && br.sr.i == len(br.sr.b) && br.nbits < 8 && br.marker == 0 && !br.dangling
+	return br.i == len(br.b) && br.nbits < 8 && br.marker == 0 && !br.dangling
 }
 
-// fill tops the accumulator up a whole byte at a time until it holds
-// more than 56 bits or the lookahead stops at a marker, the end of input
-// or a source error, which it records in err.
+// fill tops the accumulator up until it holds more than 56 bits or the
+// lookahead stops at a marker or the end of input, which it records in
+// err. While the next 8 bytes hold no 0xFF it loads them as one word.
 func (br *Reader) fill() {
 	for br.nbits <= 56 && br.err == nil {
-		b, err := br.r.ReadByte()
-		if err != nil {
-			br.err = err
-			return
-		}
-		if b == 0xFF {
-			// Distinguish stuffed data (FF 00) from a marker, skipping
-			// any run of 0xFF fill bytes (T.81 B.1.1.2).
-			b, err = br.r.ReadByte()
-			for err == nil && b == 0xFF {
-				b, err = br.r.ReadByte()
-			}
-			if err != nil {
-				br.err, br.dangling = err, true
+		if len(br.b)-br.i >= 8 {
+			w := binary.BigEndian.Uint64(br.b[br.i:])
+			if (^w-lo64)&w&hi64 == 0 {
+				// Take the whole bytes that fit; the bits of a byte that
+				// only partly fits are cleared, so bits below the valid
+				// ones stay zero.
+				k := (64 - br.nbits) >> 3
+				br.acc |= w >> br.nbits
+				br.nbits += k << 3
+				br.acc &^= ^uint64(0) >> br.nbits
+				br.i += int(k)
 				return
 			}
-			if b != 0x00 {
-				br.err, br.marker = ErrMarker, b
-				return
-			}
-			b = 0xFF
 		}
-		br.acc |= uint64(b) << (56 - br.nbits)
-		br.nbits += 8
+		br.fillByte()
 	}
 }
 
-// Fail reports why the input stopped — ErrMarker, io.EOF or the source's
-// error — to a caller that needs more bits than Peek16 found buffered,
-// and consumes the buffered bits, as a read that runs past them does.
+// fillByte buffers the next de-stuffed byte, or records why there is
+// none: the end of input, or a marker, skipping any run of 0xFF fill
+// bytes before it (T.81 B.1.1.2).
+func (br *Reader) fillByte() {
+	if br.i >= len(br.b) {
+		br.err = io.EOF
+		return
+	}
+	b := br.b[br.i]
+	br.i++
+	if b == 0xFF {
+		for br.i < len(br.b) && br.b[br.i] == 0xFF {
+			br.i++
+		}
+		if br.i >= len(br.b) {
+			br.err, br.dangling = io.EOF, true
+			return
+		}
+		b2 := br.b[br.i]
+		br.i++
+		if b2 != 0x00 {
+			br.err, br.marker = ErrMarker, b2
+			return
+		}
+	}
+	br.acc |= uint64(b) << (56 - br.nbits)
+	br.nbits += 8
+}
+
+// Fail reports why the input stopped — ErrMarker or io.EOF — to a caller
+// that needs more bits than Peek16 or Peek32 found buffered, and consumes
+// the buffered bits, as a read that runs past them does.
 func (br *Reader) Fail() error {
 	br.acc, br.nbits = 0, 0
 	return br.err
@@ -241,7 +273,17 @@ func (br *Reader) Peek16() (bits uint32, n uint) {
 	return uint32(br.acc >> 48), br.nbits
 }
 
-// Skip consumes n bits, which the last Peek16 must have reported real.
+// Peek32 is Peek16 for the next 32 bits: enough for a Huffman code of up
+// to 16 bits and the up to 16 magnitude bits that follow it.
+func (br *Reader) Peek32() (bits uint32, n uint) {
+	if br.nbits < 32 {
+		br.fill()
+	}
+	return uint32(br.acc >> 32), br.nbits
+}
+
+// Skip consumes n bits, which the last Peek16 or Peek32 must have
+// reported real.
 func (br *Reader) Skip(n uint) {
 	br.acc <<= n
 	br.nbits -= n
@@ -307,24 +349,26 @@ func (br *Reader) ReadMarker() (byte, error) {
 	}
 	if br.marker != 0 {
 		m := br.marker
-		br.clear()
+		br.acc, br.err, br.marker, br.dangling = 0, nil, 0, false
 		return m, nil
 	}
 	if br.err != nil {
 		return 0, br.err
 	}
-	b, err := br.r.ReadByte()
-	if err != nil {
-		return 0, err
+	if br.i >= len(br.b) {
+		return 0, io.EOF
 	}
+	b := br.b[br.i]
+	br.i++
 	if b != 0xFF {
 		return 0, fmt.Errorf("bitio: expected marker, found byte %#02x", b)
 	}
 	for b == 0xFF {
-		b, err = br.r.ReadByte()
-		if err != nil {
-			return 0, err
+		if br.i >= len(br.b) {
+			return 0, io.EOF
 		}
+		b = br.b[br.i]
+		br.i++
 	}
 	if b == 0x00 {
 		return 0, errors.New("bitio: stuffed byte where marker expected")

@@ -60,7 +60,7 @@ func TestByteStuffing(t *testing.T) {
 }
 
 func TestReaderUnstuffs(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte{0xFF, 0x00, 0x12}))
+	r := NewReader([]byte{0xFF, 0x00, 0x12})
 	v, err := r.ReadBits(8)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestReaderUnstuffs(t *testing.T) {
 
 func TestReaderStopsAtMarker(t *testing.T) {
 	// Data byte, then an EOI marker (FF D9).
-	r := NewReader(bytes.NewReader([]byte{0xAB, 0xFF, 0xD9}))
+	r := NewReader([]byte{0xAB, 0xFF, 0xD9})
 	if v, err := r.ReadBits(8); err != nil || v != 0xAB {
 		t.Fatalf("ReadBits = %#x, %v", v, err)
 	}
@@ -94,7 +94,7 @@ func TestReaderStopsAtMarker(t *testing.T) {
 
 func TestReaderSkipsFillBytes(t *testing.T) {
 	// FF FF FF D9: run of fill bytes then EOI.
-	r := NewReader(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xD9}))
+	r := NewReader([]byte{0xFF, 0xFF, 0xFF, 0xD9})
 	_, err := r.ReadBits(1)
 	if !errors.Is(err, ErrMarker) {
 		t.Fatalf("err = %v, want ErrMarker", err)
@@ -105,7 +105,7 @@ func TestReaderSkipsFillBytes(t *testing.T) {
 }
 
 func TestReaderEOF(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte{0xA0}))
+	r := NewReader([]byte{0xA0})
 	if _, err := r.ReadBits(8); err != nil {
 		t.Fatal(err)
 	}
@@ -119,14 +119,14 @@ func TestWriteBitsRejectsWideWrites(t *testing.T) {
 	if err := w.WriteBits(0, 25); err == nil {
 		t.Fatal("expected error for 25-bit write")
 	}
-	r := NewReader(bytes.NewReader(nil))
+	r := NewReader(nil)
 	if _, err := r.ReadBits(25); err == nil {
 		t.Fatal("expected error for 25-bit read")
 	}
 }
 
 func TestAlign(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte{0xF0, 0x0F}))
+	r := NewReader([]byte{0xF0, 0x0F})
 	if v, _ := r.ReadBits(4); v != 0xF {
 		t.Fatalf("got %#x", v)
 	}
@@ -160,7 +160,7 @@ func TestRoundTripRandom(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		r := NewReader(bytes.NewReader(buf.Bytes()))
+		r := NewReader(buf.Bytes())
 		for i, n := range widths {
 			v, err := r.ReadBits(n)
 			if err != nil {
@@ -187,7 +187,7 @@ func TestPropertyStuffRoundTrip(t *testing.T) {
 		if err := w.Flush(); err != nil {
 			return false
 		}
-		r := NewReader(bytes.NewReader(buf.Bytes()))
+		r := NewReader(buf.Bytes())
 		for _, b := range data {
 			v, err := r.ReadBits(8)
 			if err != nil || v != uint32(b) {
@@ -289,8 +289,8 @@ func TestPadOnByteBoundaryIsNoop(t *testing.T) {
 }
 
 func TestResetBytesReadsSlice(t *testing.T) {
-	r := NewReader(bytes.NewReader(nil))
-	r.ResetBytes([]byte{0xFF, 0x00, 0x12}) // stuffed 0xFF then 0x12
+	r := NewReader(nil)
+	r.Reset([]byte{0xFF, 0x00, 0x12}) // stuffed 0xFF then 0x12
 	if v, err := r.ReadBits(8); err != nil || v != 0xFF {
 		t.Fatalf("got %#x, %v; want 0xFF", v, err)
 	}
@@ -303,27 +303,21 @@ func TestResetBytesReadsSlice(t *testing.T) {
 }
 
 func TestResetBytesClearsPendingMarker(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte{0xFF, 0xD0}))
+	r := NewReader([]byte{0xFF, 0xD0})
 	if _, err := r.ReadBits(8); !errors.Is(err, ErrMarker) {
 		t.Fatalf("got %v, want ErrMarker", err)
 	}
-	r.ResetBytes([]byte{0x42})
+	r.Reset([]byte{0x42})
 	if v, err := r.ReadBits(8); err != nil || v != 0x42 {
 		t.Fatalf("got %#x, %v; want 0x42", v, err)
 	}
 }
 
 func TestExhausted(t *testing.T) {
-	r := NewReader(bytes.NewReader(nil))
-
-	// Not in ResetBytes mode: never exhausted.
-	r.Reset(bytes.NewReader(nil))
-	if r.Exhausted() {
-		t.Fatal("Exhausted true for a non-ResetBytes reader")
-	}
+	r := NewReader(nil)
 
 	// Fully consumed slice with only padding bits left.
-	r.ResetBytes([]byte{0xA5})
+	r.Reset([]byte{0xA5})
 	if _, err := r.ReadBits(5); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +326,7 @@ func TestExhausted(t *testing.T) {
 	}
 
 	// Whole unread byte buffered: not exhausted.
-	r.ResetBytes([]byte{0xA5, 0x5A})
+	r.Reset([]byte{0xA5, 0x5A})
 	if _, err := r.ReadBits(5); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +341,7 @@ func TestExhausted(t *testing.T) {
 	}
 
 	// Unread bytes still in the slice: not exhausted.
-	r.ResetBytes([]byte{0x01, 0x02})
+	r.Reset([]byte{0x01, 0x02})
 	if _, err := r.ReadBits(8); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +350,7 @@ func TestExhausted(t *testing.T) {
 	}
 
 	// A marker inside the segment keeps it from counting as exhausted.
-	r.ResetBytes([]byte{0xFF, 0xD3})
+	r.Reset([]byte{0xFF, 0xD3})
 	if _, err := r.ReadBits(8); !errors.Is(err, ErrMarker) {
 		t.Fatalf("got %v, want ErrMarker", err)
 	}
@@ -393,10 +387,10 @@ func BenchmarkReadBits(b *testing.B) {
 	stream := buf.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
-	r := NewReader(bytes.NewReader(stream))
+	r := NewReader(stream)
 	for i := 0; i < b.N; i++ {
 		if _, err := r.ReadBits(10); err != nil {
-			r = NewReader(bytes.NewReader(stream))
+			r.Reset(stream)
 		}
 	}
 }

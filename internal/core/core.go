@@ -283,8 +283,8 @@ func Transcode(ds *dataset.Dataset, s Scheme, gray bool) (*TranscodeResult, erro
 			return nil, err
 		}
 		total += int64(len(data))
-		dec, err := jpegcodec.Decode(bytes.NewReader(data))
-		if err != nil {
+		var dec jpegcodec.Decoded
+		if err := jpegcodec.DecodeBytes(data, &dec, nil); err != nil {
 			return nil, err
 		}
 		return dec.RGB(), nil

@@ -5,15 +5,19 @@ package jpegcodec
 // planes, subsampled chroma, per-component coefficient grids and entropy
 // buffers — hundreds of allocations and ~100 KB per 64×64 image — and
 // every decode re-allocated its parse state and output working set. The
-// pooled steady states must stay down to the handful of small slices
-// that genuinely escape. Bounds are deliberately loose (~2–4× observed)
-// so they catch a lost pool, not allocator noise.
+// pooled steady states of encode, requantize and decode into a reused
+// Decoded make no allocation at all: headers go straight into the pooled
+// buffered writer. AllocsPerRun reports the mean rounded down, so a
+// pool the garbage collector empties now and then does not trip the
+// zero bounds; a lost pool, or an allocation per call, does. The fresh
+// Decode bound is deliberately loose (~2× observed).
 
 import (
 	"bytes"
 	"testing"
 
 	"repro/internal/imgutil"
+	"repro/internal/qtable"
 )
 
 func allocTestImage() *imgutil.RGB {
@@ -43,8 +47,8 @@ func TestEncodeRGBAllocsSteadyState(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, encode)
 	t.Logf("pooled EncodeRGB: %.1f allocs/op", allocs)
-	if allocs > 64 {
-		t.Fatalf("steady-state EncodeRGB makes %.1f allocs/op, want ≤ 64 (pooling regressed)", allocs)
+	if allocs > 0 {
+		t.Fatalf("steady-state EncodeRGB makes %.1f allocs/op, want 0 (pooling regressed)", allocs)
 	}
 }
 
@@ -65,8 +69,43 @@ func TestEncodeGrayAllocsSteadyState(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, encode)
 	t.Logf("pooled EncodeGray: %.1f allocs/op", allocs)
-	if allocs > 44 {
-		t.Fatalf("steady-state EncodeGray makes %.1f allocs/op, want ≤ 44 (pooling regressed)", allocs)
+	if allocs > 0 {
+		t.Fatalf("steady-state EncodeGray makes %.1f allocs/op, want 0 (pooling regressed)", allocs)
+	}
+}
+
+// TestRequantizeAllocsSteadyState pins the archive transcode's emit half:
+// Requantize of one decoded stream into a reused buffer draws its
+// descriptors, coefficient grids and writers from the pools and writes
+// its headers without temporaries, so it allocates nothing.
+func TestRequantizeAllocsSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	var src bytes.Buffer
+	if err := EncodeRGB(&src, allocTestImage(), &Options{OptimizeHuffman: true}); err != nil {
+		t.Fatal(err)
+	}
+	var dec Decoded
+	if err := DecodeBytes(src.Bytes(), &dec, nil); err != nil {
+		t.Fatal(err)
+	}
+	luma := qtable.MustScale(qtable.StdLuminance, 50)
+	chroma := qtable.MustScale(qtable.StdChrominance, 50)
+	var out bytes.Buffer
+	requantize := func() {
+		out.Reset()
+		if err := Requantize(&out, &dec, luma, chroma, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		requantize()
+	}
+	allocs := testing.AllocsPerRun(100, requantize)
+	t.Logf("pooled Requantize: %.1f allocs/op", allocs)
+	if allocs > 0 {
+		t.Fatalf("steady-state Requantize makes %.1f allocs/op, want 0 (pooling regressed)", allocs)
 	}
 }
 

@@ -24,6 +24,7 @@ package jpegcodec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/qtable"
 )
@@ -302,15 +303,28 @@ type component struct {
 const quantizeTieEps = 1e-9
 
 // bitCategory returns the JPEG magnitude category of v: the number of bits
-// needed to represent |v| (0 for v == 0).
+// needed to represent |v| (0 for v == 0, 32 for math.MinInt32).
 func bitCategory(v int32) int {
+	u := uint32(v)
 	if v < 0 {
-		v = -v
+		u = -u
 	}
-	n := 0
-	for v > 0 {
-		n++
-		v >>= 1
-	}
-	return n
+	return bits.Len32(u)
+}
+
+// Baseline Huffman coding carries DC differences of up to 11 magnitude
+// bits and AC coefficients of up to 10 (T.81 F.1.2; libjpeg rejects
+// larger ones with JERR_BAD_DCT_COEF). 8-bit samples stay inside them;
+// a coefficient past them would spill into the run nibble of its AC
+// symbol, or take a DC symbol no baseline decoder expects.
+const (
+	maxDCCategory = 11
+	maxACCategory = 10
+)
+
+// coefRangeError reports a coefficient that baseline Huffman coding
+// cannot carry.
+func coefRangeError(what string, v int32, limit int) error {
+	return fmt.Errorf("jpegcodec: %s %d needs %d magnitude bits, beyond the baseline limit of %d",
+		what, v, bitCategory(v), limit)
 }

@@ -1,7 +1,6 @@
 package jpegcodec
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -229,7 +228,7 @@ func chromaIndex(i, s, maxS, n int, direct bool) int {
 	return min(i*s/maxS, n-1)
 }
 
-// DecodeOptions configures Decode/DecodeInto.
+// DecodeOptions configures DecodeInto and DecodeBytes.
 type DecodeOptions struct {
 	// MaxPixels rejects frames whose declared width×height exceeds it
 	// (0 = unlimited). The decoder sizes its planes and coefficient grids
@@ -242,7 +241,7 @@ type DecodeOptions struct {
 	// declares a restart interval the entropy data is byte-scanned into
 	// its restart segments (markers are byte-aligned and cannot occur
 	// inside stuffed entropy data) and the segments decode concurrently,
-	// each on its own pooled bit reader with a fresh DC predictor. 0
+	// each on its own bit reader with a fresh DC predictor. 0
 	// leaves the choice to the decoder (shard across GOMAXPROCS on frames
 	// of at least 1024 MCUs); 1 or any negative value forces the
 	// sequential path, the reference the shard-equivalence tests compare
@@ -272,12 +271,17 @@ type frame struct {
 
 // decoder carries parsing state. Decoders are pooled: every field either
 // resets cheaply between streams (scalars, table pointers) or is a grown
-// buffer deliberately retained across decodes (payload, huffStore values).
+// buffer deliberately retained across decodes (in, huffStore values).
 type decoder struct {
-	br    *bufio.Reader
-	bits  *bitio.Reader        // pooled entropy reader
+	data  []byte               // the stream, read in place
+	pos   int                  // next unparsed byte of data
+	bits  bitio.Reader         // entropy reader of the current scan
 	quant map[int]qtable.Table // aliases dst.QuantTables during a run
 	dst   *Decoded
+
+	// in holds what DecodeInto read from its io.Reader; it is the
+	// decoder's own buffer, kept across decodes.
+	in []byte
 
 	frame frame // per-image state shared by all scans
 
@@ -286,7 +290,6 @@ type decoder struct {
 	compArr   [3]component // backing for frame.comps via compRefs
 	compRefs  [3]*component
 	scanComps [4]*component // scratch for the current scan's component list
-	payload   []byte        // reusable segment payload buffer
 	ri        int           // restart interval in MCUs
 	maxPixels int           // reject frames larger than this (0 = unlimited)
 	shard     int           // ShardWorkers request for restart-sharded decoding
@@ -296,12 +299,9 @@ type decoder struct {
 	// is already over. It never crosses a scan or restart boundary.
 	eobRun int32
 
-	// Sharded-decode scratch, retained across decodes: the raw scan
-	// bytes, the segment end offsets within them, and the derived
-	// per-segment subslices.
-	scanBuf   []byte
-	segBounds []int
-	segs      [][]byte
+	// segs is the sharded decode's scratch, retained across decodes: the
+	// scan's restart segments, subslices of data.
+	segs [][]byte
 
 	// metaSpans records APPn/COM segments during the parse as offsets
 	// into dst.metaBuf; finish materializes them into dst.Metadata.
@@ -320,8 +320,9 @@ type metaSpan struct {
 // release drops references to caller-owned memory and returns the
 // decoder to the pool.
 func (d *decoder) release() {
-	d.br = nil
-	d.bits.Reset(eofReader{})
+	d.data = nil
+	d.pos = 0
+	d.bits.Reset(nil)
 	d.quant = nil
 	d.dst = nil
 	d.frame = frame{}
@@ -333,6 +334,7 @@ func (d *decoder) release() {
 	d.maxPixels = 0
 	d.shard = 0
 	d.eobRun = 0
+	clear(d.segs)
 	d.segs = d.segs[:0]
 	d.metaSpans = d.metaSpans[:0]
 	decoderPool.Put(d)
@@ -354,14 +356,58 @@ func Decode(r io.Reader) (*Decoded, error) {
 // reusing dst's planes, coefficient grids and table map when their
 // capacity suffices. It is the allocation-free steady-state decode path:
 // a caller that decodes many streams through one (per-worker) Decoded
-// pays for output buffers once. DecodeInto stops at the quantized
-// coefficients; dst's pixels reconstruct on their first read (GrayInto,
-// RGBInto), sharded like the entropy decode was. On error dst's contents
-// are unspecified. A nil opts selects the defaults.
+// pays for output buffers once. DecodeInto consumes r to EOF into a
+// buffer the pooled decoder keeps, then decodes those bytes exactly as
+// DecodeBytes does; a caller that already holds the stream in memory
+// should call DecodeBytes and skip the copy. DecodeInto stops at the
+// quantized coefficients; dst's pixels reconstruct on their first read
+// (GrayInto, RGBInto), sharded like the entropy decode was. On error
+// dst's contents are unspecified. A nil opts selects the defaults.
 func DecodeInto(r io.Reader, dst *Decoded, opts *DecodeOptions) error {
 	if dst == nil {
 		return errors.New("jpegcodec: DecodeInto needs a non-nil destination")
 	}
+	d := decoderPool.Get().(*decoder)
+	in, err := readAll(r, d.in[:0])
+	d.in = in
+	if err != nil {
+		d.release()
+		return err
+	}
+	return d.decode(in, dst, opts)
+}
+
+// DecodeBytes is DecodeInto reading the stream from data in place: the
+// decoder parses the caller's bytes without copying them, and nothing in
+// dst refers to data once DecodeBytes returns.
+func DecodeBytes(data []byte, dst *Decoded, opts *DecodeOptions) error {
+	if dst == nil {
+		return errors.New("jpegcodec: DecodeBytes needs a non-nil destination")
+	}
+	return decoderPool.Get().(*decoder).decode(data, dst, opts)
+}
+
+// readAll appends everything r yields up to EOF to buf, growing it only
+// when it is full.
+func readAll(r io.Reader, buf []byte) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// decode runs one decode of data into dst on the pooled decoder d and
+// returns d to the pool.
+func (d *decoder) decode(data []byte, dst *Decoded, opts *DecodeOptions) error {
 	var o DecodeOptions
 	if opts != nil {
 		o = *opts
@@ -370,19 +416,13 @@ func DecodeInto(r io.Reader, dst *Decoded, opts *DecodeOptions) error {
 	if dst.QuantTables == nil {
 		dst.QuantTables = map[int]qtable.Table{}
 	}
-
-	br := bufrPool.Get().(*bufio.Reader)
-	br.Reset(r)
-	d := decoderPool.Get().(*decoder)
-	d.br = br
+	d.data, d.pos = data, 0
 	d.quant = dst.QuantTables
 	d.dst = dst
 	d.maxPixels = o.MaxPixels
 	d.shard = o.ShardWorkers
 	err := d.run()
 	d.release()
-	br.Reset(eofReader{}) // drop the caller's reader before pooling
-	bufrPool.Put(br)
 	return err
 }
 
@@ -489,9 +529,19 @@ func (d *decoder) frameDone() bool {
 	return true
 }
 
+// readByte returns the next byte of the stream, io.EOF at its end.
+func (d *decoder) readByte() (byte, error) {
+	if d.pos >= len(d.data) {
+		return 0, io.EOF
+	}
+	b := d.data[d.pos]
+	d.pos++
+	return b, nil
+}
+
 // readMarkerByte scans for the next 0xFF <code> pair, tolerating fill bytes.
 func (d *decoder) readMarkerByte() (byte, error) {
-	b, err := d.br.ReadByte()
+	b, err := d.readByte()
 	if err != nil {
 		return 0, err
 	}
@@ -499,7 +549,7 @@ func (d *decoder) readMarkerByte() (byte, error) {
 		return 0, fmt.Errorf("jpegcodec: expected marker, found %#02x", b)
 	}
 	for b == 0xFF {
-		b, err = d.br.ReadByte()
+		b, err = d.readByte()
 		if err != nil {
 			return 0, err
 		}
@@ -507,17 +557,16 @@ func (d *decoder) readMarkerByte() (byte, error) {
 	return b, nil
 }
 
-// segmentPayload reads one marker segment body into the decoder's reused
-// payload buffer. The returned slice is valid until the next call.
+// segmentPayload returns one marker segment body as a subslice of the
+// stream; callers copy what they keep. A body cut short by the end of
+// input fails like io.ReadFull: io.EOF when none of it is there,
+// io.ErrUnexpectedEOF when part of it is.
 func (d *decoder) segmentPayload() ([]byte, error) {
-	// Length bytes are read individually: a stack buffer would escape
-	// into the io.ReadFull interface call and cost one allocation per
-	// marker segment.
-	b0, err := d.br.ReadByte()
+	b0, err := d.readByte()
 	if err != nil {
 		return nil, err
 	}
-	b1, err := d.br.ReadByte()
+	b1, err := d.readByte()
 	if err != nil {
 		return nil, err
 	}
@@ -525,14 +574,16 @@ func (d *decoder) segmentPayload() ([]byte, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("jpegcodec: segment length %d too small", n)
 	}
-	if cap(d.payload) < n-2 {
-		d.payload = make([]byte, n-2)
+	start, end := d.pos, d.pos+n-2
+	if end > len(d.data) {
+		d.pos = len(d.data)
+		if start == len(d.data) {
+			return nil, io.EOF
+		}
+		return nil, io.ErrUnexpectedEOF
 	}
-	payload := d.payload[:n-2]
-	if _, err := io.ReadFull(d.br, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
+	d.pos = end
+	return d.data[start:end:end], nil
 }
 
 func (d *decoder) skipSegment() error {
@@ -616,8 +667,8 @@ func (d *decoder) parseDHT() error {
 		if len(p) < 17+total {
 			return errors.New("jpegcodec: truncated DHT values")
 		}
-		// decTable.init copies the values out before the payload buffer is
-		// reused, so the spec can reference it directly.
+		// decTable.init copies the values out of the stream, so the spec
+		// can reference it directly.
 		spec.Values = p[17 : 17+total]
 		p = p[17+total:]
 		idx := tc<<2 | th
@@ -757,11 +808,16 @@ func receiveExtend(br *bitio.Reader, s int) (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := int32(bits)
-	if v < 1<<(s-1) {
-		v -= (1 << s) - 1
-	}
-	return v, nil
+	return extend(bits, uint(s)), nil
+}
+
+// extend is EXTEND (T.81 F.2.2.1): the value that s magnitude bits v
+// code, where a leading 0 bit marks a negative value, v − (2^s − 1).
+// No bits (s = 0, v = 0) code 0. It is branch-free: the sign of a
+// coefficient is the least predictable bit of a stream.
+func extend(v uint32, s uint) int32 {
+	x := int32(v)
+	return x + (x-1<<(s-1))>>31&(-1<<s+1)
 }
 
 // decodeScan parses one SOS header, validates it against the frame type,
@@ -912,12 +968,22 @@ func (d *decoder) scanRestart(rst *int, prevDC *[4]int32) error {
 	return nil
 }
 
+// entropyReader points the decoder's bit reader at the entropy data
+// that starts at the current position; scanEnd moves the position past
+// it.
+func (d *decoder) entropyReader() *bitio.Reader {
+	d.bits.Reset(d.data[d.pos:])
+	return &d.bits
+}
+
 // scanEnd reads the marker that terminated the scan's entropy data,
 // returning 0 when the stream ends (or desyncs) there instead — a
 // completed scan with a missing terminator still decodes, preserving the
-// historical tolerance for streams truncated after the last MCU.
+// historical tolerance for streams truncated after the last MCU. The
+// marker loop resumes after what the bit reader consumed.
 func (d *decoder) scanEnd() byte {
 	m, err := d.bits.ReadMarker()
+	d.pos += d.bits.Offset()
 	if err != nil {
 		return 0
 	}
@@ -936,8 +1002,7 @@ func (d *decoder) scanBaseline(scomps []*component, interleaved bool) (byte, err
 			return 0, fmt.Errorf("jpegcodec: missing huffman tables %d/%d", c.td, c.ta)
 		}
 	}
-	br := d.bits
-	br.Reset(d.br)
+	br := d.entropyReader()
 	var prevDC [4]int32 // indexed by component position in the scan
 	rst := 0            // expected index of the next restart marker
 	c0 := scomps[0]
@@ -995,21 +1060,40 @@ func decodeMCU(br *bitio.Reader, scomps []*component, huff *[8]*decTable, mcusX,
 // position, which is at least the last nonzero one (a ZRL before EOB
 // leaves it past that), and 63 for a block that runs to its end. On
 // error the slot's contents are unspecified.
+//
+// Each code and its magnitude bits come out of one lookahead and one
+// Skip when the code is in the lookup table and the magnitude bits are
+// buffered too (decTable.fused). Every other case decodes the code and
+// then reads the magnitude, so an error is the same, at the same point,
+// as on a decoder that reads the two separately.
 func decodeBlockInto(br *bitio.Reader, dcTab, acTab *decTable, prevDC int32, coefs *[64]int32, ext *uint8) error {
 	*coefs = [64]int32{}
-	s, err := dcTab.decode(br)
-	if err != nil {
-		return err
-	}
-	diff, err := receiveExtend(br, int(s))
-	if err != nil {
-		return err
+	var diff int32
+	bits, n := br.Peek32()
+	if s, used, mag := dcTab.fused(bits, n, 0xFF); used > 0 {
+		br.Skip(used)
+		diff = extend(mag, uint(s))
+	} else {
+		s, err := dcTab.decode(br)
+		if err != nil {
+			return err
+		}
+		if diff, err = receiveExtend(br, int(s)); err != nil {
+			return err
+		}
 	}
 	coefs[0] = prevDC + diff
 	for z := 1; z < 64; {
-		sym, err := acTab.decode(br)
-		if err != nil {
-			return err
+		bits, n := br.Peek32()
+		sym, used, mag := acTab.fused(bits, n, 0x0F)
+		fused := used > 0
+		if fused {
+			br.Skip(used)
+		} else {
+			var err error
+			if sym, err = acTab.decode(br); err != nil {
+				return err
+			}
 		}
 		run, size := int(sym>>4), int(sym&0x0F)
 		switch {
@@ -1025,9 +1109,12 @@ func decodeBlockInto(br *bitio.Reader, dcTab, acTab *decTable, prevDC int32, coe
 			if z > 63 {
 				return errors.New("jpegcodec: AC run overflows block")
 			}
-			v, err := receiveExtend(br, size)
-			if err != nil {
-				return err
+			v := extend(mag, uint(size))
+			if !fused {
+				var err error
+				if v, err = receiveExtend(br, size); err != nil {
+					return err
+				}
 			}
 			coefs[qtable.ZigZagOrder[z]] = v
 			z++

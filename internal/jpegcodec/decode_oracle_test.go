@@ -5,7 +5,8 @@ package jpegcodec
 // MAXCODE walk, the pixel store's rounding against math.Round plus a
 // clamp, and the fused RGBInto against a separate upsample pass followed
 // by the per-pixel float color formula. Each must agree exactly:
-// symbols, bits consumed and errors; bytes; pixels.
+// symbols, bits consumed and errors; bytes; pixels. A slice decode is
+// also checked against a decode of an untouched copy of its input.
 
 import (
 	"bytes"
@@ -157,8 +158,8 @@ func TestHuffmanDecodeOracle(t *testing.T) {
 }
 
 func compareHuffmanDecodes(tab *decTable, plan []huffOp, stream []byte) error {
-	fast := bitio.NewReader(bytes.NewReader(stream))
-	slow := bitio.NewReader(bytes.NewReader(stream))
+	fast := bitio.NewReader(stream)
+	slow := bitio.NewReader(stream)
 	for i, op := range plan {
 		var gv, wv uint32
 		var gerr, werr error
@@ -359,6 +360,46 @@ func TestRGBIntoOracle(t *testing.T) {
 			if got.W != dec.W || got.H != dec.H || !bytes.Equal(got.Pix, want) {
 				t.Fatalf("%s: RGBInto (%dx%d) differs from the oracle", name, got.W, got.H)
 			}
+		}
+	}
+}
+
+// TestDecodeBytesAliasOracle holds DecodeBytes to its promise that
+// nothing in the Decoded refers to the caller's bytes once it returns:
+// the input is overwritten right after a slice decode, and the metadata,
+// coefficients and pixels must still equal those of a decode of an
+// untouched copy. The streams carry APPn/COM metadata, restart segments
+// (decoded sequentially and sharded) and a progressive frame.
+func TestDecodeBytesAliasOracle(t *testing.T) {
+	streams := map[string][]byte{
+		"metadata":    encodeWithMeta(t, Sub420),
+		"restart":     encodeToBytes(t, testImageRGB(64, 48, 42), &Options{RestartInterval: 2, Metadata: testMetaSegments}),
+		"progressive": caseByName(t, "rgb420-standard").fixtureStream(t),
+	}
+	for name, stream := range streams {
+		for _, workers := range []int{1, 2} {
+			label := fmt.Sprintf("%s/workers=%d", name, workers)
+			opts := &DecodeOptions{ShardWorkers: workers}
+			var want, got Decoded
+			if err := DecodeInto(bytes.NewReader(stream), &want, opts); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			data := bytes.Clone(stream)
+			if err := DecodeBytes(data, &got, opts); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for i := range data {
+				data[i] = ^data[i]
+			}
+			if len(got.Metadata) != len(want.Metadata) {
+				t.Fatalf("%s: %d metadata segments, want %d", label, len(got.Metadata), len(want.Metadata))
+			}
+			for i, seg := range want.Metadata {
+				if g := got.Metadata[i]; g.Marker != seg.Marker || !bytes.Equal(g.Payload, seg.Payload) {
+					t.Fatalf("%s: metadata segment %d changed with the input", label, i)
+				}
+			}
+			decodedEqual(t, &want, &got, label)
 		}
 	}
 }

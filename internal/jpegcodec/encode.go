@@ -183,9 +183,7 @@ func encodeTail(w io.Writer, width, height int, comps []*component, mcusX, mcusY
 	} else if err := writeScan(bw, comps, enc, mcusX, mcusY, o.RestartInterval); err != nil {
 		return err
 	}
-	if err := writeMarker(bw, mEOI); err != nil {
-		return err
-	}
+	writeMarker(bw, mEOI)
 	return bw.Flush()
 }
 
@@ -201,18 +199,21 @@ func tableIDs(c *component) (dc, ac int) {
 // countMCUSymbols tallies the symbols the mcu-th MCU (scan order) would
 // emit, advancing the caller's DC predictors — the statistics unit shared
 // by the sequential and sharded gather paths.
-func countMCUSymbols(comps []*component, mcusX, mcu int, prevDC *[4]int32, freqs *[4][256]int64) {
+func countMCUSymbols(comps []*component, mcusX, mcu int, prevDC *[4]int32, freqs *[4][256]int64) error {
 	my, mx := mcu/mcusX, mcu%mcusX
 	for ci, c := range comps {
 		dcID, acID := tableIDs(c)
 		for vy := 0; vy < c.v; vy++ {
 			for vx := 0; vx < c.h; vx++ {
 				coefs := &c.coefs[(my*c.v+vy)*c.blocksX+mx*c.h+vx]
-				countBlockSymbols(coefs, prevDC[ci], &freqs[dcID], &freqs[acID])
+				if err := countBlockSymbols(coefs, prevDC[ci], &freqs[dcID], &freqs[acID]); err != nil {
+					return err
+				}
 				prevDC[ci] = coefs[0]
 			}
 		}
 	}
+	return nil
 }
 
 // optimizeHuffman gathers symbol statistics over the exact emission
@@ -223,14 +224,18 @@ func optimizeHuffman(comps []*component, mcusX, mcusY, restart, workers int) ([4
 	var freqs [4][256]int64
 	total := mcusX * mcusY
 	if nw := shardWorkersFor(workers, restart, total); nw > 1 {
-		gatherStatsSharded(comps, mcusX, total, restart, nw, &freqs)
+		if err := gatherStatsSharded(comps, mcusX, total, restart, nw, &freqs); err != nil {
+			return [4]*HuffmanSpec{}, err
+		}
 	} else {
 		var prevDC [4]int32 // indexed by component position in comps
 		for mcu := 0; mcu < total; mcu++ {
 			if restart > 0 && mcu > 0 && mcu%restart == 0 {
 				prevDC = [4]int32{}
 			}
-			countMCUSymbols(comps, mcusX, mcu, &prevDC, &freqs)
+			if err := countMCUSymbols(comps, mcusX, mcu, &prevDC, &freqs); err != nil {
+				return [4]*HuffmanSpec{}, err
+			}
 		}
 	}
 
@@ -250,10 +255,14 @@ func optimizeHuffman(comps []*component, mcusX, mcusY, restart, workers int) ([4
 }
 
 // countBlockSymbols tallies the DC size category and AC run/size symbols
-// one block would emit.
-func countBlockSymbols(coefs *[64]int32, prevDC int32, dcFreq, acFreq *[256]int64) {
+// one block would emit, rejecting the coefficients encodeBlock rejects.
+func countBlockSymbols(coefs *[64]int32, prevDC int32, dcFreq, acFreq *[256]int64) error {
 	diff := coefs[0] - prevDC
-	dcFreq[bitCategory(diff)]++
+	s := bitCategory(diff)
+	if s > maxDCCategory {
+		return coefRangeError("DC difference", diff, maxDCCategory)
+	}
+	dcFreq[s]++
 	run := 0
 	for z := 1; z < 64; z++ {
 		v := coefs[qtable.ZigZagOrder[z]]
@@ -265,12 +274,17 @@ func countBlockSymbols(coefs *[64]int32, prevDC int32, dcFreq, acFreq *[256]int6
 			acFreq[0xF0]++ // ZRL
 			run -= 16
 		}
-		acFreq[uint8(run<<4)|uint8(bitCategory(v))]++
+		s := bitCategory(v)
+		if s > maxACCategory {
+			return coefRangeError("AC coefficient", v, maxACCategory)
+		}
+		acFreq[run<<4|s]++
 		run = 0
 	}
 	if run > 0 {
 		acFreq[0x00]++ // EOB
 	}
+	return nil
 }
 
 // writeScan emits the entropy-coded segment.
@@ -289,9 +303,7 @@ func writeScan(w *bufio.Writer, comps []*component, enc [4]*encTable, mcusX, mcu
 			if err := bw.Flush(); err != nil {
 				return err
 			}
-			if err := writeMarker(w, byte(mRST0+rstIndex)); err != nil {
-				return err
-			}
+			writeMarker(w, byte(mRST0+rstIndex))
 			rstIndex = (rstIndex + 1) % 8
 			prevDC = [4]int32{}
 		}
@@ -323,21 +335,17 @@ func encodeMCU(bw *bitio.Writer, comps []*component, enc [4]*encTable, mcusX, mc
 }
 
 // encodeBlock entropy-codes one block of natural-order coefficients.
+// Each Huffman code goes out in one put with the magnitude bits that
+// follow it; a coefficient past the baseline categories is an error.
 func encodeBlock(bw *bitio.Writer, coefs *[64]int32, prevDC int32, dcTab, acTab *encTable) error {
 	// DC: DPCM against the previous block of the same component.
 	diff := coefs[0] - prevDC
 	s := bitCategory(diff)
-	if err := dcTab.emit(bw, uint8(s)); err != nil {
-		return err
+	if s > maxDCCategory {
+		return coefRangeError("DC difference", diff, maxDCCategory)
 	}
-	if s > 0 {
-		v := diff
-		if v < 0 {
-			v += (1 << s) - 1 // one's-complement representation of negatives
-		}
-		if err := bw.WriteBits(uint32(v), uint(s)); err != nil {
-			return err
-		}
+	if err := dcTab.put(bw, uint8(s), magnitude(diff, s), s); err != nil {
+		return err
 	}
 	// AC: run-length of zeros + size category, in zig-zag order.
 	run := 0
@@ -348,58 +356,66 @@ func encodeBlock(bw *bitio.Writer, coefs *[64]int32, prevDC int32, dcTab, acTab 
 			continue
 		}
 		for run >= 16 {
-			if err := acTab.emit(bw, 0xF0); err != nil { // ZRL
+			if err := acTab.put(bw, 0xF0, 0, 0); err != nil { // ZRL
 				return err
 			}
 			run -= 16
 		}
 		s := bitCategory(v)
-		if err := acTab.emit(bw, uint8(run<<4)|uint8(s)); err != nil {
-			return err
+		if s > maxACCategory {
+			return coefRangeError("AC coefficient", v, maxACCategory)
 		}
-		bits := v
-		if bits < 0 {
-			bits += (1 << s) - 1
-		}
-		if err := bw.WriteBits(uint32(bits), uint(s)); err != nil {
+		if err := acTab.put(bw, uint8(run<<4|s), magnitude(v, s), s); err != nil {
 			return err
 		}
 		run = 0
 	}
 	if run > 0 {
-		if err := acTab.emit(bw, 0x00); err != nil { // EOB
+		if err := acTab.put(bw, 0x00, 0, 0); err != nil { // EOB
 			return err
 		}
 	}
 	return nil
 }
 
-// --- marker emission ---
-
-func writeMarker(w *bufio.Writer, code byte) error {
-	_, err := w.Write([]byte{0xFF, code})
-	return err
+// magnitude returns the s magnitude bits that code v, s = bitCategory(v):
+// v itself when positive, its one's complement in s bits when negative.
+func magnitude(v int32, s int) uint32 {
+	if v < 0 {
+		v += 1<<s - 1
+	}
+	return uint32(v)
 }
 
-func writeSegment(w *bufio.Writer, code byte, payload []byte) error {
-	if err := writeMarker(w, code); err != nil {
-		return err
-	}
-	n := len(payload) + 2
-	if _, err := w.Write([]byte{byte(n >> 8), byte(n)}); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// --- marker emission ---
+//
+// Headers go straight into the pooled bufio.Writer a byte or a slice at
+// a time, with no temporary buffers. bufio.Writer errors are sticky, so
+// the writes below leave error handling to the Flush that ends the
+// stream.
+
+// jfifAPP0 is the payload of the APP0 segment the encoder writes: JFIF
+// v1.1, 1:1 aspect, no thumbnail.
+var jfifAPP0 = [...]byte{'J', 'F', 'I', 'F', 0, 1, 1, 0, 0, 1, 0, 1, 0, 0}
+
+func writeMarker(w *bufio.Writer, code byte) {
+	w.WriteByte(0xFF)
+	w.WriteByte(code)
+}
+
+// writeSegmentHeader writes a marker and the length field of a segment
+// whose payload is n bytes.
+func writeSegmentHeader(w *bufio.Writer, code byte, n int) {
+	writeMarker(w, code)
+	w.WriteByte(byte((n + 2) >> 8))
+	w.WriteByte(byte(n + 2))
 }
 
 func writeMarkers(w *bufio.Writer, width, height int, comps []*component, specs [4]*HuffmanSpec, o *Options) error {
-	if err := writeMarker(w, mSOI); err != nil {
-		return err
-	}
-	// APP0 JFIF v1.1, 1:1 aspect, no thumbnail — suppressed when the
-	// caller's metadata already carries a JFIF APP0 (the requantize
-	// passthrough case), so the output holds exactly one.
+	writeMarker(w, mSOI)
+	// APP0 JFIF — suppressed when the caller's metadata already carries a
+	// JFIF APP0 (the requantize passthrough case), so the output holds
+	// exactly one.
 	hasJFIF := false
 	for _, seg := range o.Metadata {
 		if isJFIFAPP0(seg) {
@@ -408,10 +424,8 @@ func writeMarkers(w *bufio.Writer, width, height int, comps []*component, specs 
 		}
 	}
 	if !hasJFIF {
-		app0 := []byte{'J', 'F', 'I', 'F', 0, 1, 1, 0, 0, 1, 0, 1, 0, 0}
-		if err := writeSegment(w, mAPP0, app0); err != nil {
-			return err
-		}
+		writeSegmentHeader(w, mAPP0, len(jfifAPP0))
+		w.Write(jfifAPP0[:])
 	}
 	for _, seg := range o.Metadata {
 		if (seg.Marker < mAPP0 || seg.Marker > mAPP0+0x0F) && seg.Marker != mCOM {
@@ -421,26 +435,23 @@ func writeMarkers(w *bufio.Writer, width, height int, comps []*component, specs 
 			return fmt.Errorf("jpegcodec: metadata segment %#02x payload %d exceeds %d bytes",
 				seg.Marker, len(seg.Payload), maxSegmentPayload)
 		}
-		if err := writeSegment(w, seg.Marker, seg.Payload); err != nil {
-			return err
-		}
+		writeSegmentHeader(w, seg.Marker, len(seg.Payload))
+		w.Write(seg.Payload)
 	}
 	// DQT: luma always; chroma only for color images.
-	if err := writeDQT(w, 0, o.LumaTable); err != nil {
-		return err
-	}
+	writeDQT(w, 0, &o.LumaTable)
 	if len(comps) > 1 {
-		if err := writeDQT(w, 1, o.ChromaTable); err != nil {
-			return err
-		}
+		writeDQT(w, 1, &o.ChromaTable)
 	}
 	// SOF0.
-	sof := []byte{8, byte(height >> 8), byte(height), byte(width >> 8), byte(width), byte(len(comps))}
-	for _, c := range comps {
-		sof = append(sof, c.id, byte(c.h<<4|c.v), byte(c.tq))
+	writeSegmentHeader(w, mSOF0, 6+3*len(comps))
+	for _, b := range [...]byte{8, byte(height >> 8), byte(height), byte(width >> 8), byte(width), byte(len(comps))} {
+		w.WriteByte(b)
 	}
-	if err := writeSegment(w, mSOF0, sof); err != nil {
-		return err
+	for _, c := range comps {
+		w.WriteByte(c.id)
+		w.WriteByte(byte(c.h<<4 | c.v))
+		w.WriteByte(byte(c.tq))
 	}
 	// DHT: one segment per table, classes 0 (DC) and 1 (AC).
 	classes := [4]byte{0x00, 0x10, 0x01, 0x11} // Tc<<4 | Th
@@ -448,34 +459,34 @@ func writeMarkers(w *bufio.Writer, width, height int, comps []*component, specs 
 		if spec == nil {
 			continue
 		}
-		payload := []byte{classes[i]}
-		payload = append(payload, spec.Counts[:]...)
-		payload = append(payload, spec.Values...)
-		if err := writeSegment(w, mDHT, payload); err != nil {
-			return err
-		}
+		writeSegmentHeader(w, mDHT, 1+len(spec.Counts)+len(spec.Values))
+		w.WriteByte(classes[i])
+		w.Write(spec.Counts[:])
+		w.Write(spec.Values)
 	}
-	if o.RestartInterval > 0 {
-		ri := o.RestartInterval
-		if err := writeSegment(w, mDRI, []byte{byte(ri >> 8), byte(ri)}); err != nil {
-			return err
-		}
+	if ri := o.RestartInterval; ri > 0 {
+		writeSegmentHeader(w, mDRI, 2)
+		w.WriteByte(byte(ri >> 8))
+		w.WriteByte(byte(ri))
 	}
 	// SOS.
-	sos := []byte{byte(len(comps))}
+	writeSegmentHeader(w, mSOS, 1+2*len(comps)+3)
+	w.WriteByte(byte(len(comps)))
 	for _, c := range comps {
-		sos = append(sos, c.id, byte(c.td<<4|c.ta))
+		w.WriteByte(c.id)
+		w.WriteByte(byte(c.td<<4 | c.ta))
 	}
-	sos = append(sos, 0, 63, 0) // Ss, Se, AhAl: full spectral, no approx
-	return writeSegment(w, mSOS, sos)
+	for _, b := range [...]byte{0, 63, 0} { // Ss, Se, AhAl: full spectral, no approx
+		w.WriteByte(b)
+	}
+	return nil
 }
 
-func writeDQT(w *bufio.Writer, id int, t qtable.Table) error {
-	zz := t.InZigZag()
-	payload := make([]byte, 0, 65)
-	payload = append(payload, byte(id)) // Pq=0 (8-bit), Tq=id
-	for _, q := range zz {
-		payload = append(payload, byte(q))
+// writeDQT writes table t as quantization table id, 8-bit precision.
+func writeDQT(w *bufio.Writer, id int, t *qtable.Table) {
+	writeSegmentHeader(w, mDQT, 65)
+	w.WriteByte(byte(id)) // Pq=0 (8-bit), Tq=id
+	for _, n := range qtable.ZigZagOrder {
+		w.WriteByte(byte(t[n]))
 	}
-	return writeSegment(w, mDQT, payload)
 }

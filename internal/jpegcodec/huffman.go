@@ -77,13 +77,15 @@ func buildEncTable(spec *HuffmanSpec) (*encTable, error) {
 	return t, nil
 }
 
-// emit writes the code for symbol v.
-func (t *encTable) emit(bw *bitio.Writer, v uint8) error {
-	s := t.size[v]
-	if s == 0 {
+// put writes the code for symbol v followed by the s magnitude bits mag
+// in one Put: a code of up to 16 bits and s ≤ 11 fit in its 32.
+func (t *encTable) put(bw *bitio.Writer, v uint8, mag uint32, s int) error {
+	n := t.size[v]
+	if n == 0 {
 		return fmt.Errorf("jpegcodec: symbol %#x has no huffman code", v)
 	}
-	return bw.WriteBits(t.code[v], uint(s))
+	bw.Put(t.code[v]<<s|mag, uint(n)+uint(s))
+	return nil
 }
 
 // lookupBits is the width of decTable's lookahead index: codes up to
@@ -158,6 +160,22 @@ func (t *decTable) decode(br *bitio.Reader) (uint8, error) {
 		return 0, br.Fail()
 	}
 	return t.decodeLong(br, bits, n)
+}
+
+// fused matches the code at the head of bits — the next 32 bits of the
+// stream, n of them real (Peek32) — together with the magnitude bits
+// that follow it, when both are at hand: the code is in the lookup table
+// and its s magnitude bits, s = symbol & sizeMask (at most 16), are
+// real too. It returns the symbol, the number of bits the two take and
+// the magnitude bits (0 when s is 0). Otherwise used is 0, and the caller
+// decodes the code and reads the magnitude separately.
+func (t *decTable) fused(bits uint32, n uint, sizeMask uint8) (sym uint8, used uint, mag uint32) {
+	e := t.lookup[bits>>(32-lookupBits)]
+	l, s := uint(e>>8), uint(uint8(e)&sizeMask)
+	if e == 0 || s > 16 || l+s > n {
+		return 0, 0, 0
+	}
+	return uint8(e), l + s, uint32(uint64(bits<<l) >> ((32 - s) & 63))
 }
 
 // decodeLong finishes a code longer than lookupBits bits with the

@@ -88,7 +88,7 @@ func encodeDecodeSymbols(t *testing.T, spec *HuffmanSpec, syms []uint8) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	br := bitio.NewReader(bytes.NewReader(buf.Bytes()))
+	br := bitio.NewReader(buf.Bytes())
 	for i, want := range syms {
 		got, err := dec.decode(br)
 		if err != nil {
@@ -215,7 +215,7 @@ func TestPropertyOptimizedSpecRoundTrip(t *testing.T) {
 		if err := bw.Flush(); err != nil {
 			return false
 		}
-		br := bitio.NewReader(bytes.NewReader(buf.Bytes()))
+		br := bitio.NewReader(buf.Bytes())
 		for _, want := range present {
 			got, err := dec.decode(br)
 			if err != nil || got != want {
@@ -252,8 +252,11 @@ func TestDecodeInvalidCode(t *testing.T) {
 	if err := dec.init(&spec); err != nil {
 		t.Fatal(err)
 	}
-	br := bitio.NewReader(bytes.NewReader([]byte{0xFF, 0x00, 0xFF, 0x00, 0xFF, 0x00}))
+	br := bitio.NewReader([]byte{0xFF, 0x00, 0xFF, 0x00, 0xFF, 0x00})
 	if _, err := dec.decode(br); err == nil {
 		t.Fatal("expected invalid-code error")
 	}
 }
+
+// emit writes the code for symbol v with no magnitude bits.
+func (t *encTable) emit(bw *bitio.Writer, v uint8) error { return t.put(bw, v, 0, 0) }

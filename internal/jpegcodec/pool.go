@@ -13,9 +13,10 @@ import (
 // This file holds the pooled per-call working set of the codec. Encoding
 // an image needs a luma plane, two chroma planes (subsampled unless
 // 4:4:4), one coefficient array per component, a marker writer, and an
-// entropy bit writer; decoding needs a buffered reader, an entropy bit reader,
-// segment payload and Huffman-table scratch — all of it state that dies
-// with the call. Re-allocating it per image dominates the allocation
+// entropy bit writer; decoding reads the stream in place and needs an
+// entropy bit reader, Huffman-table and restart-segment scratch, and for
+// DecodeInto a buffer to read its io.Reader into — all of it state that
+// dies with the call. Re-allocating it per image dominates the allocation
 // profile once the codec sits in a batch pipeline's inner loop, so every
 // piece is recycled through sync.Pools, which also makes both directions
 // naturally worker-friendly: each concurrent encode or decode checks out
@@ -99,29 +100,11 @@ var bufwPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard
 // buffer across encodes.
 var bitwPool = sync.Pool{New: func() any { return bitio.NewWriter(io.Discard) }}
 
-// eofReader is the parking target for pooled readers so they do not pin
-// caller streams while idle.
-type eofReader struct{}
-
-func (eofReader) Read([]byte) (int, error) { return 0, io.EOF }
-
-func (eofReader) ReadByte() (byte, error) { return 0, io.EOF }
-
-// bufrPool recycles the decoder's buffered readers.
-var bufrPool = sync.Pool{New: func() any { return bufio.NewReaderSize(eofReader{}, 1<<12) }}
-
-// bitrPool recycles segment-bounded entropy bit readers for the sharded
-// decode workers; the decoder's own bits reader serves the sequential
-// path.
-var bitrPool = sync.Pool{New: func() any { return bitio.NewReader(eofReader{}) }}
-
 // decoderPool recycles the decoder parse state: the entropy bit reader,
-// segment payload buffer, Huffman decode tables and component
+// DecodeInto's input buffer, Huffman decode tables and component
 // descriptors. Output buffers are NOT pooled here — they belong to the
 // destination Decoded, which callers reuse through DecodeInto.
-var decoderPool = sync.Pool{New: func() any {
-	return &decoder{bits: bitio.NewReader(eofReader{})}
-}}
+var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
 
 // Standard Annex-K Huffman specs never change, so their derived encoder
 // tables are built once and shared by every non-optimized encode.

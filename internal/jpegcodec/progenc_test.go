@@ -337,6 +337,14 @@ func (e *progScanEnc) encodeScan(d *Decoded, sc progScan, ri int, markers func()
 	return nil
 }
 
+// writeSegment writes one marker segment from a payload built in full,
+// the way the test encoders below assemble their headers.
+func writeSegment(w *bufio.Writer, code byte, payload []byte) error {
+	writeSegmentHeader(w, code, len(payload))
+	_, err := w.Write(payload)
+	return err
+}
+
 // progEncode re-emits a decode's coefficient planes as a progressive
 // (SOF2) stream following the given scan script. Every scan carries its
 // own optimized Huffman table as id 0 of the class it uses; DC
@@ -351,7 +359,7 @@ func progEncode(t testing.TB, d *Decoded, script []progScan, ri int) []byte {
 			t.Fatalf("progEncode: %v", err)
 		}
 	}
-	check(writeMarker(w, mSOI))
+	writeMarker(w, mSOI)
 	check(writeSegment(w, mAPP0, []byte{'J', 'F', 'I', 'F', 0, 1, 1, 0, 0, 1, 0, 1, 0, 0}))
 	seen := map[int]bool{}
 	for i := 0; i < d.Components; i++ {
@@ -364,7 +372,7 @@ func progEncode(t testing.TB, d *Decoded, script []progScan, ri int) []byte {
 		if !ok {
 			t.Fatalf("progEncode: source decode lacks quant table %d", tq)
 		}
-		check(writeDQT(w, tq, tbl))
+		writeDQT(w, tq, &tbl)
 	}
 	sof := []byte{8, byte(d.H >> 8), byte(d.H), byte(d.W >> 8), byte(d.W), byte(d.Components)}
 	for i := 0; i < d.Components; i++ {
@@ -412,16 +420,16 @@ func progEncode(t testing.TB, d *Decoded, script []progScan, ri int) []byte {
 			if err := bw.Flush(); err != nil {
 				return err
 			}
-			err := writeMarker(w, byte(mRST0+rstIdx))
+			writeMarker(w, byte(mRST0+rstIdx))
 			rstIdx = (rstIdx + 1) % 8
-			return err
+			return nil
 		})
 		if err != nil {
 			t.Fatalf("progEncode: scan %d emit pass: %v", si, err)
 		}
 		check(bw.Flush())
 	}
-	check(writeMarker(w, mEOI))
+	writeMarker(w, mEOI)
 	check(w.Flush())
 	return buf.Bytes()
 }
@@ -442,7 +450,7 @@ func encodeNonInterleaved(t testing.TB, d *Decoded, ri int) []byte {
 	}
 	enc, err := stdEncoderTables()
 	check(err)
-	check(writeMarker(w, mSOI))
+	writeMarker(w, mSOI)
 	check(writeSegment(w, mAPP0, []byte{'J', 'F', 'I', 'F', 0, 1, 1, 0, 0, 1, 0, 1, 0, 0}))
 	seen := map[int]bool{}
 	for i := 0; i < d.Components; i++ {
@@ -455,7 +463,7 @@ func encodeNonInterleaved(t testing.TB, d *Decoded, ri int) []byte {
 		if !ok {
 			t.Fatalf("encodeNonInterleaved: source decode lacks quant table %d", tq)
 		}
-		check(writeDQT(w, tq, tbl))
+		writeDQT(w, tq, &tbl)
 	}
 	sof := []byte{8, byte(d.H >> 8), byte(d.H), byte(d.W >> 8), byte(d.W), byte(d.Components)}
 	for i := 0; i < d.Components; i++ {
@@ -497,7 +505,7 @@ func encodeNonInterleaved(t testing.TB, d *Decoded, ri int) []byte {
 			for bx := 0; bx < sbw; bx++ {
 				if ri > 0 && n > 0 && n%ri == 0 {
 					check(bw.Flush())
-					check(writeMarker(w, byte(mRST0+rstIdx)))
+					writeMarker(w, byte(mRST0+rstIdx))
 					rstIdx = (rstIdx + 1) % 8
 					prevDC = 0
 				}
@@ -509,7 +517,7 @@ func encodeNonInterleaved(t testing.TB, d *Decoded, ri int) []byte {
 		}
 		check(bw.Flush())
 	}
-	check(writeMarker(w, mEOI))
+	writeMarker(w, mEOI)
 	check(w.Flush())
 	return buf.Bytes()
 }

@@ -61,8 +61,7 @@ func (d *decoder) scanProgressive(scomps []*component, ss, se, ah, al int) (byte
 			return 0, fmt.Errorf("jpegcodec: missing AC huffman table %d", scomps[0].ta)
 		}
 	}
-	br := d.bits
-	br.Reset(d.br)
+	br := d.entropyReader()
 	d.eobRun = 0
 	var prevDC [4]int32
 	rst := 0

@@ -2,7 +2,9 @@ package jpegcodec
 
 import (
 	"bytes"
+	"fmt"
 	"image/jpeg"
+	"strings"
 	"testing"
 
 	"repro/internal/imgutil"
@@ -188,6 +190,76 @@ func BenchmarkRequantize(b *testing.B) {
 		var out bytes.Buffer
 		if err := Requantize(&out, dec, luma, chroma, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRequantizeRejectsOutOfRangeCoefficients holds Requantize to the
+// baseline magnitude categories: at most 10 bits for an AC coefficient
+// and 11 for a DC difference, the bounds libjpeg enforces with
+// JERR_BAD_DCT_COEF. The first case is a stream it used to write wrong:
+// luma block 0 of a flat 16×16 frame holds 32767 at coefficient 1 under
+// source step 255 and is requantized onto step 1 there with optimized
+// tables. The product, 8,355,585, needs 23 magnitude bits; the category
+// spilled into the run nibble of its AC symbol, and the 343-byte result
+// decoded coefficient 1 as 0 and coefficient 8 as 127. Each rejection
+// must hold with standard and optimized tables; the largest values that
+// fit must decode back exactly.
+func TestRequantizeRejectsOutOfRangeCoefficients(t *testing.T) {
+	flat := imgutil.NewRGB(16, 16)
+	for i := range flat.Pix {
+		flat.Pix[i] = 128 // every AC coefficient and every DC is 0
+	}
+	src := encodeToBytes(t, flat, nil)
+	for _, tc := range []struct {
+		name     string
+		k        int   // natural-order index in luma block 0
+		v        int32 // its coefficient
+		from, to uint16
+		want     int32  // requantized value, when it fits
+		wantErr  string // error substring, when it does not
+	}{
+		{name: "AC 23 bits", k: 1, v: 32767, from: 255, to: 1, wantErr: "AC coefficient 8355585 needs 23 magnitude bits"},
+		{name: "AC 11 bits", k: 1, v: 1024, from: 1, to: 1, wantErr: "AC coefficient 1024 needs 11"},
+		{name: "AC -11 bits", k: 9, v: -1024, from: 1, to: 1, wantErr: "AC coefficient -1024 needs 11"},
+		{name: "AC 10 bits", k: 1, v: 1023, from: 1, to: 1, want: 1023},
+		{name: "AC -10 bits", k: 63, v: -1023, from: 1, to: 1, want: -1023},
+		{name: "DC 12 bits", k: 0, v: 2048, from: 1, to: 1, wantErr: "DC difference 2048 needs 12"},
+		{name: "DC 11 bits", k: 0, v: -2047, from: 1, to: 1, want: -2047},
+	} {
+		for _, optimize := range []bool{false, true} {
+			name := fmt.Sprintf("%s/optimize=%v", tc.name, optimize)
+			dec, err := Decode(bytes.NewReader(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tq := dec.planes[0].tq
+			from := dec.QuantTables[tq]
+			from[tc.k] = tc.from
+			dec.QuantTables[tq] = from
+			to := from
+			to[tc.k] = tc.to
+			dec.coefs[0][0][tc.k] = tc.v
+			var out bytes.Buffer
+			err = Requantize(&out, dec, to, qtable.MustScale(qtable.StdChrominance, 50), &Options{OptimizeHuffman: optimize})
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("%s: Requantize wrote %d bytes, err %v; want an error containing %q", name, out.Len(), err, tc.wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			back, err := Decode(bytes.NewReader(out.Bytes()))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var want [64]int32
+			want[tc.k] = tc.want
+			if got := back.coefs[0][0]; got != want {
+				t.Fatalf("%s: luma block 0 decodes as %v, want %v", name, got, want)
+			}
 		}
 	}
 }

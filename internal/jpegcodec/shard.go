@@ -17,8 +17,8 @@ package jpegcodec
 //   - decode: the entropy data is byte-scanned into its restart segments
 //     first — markers are byte-aligned and can never occur inside
 //     entropy data, because the coder stuffs a 0x00 after every 0xFF it
-//     emits — then the segments decode concurrently, each on a pooled
-//     segment-bounded bitio.Reader with a fresh DC predictor. Block
+//     emits — then the segments decode concurrently, each on its own
+//     bitio.Reader over the segment's bytes with a fresh DC predictor. Block
 //     outputs land in disjoint regions of the coefficient grids, so
 //     workers share them without synchronization. The pixel planes
 //     reconstruct later, on the first pixel read, with the same fan-out
@@ -49,6 +49,8 @@ package jpegcodec
 // its time anyway.
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -109,18 +111,22 @@ func segmentBounds(seg, restart, total int) (lo, hi int) {
 // tallies symbol frequencies for its segments into a private table and
 // the tables are summed afterwards. Addition commutes, so the merged
 // counts match the sequential gather exactly regardless of scheduling.
-func gatherStatsSharded(comps []*component, mcusX, total, restart, workers int, freqs *[4][256]int64) {
+func gatherStatsSharded(comps []*component, mcusX, total, restart, workers int, freqs *[4][256]int64) error {
 	segs := (total + restart - 1) / restart
 	parts := make([][4][256]int64, pipeline.Workers(workers, segs))
-	// The callback cannot fail and the context is never canceled.
-	_ = pipeline.RunWorker(context.Background(), segs, workers, func(_ context.Context, w, seg int) error {
+	err := pipeline.RunWorker(context.Background(), segs, workers, func(_ context.Context, w, seg int) error {
 		var prevDC [4]int32
 		lo, hi := segmentBounds(seg, restart, total)
 		for mcu := lo; mcu < hi; mcu++ {
-			countMCUSymbols(comps, mcusX, mcu, &prevDC, &parts[w])
+			if err := countMCUSymbols(comps, mcusX, mcu, &prevDC, &parts[w]); err != nil {
+				return err
+			}
 		}
 		return nil
 	})
+	if err != nil {
+		return firstShardError(err)
+	}
 	for w := range parts {
 		for t := range freqs {
 			for s := range freqs[t] {
@@ -128,6 +134,7 @@ func gatherStatsSharded(comps []*component, mcusX, total, restart, workers int, 
 			}
 		}
 	}
+	return nil
 }
 
 // writeScanSharded emits the entropy-coded segment with per-segment
@@ -136,7 +143,7 @@ func gatherStatsSharded(comps []*component, mcusX, total, restart, workers int, 
 // with a fresh DC predictor (exactly the state the sequential writer has
 // after Flush + RSTn), then the buffers are stitched in order with the
 // same (seg-1) mod 8 marker indices.
-func writeScanSharded(w io.Writer, comps []*component, enc [4]*encTable, mcusX, mcusY, restart, workers int) error {
+func writeScanSharded(w *bufio.Writer, comps []*component, enc [4]*encTable, mcusX, mcusY, restart, workers int) error {
 	total := mcusX * mcusY
 	segs := (total + restart - 1) / restart
 	segBufs := make([][]byte, segs)
@@ -167,104 +174,85 @@ func writeScanSharded(w io.Writer, comps []*component, enc [4]*encTable, mcusX, 
 	if err != nil {
 		return firstShardError(err)
 	}
+	// A failed write sticks in w; encodeTail's Flush reports it.
 	for seg, b := range segBufs {
 		if seg > 0 {
-			if _, err := w.Write([]byte{0xFF, byte(mRST0 + (seg-1)%8)}); err != nil {
-				return err
-			}
+			writeMarker(w, byte(mRST0+(seg-1)%8))
 		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
+		w.Write(b)
 	}
 	return nil
 }
 
-// entropySegments reads the current scan's entropy-coded data into the
-// decoder's reused scan buffer and splits it at restart boundaries with
-// a plain byte scan: markers are byte-aligned and cannot occur inside
-// entropy data (every coder-emitted 0xFF carries a stuffed 0x00), so the
-// byte-level boundaries are exactly where the bit-level reader would
-// stop. Stuffed bytes — including fill-then-stuffed runs — stay in their
-// segment because they decode as data; fill 0xFF runs before a marker
-// are dropped, mirroring bitio.Reader.ReadMarker. The scan validates the
-// RSTn sequence (expected index mod 8, the same check the sequential
-// path applies) and stops collecting boundaries once expected-1 have
-// been seen: any later marker ends the scan, matching the sequential
-// decoder, which ignores everything after the final MCU. The marker
-// that ended the scan is returned alongside (0 at end of input), like
-// the sequential decoder's scanEnd.
+// entropySegments splits the current scan's entropy-coded data at its
+// restart boundaries with a plain byte scan, returning subslices of the
+// stream: markers are byte-aligned and cannot occur inside entropy data
+// (every coder-emitted 0xFF carries a stuffed 0x00), so the byte-level
+// boundaries are exactly where the bit-level reader would stop. Stuffed
+// bytes — including fill-then-stuffed runs — stay in their segment
+// because they decode as data; fill 0xFF runs before a marker, or cut off
+// by the end of input, end the segment before them, mirroring
+// bitio.Reader.ReadMarker. The scan validates the RSTn sequence
+// (expected index mod 8, the same check the sequential path applies) and
+// stops collecting boundaries once expected-1 have been seen: any later
+// marker ends the scan, matching the sequential decoder, which ignores
+// everything after the final MCU. The marker that ended the scan is
+// returned alongside (0 at end of input), like the sequential decoder's
+// scanEnd, and the parse position moves past it.
 func (d *decoder) entropySegments(expected int) ([][]byte, byte, error) {
-	buf := d.scanBuf[:0]
-	bounds := d.segBounds[:0] // end offset in buf of each segment
-	rst := 0                  // expected index of the next restart marker
-	next := byte(0)           // marker that terminated the scan data
-scan:
+	data := d.data[d.pos:]
+	segs := d.segs[:0]
+	rst := 0         // expected index of the next restart marker
+	next := byte(0)  // marker that terminated the scan data
+	lo, i := 0, 0    // start of the current segment, next byte to scan
+	end := len(data) // end of the scan's last segment
 	for {
-		b, err := d.br.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				break // truncated segments surface as EOF in their worker
-			}
-			return nil, 0, err
+		k := bytes.IndexByte(data[i:], 0xFF)
+		if k < 0 {
+			i = len(data)
+			break // truncated segments surface as EOF in their worker
 		}
-		if b != 0xFF {
-			buf = append(buf, b)
-			continue
+		ff := i + k
+		j := ff + 1
+		for j < len(data) && data[j] == 0xFF {
+			j++
 		}
-		b2, err := d.br.ReadByte()
-		if err != nil {
-			if err == io.EOF {
-				break // dangling 0xFF: the sequential reader EOFs here too
-			}
-			return nil, 0, err
+		if j == len(data) {
+			end, i = ff, j
+			break // dangling 0xFF: the sequential reader EOFs here too
 		}
-		for b2 == 0xFF {
-			b2, err = d.br.ReadByte()
-			if err != nil {
-				if err == io.EOF {
-					break scan
-				}
-				return nil, 0, err
-			}
-		}
-		if b2 == 0x00 {
-			buf = append(buf, 0xFF, 0x00)
+		i = j + 1
+		m := data[j]
+		if m == 0x00 {
 			continue
 		}
 		// A real marker.
-		if len(bounds)+1 < expected && b2 >= mRST0 && b2 <= mRST0+7 {
-			if b2 != byte(mRST0+rst) {
-				return nil, 0, fmt.Errorf("jpegcodec: expected RST%d, found %#02x", rst, b2)
+		if len(segs)+1 < expected && m >= mRST0 && m <= mRST0+7 {
+			if m != byte(mRST0+rst) {
+				return nil, 0, fmt.Errorf("jpegcodec: expected RST%d, found %#02x", rst, m)
 			}
 			rst = (rst + 1) % 8
-			bounds = append(bounds, len(buf))
+			segs = append(segs, data[lo:ff:ff])
+			lo = i
 			continue
 		}
-		next = b2
+		next, end = m, ff
 		break // EOI, DNL, an out-of-quota RSTn, …: end of scan
 	}
-	bounds = append(bounds, len(buf))
-	d.scanBuf = buf
-	d.segBounds = bounds
-	if len(bounds) != expected {
-		return nil, 0, fmt.Errorf("jpegcodec: scan holds %d restart segments, frame geometry implies %d", len(bounds), expected)
-	}
-	segs := d.segs[:0]
-	lo := 0
-	for _, hi := range bounds {
-		segs = append(segs, buf[lo:hi:hi])
-		lo = hi
-	}
+	segs = append(segs, data[lo:end:end])
 	d.segs = segs
+	d.pos += i
+	if len(segs) != expected {
+		return nil, 0, fmt.Errorf("jpegcodec: scan holds %d restart segments, frame geometry implies %d", len(segs), expected)
+	}
 	return segs, next, nil
 }
 
 // scanSharded decodes a baseline fully interleaved scan with per-segment
 // parallelism, accepting exactly the streams scanBaseline accepts and
 // producing identical output: the byte scan enforces the same RSTn
-// sequencing, each segment decodes with a fresh DC predictor on a pooled
-// segment-bounded reader, and every non-final segment must consume its
+// sequencing, each segment decodes with a fresh DC predictor on a bit
+// reader over its own bytes, and every non-final segment must consume its
 // bytes exactly (leftovers are what the sequential reader would reject
 // at the next marker; data after the final MCU is ignored on both
 // paths). Reconstruction is left to the first pixel read like on every
@@ -284,19 +272,8 @@ func (d *decoder) scanSharded(scomps []*component, workers int) (byte, error) {
 	if err != nil {
 		return 0, err
 	}
-	brs := make([]*bitio.Reader, pipeline.Workers(workers, len(segs)))
-	for i := range brs {
-		brs[i] = bitrPool.Get().(*bitio.Reader)
-	}
-	defer func() {
-		for _, br := range brs {
-			br.Reset(eofReader{})
-			bitrPool.Put(br)
-		}
-	}()
-	err = pipeline.RunWorker(context.Background(), len(segs), workers, func(_ context.Context, w, seg int) error {
-		br := brs[w]
-		br.ResetBytes(segs[seg])
+	err = pipeline.RunWorker(context.Background(), len(segs), workers, func(_ context.Context, _, seg int) error {
+		br := bitio.NewReader(segs[seg])
 		var prevDC [4]int32
 		lo, hi := segmentBounds(seg, ri, total)
 		for mcu := lo; mcu < hi; mcu++ {

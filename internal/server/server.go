@@ -902,7 +902,6 @@ func (s *Server) checkPNMDims(body []byte) error {
 // out of the server's pools on first use, so an encode holds no decode
 // state; release returns them.
 type scratch struct {
-	rd  bytes.Reader
 	dec *jpegcodec.Decoded
 	img *imgutil.RGB
 }
@@ -912,8 +911,7 @@ func (s *Server) decode(sc *scratch, item []byte) error {
 	if sc.dec == nil {
 		sc.dec = s.decPool.Get().(*jpegcodec.Decoded)
 	}
-	sc.rd.Reset(item)
-	return jpegcodec.DecodeInto(&sc.rd, sc.dec, &jpegcodec.DecodeOptions{MaxPixels: s.opts.MaxPixels})
+	return jpegcodec.DecodeBytes(item, sc.dec, &jpegcodec.DecodeOptions{MaxPixels: s.opts.MaxPixels})
 }
 
 // release returns the scratch's pooled state.

@@ -4,8 +4,8 @@
 # progressive-JPEG leg, the decode verdict pins and the decode and encode
 # kernel oracles, the profile-hub leg, the HTTP server suite, the
 # paper-numbers bands, the perfbench module, and a short native-fuzz
-# smoke of the decoder, requantizer and profile format. Runs the legs of
-# `make check`, in its order, for environments without make.
+# smoke of the decoder, requantizer, bit reader and profile format. Runs
+# the legs of `make check`, in its order, for environments without make.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -56,5 +56,6 @@ go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s ./internal/jpegcodec
 go test -run '^$' -fuzz '^FuzzDecodeSharded$' -fuzztime 5s ./internal/jpegcodec
 go test -run '^$' -fuzz '^FuzzRequantize$' -fuzztime 5s ./internal/jpegcodec
 go test -run '^$' -fuzz '^FuzzDecodeProgressive$' -fuzztime 5s ./internal/jpegcodec
+go test -run '^$' -fuzz '^FuzzReaderOracle$' -fuzztime 5s ./internal/bitio
 go test -run '^$' -fuzz '^FuzzProfileDecode$' -fuzztime 5s ./internal/profile
 go test -run '^$' -fuzz '^FuzzParseIndex$' -fuzztime 5s ./internal/profilehub

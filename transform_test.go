@@ -13,6 +13,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/dct"
 	"repro/internal/freqstat"
 	"repro/internal/imgutil"
@@ -48,7 +49,15 @@ func referenceBlock(pix []uint8, w, h, bx, by int) dct.Block {
 // coefficients, fed through the same segmentation and mapping, must
 // yield exactly the tables Calibrate derives with the codec's engine.
 func TestTransformEnginesShareCalibratedTables(t *testing.T) {
-	images, labels := calibrationSet(t)
+	// A color set: on gray images every chroma δ is 0 and both chroma
+	// tables come out all 255, so the chroma half could not fail.
+	cfg := dataset.Quick()
+	cfg.TrainPerClass, cfg.TestPerClass, cfg.Color = 8, 1, true
+	train, _, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	images, labels := train.Images, train.Labels
 	codec, err := Calibrate(images, labels, CalibrateConfig{Chroma: true})
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +105,13 @@ func TestTransformEnginesShareCalibratedTables(t *testing.T) {
 		if tc.got != want {
 			t.Fatalf("%s table differs from the one the reference-DCT statistics give:\n%v\nwant\n%v", tc.name, tc.got, want)
 		}
+	}
+	flat := true
+	for _, q := range codec.ChromaTable() {
+		flat = flat && q == 255
+	}
+	if flat {
+		t.Fatal("chroma table is all 255: the calibration saw no chroma energy")
 	}
 }
 
