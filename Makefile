@@ -1,6 +1,6 @@
 # Developer entry points for the DeepN-JPEG reproduction.
 #
-#   make check        # gofmt gate + vet + build + race suite + allocation pins + sampling matrix + progressive leg + decode pins + hub suite + server suite + paper numbers + perfbench + fuzz smoke
+#   make check        # gofmt gate + vet + build + race suite + allocation pins + sampling matrix + progressive leg + decode pins + encode pins + hub suite + server suite + paper numbers + perfbench + fuzz smoke
 #   make paper        # the paper's Fig 2a/3/5/7 headline values as tolerance bands
 #   make perfbench    # vet + self-tests of the perfbench module
 #   make test         # plain test run (what tier-1 verification executes)
@@ -18,9 +18,9 @@ FUZZTIME ?= 5s
 # PR number when recording a data point, e.g. `make bench-json PR=4`.
 PR ?= dev
 
-.PHONY: check fmt vet build build-386 test test-amd64v3 race alloc sampling progressive decode hub serve paper perfbench bench bench-txt bench-json serve-bench fuzz-smoke
+.PHONY: check fmt vet build build-386 test test-amd64v3 race alloc sampling progressive decode encode hub serve paper perfbench bench bench-txt bench-json serve-bench fuzz-smoke
 
-check: fmt vet build build-386 race alloc sampling progressive decode hub serve paper perfbench fuzz-smoke
+check: fmt vet build build-386 race alloc sampling progressive decode encode hub serve paper perfbench fuzz-smoke
 
 fmt:
 	@out="$$($(GOFMT) -l .)" || exit 1; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -101,6 +101,18 @@ progressive:
 # this leg runs them.
 decode:
 	$(GO) test -count 1 -run 'TestDecodeVerdictDigests|Oracle|TestReconstructRow|TestLazyPixels' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
+
+# Encode write-path gate, the decode leg's twin: the cross-commit
+# stream digests (encode and requantize over every layout, restart and
+# Huffman option) and the tests that hold the sparse encode to its
+# references — the fused quantizer and whole forward stage against the
+# per-block path, the zero threshold at its edges, the block extents
+# that the quantizer and the requantize walk record against the
+# coefficients they bound, and the extent-bounded emit against the
+# full 63-position scan — as their own named leg, so an encode
+# regression is attributable at a glance.
+encode:
+	$(GO) test -count 1 -run 'TestStreamDigests|TestQuantizeRun|TestTransformComponent|TestRequantize|TestEncodeExtents' . ./internal/jpegcodec
 
 # Profile-hub gate: the whole distribution loop as its own named leg —
 # origin wire protocol, client fault injection (truncation, corruption,

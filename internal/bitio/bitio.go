@@ -9,19 +9,23 @@
 // first marker it encounters.
 //
 // Both sides move machine words where the data allows it. Writer keeps a
-// 64-bit accumulator, takes up to 32 bits per Put and stores 4 bytes at
-// once when none of them is 0xFF. Reader parses a byte slice and refills
-// 8 bytes at once when none of them is 0xFF. A word that holds a 0xFF —
-// stuffing, fill bytes or a marker — takes the byte-at-a-time path, so
-// the stream's bytes and every read's outcome are exactly those of a
-// coder that moves one byte at a time.
+// 64-bit accumulator, takes up to 32 bits per Put and appends each full
+// 4-byte word to its buffer as it stands; Pad then inserts the 0x00
+// after every 0xFF of the words since the last Pad in one pass, so Put
+// has no stuffing branch and inlines. Reader parses a byte slice and
+// refills 8 bytes at once when none of them is 0xFF. A word that holds a
+// 0xFF — stuffing, fill bytes or a marker — takes the byte-at-a-time
+// path, so the stream's bytes and every read's outcome are exactly those
+// of a coder that moves one byte at a time.
 package bitio
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // ErrMarker is returned by Reader when the underlying stream reaches a JPEG
@@ -29,12 +33,10 @@ import (
 // entropy-coded data.
 var ErrMarker = errors.New("bitio: encountered JPEG marker in entropy data")
 
-// Lane masks for the SWAR 0xFF tests: x holds a 0xFF byte exactly when
+// Lane masks for the SWAR 0xFF test: x holds a 0xFF byte exactly when
 // ^x holds a zero byte, and v has a zero byte exactly when
 // (v - lo) & ^v & hi is nonzero.
 const (
-	lo32 = 0x01010101
-	hi32 = 0x80808080
 	lo64 = 0x0101010101010101
 	hi64 = 0x8080808080808080
 )
@@ -45,7 +47,10 @@ type Writer struct {
 	w    io.Writer
 	acc  uint64 // bit accumulator: the pending bits are its low nacc bits
 	nacc uint   // number of pending bits, < 32 between calls
-	buf  []byte // pending output bytes
+	buf  []byte // pending output bytes; those from clean on are not yet stuffed
+	// clean is the length of buf's stuffed prefix: Put appends whole
+	// words unstuffed, and stuff inserts their 0x00s.
+	clean int
 }
 
 // NewWriter returns a Writer that performs JPEG byte stuffing.
@@ -61,6 +66,7 @@ func (bw *Writer) Reset(w io.Writer) {
 	bw.acc = 0
 	bw.nacc = 0
 	bw.buf = bw.buf[:0]
+	bw.clean = 0
 }
 
 // WriteBits appends the low n bits of v to the stream, most significant bit
@@ -76,32 +82,16 @@ func (bw *Writer) WriteBits(v uint32, n uint) error {
 // Put appends the n low bits of v, most significant first, with no
 // checks: n must be at most 32 and v must be below 1<<n. It is the
 // entropy coder's hot path — a Huffman code and the magnitude bits that
-// follow it go in one call.
+// follow it go in one call — and it inlines: a full 4-byte word goes
+// into the buffer as it stands, and Pad stuffs it later. The shift
+// counts are masked to 6 bits, which they never exceed, so the compiler
+// drops its handling of shifts by 64 or more.
 func (bw *Writer) Put(v uint32, n uint) {
-	bw.acc = bw.acc<<n | uint64(v)
+	bw.acc = bw.acc<<(n&63) | uint64(v)
 	bw.nacc += n
 	if bw.nacc >= 32 {
 		bw.nacc -= 32
-		bw.store(uint32(bw.acc >> bw.nacc))
-	}
-}
-
-// store appends 4 whole bytes: at once when none is 0xFF, otherwise one
-// at a time with a 0x00 stuffed after each 0xFF.
-func (bw *Writer) store(x uint32) {
-	if (^x-lo32)&x&hi32 == 0 {
-		bw.buf = binary.BigEndian.AppendUint32(bw.buf, x)
-		return
-	}
-	for shift := 24; shift >= 0; shift -= 8 {
-		bw.emit(byte(x >> shift))
-	}
-}
-
-func (bw *Writer) emit(b byte) {
-	bw.buf = append(bw.buf, b)
-	if b == 0xFF {
-		bw.buf = append(bw.buf, 0x00)
+		bw.buf = binary.BigEndian.AppendUint32(bw.buf, uint32(bw.acc>>(bw.nacc&63)))
 	}
 }
 
@@ -109,25 +99,56 @@ func (bw *Writer) emit(b byte) {
 // which makes padding decode as a fill prefix of a marker) without
 // flushing, so a segment encoder can take the finished bytes with Bytes
 // and stitch them between restart markers itself. The whole bytes still
-// in the accumulator go out first.
+// in the accumulator go out first, and every byte since the last Pad is
+// stuffed.
 func (bw *Writer) Pad() {
 	for bw.nacc >= 8 {
 		bw.nacc -= 8
-		bw.emit(byte(bw.acc >> bw.nacc))
+		bw.buf = append(bw.buf, byte(bw.acc>>bw.nacc))
 	}
 	if bw.nacc > 0 {
 		pad := 8 - bw.nacc
 		bw.acc = bw.acc<<pad | (1<<pad - 1)
 		bw.nacc = 0
-		bw.emit(byte(bw.acc))
+		bw.buf = append(bw.buf, byte(bw.acc))
 	}
+	bw.stuff()
 }
 
+// stuff inserts a 0x00 after every 0xFF in buf[clean:], the bytes
+// appended since the last stuff, in place: it counts them, grows buf
+// once, and moves the run after each 0xFF right, last run first.
+func (bw *Writer) stuff() {
+	b := bw.buf
+	k := bytes.Count(b[bw.clean:], ff)
+	if k > 0 {
+		end := len(b)
+		b = slices.Grow(b, k)[:end+k]
+		for ; k > 0; k-- {
+			// The 0xFF at i has k−1 others before it in the unstuffed
+			// bytes, so it lands at i+k−1, its 0x00 at i+k, and the run
+			// after it moves k bytes right.
+			i := bw.clean + bytes.LastIndexByte(b[bw.clean:end], 0xFF)
+			copy(b[i+1+k:end+k], b[i+1:end])
+			b[i+k-1], b[i+k] = 0xFF, 0x00
+			end = i
+		}
+		bw.buf = b
+	}
+	bw.clean = len(bw.buf)
+}
+
+// ff is the byte that JPEG stuffing follows with a 0x00.
+var ff = []byte{0xFF}
+
 // Bytes returns the pending output bytes accumulated since the last Reset
-// or Flush. Bits still in the accumulator are not included, so callers
-// Pad first. The slice aliases the Writer's internal buffer and is
-// invalidated by the next Put, WriteBits, Pad, Flush or Reset.
-func (bw *Writer) Bytes() []byte { return bw.buf }
+// or Flush, stuffed. Bits still in the accumulator are not included, so
+// callers Pad first. The slice aliases the Writer's internal buffer and
+// is invalidated by the next Put, WriteBits, Pad, Flush or Reset.
+func (bw *Writer) Bytes() []byte {
+	bw.stuff()
+	return bw.buf
+}
 
 // Flush pads the final partial byte with 1-bits and writes all pending
 // bytes to the underlying writer.
@@ -138,6 +159,7 @@ func (bw *Writer) Flush() error {
 			return err
 		}
 		bw.buf = bw.buf[:0]
+		bw.clean = 0
 	}
 	return nil
 }

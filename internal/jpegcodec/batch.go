@@ -11,11 +11,12 @@ package jpegcodec
 //   - the gather clamps edge coordinates only for the partial blocks at
 //     the right/bottom margins; interior blocks take an unconditional
 //     eight-lane copy (ExtractBlock pays the clamp per pixel);
-//   - quantization runs as two passes over the whole run — a pure
-//     division pass whose independent divisions pipeline back to back,
-//     then a rounding pass in integers, with the sign applied from the
-//     sign bit instead of the branches the per-block quantizer takes per
-//     coefficient;
+//   - quantization divides only the coefficients that can quantize to
+//     a nonzero value: one below its band's zero threshold, just under
+//     half the divisor, is written as 0 without a division, and every
+//     other one is divided and rounded in integers, with the sign applied
+//     from the sign bit. Each block's extent, its last nonzero zigzag
+//     index, is recorded beside it, so the Huffman emit stops there;
 //   - reconstruction dispatches on each block's recorded extent: a
 //     DC-only block fills its pixels with one rounded sample, every
 //     other block dequantizes only its zigzag prefix, and pixels are
@@ -73,38 +74,59 @@ func gatherBlockRow(plane []float64, pix []uint8, w, h, by, blocksX int) {
 	}
 }
 
-// quantizeRunInto quantizes len(dst) consecutive blocks from plane
-// through the fused divisors: every coefficient of the run divided by
-// its divisor and rounded by roundQuantized. plane is consumed
-// (overwritten by the division pass).
-// Two passes instead of one chain per coefficient: the divisions are
-// independent and saturate the divider, and the rounding pass has no
-// branch that depends on the coefficient's sign. The division stays a
-// division: a reciprocal multiply is not bit-exact.
-func quantizeRunInto(dst [][64]int32, plane []float64, tbl *qtable.FwdScaled, mask *qtable.ZeroMask) {
-	n := len(dst)
-	for bi := 0; bi < n; bi++ {
-		b := (*[64]float64)(plane[bi*64:])
-		for i := 0; i < 64; i++ {
-			b[i] /= tbl[i]
+// zeroThreshold is the fraction of a band's divisor below which a
+// coefficient quantizes to 0 (see zeroThresholds).
+const zeroThreshold = 0.4999
+
+// zeroThresholds fills thr with each band's zero threshold for the
+// fused divisors div: fl(zeroThreshold·div[i]), and +Inf for a band
+// mask zeroes. Every coefficient v with |v| < thr[i] quantizes to 0, so
+// quantizeRunInto writes 0 for it without dividing: |v| < fl(0.4999·d)
+// ≤ 0.4999·d·(1+2⁻⁵³), so fl(|v|/d) < 0.49991, and roundQuantized maps
+// any value below 0.5 − quantizeTieEps to 0. The margin keeps the
+// threshold clear of the tie snap, which rounds a quotient within
+// quantizeTieEps below 0.5 up to 1.
+func zeroThresholds(thr *[64]float64, div *qtable.FwdScaled, mask *qtable.ZeroMask) {
+	for i, d := range div {
+		thr[i] = zeroThreshold * d
+		if mask != nil && mask[i] {
+			thr[i] = math.Inf(1)
 		}
 	}
-	for bi := 0; bi < n; bi++ {
+}
+
+// quantizeRunInto quantizes len(dst) consecutive blocks from plane
+// through the fused divisors div and records each block's extent, the
+// zigzag index of its last nonzero coefficient (0 when no AC
+// coefficient is nonzero), in ext. A coefficient below its band's zero
+// threshold thr (zeroThresholds) is written as 0 without a division;
+// every other one is divided by its divisor and rounded by
+// roundQuantized, so the output is that of dividing and rounding all 64.
+// The division stays a division: a reciprocal multiply is not bit-exact.
+// A masked band's threshold is +Inf, and the divide path zeroes it too,
+// so a NaN coefficient there still gives 0.
+func quantizeRunInto(dst [][64]int32, ext []uint8, plane []float64, div *qtable.FwdScaled, thr *[64]float64, mask *qtable.ZeroMask) {
+	ext = ext[:len(dst)]
+	for bi := range dst {
 		b := (*[64]float64)(plane[bi*64:])
 		out := &dst[bi]
-		if mask == nil {
-			for i := 0; i < 64; i++ {
-				out[i] = roundQuantized(b[i])
-			}
-			continue
-		}
-		for i := 0; i < 64; i++ {
-			if mask[i] {
+		last := 0
+		for i := range 64 {
+			v := b[i]
+			if math.Abs(v) < thr[i] {
 				out[i] = 0
 				continue
 			}
-			out[i] = roundQuantized(b[i])
+			q := roundQuantized(v / div[i])
+			if mask != nil && mask[i] {
+				q = 0
+			}
+			out[i] = q
+			if q != 0 {
+				last = max(last, qtable.NaturalToZigZag[i])
+			}
 		}
+		ext[bi] = uint8(last)
 	}
 }
 
@@ -231,14 +253,16 @@ func dequantizePrefix(tile *[64]float64, coefs *[64]int32, ext uint8, inv *qtabl
 
 // transformComponent runs the whole forward stage for one encoder
 // component: per block row, gather the level-shifted tiles into plane,
-// one batch of raw AAN butterflies (the scale factors live in tbl), one
-// fused quantize pass into the coefficient grid.
-func transformComponent(c *component, tbl *qtable.FwdScaled, mask *qtable.ZeroMask, plane []float64) {
+// one batch of raw AAN butterflies (the scale factors live in div), one
+// fused quantize pass into the coefficient grid that records each
+// block's extent in c.ext.
+func transformComponent(c *component, div *qtable.FwdScaled, thr *[64]float64, mask *qtable.ZeroMask, plane []float64) {
 	run := c.blocksX * 64
 	for by := 0; by < c.blocksY; by++ {
 		gatherBlockRow(plane[:run], c.pix, c.w, c.hgt, by, c.blocksX)
 		dct.ForwardAANRawBatch(plane[:run])
-		quantizeRunInto(c.coefs[by*c.blocksX:(by+1)*c.blocksX], plane[:run], tbl, mask)
+		row := by * c.blocksX
+		quantizeRunInto(c.coefs[row:row+c.blocksX], c.ext[row:row+c.blocksX], plane[:run], div, thr, mask)
 	}
 }
 

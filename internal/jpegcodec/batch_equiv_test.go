@@ -99,7 +99,9 @@ func TestQuantizeRunMatchesPerBlock(t *testing.T) {
 				got[bi][i] = -99 // stale pooled data must be overwritten
 			}
 		}
-		quantizeRunInto(got, plane, &tbl, m)
+		var thr [64]float64
+		zeroThresholds(&thr, &tbl, m)
+		quantizeRunInto(got, make([]uint8, blocks), plane, &tbl, &thr, m)
 		for bi := 0; bi < blocks; bi++ {
 			for i := 0; i < 64; i++ {
 				want := int32(0)
@@ -158,7 +160,10 @@ func TestTransformComponentMatchesPerBlock(t *testing.T) {
 			c := &component{w: dim.w, hgt: dim.h, pix: randPixPlane(rng, dim.w, dim.h)}
 			c.blocksX, c.blocksY = paddedGrid(dim.w, dim.h)
 			c.coefs = make([][64]int32, c.blocksX*c.blocksY)
-			transformComponent(c, &tbl, m, make([]float64, c.blocksX*64))
+			c.ext = make([]uint8, len(c.coefs))
+			var thr [64]float64
+			zeroThresholds(&thr, &tbl, m)
+			transformComponent(c, &tbl, &thr, m, make([]float64, c.blocksX*64))
 			for by := 0; by < c.blocksY; by++ {
 				for bx := 0; bx < c.blocksX; bx++ {
 					var tile [64]uint8

@@ -280,7 +280,12 @@ type component struct {
 
 	blocksX, blocksY int         // MCU-padded block grid
 	coefs            [][64]int32 // quantized coefficients per block, natural order
-	ext              []uint8     // decoder: each block's extent (see Decoded.ext)
+	// ext holds each block's extent beside coefs: a zigzag index past
+	// which every coefficient of the block is zero. The decoder records
+	// it at EOB (see Decoded.ext); the encoder's quantizer and Requantize
+	// record the last nonzero index, and the Huffman emit stops there. A
+	// component built without extents (nil) reads as extent 63.
+	ext []uint8
 
 	// Decoder per-frame scan state. scanned marks components that took
 	// part in at least one scan; primed marks coefficient grids that hold
@@ -290,6 +295,15 @@ type component struct {
 	// accumulate — must zero the grid first).
 	scanned bool
 	primed  bool
+}
+
+// extent returns block k's extent: c.ext[k], or 63 when c carries no
+// extents.
+func (c *component) extent(k int) uint8 {
+	if c.ext == nil {
+		return 63
+	}
+	return c.ext[k]
 }
 
 // quantizeTieEps is the half-width of the rounding-boundary snap band in

@@ -50,7 +50,8 @@ type Decoded struct {
 	// zigzag index the entropy decode may have written, so every
 	// coefficient past it is zero. It is recorded at the block's EOB
 	// (0 for a DC-only block), and it is 63 in progressive frames and
-	// for blocks no baseline scan writes. Reconstruction dispatches on it.
+	// for blocks no baseline scan writes. Reconstruction dispatches on
+	// it, and Requantize walks each block only up to it.
 	ext [3][]uint8
 
 	// pixPending marks pixel planes not yet reconstructed from this
@@ -134,10 +135,10 @@ func (d *Decoded) GrayInto(dst *imgutil.Gray) *imgutil.Gray {
 // Coefficients returns the quantized DCT coefficients of component i in
 // natural order, along with the MCU-padded block-grid dimensions. Blocks
 // are stored row-major (by*blocksX + bx). The grid is read-only: pixels
-// reconstruct from it lazily, on the first pixel read, and read each
-// block only up to the extent its entropy decode recorded, so a write
-// before that read would change the pixels, or be lost past a block's
-// extent.
+// reconstruct from it lazily, on the first pixel read, and both that
+// reconstruction and Requantize read each block only up to the extent
+// its entropy decode recorded, so a write before that read would change
+// the pixels, and a write past a block's extent is lost to both.
 func (d *Decoded) Coefficients(i int) (blocks [][64]int32, blocksX, blocksY int) {
 	return d.coefs[i], d.blocksX[i], d.blocksY[i]
 }

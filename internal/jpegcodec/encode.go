@@ -114,11 +114,13 @@ func transformComponents(width, height int, comps []*component, o *Options, scra
 	mcusX = (width + 8*maxH - 1) / (8 * maxH)
 	mcusY = (height + 8*maxV - 1) / (8 * maxV)
 
-	// Fold the transform's scale factors into both tables once per call,
-	// never per block.
-	fwd := &scratch.fwd
+	// Fold the transform's scale factors into both tables, and derive
+	// their zero thresholds, once per call, never per block.
+	fwd, thr := &scratch.fwd, &scratch.thr
 	o.LumaTable.FwdScaledInto(&fwd[0])
 	o.ChromaTable.FwdScaledInto(&fwd[1])
+	zeroThresholds(&thr[0], &fwd[0], o.ZeroMask)
+	zeroThresholds(&thr[1], &fwd[1], o.ZeroMask)
 
 	// Forward-transform every block in the MCU-padded grid, one whole
 	// block row at a time: fused gather into the flat plane, one batch
@@ -128,8 +130,10 @@ func transformComponents(width, height int, comps []*component, o *Options, scra
 		c.blocksY = mcusY * c.v
 		c.coefs = growCoefs(scratch.coefs[ci], c.blocksX*c.blocksY)
 		scratch.coefs[ci] = c.coefs
+		c.ext = imgutil.GrowBytes(scratch.ext[ci], len(c.coefs))
+		scratch.ext[ci] = c.ext
 		scratch.plane = growFloats(scratch.plane, c.blocksX*64)
-		transformComponent(c, &fwd[c.tq], o.ZeroMask, scratch.plane)
+		transformComponent(c, &fwd[c.tq], &thr[c.tq], o.ZeroMask, scratch.plane)
 	}
 	return mcusX, mcusY
 }
@@ -205,8 +209,9 @@ func countMCUSymbols(comps []*component, mcusX, mcu int, prevDC *[4]int32, freqs
 		dcID, acID := tableIDs(c)
 		for vy := 0; vy < c.v; vy++ {
 			for vx := 0; vx < c.h; vx++ {
-				coefs := &c.coefs[(my*c.v+vy)*c.blocksX+mx*c.h+vx]
-				if err := countBlockSymbols(coefs, prevDC[ci], &freqs[dcID], &freqs[acID]); err != nil {
+				k := (my*c.v+vy)*c.blocksX + mx*c.h + vx
+				coefs := &c.coefs[k]
+				if err := countBlockSymbols(coefs, c.extent(k), prevDC[ci], &freqs[dcID], &freqs[acID]); err != nil {
 					return err
 				}
 				prevDC[ci] = coefs[0]
@@ -255,8 +260,9 @@ func optimizeHuffman(comps []*component, mcusX, mcusY, restart, workers int) ([4
 }
 
 // countBlockSymbols tallies the DC size category and AC run/size symbols
-// one block would emit, rejecting the coefficients encodeBlock rejects.
-func countBlockSymbols(coefs *[64]int32, prevDC int32, dcFreq, acFreq *[256]int64) error {
+// one block of extent ext would emit, rejecting the coefficients
+// encodeBlock rejects.
+func countBlockSymbols(coefs *[64]int32, ext uint8, prevDC int32, dcFreq, acFreq *[256]int64) error {
 	diff := coefs[0] - prevDC
 	s := bitCategory(diff)
 	if s > maxDCCategory {
@@ -264,8 +270,8 @@ func countBlockSymbols(coefs *[64]int32, prevDC int32, dcFreq, acFreq *[256]int6
 	}
 	dcFreq[s]++
 	run := 0
-	for z := 1; z < 64; z++ {
-		v := coefs[qtable.ZigZagOrder[z]]
+	for _, n := range qtable.ZigZagOrder[1 : int(ext)+1] {
+		v := coefs[n&63]
 		if v == 0 {
 			run++
 			continue
@@ -281,7 +287,7 @@ func countBlockSymbols(coefs *[64]int32, prevDC int32, dcFreq, acFreq *[256]int6
 		acFreq[run<<4|s]++
 		run = 0
 	}
-	if run > 0 {
+	if run > 0 || ext < 63 {
 		acFreq[0x00]++ // EOB
 	}
 	return nil
@@ -323,8 +329,9 @@ func encodeMCU(bw *bitio.Writer, comps []*component, enc [4]*encTable, mcusX, mc
 		dcID, acID := tableIDs(c)
 		for vy := 0; vy < c.v; vy++ {
 			for vx := 0; vx < c.h; vx++ {
-				coefs := &c.coefs[(my*c.v+vy)*c.blocksX+mx*c.h+vx]
-				if err := encodeBlock(bw, coefs, prevDC[ci], enc[dcID], enc[acID]); err != nil {
+				k := (my*c.v+vy)*c.blocksX + mx*c.h + vx
+				coefs := &c.coefs[k]
+				if err := encodeBlock(bw, coefs, c.extent(k), prevDC[ci], enc[dcID], enc[acID]); err != nil {
 					return err
 				}
 				prevDC[ci] = coefs[0]
@@ -334,10 +341,15 @@ func encodeMCU(bw *bitio.Writer, comps []*component, enc [4]*encTable, mcusX, mc
 	return nil
 }
 
-// encodeBlock entropy-codes one block of natural-order coefficients.
+// encodeBlock entropy-codes one block of natural-order coefficients
+// whose extent is ext: every coefficient past zigzag index ext is zero.
+// The zero-run scan stops at the extent, and a block whose extent is
+// below 63 ends with EOB. The bytes are those of a scan over all 63 AC
+// positions, because a trailing zero run emits only its EOB, so ext
+// need only bound the last nonzero index from above (63 always does).
 // Each Huffman code goes out in one put with the magnitude bits that
 // follow it; a coefficient past the baseline categories is an error.
-func encodeBlock(bw *bitio.Writer, coefs *[64]int32, prevDC int32, dcTab, acTab *encTable) error {
+func encodeBlock(bw *bitio.Writer, coefs *[64]int32, ext uint8, prevDC int32, dcTab, acTab *encTable) error {
 	// DC: DPCM against the previous block of the same component.
 	diff := coefs[0] - prevDC
 	s := bitCategory(diff)
@@ -349,8 +361,8 @@ func encodeBlock(bw *bitio.Writer, coefs *[64]int32, prevDC int32, dcTab, acTab 
 	}
 	// AC: run-length of zeros + size category, in zig-zag order.
 	run := 0
-	for z := 1; z < 64; z++ {
-		v := coefs[qtable.ZigZagOrder[z]]
+	for _, n := range qtable.ZigZagOrder[1 : int(ext)+1] {
+		v := coefs[n&63]
 		if v == 0 {
 			run++
 			continue
@@ -370,7 +382,7 @@ func encodeBlock(bw *bitio.Writer, coefs *[64]int32, prevDC int32, dcTab, acTab 
 		}
 		run = 0
 	}
-	if run > 0 {
+	if run > 0 || ext < 63 {
 		if err := acTab.put(bw, 0x00, 0, 0); err != nil { // EOB
 			return err
 		}

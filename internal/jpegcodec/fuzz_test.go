@@ -97,21 +97,32 @@ func seedStreams(tb testing.TB) map[string][]byte {
 }
 
 // checkExtents holds an accepted decode to the invariant reconstruction
-// relies on: every coefficient past a block's recorded extent is zero.
+// and Requantize rely on: every coefficient past a block's recorded
+// extent is zero.
 func checkExtents(t *testing.T, dec *Decoded, label string) {
 	t.Helper()
 	for i := range dec.Components {
-		coefs, ext := dec.coefs[i], dec.ext[i]
-		if len(ext) != len(coefs) {
-			t.Fatalf("%s: component %d has %d extents for %d blocks", label, i, len(ext), len(coefs))
+		checkBlockExtents(t, dec.coefs[i], dec.ext[i], false, fmt.Sprintf("%s: component %d", label, i))
+	}
+}
+
+// checkBlockExtents holds a coefficient grid to its extents: every
+// coefficient past a block's extent is zero and, when exact, the extent
+// is the zigzag index of the block's last nonzero coefficient (0 for a
+// block with none), as the encoder's quantizer and Requantize record it.
+func checkBlockExtents(t *testing.T, coefs [][64]int32, ext []uint8, exact bool, label string) {
+	t.Helper()
+	if len(ext) != len(coefs) {
+		t.Fatalf("%s: %d extents for %d blocks", label, len(ext), len(coefs))
+	}
+	for k := range coefs {
+		last := lastNonzero(&coefs[k])
+		if last > ext[k] {
+			t.Fatalf("%s: block %d: coefficient %d at zigzag %d, past the recorded extent %d",
+				label, k, coefs[k][qtable.ZigZagOrder[last]], last, ext[k])
 		}
-		for k := range coefs {
-			for z := int(ext[k]) + 1; z < 64; z++ {
-				if v := coefs[k][qtable.ZigZagOrder[z]]; v != 0 {
-					t.Fatalf("%s: component %d block %d: coefficient %d at zigzag %d, past the recorded extent %d",
-						label, i, k, v, z, ext[k])
-				}
-			}
+		if exact && last != ext[k] {
+			t.Fatalf("%s: block %d: extent %d, last nonzero zigzag index %d", label, k, ext[k], last)
 		}
 	}
 }
@@ -196,7 +207,9 @@ func FuzzRequantize(f *testing.F) {
 			}
 			src := dec.coefs[ci]
 			got := make([][64]int32, len(src))
-			requantizeBlocks(got, src, &from, to, nil)
+			gotExt := make([]uint8, len(src))
+			requantizeBlocks(got, src, gotExt, dec.ext[ci], &from, to, nil)
+			checkBlockExtents(t, got, gotExt, true, fmt.Sprintf("requantize component %d", ci))
 			requantized[ci] = got
 			if !oracleComparable() {
 				continue

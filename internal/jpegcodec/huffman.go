@@ -78,14 +78,23 @@ func buildEncTable(spec *HuffmanSpec) (*encTable, error) {
 }
 
 // put writes the code for symbol v followed by the s magnitude bits mag
-// in one Put: a code of up to 16 bits and s ≤ 11 fit in its 32.
+// in one Put: a code of up to 16 bits and s ≤ 11 fit in its 32. It and
+// Put inline into the emit loops, so a code costs no call; the error
+// for a symbol without a code is built only when it is read.
 func (t *encTable) put(bw *bitio.Writer, v uint8, mag uint32, s int) error {
 	n := t.size[v]
 	if n == 0 {
-		return fmt.Errorf("jpegcodec: symbol %#x has no huffman code", v)
+		return noCodeError(v)
 	}
 	bw.Put(t.code[v]<<s|mag, uint(n)+uint(s))
 	return nil
+}
+
+// noCodeError reports a symbol the Huffman table in use has no code for.
+type noCodeError uint8
+
+func (e noCodeError) Error() string {
+	return fmt.Sprintf("jpegcodec: symbol %#x has no huffman code", uint8(e))
 }
 
 // lookupBits is the width of decTable's lookahead index: codes up to

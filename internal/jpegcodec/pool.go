@@ -27,9 +27,11 @@ import (
 type encScratch struct {
 	planes imgutil.Planes      // Y and subsampled Cb/Cr conversion buffers
 	coefs  [3][][64]int32      // per-component quantized coefficient grids
+	ext    [3][]uint8          // per-component block extents beside coefs
 	comps  [3]component        // component descriptors
 	refs   [3]*component       // backing array for the []*component slice
 	fwd    [2]qtable.FwdScaled // fused forward divisors (luma, chroma), derived per encode
+	thr    [2][64]float64      // zero thresholds of fwd (zeroThresholds), derived per encode
 	plane  []float64           // flat block-row plane for the batch transform stage
 }
 

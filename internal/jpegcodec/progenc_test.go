@@ -510,7 +510,7 @@ func encodeNonInterleaved(t testing.TB, d *Decoded, ri int) []byte {
 					prevDC = 0
 				}
 				coefs := &d.coefs[i][by*d.blocksX[i]+bx]
-				check(encodeBlock(bw, coefs, prevDC, dcTab, acTab))
+				check(encodeBlock(bw, coefs, 63, prevDC, dcTab, acTab))
 				prevDC = coefs[0]
 				n++
 			}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/imgutil"
 	"repro/internal/qtable"
 )
 
@@ -102,7 +103,9 @@ func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Option
 		c.blocksX, c.blocksY = bx, by
 		c.coefs = growCoefs(s.coefs[i], len(src))
 		s.coefs[i] = c.coefs
-		requantizeBlocks(c.coefs, src, &oldTbl, newTbl, o.ZeroMask)
+		c.ext = imgutil.GrowBytes(s.ext[i], len(src))
+		s.ext[i] = c.ext
+		requantizeBlocks(c.coefs, src, c.ext, d.ext[i], &oldTbl, newTbl, o.ZeroMask)
 	}
 	comps := s.components(d.Components)
 
@@ -128,6 +131,15 @@ func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Option
 // round-half-away(c·from[i] / to[i]), computed exactly in int64, and the
 // bands mask zeroes come out zero (as if from[i] were 0).
 //
+// Each source block is walked in zigzag order only up to its extent in
+// srcExt, which the decoder recorded: Decoded.Coefficients is read-only
+// past each block's extent, so every coefficient there is zero, and a
+// zero coefficient requantizes to 0 under every table. The rest of each
+// output block is written as zeros, and dstExt records the output
+// block's extent, its last nonzero zigzag index (0 when no AC
+// coefficient is nonzero), which is never larger than the source
+// extent.
+//
 // With q = to[i] and a = |c·from[i]|, the rounded magnitude ⌊a/q + ½⌋ is
 // ⌊n/q⌋ for n = a + ⌊q/2⌋ (for odd q the dropped half never carries).
 // Below 2²⁴, n/q is one multiply by the reciprocal m = ⌊2³²/q⌋ + 1 and a
@@ -144,30 +156,40 @@ func Requantize(w io.Writer, d *Decoded, luma, chroma qtable.Table, opts *Option
 // error. A rounded magnitude of 2³¹ or more, which only a hostile
 // stream's accumulated DC reaches, yields math.MinInt32, as the float
 // chain's out-of-range conversion did on amd64.
-func requantizeBlocks(dst, src [][64]int32, from, to *qtable.Table, mask *qtable.ZeroMask) {
+func requantizeBlocks(dst, src [][64]int32, dstExt, srcExt []uint8, from, to *qtable.Table, mask *qtable.ZeroMask) {
+	// The per-band constants in zigzag order, the order of the walk.
 	var num, half [64]int64
 	var recip [64]uint64
-	for i := range num {
+	for z, i := range qtable.ZigZagOrder {
 		if mask == nil || !mask[i] {
-			num[i] = int64(from[i])
+			num[z] = int64(from[i])
 		}
-		half[i] = int64(to[i] >> 1)
-		recip[i] = 1<<32/uint64(to[i]) + 1
+		half[z] = int64(to[i] >> 1)
+		recip[z] = 1<<32/uint64(to[i]) + 1
 	}
+	dstExt, srcExt = dstExt[:len(src)], srcExt[:len(src)]
 	for bi := range src {
 		s, d := &src[bi], &dst[bi]
-		for i := range 64 {
-			p := int64(s[i]) * num[i]
+		*d = [64]int32{}
+		last := 0
+		for z, i := range qtable.ZigZagOrder[:int(srcExt[bi])+1] {
+			i &= 63
+			p := int64(s[i]) * num[z]
 			neg := p >> 63 // 0, or -1 when p < 0
-			n := (p ^ neg) - neg + half[i]
+			n := (p ^ neg) - neg + half[z]
 			var r int64
 			if n < 1<<24 {
-				r = int64(uint64(n) * recip[i] >> 32)
+				r = int64(uint64(n) * recip[z] >> 32)
 			} else if r = n / int64(to[i]); r > math.MaxInt32 {
 				d[i] = math.MinInt32
+				last = z
 				continue
 			}
 			d[i] = int32((r ^ neg) - neg)
+			if r != 0 {
+				last = z
+			}
 		}
+		dstExt[bi] = uint8(last)
 	}
 }

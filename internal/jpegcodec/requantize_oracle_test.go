@@ -85,7 +85,7 @@ func TestRequantizeIntegerOracle(t *testing.T) {
 				}
 			}
 			for _, m := range []*qtable.ZeroMask{nil, &mask} {
-				requantizeBlocks(got, src, &from, &to, m)
+				requantizeBlocks(got, src, make([]uint8, 1), []uint8{63}, &from, &to, m)
 				requantizeOracle(want, src, &from, &to, m)
 				if got[0] != want[0] {
 					for i := range b {

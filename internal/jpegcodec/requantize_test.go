@@ -239,7 +239,10 @@ func TestRequantizeRejectsOutOfRangeCoefficients(t *testing.T) {
 			dec.QuantTables[tq] = from
 			to := from
 			to[tc.k] = tc.to
+			// The block decoded DC-only: a write past its recorded extent
+			// must raise the extent, or Requantize never reads it.
 			dec.coefs[0][0][tc.k] = tc.v
+			dec.ext[0][0] = 63
 			var out bytes.Buffer
 			err = Requantize(&out, dec, to, qtable.MustScale(qtable.StdChrominance, 50), &Options{OptimizeHuffman: optimize})
 			if tc.wantErr != "" {

@@ -15,9 +15,11 @@ package jpegcodec
 import (
 	"bytes"
 	"image/jpeg"
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/dct"
 	"repro/internal/imgutil"
 	"repro/internal/qtable"
 )
@@ -136,41 +138,89 @@ func perPixel(b *testing.B, px float64) {
 //   - transform: gather, forward DCT and quantize for every component;
 //   - emit: encodeTail — Huffman emit and markers.
 //
-// The three rows sum to roughly one EncodeRGB.
+// The three rows sum to roughly one EncodeRGB. They run on two table
+// sets: std, the default Annex-K QF-50 tables, and dense, Annex-K QF 95,
+// whose small steps leave most luma blocks nonzero far down the zigzag.
+// Every row also reports zero/coef, the share of coefficients below
+// their band's zero threshold, which the quantizer writes as 0 without
+// dividing, and ext/block, the mean block extent, where the emit stops.
 func BenchmarkEncodeStages(b *testing.B) {
 	img := synthFrame256(b)
-	o := Options{Subsampling: Sub420}.withDefaults()
-	h, v, _ := o.Subsampling.factors()
-	s := getEncScratch()
-	defer putEncScratch(s)
-	comps := s.rgbComponents(img, h, v)
-	mcusX, mcusY := transformComponents(img.W, img.H, comps, &o, s)
-	px := float64(img.W * img.H)
-	b.Run("color", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.rgbComponents(img, h, v)
+	for _, in := range []struct {
+		name string
+		opts Options
+	}{
+		{"std", Options{Subsampling: Sub420}},
+		{"dense", Options{Subsampling: Sub420,
+			LumaTable:   qtable.MustScale(qtable.StdLuminance, 95),
+			ChromaTable: qtable.MustScale(qtable.StdChrominance, 95)}},
+	} {
+		o := in.opts.withDefaults()
+		h, v, _ := o.Subsampling.factors()
+		s := getEncScratch()
+		comps := s.rgbComponents(img, h, v)
+		mcusX, mcusY := transformComponents(img.W, img.H, comps, &o, s)
+		zero, ext := encodeSparsity(comps, s)
+		px := float64(img.W * img.H)
+		report := func(b *testing.B) {
+			perPixel(b, px)
+			b.ReportMetric(zero, "zero/coef")
+			b.ReportMetric(ext, "ext/block")
 		}
-		perPixel(b, px)
-	})
-	b.Run("transform", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			transformComponents(img.W, img.H, comps, &o, s)
-		}
-		perPixel(b, px)
-	})
-	b.Run("emit", func(b *testing.B) {
-		var out bytes.Buffer
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out.Reset()
-			if err := encodeTail(&out, img.W, img.H, comps, mcusX, mcusY, &o); err != nil {
-				b.Fatal(err)
+		b.Run(in.name+"/color", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.rgbComponents(img, h, v)
+			}
+			report(b)
+		})
+		b.Run(in.name+"/transform", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				transformComponents(img.W, img.H, comps, &o, s)
+			}
+			report(b)
+		})
+		b.Run(in.name+"/emit", func(b *testing.B) {
+			var out bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out.Reset()
+				if err := encodeTail(&out, img.W, img.H, comps, mcusX, mcusY, &o); err != nil {
+					b.Fatal(err)
+				}
+			}
+			report(b)
+		})
+		putEncScratch(s)
+	}
+}
+
+// encodeSparsity returns, over the transformed components comps, the
+// share of coefficients below their band's zero threshold and the mean
+// block extent. It reruns the forward transform of each block row to
+// see the coefficients before quantization.
+func encodeSparsity(comps []*component, s *encScratch) (zero, ext float64) {
+	var below, coefs, extSum int
+	for _, c := range comps {
+		run := c.blocksX * 64
+		plane := make([]float64, run)
+		thr := &s.thr[c.tq]
+		for by := 0; by < c.blocksY; by++ {
+			gatherBlockRow(plane, c.pix, c.w, c.hgt, by, c.blocksX)
+			dct.ForwardAANRawBatch(plane)
+			for i, v := range plane {
+				if math.Abs(v) < thr[i%64] {
+					below++
+				}
 			}
 		}
-		perPixel(b, px)
-	})
+		coefs += len(c.coefs) * 64
+		for _, e := range c.ext {
+			extSum += int(e)
+		}
+	}
+	return float64(below) / float64(coefs), float64(extSum) / float64(coefs/64)
 }
 
 // BenchmarkDecodeStages splits the decode read path into its stages on
@@ -264,7 +314,9 @@ func BenchmarkDecodeStages(b *testing.B) {
 //   - requantize: Requantize — that pass plus the Huffman emit.
 //
 // decode + requantize is one archive requantize; no pixel is
-// reconstructed on the way.
+// reconstructed on the way. Every row also reports ext/block, the mean
+// extent the decode recorded per source block, where the requantize
+// walk stops.
 func BenchmarkRequantizeStages(b *testing.B) {
 	var src bytes.Buffer
 	if err := jpeg.Encode(&src, synthFrame256(b).ToImage(), &jpeg.Options{Quality: 90}); err != nil {
@@ -278,6 +330,17 @@ func BenchmarkRequantizeStages(b *testing.B) {
 	luma := qtable.MustScale(qtable.StdLuminance, 50)
 	chroma := qtable.MustScale(qtable.StdChrominance, 50)
 	px := float64(dec.W * dec.H)
+	extSum, blocks := 0, 0
+	for i := range dec.Components {
+		for _, e := range dec.ext[i] {
+			extSum += int(e)
+		}
+		blocks += len(dec.ext[i])
+	}
+	report := func(b *testing.B) {
+		perPixel(b, px)
+		b.ReportMetric(float64(extSum)/float64(blocks), "ext/block")
+	}
 	b.Run("decode", func(b *testing.B) {
 		var dst Decoded
 		r := bytes.NewReader(stream)
@@ -288,12 +351,14 @@ func BenchmarkRequantizeStages(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		perPixel(b, px)
+		report(b)
 	})
 	b.Run("requant", func(b *testing.B) {
 		var dst [3][][64]int32
+		var ext [3][]uint8
 		for ci := range dec.Components {
 			dst[ci] = make([][64]int32, len(dec.coefs[ci]))
+			ext[ci] = make([]uint8, len(dec.coefs[ci]))
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -303,10 +368,10 @@ func BenchmarkRequantizeStages(b *testing.B) {
 				if ci > 0 {
 					to = &chroma
 				}
-				requantizeBlocks(dst[ci], dec.coefs[ci], &old, to, nil)
+				requantizeBlocks(dst[ci], dec.coefs[ci], ext[ci], dec.ext[ci], &old, to, nil)
 			}
 		}
-		perPixel(b, px)
+		report(b)
 	})
 	b.Run("requantize", func(b *testing.B) {
 		var out bytes.Buffer
@@ -317,6 +382,6 @@ func BenchmarkRequantizeStages(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		perPixel(b, px)
+		report(b)
 	})
 }

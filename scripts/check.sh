@@ -2,7 +2,8 @@
 # Full pre-merge gate: gofmt, vet, build, the complete test suite under
 # the race detector, the allocation pins, the chroma-sampling matrix, the
 # progressive-JPEG leg, the decode verdict pins and the decode and encode
-# kernel oracles, the profile-hub leg, the HTTP server suite, the
+# kernel oracles, the encode stream digests and sparse-encode tests, the
+# profile-hub leg, the HTTP server suite, the
 # paper-numbers bands, the perfbench module, and a short native-fuzz
 # smoke of the decoder, requantizer, bit reader and profile format. Runs
 # the legs of `make check`, in its order, for environments without make.
@@ -39,6 +40,11 @@ go test -run 'TestUnsupportedFormatMatrix' ./internal/server
 # under -race) — plus the reconstruction's dispatch on recorded block
 # extents against the dense reference and on a reused Decoded.
 go test -count 1 -run 'TestDecodeVerdictDigests|Oracle|TestReconstructRow|TestLazyPixels' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
+# Encode write path: the stream digests, the fused quantizer and its
+# zero threshold against the per-block reference, and the block extents
+# the quantizer and the requantize walk record, with the emit bounded
+# by them against the full scan.
+go test -count 1 -run 'TestStreamDigests|TestQuantizeRun|TestTransformComponent|TestRequantize|TestEncodeExtents' . ./internal/jpegcodec
 # Profile hub: origin wire protocol, client fault injection, registry
 # lazy fetch and sync, and the two-server fleet scenario.
 go test ./internal/profilehub
