@@ -1,6 +1,6 @@
 # Developer entry points for the DeepN-JPEG reproduction.
 #
-#   make check        # gofmt gate + vet + build + race suite + allocation pins + sampling matrix + progressive leg + decode pins + encode pins + hub suite + server suite + paper numbers + perfbench + fuzz smoke
+#   make check        # gofmt gate + vet + build + 386 build + fused multiply-add gate + race suite + allocation pins + sampling matrix + progressive leg + decode pins + encode pins + hub suite + server suite + paper numbers + perfbench + fuzz smoke
 #   make paper        # the paper's Fig 2a/3/5/7 headline values as tolerance bands
 #   make perfbench    # vet + self-tests of the perfbench module
 #   make test         # plain test run (what tier-1 verification executes)
@@ -18,9 +18,9 @@ FUZZTIME ?= 5s
 # PR number when recording a data point, e.g. `make bench-json PR=4`.
 PR ?= dev
 
-.PHONY: check fmt vet build build-386 test test-amd64v3 race alloc sampling progressive decode encode hub serve paper perfbench bench bench-txt bench-json serve-bench fuzz-smoke
+.PHONY: check fmt vet build build-386 fma test test-amd64v3 race alloc sampling progressive decode encode hub serve paper perfbench bench bench-txt bench-json serve-bench fuzz-smoke
 
-check: fmt vet build build-386 race alloc sampling progressive decode encode hub serve paper perfbench fuzz-smoke
+check: fmt vet build build-386 fma race alloc sampling progressive decode encode hub serve paper perfbench fuzz-smoke
 
 fmt:
 	@out="$$($(GOFMT) -l .)" || exit 1; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -37,6 +37,15 @@ build:
 build-386:
 	GOARCH=386 $(GO) build ./...
 	GOARCH=386 $(GO) vet ./...
+
+# Fused multiply-add gate: amd64 never fuses x*y + z into one rounding,
+# but arm64, riscv64, loong64, ppc64le and s390x do, and a fused product
+# there computes other bits. scripts/nofma.sh cross-compiles the
+# encoder's float packages (jpegcodec, qtable, core, imgutil) for those
+# five with -gcflags=-S and fails on any fused mnemonic. No emulator is
+# needed. internal/dct is not in the list yet (22 fused ops on arm64).
+fma:
+	sh scripts/nofma.sh
 
 test:
 	$(GO) test ./...
@@ -104,15 +113,18 @@ decode:
 
 # Encode write-path gate, the decode leg's twin: the cross-commit
 # stream digests (encode and requantize over every layout, restart and
-# Huffman option) and the tests that hold the sparse encode to its
-# references — the fused quantizer and whole forward stage against the
-# per-block path, the zero threshold at its edges, the block extents
-# that the quantizer and the requantize walk record against the
-# coefficients they bound, and the extent-bounded emit against the
-# full 63-position scan — as their own named leg, so an encode
-# regression is attributable at a glance.
+# Huffman option) and the tests that hold the encode to its references —
+# the fixed-point color conversion and its fused 4:2:0 kernel against the
+# per-pixel float formula and DownsampleInto (every RGB triple, every
+# tie at each box position, the tie values and small sizes of every
+# layout), the fused quantizer and whole forward stage against the
+# per-block path, the squared zero threshold at its edges, the block
+# extents that the quantizer and the requantize walk record against the
+# coefficients they bound, and the extent-bounded emit against the full
+# 63-position scan — as their own named leg, so an encode regression is
+# attributable at a glance.
 encode:
-	$(GO) test -count 1 -run 'TestStreamDigests|TestQuantizeRun|TestTransformComponent|TestRequantize|TestEncodeExtents' . ./internal/jpegcodec
+	$(GO) test -count 1 -run 'TestStreamDigests|TestQuantizeRun|TestTransformComponent|TestRequantize|TestEncodeExtents|TestFromRGBSubsampled' . ./internal/jpegcodec ./internal/imgutil
 
 # Profile-hub gate: the whole distribution loop as its own named leg —
 # origin wire protocol, client fault injection (truncation, corruption,

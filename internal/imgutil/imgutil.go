@@ -93,11 +93,12 @@ func (p *Planes) FromRGB(im *RGB) { p.FromRGBSubsampled(im, 1, 1) }
 // FromRGBSubsampled converts im into p with Cb and Cr box-averaged over
 // rx×ry pixels, rounding half up, in one pass over the image, and returns
 // the chroma planes' size. The planes equal FromRGB followed by
-// DownsampleInto on each chroma plane, but full-resolution chroma only
-// ever exists for the ry rows of one box row. The box must hold a power
-// of two n = rx·ry samples — the encoder's layouts 1×1, 2×2, 2×1, 1×2
-// and 4×1 hold 1, 2 or 4 — so the average is (s + n/2) >> log₂n. p's
-// buffers are reused when their capacity suffices.
+// DownsampleInto on each chroma plane, but full-resolution chroma never
+// exists for a 2×2 box inside the image, and for any other box only for
+// the ry rows of one box row. The box must hold a power of two
+// n = rx·ry samples — the encoder's layouts 1×1, 2×2, 2×1, 1×2 and 4×1
+// hold 1, 2 or 4 — so the average is (s + n/2) >> log₂n. p's buffers are
+// reused when their capacity suffices.
 func (p *Planes) FromRGBSubsampled(im *RGB, rx, ry int) (cw, ch int) {
 	w, h := im.W, im.H
 	cw, ch = (w+rx-1)/rx, (h+ry-1)/ry
@@ -112,46 +113,127 @@ func (p *Planes) FromRGBSubsampled(im *RGB, rx, ry int) (cw, ch int) {
 	p.rows = GrowBytes(p.rows, 2*ry*w)
 	cb, cr := p.rows[:ry*w], p.rows[ry*w:]
 	for cy := range ch {
-		for dy := range ry {
-			o := dy * w
-			if sy := cy*ry + dy; sy < h {
-				convertRow(p.Y[sy*w:sy*w+w], cb[o:o+w], cr[o:o+w], im.Pix[3*sy*w:3*(sy*w+w)])
-			} else {
-				// The box hangs past the image: replicate its last row.
-				copy(cb[o:o+w], cb[o-w:o])
-				copy(cr[o:o+w], cr[o-w:o])
+		sy0 := cy * ry
+		// Every full 2×2 box of a box row inside the image converts and
+		// averages in one step; a box that hangs past the right or bottom
+		// margin, and every other box, converts its columns into the row
+		// buffer and sums them there.
+		x0 := 0
+		if rx == 2 && ry == 2 && sy0+1 < h {
+			x0 = w / 2
+			o0, o1 := sy0*w, (sy0+1)*w
+			convert420Row(p.Y[o0:o0+2*x0], p.Y[o1:o1+2*x0], p.Cb[cy*cw:cy*cw+x0], p.Cr[cy*cw:cy*cw+x0],
+				im.Pix[3*o0:3*(o0+2*x0)], im.Pix[3*o1:3*(o1+2*x0)])
+			if x0 == cw {
+				continue
 			}
 		}
-		boxRow(p.Cb[cy*cw:cy*cw+cw], cb, w, rx, ry)
-		boxRow(p.Cr[cy*cw:cy*cw+cw], cr, w, rx, ry)
+		sx := x0 * rx
+		for dy := range ry {
+			o := dy * w
+			if sy := sy0 + dy; sy < h {
+				convertRow(p.Y[sy*w+sx:sy*w+w], cb[o+sx:o+w], cr[o+sx:o+w], im.Pix[3*(sy*w+sx):3*(sy*w+w)])
+			} else {
+				// The box hangs past the image: replicate its last row.
+				copy(cb[o+sx:o+w], cb[o-w+sx:o])
+				copy(cr[o+sx:o+w], cr[o-w+sx:o])
+			}
+		}
+		boxRow(p.Cb[cy*cw:cy*cw+cw], cb, x0, w, rx, ry)
+		boxRow(p.Cr[cy*cw:cy*cw+cw], cr, x0, w, rx, ry)
 	}
 	return cw, ch
 }
 
-// The JFIF forward color transform, one table per source channel: entry
-// c holds exactly the float64 products of c and that channel's
-// coefficients in the per-pixel formula
+// The JFIF forward color transform
 //
 //	Y  =  0.299·R + 0.587·G + 0.114·B
 //	Cb = −0.168736·R − 0.331264·G + 0.5·B + 128
 //	Cr =  0.5·R − 0.418688·G − 0.081312·B + 128
 //
-// in (Y, Cb, Cr) order, so a table read reproduces each multiply bit for
-// bit and only the additions, in the formula's order, remain per pixel.
+// rounded half up and clamped to [0, 255] (clamp8), as float64 sums. Its
+// coefficients are rational, so the kernels evaluate it in exact
+// fixed point: one table entry per source channel and sample, each the
+// channel's term rounded to nearest, Y in units of 2⁻¹⁶ and Cb, Cr in
+// units of 2⁻¹⁸. The R entry also carries the ½ of the final rounding,
+// the 128 of Cb and Cr, and an offset of 2 units, so a sample is the sum
+// of three entries shifted right.
+//
+// The three rounded entries lie within 1.5 units of the exact scaled
+// value, so the sum lies 0.5 to 3.5 units above it. 1000·Y is an
+// integer, and every Cb or Cr numerator over 10⁶ is a multiple of 32, so
+// a sample that is not exactly a half-integer lies at least
+// 2¹⁶/1000 ≈ 65.5 units (Y) or 2¹⁸·32/10⁶ ≈ 8.4 units (Cb, Cr) from its
+// rounding boundary: there the sum's fraction is 4 units or more, the
+// shift rounds as the exact value does, and so does the float formula,
+// whose error is about 1e-13. A sample on a tie has a fraction of 1 to 3
+// units, so a fraction below 4 flags exactly the ties, and a flagged
+// pixel runs the float formula, which settles the tie by its own
+// rounding. Cb and Cr lie in [0.5, 255.5], and both ends are ties, so the
+// fixed-point path needs no clamp.
+//
+// Cb and Cr share one uint64 sum, Cb in the low 32 bits and Cr in the
+// high 32: each entry is cb + cr·2³² in two's complement, and both final
+// lanes lie in [0, 2³²), so the packed sum is exact.
+var (
+	yR, yG, yB [256]uint32
+	cR, cG, cB [256]uint64
+)
+
+const (
+	yFrac = 1<<16 - 4 // a Y sum's fraction is below 4 units iff ys&yFrac == 0
+	cFrac = 1<<18 - 4 // the same for a Cb or Cr lane
+	// cInt keeps the sample bits of both chroma lanes, and cRound is
+	// half of a four-sample box in both.
+	cInt   = 0xFF<<18 | 0xFF<<50
+	cRound = 2<<18 | 2<<50
+)
+
+// The float64 products the formula sums, one table per source channel in
+// (Y, Cb, Cr) order: the tie fallback reads them, so it reproduces each
+// multiply of the formula bit for bit and only the additions, in the
+// formula's order, remain per pixel.
 var rTerms, gTerms, bTerms [256][3]float64
 
 func init() {
+	lanes := func(cb, cr int32) uint64 { return uint64(int64(cb) + int64(cr)<<32) }
+	const cOff = 128<<18 + 1<<17 + 2
 	for c := range 256 {
-		v := float64(c)
-		rTerms[c] = [3]float64{0.299 * v, -0.168736 * v, 0.5 * v}
-		gTerms[c] = [3]float64{0.587 * v, 0.331264 * v, 0.418688 * v}
-		bTerms[c] = [3]float64{0.114 * v, 0.5 * v, 0.081312 * v}
+		v := int64(c)
+		yR[c] = uint32(roundRational(299*v<<16, 1000)) + 1<<15 + 2
+		yG[c] = uint32(roundRational(587*v<<16, 1000))
+		yB[c] = uint32(roundRational(114*v<<16, 1000))
+		cR[c] = lanes(roundRational(-168736*v<<18, 1000000)+cOff, roundRational(500000*v<<18, 1000000)+cOff)
+		cG[c] = lanes(roundRational(-331264*v<<18, 1000000), roundRational(-418688*v<<18, 1000000))
+		cB[c] = lanes(roundRational(500000*v<<18, 1000000), roundRational(-81312*v<<18, 1000000))
+		f := float64(c)
+		rTerms[c] = [3]float64{0.299 * f, -0.168736 * f, 0.5 * f}
+		gTerms[c] = [3]float64{0.587 * f, 0.331264 * f, 0.418688 * f}
+		bTerms[c] = [3]float64{0.114 * f, 0.5 * f, 0.081312 * f}
 	}
 }
 
-// luma returns the Y sample of one (R, G, B) pixel.
+// ycc returns the fixed-point sums of one pixel: Y, and Cb and Cr packed
+// in one word. Y is ys >> 16, Cb uint32(cs) >> 18 and Cr cs >> 50.
+func ycc(r, g, b uint8) (ys uint32, cs uint64) {
+	return yR[r] + yG[g] + yB[b], cR[r] + cG[g] + cB[b]
+}
+
+// tie reports whether any of a pixel's three sums has a fraction below 4
+// units: the pixel has a sample on a rounding tie.
+func tie(ys uint32, cs uint64) bool {
+	return ys&yFrac == 0 || cs&cFrac == 0 || cs&(cFrac<<32) == 0
+}
+
+// luma returns the Y sample of one (R, G, B) pixel by the float formula.
 func luma(r, g, b uint8) uint8 {
 	return clamp8(rTerms[r][0] + gTerms[g][0] + bTerms[b][0])
+}
+
+// yccFloat returns the samples of one pixel by the float formula.
+func yccFloat(r, g, b uint8) (y, cb, cr uint8) {
+	rt, gt, bt := &rTerms[r], &gTerms[g], &bTerms[b]
+	return luma(r, g, b), clamp8(rt[1] - gt[1] + bt[1] + 128), clamp8(rt[2] - gt[2] - bt[2] + 128)
 }
 
 // convertRow converts len(y) interleaved RGB pixels into luma and
@@ -161,29 +243,57 @@ func convertRow(y, cb, cr, rgb []uint8) {
 	cb, cr, rgb = cb[:n], cr[:n], rgb[:3*n]
 	for x := range y {
 		px := rgb[3*x : 3*x+3 : 3*x+3]
-		r, g, b := px[0], px[1], px[2]
-		y[x] = luma(r, g, b)
-		rt, gt, bt := &rTerms[r], &gTerms[g], &bTerms[b]
-		cb[x] = clamp8(rt[1] - gt[1] + bt[1] + 128)
-		cr[x] = clamp8(rt[2] - gt[2] - bt[2] + 128)
+		ys, cs := ycc(px[0], px[1], px[2])
+		y[x], cb[x], cr[x] = uint8(ys>>16), uint8(uint32(cs)>>18), uint8(cs>>50)
+		if tie(ys, cs) {
+			y[x], cb[x], cr[x] = yccFloat(px[0], px[1], px[2])
+		}
 	}
 }
 
-// boxRow averages ry buffered rows of w samples into one row of
-// ceil(w/rx) samples. A box that hangs past the right margin replicates
-// column w−1. The 2×2 box of 4:2:0, the default layout and the one the
-// benchmark encodes, has its own loop over the boxes that fit; every
-// other box, and a 2×2 box at the margin, sums its samples generically.
-func boxRow(dst, rows []uint8, w, rx, ry int) {
-	x0 := 0
-	if rx == 2 && ry == 2 {
-		x0 = w / 2
-		a, b := rows[:2*x0], rows[w:w+2*x0]
-		for x := range x0 {
-			s := uint(a[2*x]) + uint(a[2*x+1]) + uint(b[2*x]) + uint(b[2*x+1])
-			dst[x] = uint8((s + 2) >> 2)
+// convert420Row converts the len(cb) full 2×2 boxes at the start of two
+// rows of interleaved RGB pixels, rgb0 over rgb1: four luma samples per
+// box into y0 and y1, and the rounded average of the box's four Cb and
+// four Cr samples into cb and cr. The four samples of a lane are summed
+// packed, after their fractions are cleared. A box with a pixel on a
+// rounding tie is converted again by tieBox.
+func convert420Row(y0, y1, cb, cr, rgb0, rgb1 []uint8) {
+	n := len(cb)
+	y0, y1, cr = y0[:2*n], y1[:2*n], cr[:n]
+	rgb0, rgb1 = rgb0[:6*n], rgb1[:6*n]
+	for x := range cb {
+		p0, p1 := (*[6]uint8)(rgb0[6*x:]), (*[6]uint8)(rgb1[6*x:])
+		ya, sa := ycc(p0[0], p0[1], p0[2])
+		yb, sb := ycc(p0[3], p0[4], p0[5])
+		yc, sc := ycc(p1[0], p1[1], p1[2])
+		yd, sd := ycc(p1[3], p1[4], p1[5])
+		l0, l1 := (*[2]uint8)(y0[2*x:]), (*[2]uint8)(y1[2*x:])
+		l0[0], l0[1], l1[0], l1[1] = uint8(ya>>16), uint8(yb>>16), uint8(yc>>16), uint8(yd>>16)
+		s := sa&cInt + sb&cInt + sc&cInt + sd&cInt + cRound
+		cb[x], cr[x] = uint8(uint32(s)>>20), uint8(s>>52)
+		if tie(ya, sa) || tie(yb, sb) || tie(yc, sc) || tie(yd, sd) {
+			cb[x], cr[x] = tieBox(l0, l1, p0, p1)
 		}
 	}
+}
+
+// tieBox converts one 2×2 box, pixels p0 over p1, pixel by pixel with
+// convertRow, so only its samples on a tie run the float formula: its
+// luma into l0 and l1, and the rounded averages of its Cb and Cr samples
+// as the results.
+func tieBox(l0, l1 *[2]uint8, p0, p1 *[6]uint8) (cb, cr uint8) {
+	var c [8]uint8 // the box's four Cb samples, then its four Cr
+	convertRow(l0[:], c[0:2], c[4:6], p0[:])
+	convertRow(l1[:], c[2:4], c[6:8], p1[:])
+	sb := uint(c[0]) + uint(c[1]) + uint(c[2]) + uint(c[3])
+	sr := uint(c[4]) + uint(c[5]) + uint(c[6]) + uint(c[7])
+	return uint8((sb + 2) >> 2), uint8((sr + 2) >> 2)
+}
+
+// boxRow averages ry buffered rows of w samples into dst[x0:], one sample
+// per rx×ry box, with dst one row of ceil(w/rx) samples. A box that hangs
+// past the right margin replicates column w−1.
+func boxRow(dst, rows []uint8, x0, w, rx, ry int) {
 	n := uint(rx * ry)
 	shift := bits.TrailingZeros(n)
 	for x := x0; x < len(dst); x++ {
@@ -453,7 +563,9 @@ func MSE(a, b []uint8) (float64, error) {
 	var s float64
 	for i := range a {
 		d := float64(a[i]) - float64(b[i])
-		s += d * d
+		// The conversion rounds the product, so no compiler may fuse it
+		// into the sum (arm64's would).
+		s += float64(d * d)
 	}
 	return s / float64(len(a)), nil
 }
@@ -496,12 +608,18 @@ func (im *RGB) ToImage() *image.RGBA {
 	return out
 }
 
-// ToGray converts an RGB image to grayscale via the BT.601 luma weights.
+// ToGray converts an RGB image to grayscale via the BT.601 luma weights:
+// the Y plane FromRGB writes, from the same fixed-point tables and with
+// the same tie fallback.
 func (im *RGB) ToGray() *Gray {
 	g := NewGray(im.W, im.H)
 	for i := range g.Pix {
 		px := im.Pix[3*i : 3*i+3 : 3*i+3]
-		g.Pix[i] = luma(px[0], px[1], px[2])
+		ys := yR[px[0]] + yG[px[1]] + yB[px[2]]
+		g.Pix[i] = uint8(ys >> 16)
+		if ys&yFrac == 0 {
+			g.Pix[i] = luma(px[0], px[1], px[2])
+		}
 	}
 	return g
 }

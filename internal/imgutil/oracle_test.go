@@ -3,12 +3,13 @@ package imgutil
 // Test oracles: the separate upsample pass and the per-pixel float color
 // conversion the decoder ran before YCbCrRowToRGB fused them, and the
 // per-pixel forward conversion the encoder ran before FromRGBSubsampled
-// read product tables and averaged chroma boxes in the same pass, kept
+// converted in fixed point and averaged chroma boxes in the same pass, kept
 // here so both kernels can be checked against the formulas they must
 // reproduce bit for bit.
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -219,5 +220,166 @@ func TestFromRGBSubsampledOracle(t *testing.T) {
 					w, h, rx, ry, p.Y, p.Cb, p.Cr, want.Y, cb, cr)
 			}
 		}
+	}
+}
+
+// exactTie reports whether the exact Y, Cb or Cr of (r, g, b) is a
+// half-integer, computed in integers from the formula's rational
+// coefficients: 1000·Y and 10⁶·(Cb − 128), 10⁶·(Cr − 128).
+func exactTie(r, g, b int) bool {
+	half := func(n, den int) bool { return ((n%den)+den)%den == den/2 }
+	return half(299*r+587*g+114*b, 1000) ||
+		half(-168736*r-331264*g+500000*b, 1000000) ||
+		half(500000*r-418688*g-81312*b, 1000000)
+}
+
+// check420 converts im, two rows high, at 4:2:0 into p and holds it to
+// the per-pixel formula followed by DownsampleInto.
+func check420(t *testing.T, p *Planes, im *RGB, what string) {
+	t.Helper()
+	p.FromRGBSubsampled(im, 2, 2)
+	want := fromRGBFormula(im)
+	cb, _, _ := DownsampleInto(nil, want.Cb, im.W, im.H, 2, 2)
+	cr, _, _ := DownsampleInto(nil, want.Cr, im.W, im.H, 2, 2)
+	if bytes.Equal(p.Y, want.Y) && bytes.Equal(p.Cb, cb) && bytes.Equal(p.Cr, cr) {
+		return
+	}
+	for x := range cb {
+		var px [4][3]uint8
+		for i := range px {
+			px[i][0], px[i][1], px[i][2] = im.At(2*x+i%2, i/2)
+		}
+		ys := []uint8{p.Y[2*x], p.Y[2*x+1], p.Y[im.W+2*x], p.Y[im.W+2*x+1]}
+		wys := []uint8{want.Y[2*x], want.Y[2*x+1], want.Y[im.W+2*x], want.Y[im.W+2*x+1]}
+		if !bytes.Equal(ys, wys) || p.Cb[x] != cb[x] || p.Cr[x] != cr[x] {
+			t.Fatalf("%s: box %d of pixels %v: kernel Y %v Cb %d Cr %d, formula+DownsampleInto Y %v Cb %d Cr %d",
+				what, x, px, ys, p.Cb[x], p.Cr[x], wys, cb[x], cr[x])
+		}
+	}
+}
+
+// TestFromRGBSubsampled420Oracle holds the fused 4:2:0 kernel to the
+// per-pixel formula followed by DownsampleInto. Every (R, G, B) triple
+// goes through the kernel once, four distinct triples per 2×2 box, and a
+// triple's position in its box rotates with the box. Then every triple
+// with a Y, Cb or Cr on a rounding tie goes in at each of the four
+// positions, beside three random pixels, so the kernel's box fallback
+// must catch a tie at each position. The same pass holds the kernels' tie flag, a
+// fraction below 4 units, to the exact ties: it fires on every tie and on
+// nothing else.
+func TestFromRGBSubsampled420Oracle(t *testing.T) {
+	var p Planes
+	const boxes = 1 << 14 // per image: one row pair, 1<<16 triples
+	im := NewRGB(2*boxes, 2)
+	for base := 0; base < 1<<24; base += 4 * boxes {
+		for k := range 4 * boxes {
+			tri, box, pos := base+k, k/4, (k+k/4)%4
+			im.Set(2*box+pos%2, pos/2, uint8(tri>>16), uint8(tri>>8), uint8(tri))
+		}
+		check420(t, &p, im, fmt.Sprintf("triples %#x..", base))
+	}
+
+	var ties [][3]uint8
+	for tri := range 1 << 24 {
+		r, g, b := tri>>16, tri>>8&0xFF, tri&0xFF
+		exact := exactTie(r, g, b)
+		if flag := tie(ycc(uint8(r), uint8(g), uint8(b))); flag != exact {
+			t.Fatalf("RGB (%d,%d,%d): tie flag %v, exact half-integer %v", r, g, b, flag, exact)
+		}
+		if exact {
+			ties = append(ties, [3]uint8{uint8(r), uint8(g), uint8(b)})
+		}
+	}
+	rng := rand.New(rand.NewSource(73))
+	for base := 0; base < 4*len(ties); base += boxes {
+		rng.Read(im.Pix)
+		for box := range min(boxes, 4*len(ties)-base) {
+			k := base + box
+			tp, pos := ties[k/4], k%4
+			im.Set(2*box+pos%2, pos/2, tp[0], tp[1], tp[2])
+		}
+		check420(t, &p, im, fmt.Sprintf("ties %d..", base/4))
+	}
+}
+
+// TestFromRGBSubsampledEdges holds the conversion to literal samples on
+// the edges of the fixed-point path: Cb and Cr of exactly 0.5 and 255.5,
+// where the float formula rounds up or clamps, Y ties the formula rounds
+// up and down, a chroma tie, and gray pixels, which never tie. tie says
+// whether the pixel sits on a rounding tie, which the kernels' flag must
+// match. Each pixel fills images of every width and height 1–5 under
+// every encode layout, whose planes must hold only want; it then sits at
+// each position of the same sizes over random pixels, held to the
+// per-pixel formula followed by DownsampleInto, and RGB.ToGray must give
+// the same Y.
+func TestFromRGBSubsampledEdges(t *testing.T) {
+	tests := []struct {
+		name  string
+		input [3]uint8 // R, G, B
+		want  [3]uint8 // Y, Cb, Cr
+		tie   bool
+	}{
+		{name: "Cb 0.5", input: [3]uint8{255, 255, 0}, want: [3]uint8{226, 1, 149}, tie: true},
+		{name: "Cb 255.5", input: [3]uint8{0, 0, 255}, want: [3]uint8{29, 255, 107}, tie: true},
+		{name: "Cr 0.5", input: [3]uint8{0, 255, 255}, want: [3]uint8{179, 171, 1}, tie: true},
+		{name: "Cr 255.5", input: [3]uint8{255, 0, 0}, want: [3]uint8{76, 85, 255}, tie: true},
+		{name: "Cr 128.5", input: [3]uint8{1, 0, 0}, want: [3]uint8{0, 128, 129}, tie: true},
+		{name: "Y 28.5 rounds up", input: [3]uint8{0, 0, 250}, want: [3]uint8{29, 253, 108}, tie: true},
+		{name: "Y 22.5 rounds down", input: [3]uint8{0, 36, 12}, want: [3]uint8{22, 122, 112}, tie: true},
+		{name: "gray 0", input: [3]uint8{0, 0, 0}, want: [3]uint8{0, 128, 128}},
+		{name: "gray 1", input: [3]uint8{1, 1, 1}, want: [3]uint8{1, 128, 128}},
+		{name: "gray 128", input: [3]uint8{128, 128, 128}, want: [3]uint8{128, 128, 128}},
+		{name: "gray 254", input: [3]uint8{254, 254, 254}, want: [3]uint8{254, 128, 128}},
+		{name: "gray 255", input: [3]uint8{255, 255, 255}, want: [3]uint8{255, 128, 128}},
+	}
+	for c := range 256 {
+		if tie(ycc(uint8(c), uint8(c), uint8(c))) {
+			t.Errorf("gray %d flags a tie", c)
+		}
+	}
+	rng := rand.New(rand.NewSource(79))
+	var p Planes
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			r, g, b := tt.input[0], tt.input[1], tt.input[2]
+			if got := tie(ycc(r, g, b)); got != tt.tie {
+				t.Errorf("tie flag %v, want %v", got, tt.tie)
+			}
+			for _, box := range [][2]int{{1, 1}, {2, 2}, {2, 1}, {1, 2}, {4, 1}} {
+				rx, ry := box[0], box[1]
+				for w := 1; w <= 5; w++ {
+					for h := 1; h <= 5; h++ {
+						im := NewRGB(w, h)
+						for i := range w * h {
+							im.Pix[3*i], im.Pix[3*i+1], im.Pix[3*i+2] = r, g, b
+						}
+						p.FromRGBSubsampled(im, rx, ry)
+						for i, plane := range [][]uint8{p.Y, p.Cb, p.Cr} {
+							if bytes.Count(plane, []uint8{tt.want[i]}) != len(plane) {
+								t.Fatalf("%dx%d box %dx%d: plane %d is %v, want all %d", w, h, rx, ry, i, plane, tt.want[i])
+							}
+						}
+						if gray := im.ToGray(); bytes.Count(gray.Pix, []uint8{tt.want[0]}) != w*h {
+							t.Fatalf("%dx%d: ToGray %v, want all %d", w, h, gray.Pix, tt.want[0])
+						}
+						for at := range w * h {
+							rng.Read(im.Pix)
+							im.Pix[3*at], im.Pix[3*at+1], im.Pix[3*at+2] = r, g, b
+							p.FromRGBSubsampled(im, rx, ry)
+							want := fromRGBFormula(im)
+							cb, _, _ := DownsampleInto(nil, want.Cb, w, h, rx, ry)
+							cr, _, _ := DownsampleInto(nil, want.Cr, w, h, rx, ry)
+							if !bytes.Equal(p.Y, want.Y) || !bytes.Equal(p.Cb, cb) || !bytes.Equal(p.Cr, cr) {
+								t.Fatalf("%dx%d box %dx%d, pixel %d of %v: Y %v Cb %v Cr %v, formula+DownsampleInto %v %v %v",
+									w, h, rx, ry, at, im.Pix, p.Y, p.Cb, p.Cr, want.Y, cb, cr)
+							}
+							if gray := im.ToGray(); !bytes.Equal(gray.Pix, want.Y) {
+								t.Fatalf("%dx%d, pixel %d of %v: ToGray %v, formula %v", w, h, at, im.Pix, gray.Pix, want.Y)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -12,11 +12,12 @@ package jpegcodec
 //     the right/bottom margins; interior blocks take an unconditional
 //     eight-lane copy (ExtractBlock pays the clamp per pixel);
 //   - quantization divides only the coefficients that can quantize to
-//     a nonzero value: one below its band's zero threshold, just under
-//     half the divisor, is written as 0 without a division, and every
-//     other one is divided and rounded in integers, with the sign applied
-//     from the sign bit. Each block's extent, its last nonzero zigzag
-//     index, is recorded beside it, so the Huffman emit stops there;
+//     a nonzero value: one whose square is below its band's squared zero
+//     threshold, just under half the divisor, stays 0 without a division,
+//     and every other one is divided and rounded in integers, with the
+//     sign applied from the sign bit. Each block's extent, its last
+//     nonzero zigzag index, is recorded beside it, so the Huffman emit
+//     stops there;
 //   - reconstruction dispatches on each block's recorded extent: a
 //     DC-only block fills its pixels with one rounded sample, every
 //     other block dequantizes only its zigzag prefix, and pixels are
@@ -78,19 +79,22 @@ func gatherBlockRow(plane []float64, pix []uint8, w, h, by, blocksX int) {
 // coefficient quantizes to 0 (see zeroThresholds).
 const zeroThreshold = 0.4999
 
-// zeroThresholds fills thr with each band's zero threshold for the
-// fused divisors div: fl(zeroThreshold·div[i]), and +Inf for a band
-// mask zeroes. Every coefficient v with |v| < thr[i] quantizes to 0, so
-// quantizeRunInto writes 0 for it without dividing: |v| < fl(0.4999·d)
-// ≤ 0.4999·d·(1+2⁻⁵³), so fl(|v|/d) < 0.49991, and roundQuantized maps
-// any value below 0.5 − quantizeTieEps to 0. The margin keeps the
-// threshold clear of the tie snap, which rounds a quotient within
-// quantizeTieEps below 0.5 up to 1.
-func zeroThresholds(thr *[64]float64, div *qtable.FwdScaled, mask *qtable.ZeroMask) {
+// zeroThresholds fills sq with each band's squared zero threshold for
+// the fused divisors div: fl(t·t) for t = fl(zeroThreshold·div[i]), and
+// +Inf for a band mask zeroes. Every coefficient v with
+// fl(v·v) < sq[i] quantizes to 0, so quantizeRunInto writes 0 for it
+// without dividing: fl(v·v) < fl(t·t) gives |v| < t·(1+2⁻⁵¹), so
+// fl(|v|/d) < 0.49991, and roundQuantized maps any value below
+// 0.5 − quantizeTieEps to 0. The margin keeps the threshold clear of the
+// tie snap, which rounds a quotient within quantizeTieEps below 0.5 up
+// to 1. A squared compare needs no absolute value, and with no addition
+// no compiler can fuse it into a multiply-add.
+func zeroThresholds(sq *[64]float64, div *qtable.FwdScaled, mask *qtable.ZeroMask) {
 	for i, d := range div {
-		thr[i] = zeroThreshold * d
+		t := zeroThreshold * d
+		sq[i] = t * t
 		if mask != nil && mask[i] {
-			thr[i] = math.Inf(1)
+			sq[i] = math.Inf(1)
 		}
 	}
 }
@@ -98,36 +102,47 @@ func zeroThresholds(thr *[64]float64, div *qtable.FwdScaled, mask *qtable.ZeroMa
 // quantizeRunInto quantizes len(dst) consecutive blocks from plane
 // through the fused divisors div and records each block's extent, the
 // zigzag index of its last nonzero coefficient (0 when no AC
-// coefficient is nonzero), in ext. A coefficient below its band's zero
-// threshold thr (zeroThresholds) is written as 0 without a division;
-// every other one is divided by its divisor and rounded by
-// roundQuantized, so the output is that of dividing and rounding all 64.
-// The division stays a division: a reciprocal multiply is not bit-exact.
-// A masked band's threshold is +Inf, and the divide path zeroes it too,
-// so a NaN coefficient there still gives 0.
-func quantizeRunInto(dst [][64]int32, ext []uint8, plane []float64, div *qtable.FwdScaled, thr *[64]float64, mask *qtable.ZeroMask) {
+// coefficient is nonzero), in ext. Each output block is zeroed first. A
+// coefficient v with fl(v·v) below its band's squared zero threshold sq
+// (zeroThresholds) stays 0 without a division; every other one goes to
+// quantizeBand, so the output is that of dividing and rounding all 64.
+// A |v| just under the threshold whose square rounds up to it takes the
+// divide path, which gives 0 too, and so do NaN and ±Inf, which fail the
+// compare. The zero path keeps its loop state in registers: the divide
+// path is a call, so nothing on the zero path spills around it.
+func quantizeRunInto(dst [][64]int32, ext []uint8, plane []float64, div *qtable.FwdScaled, sq *[64]float64, mask *qtable.ZeroMask) {
 	ext = ext[:len(dst)]
+	_ = *sq // one nil check, not one per coefficient
 	for bi := range dst {
 		b := (*[64]float64)(plane[bi*64:])
 		out := &dst[bi]
+		*out = [64]int32{}
 		last := 0
-		for i := range 64 {
-			v := b[i]
-			if math.Abs(v) < thr[i] {
-				out[i] = 0
+		for i, v := range b {
+			if v*v < sq[i] {
 				continue
 			}
-			q := roundQuantized(v / div[i])
-			if mask != nil && mask[i] {
-				q = 0
-			}
-			out[i] = q
-			if q != 0 {
+			if q := quantizeBand(v, i, div, mask); q != 0 {
+				out[i] = q
 				last = max(last, qtable.NaturalToZigZag[i])
 			}
 		}
 		ext[bi] = uint8(last)
 	}
+}
+
+// quantizeBand divides coefficient v of band i by its divisor and
+// rounds it by roundQuantized, or returns 0 for a band mask zeroes, so a
+// NaN there still gives 0. The division stays a division: a reciprocal
+// multiply is not bit-exact. It stays out of line so that
+// quantizeRunInto's zero path keeps its registers.
+//
+//go:noinline
+func quantizeBand(v float64, i int, div *qtable.FwdScaled, mask *qtable.ZeroMask) int32 {
+	if mask != nil && mask[i] {
+		return 0
+	}
+	return roundQuantized(v / div[i])
 }
 
 // roundQuantized rounds an already-divided coefficient half away from
@@ -256,13 +271,13 @@ func dequantizePrefix(tile *[64]float64, coefs *[64]int32, ext uint8, inv *qtabl
 // one batch of raw AAN butterflies (the scale factors live in div), one
 // fused quantize pass into the coefficient grid that records each
 // block's extent in c.ext.
-func transformComponent(c *component, div *qtable.FwdScaled, thr *[64]float64, mask *qtable.ZeroMask, plane []float64) {
+func transformComponent(c *component, div *qtable.FwdScaled, sq *[64]float64, mask *qtable.ZeroMask, plane []float64) {
 	run := c.blocksX * 64
 	for by := 0; by < c.blocksY; by++ {
 		gatherBlockRow(plane[:run], c.pix, c.w, c.hgt, by, c.blocksX)
 		dct.ForwardAANRawBatch(plane[:run])
 		row := by * c.blocksX
-		quantizeRunInto(c.coefs[row:row+c.blocksX], c.ext[row:row+c.blocksX], plane[:run], div, thr, mask)
+		quantizeRunInto(c.coefs[row:row+c.blocksX], c.ext[row:row+c.blocksX], plane[:run], div, sq, mask)
 	}
 }
 

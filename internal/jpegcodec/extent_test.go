@@ -19,13 +19,16 @@ import (
 )
 
 // TestQuantizeRunThresholdEdges puts each input, a function of the band's
-// fused divisor d and zero threshold thr, into one band of a block that
-// also holds a nonzero DC and a nonzero zigzag-2 band, for the DC band,
-// low and high AC bands, and quantizes the blocks as one run with and
-// without a mask over the tested bands. Every output must equal the
-// per-coefficient quantize reference (0 in a masked band), the unmasked
-// tested band must quantize to want, and every recorded extent must be
-// the block's last nonzero zigzag index.
+// fused divisor d and zero threshold thr = fl(zeroThreshold·d), into one
+// band of a block that also holds a nonzero DC and a nonzero zigzag-2
+// band, for the DC band, low and high AC bands, and quantizes the blocks
+// as one run with and without a mask over the tested bands. The inputs
+// include the least and greatest v whose square rounds to the squared
+// threshold fl(thr·thr), where the zero test flips, and their outer
+// neighbours. Every output must equal the per-coefficient quantize
+// reference (0 in a masked band), the unmasked tested band must quantize
+// to want, and every recorded extent must be the block's last nonzero
+// zigzag index.
 func TestQuantizeRunThresholdEdges(t *testing.T) {
 	var div qtable.FwdScaled
 	qtable.StdLuminance.FwdScaledInto(&div)
@@ -42,6 +45,14 @@ func TestQuantizeRunThresholdEdges(t *testing.T) {
 		{"+threshold below", func(d, thr float64) float64 { return down(thr) }, 0},
 		{"-threshold above", func(d, thr float64) float64 { return up(-thr) }, 0},
 		{"-threshold below", func(d, thr float64) float64 { return down(-thr) }, 0},
+		{"+square least", func(d, thr float64) float64 { lo, _ := squareRun(thr); return lo }, 0},
+		{"+square least below", func(d, thr float64) float64 { lo, _ := squareRun(thr); return down(lo) }, 0},
+		{"+square greatest", func(d, thr float64) float64 { _, hi := squareRun(thr); return hi }, 0},
+		{"+square greatest above", func(d, thr float64) float64 { _, hi := squareRun(thr); return up(hi) }, 0},
+		{"-square least", func(d, thr float64) float64 { lo, _ := squareRun(thr); return -lo }, 0},
+		{"-square least above", func(d, thr float64) float64 { lo, _ := squareRun(thr); return -down(lo) }, 0},
+		{"-square greatest", func(d, thr float64) float64 { _, hi := squareRun(thr); return -hi }, 0},
+		{"-square greatest below", func(d, thr float64) float64 { _, hi := squareRun(thr); return -up(hi) }, 0},
 		{"+half", func(d, thr float64) float64 { return 0.5 * d }, 1},
 		{"-half", func(d, thr float64) float64 { return -0.5 * d }, -1},
 		{"+half below", func(d, thr float64) float64 { return down(0.5 * d) }, 1},
@@ -63,8 +74,14 @@ func TestQuantizeRunThresholdEdges(t *testing.T) {
 	for _, i := range bands {
 		mask[i] = true
 	}
-	var unmasked [64]float64
-	zeroThresholds(&unmasked, &div, nil)
+	var unmasked, sq [64]float64
+	zeroThresholds(&sq, &div, nil)
+	for i, d := range div {
+		unmasked[i] = zeroThreshold * d
+		if sq[i] != unmasked[i]*unmasked[i] {
+			t.Fatalf("band %d: squared threshold %v, want fl(t·t) = %v for t = %v", i, sq[i], unmasked[i]*unmasked[i], unmasked[i])
+		}
+	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			for _, m := range []*qtable.ZeroMask{nil, &mask} {
@@ -111,6 +128,21 @@ func TestQuantizeRunThresholdEdges(t *testing.T) {
 			}
 		})
 	}
+}
+
+// squareRun returns the least and greatest positive float64 whose square
+// rounds to fl(t·t): the inputs on which quantizeRunInto's squared zero
+// test meets the squared threshold of a band whose threshold is t.
+func squareRun(t float64) (lo, hi float64) {
+	sq := t * t
+	lo, hi = t, t
+	for v := math.Nextafter(lo, 0); v*v == sq; v = math.Nextafter(v, 0) {
+		lo = v
+	}
+	for v := math.Nextafter(hi, math.Inf(1)); v*v == sq; v = math.Nextafter(v, math.Inf(1)) {
+		hi = v
+	}
+	return lo, hi
 }
 
 // TestEncodeExtents runs the encoder's stages on a frame for every

@@ -31,7 +31,7 @@ type encScratch struct {
 	comps  [3]component        // component descriptors
 	refs   [3]*component       // backing array for the []*component slice
 	fwd    [2]qtable.FwdScaled // fused forward divisors (luma, chroma), derived per encode
-	thr    [2][64]float64      // zero thresholds of fwd (zeroThresholds), derived per encode
+	thr    [2][64]float64      // squared zero thresholds of fwd (zeroThresholds), derived per encode
 	plane  []float64           // flat block-row plane for the batch transform stage
 }
 

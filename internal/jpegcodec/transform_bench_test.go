@@ -15,7 +15,6 @@ package jpegcodec
 import (
 	"bytes"
 	"image/jpeg"
-	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -144,6 +143,10 @@ func perPixel(b *testing.B, px float64) {
 // Every row also reports zero/coef, the share of coefficients below
 // their band's zero threshold, which the quantizer writes as 0 without
 // dividing, and ext/block, the mean block extent, where the emit stops.
+// The color rows report tie/box, the share of 2×2 boxes that hold a
+// pixel on a rounding tie, which the color kernel converts by the float
+// formula. The SynthNet frame has none, so one more row, tie/color,
+// converts a frame with ties in 12% of its boxes (tieFrame256).
 func BenchmarkEncodeStages(b *testing.B) {
 	img := synthFrame256(b)
 	for _, in := range []struct {
@@ -161,6 +164,7 @@ func BenchmarkEncodeStages(b *testing.B) {
 		comps := s.rgbComponents(img, h, v)
 		mcusX, mcusY := transformComponents(img.W, img.H, comps, &o, s)
 		zero, ext := encodeSparsity(comps, s)
+		ties := tieBoxShare(img)
 		px := float64(img.W * img.H)
 		report := func(b *testing.B) {
 			perPixel(b, px)
@@ -173,6 +177,7 @@ func BenchmarkEncodeStages(b *testing.B) {
 				s.rgbComponents(img, h, v)
 			}
 			report(b)
+			b.ReportMetric(ties, "tie/box")
 		})
 		b.Run(in.name+"/transform", func(b *testing.B) {
 			b.ReportAllocs()
@@ -194,6 +199,32 @@ func BenchmarkEncodeStages(b *testing.B) {
 		})
 		putEncScratch(s)
 	}
+	tied := tieFrame256(b)
+	s := getEncScratch()
+	b.Run("tie/color", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.rgbComponents(tied, 2, 2)
+		}
+		perPixel(b, float64(tied.W*tied.H))
+		b.ReportMetric(tieBoxShare(tied), "tie/box")
+	})
+	putEncScratch(s)
+}
+
+// tieFrame256 is one 256×256 color SynthNet frame whose tint puts a
+// pixel on a rounding tie in 12% of its 2×2 boxes: the frame of class 2
+// in a seed-1 set of eight classes, the set ingest-encode draws its
+// frames from at seed 1.
+func tieFrame256(b *testing.B) *imgutil.RGB {
+	b.Helper()
+	train, _, err := dataset.Generate(dataset.Config{
+		Classes: 8, Size: 256, TrainPerClass: 1, TestPerClass: 1, Color: true, NoiseStd: 5, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return train.Images[2]
 }
 
 // encodeSparsity returns, over the transformed components comps, the
@@ -205,12 +236,12 @@ func encodeSparsity(comps []*component, s *encScratch) (zero, ext float64) {
 	for _, c := range comps {
 		run := c.blocksX * 64
 		plane := make([]float64, run)
-		thr := &s.thr[c.tq]
+		sq := &s.thr[c.tq]
 		for by := 0; by < c.blocksY; by++ {
 			gatherBlockRow(plane, c.pix, c.w, c.hgt, by, c.blocksX)
 			dct.ForwardAANRawBatch(plane)
 			for i, v := range plane {
-				if math.Abs(v) < thr[i%64] {
+				if v*v < sq[i%64] {
 					below++
 				}
 			}
@@ -221,6 +252,32 @@ func encodeSparsity(comps []*component, s *encScratch) (zero, ext float64) {
 		}
 	}
 	return float64(below) / float64(coefs), float64(extSum) / float64(coefs/64)
+}
+
+// tieBoxShare returns the share of img's full 2×2 boxes that hold a
+// pixel whose exact Y, Cb or Cr is a half-integer, computed in integers
+// from the formula's rational coefficients. Those are the boxes the
+// fused 4:2:0 color kernel converts by the float formula: its tie flag
+// fires on exactly those pixels (TestFromRGBSubsampled420Oracle).
+func tieBoxShare(img *imgutil.RGB) float64 {
+	half := func(n, den int) bool { return ((n%den)+den)%den == den/2 }
+	tie := func(x, y int) bool {
+		r8, g8, b8 := img.At(x, y)
+		r, g, b := int(r8), int(g8), int(b8)
+		return half(299*r+587*g+114*b, 1000) ||
+			half(-168736*r-331264*g+500000*b, 1000000) ||
+			half(500000*r-418688*g-81312*b, 1000000)
+	}
+	ties, boxes := 0, 0
+	for y := 0; y+1 < img.H; y += 2 {
+		for x := 0; x+1 < img.W; x += 2 {
+			boxes++
+			if tie(x, y) || tie(x+1, y) || tie(x, y+1) || tie(x+1, y+1) {
+				ties++
+			}
+		}
+	}
+	return float64(ties) / float64(boxes)
 }
 
 // BenchmarkDecodeStages splits the decode read path into its stages on

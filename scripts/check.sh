@@ -1,6 +1,6 @@
 #!/bin/sh
-# Full pre-merge gate: gofmt, vet, build, the complete test suite under
-# the race detector, the allocation pins, the chroma-sampling matrix, the
+# Full pre-merge gate: gofmt, vet, build, the 32-bit build, the fused
+# multiply-add gate, the complete test suite under the race detector, the allocation pins, the chroma-sampling matrix, the
 # progressive-JPEG leg, the decode verdict pins and the decode and encode
 # kernel oracles, the encode stream digests and sparse-encode tests, the
 # profile-hub leg, the HTTP server suite, the
@@ -21,6 +21,9 @@ go build ./...
 # width*height pixel-cap bypass).
 GOARCH=386 go build ./...
 GOARCH=386 go vet ./...
+# No fused multiply-add in the encoder's float packages on the
+# architectures that fuse (cross-compiled with -gcflags=-S).
+sh scripts/nofma.sh
 go test -race ./...
 # Allocation pins (all skip under -race): steady-state AllocsPerRun of
 # the batch APIs and of single-image encode and decode.
@@ -40,11 +43,12 @@ go test -run 'TestUnsupportedFormatMatrix' ./internal/server
 # under -race) — plus the reconstruction's dispatch on recorded block
 # extents against the dense reference and on a reused Decoded.
 go test -count 1 -run 'TestDecodeVerdictDigests|Oracle|TestReconstructRow|TestLazyPixels' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
-# Encode write path: the stream digests, the fused quantizer and its
-# zero threshold against the per-block reference, and the block extents
-# the quantizer and the requantize walk record, with the emit bounded
-# by them against the full scan.
-go test -count 1 -run 'TestStreamDigests|TestQuantizeRun|TestTransformComponent|TestRequantize|TestEncodeExtents' . ./internal/jpegcodec
+# Encode write path: the stream digests, the fixed-point color
+# conversion and its fused 4:2:0 kernel against the float formula, the
+# fused quantizer and its squared zero threshold against the per-block
+# reference, and the block extents the quantizer and the requantize walk
+# record, with the emit bounded by them against the full scan.
+go test -count 1 -run 'TestStreamDigests|TestQuantizeRun|TestTransformComponent|TestRequantize|TestEncodeExtents|TestFromRGBSubsampled' . ./internal/jpegcodec ./internal/imgutil
 # Profile hub: origin wire protocol, client fault injection, registry
 # lazy fetch and sync, and the two-server fleet scenario.
 go test ./internal/profilehub
