@@ -5,6 +5,7 @@
 #   make perfbench    # vet + self-tests of the perfbench module
 #   make test         # plain test run (what tier-1 verification executes)
 #   make test-amd64v3 # build+test under GOAMD64=v3 (AVX2-era codegen)
+#   make fma          # no fused multiply-add in the encoder's float packages on arm64/riscv64/loong64/ppc64le/s390x
 #   make bench        # DCT/codec/pipeline benchmarks with allocation reporting
 #   make bench-txt    # repeated-count text snapshot → $(NEW)
 #   make bench-json   # full benchmark sweep → BENCH_$(PR).json (perf trajectory)
