@@ -63,13 +63,18 @@ test-amd64v3:
 	GOAMD64=v3 $(GO) build ./...
 	GOAMD64=v3 $(GO) test ./...
 
+# Race leg: the whole suite under the race detector, with Go's default
+# timeout of 10 minutes per test binary. The slowest binary is
+# internal/experiments, which trains tiny CNNs: about 290 s of those
+# 600 s alone and up to 320 s inside this leg, on a shared 2-vCPU x86-64
+# host. A test that adds training there spends this budget.
 race:
 	$(GO) test -race ./...
 
 # Allocation gate: the steady-state AllocsPerRun pins of the batch APIs
 # (root) and of single-image encode and decode (jpegcodec). Every pin
 # skips under -race, which skews allocation counts, so the race leg
-# runs none of them; this leg runs all nine.
+# runs none of them; this leg runs all ten.
 alloc:
 	$(GO) test -count 1 -run 'Allocs|ReusesMetadataBuffers' . ./internal/jpegcodec
 

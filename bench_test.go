@@ -94,7 +94,9 @@ func BenchmarkFig2aAccuracyVsCR(b *testing.B) {
 	b.ReportMetric(cell(b, tbl.Rows[2][1]), "cr-at-qf20")
 }
 
-// BenchmarkFig2bAccuracyVsEpoch regenerates the per-epoch CASE-2 curves
+// BenchmarkFig2bAccuracyVsEpoch reads the per-epoch CASE-2 curves that
+// training Fig. 2a's models recorded in the shared context (the QF
+// 100/50/20 models train here only if no earlier benchmark trained them)
 // and reports the final-epoch gap between QF 100 and QF 20 training.
 func BenchmarkFig2bAccuracyVsEpoch(b *testing.B) {
 	tbl := runFigure(b, "2b")

@@ -342,10 +342,6 @@ func (br *Reader) readBitsSlow(n uint) (uint32, error) {
 // ReadBit reads a single bit.
 func (br *Reader) ReadBit() (uint32, error) { return br.ReadBits(1) }
 
-// Marker returns the marker code (the byte following 0xFF) that terminated
-// the stream, valid only after a read returned ErrMarker.
-func (br *Reader) Marker() byte { return br.marker }
-
 // Align discards the rest of a partially read byte so that subsequent
 // reads start at the next byte boundary.
 func (br *Reader) Align() {

@@ -87,8 +87,8 @@ func TestReaderStopsAtMarker(t *testing.T) {
 	if !errors.Is(err, ErrMarker) {
 		t.Fatalf("err = %v, want ErrMarker", err)
 	}
-	if r.Marker() != 0xD9 {
-		t.Fatalf("Marker = %#x, want 0xD9", r.Marker())
+	if r.marker != 0xD9 {
+		t.Fatalf("marker = %#x, want 0xD9", r.marker)
 	}
 }
 
@@ -99,8 +99,8 @@ func TestReaderSkipsFillBytes(t *testing.T) {
 	if !errors.Is(err, ErrMarker) {
 		t.Fatalf("err = %v, want ErrMarker", err)
 	}
-	if r.Marker() != 0xD9 {
-		t.Fatalf("Marker = %#x, want 0xD9", r.Marker())
+	if r.marker != 0xD9 {
+		t.Fatalf("marker = %#x, want 0xD9", r.marker)
 	}
 }
 

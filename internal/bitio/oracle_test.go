@@ -223,8 +223,8 @@ func runReaderScript(stream, script []byte) error {
 			if gv != wv || !sameErr(gerr, werr) {
 				return fmt.Errorf("step %d: ReadBits(%d) = %#x, %v; oracle %#x, %v", step, n, gv, gerr, wv, werr)
 			}
-			if errors.Is(gerr, ErrMarker) && got.Marker() != want.marker {
-				return fmt.Errorf("step %d: Marker %#x, oracle %#x", step, got.Marker(), want.marker)
+			if errors.Is(gerr, ErrMarker) && got.marker != want.marker {
+				return fmt.Errorf("step %d: marker %#x, oracle %#x", step, got.marker, want.marker)
 			}
 			failed = gerr != nil && n <= 24
 		case op < opAlign:

@@ -252,9 +252,9 @@ func TestMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	inverted, err := train.Map(func(im *imgutil.RGB) (*imgutil.RGB, error) {
-		out := im.Clone()
-		for i := range out.Pix {
-			out.Pix[i] = 255 - out.Pix[i]
+		out := imgutil.NewRGB(im.W, im.H)
+		for i, v := range im.Pix {
+			out.Pix[i] = 255 - v
 		}
 		return out, nil
 	})

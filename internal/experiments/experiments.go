@@ -35,10 +35,6 @@ type Profile struct {
 	// trained on the original data is evaluated on transcoded test sets
 	// (CASE-1 semantics) — much cheaper, same ranking.
 	Retrain bool
-	// RetrainZoo applies the Retrain semantics to the Fig. 8 model zoo;
-	// kept separate because zoo retraining multiplies the most expensive
-	// trainings by the scheme count.
-	RetrainZoo bool
 }
 
 // Quick is the seconds-scale profile used by tests and benchmarks.
@@ -58,9 +54,7 @@ func Quick() Profile {
 }
 
 // PaperProfile is the minutes-scale profile behind EXPERIMENTS.md: color
-// images, more classes, scheme-retrained sweeps. The Fig. 8 zoo is
-// evaluated CASE-1 style (RetrainZoo=false) to keep the full figure set
-// under an hour on a laptop.
+// images, more classes, scheme-retrained sweeps.
 func PaperProfile() Profile {
 	d := dataset.Paper()
 	d.Classes = 10
@@ -75,9 +69,8 @@ func PaperProfile() Profile {
 			Epochs: 8, BatchSize: 32, LR: 0.03, Momentum: 0.9, WeightDecay: 1e-4,
 			LRDecayEvery: 4, ClipNorm: 5, Seed: 11,
 		},
-		Gray:       false,
-		Retrain:    true,
-		RetrainZoo: false,
+		Gray:    false,
+		Retrain: true,
 	}
 }
 
@@ -152,6 +145,7 @@ type Context struct {
 	origTrainBytes int64
 
 	models         map[string]*nn.Model             // key: model name + training scheme
+	curves         map[string][]float64             // key: the sweep model's training scheme
 	transcodedTest map[string]*core.TranscodeResult // key: scheme name
 	testTensors    map[string]*nn.Dataset
 }
@@ -172,6 +166,7 @@ func NewContext(p Profile) (*Context, error) {
 		Test:           test,
 		Framework:      fw,
 		models:         map[string]*nn.Model{},
+		curves:         map[string][]float64{},
 		transcodedTest: map[string]*core.TranscodeResult{},
 		testTensors:    map[string]*nn.Dataset{},
 	}
@@ -227,9 +222,11 @@ func (c *Context) testTensorsFor(s core.Scheme) (*nn.Dataset, error) {
 	return t, nil
 }
 
-// TrainModelOn trains (and caches) the profile's sweep model on the
-// training split transcoded by a scheme. An empty scheme name trains on
-// the raw (untranscoded) data.
+// TrainModelOn trains (and caches) a model on the training split
+// transcoded by a scheme. Training the sweep model (Profile.Model) also
+// records its top-1 accuracy on the original-quality test split after
+// each epoch, the CASE-2 curve Fig2b plots. The probe runs in inference
+// mode, so the trained weights are the same with or without it.
 func (c *Context) TrainModelOn(modelName string, s core.Scheme) (*nn.Model, error) {
 	key := modelName + "|" + s.Name
 	if m, ok := c.models[key]; ok {
@@ -239,15 +236,21 @@ func (c *Context) TrainModelOn(modelName string, s core.Scheme) (*nn.Model, erro
 	if err != nil {
 		return nil, err
 	}
-	trainSet := c.Train
-	if s.Name != "" {
-		r, err := core.Transcode(c.Train, s, c.Profile.Gray)
+	r, err := core.Transcode(c.Train, s, c.Profile.Gray)
+	if err != nil {
+		return nil, err
+	}
+	cfg := c.Profile.Train
+	if modelName == c.Profile.Model {
+		orig, err := c.testTensorsFor(core.SchemeOriginal())
 		if err != nil {
 			return nil, err
 		}
-		trainSet = r.Dataset
+		cfg.AfterEpoch = func(int, float64) {
+			c.curves[s.Name] = append(c.curves[s.Name], m.Accuracy(orig))
+		}
 	}
-	m.Train(trainSet.Tensors(!c.Profile.Gray), c.Profile.Train)
+	m.Train(r.Dataset.Tensors(!c.Profile.Gray), cfg)
 	c.models[key] = m
 	return m, nil
 }

@@ -9,8 +9,11 @@ import (
 	"repro/internal/core"
 )
 
-// tinyProfile shrinks Quick far enough that every figure runs in a couple
-// of seconds of test time.
+// tinyProfile shrinks Quick for tests: 6 classes of 30 training and 10
+// test images, 4 epochs, and the sweep model as the whole Fig. 8 zoo.
+// Training still takes most of the package's time (about 20 s, and about
+// 290 s under -race, on a 2-vCPU host), so every test shares one context
+// and the models it caches.
 func tinyProfile() Profile {
 	p := Quick()
 	p.Data.Classes = 6
@@ -59,7 +62,7 @@ func TestBaselineModelLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 balanced classes: chance is 25%; the model must beat it soundly.
+	// 6 balanced classes: chance is 16.7%; the model must beat it soundly.
 	if acc < 0.6 {
 		t.Fatalf("baseline accuracy %.2f too low", acc)
 	}
@@ -83,12 +86,25 @@ func parsePct(t *testing.T, cell string) float64 {
 	return v / 100
 }
 
-func TestFig2a(t *testing.T) {
-	ctx := ctxForTest(t)
-	tbl, err := Fig2a(ctx)
+// sharedFig2a is Fig. 2a's table on sharedCtx, computed once so that
+// TestFig2b compares against it without repeating its forward passes.
+var sharedFig2a *Table
+
+func fig2aForTest(t *testing.T) *Table {
+	t.Helper()
+	if sharedFig2a != nil {
+		return sharedFig2a
+	}
+	tbl, err := Fig2a(ctxForTest(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sharedFig2a = tbl
+	return tbl
+}
+
+func TestFig2a(t *testing.T) {
+	tbl := fig2aForTest(t)
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("%d rows", len(tbl.Rows))
 	}
@@ -103,14 +119,31 @@ func TestFig2a(t *testing.T) {
 	}
 }
 
+// TestFig2b holds Fig. 2b to the curves recorded while Fig. 2a's CASE-2
+// models trained: it trains nothing of its own, and its last epoch is
+// Fig. 2a's CASE 2 column.
 func TestFig2b(t *testing.T) {
 	ctx := ctxForTest(t)
+	fig2a := fig2aForTest(t)
+	trained := len(ctx.models)
 	tbl, err := Fig2b(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(ctx.models) != trained {
+		t.Fatalf("Fig2b trained %d models after Fig2a", len(ctx.models)-trained)
+	}
 	if len(tbl.Rows) != ctx.Profile.Train.Epochs {
 		t.Fatalf("%d rows, want %d epochs", len(tbl.Rows), ctx.Profile.Train.Epochs)
+	}
+	last := tbl.Rows[len(tbl.Rows)-1]
+	for i, row := range fig2a.Rows {
+		if tbl.Columns[1+i] != "QF="+row[0] {
+			t.Fatalf("Fig. 2b column %q against Fig. 2a's QF %s", tbl.Columns[1+i], row[0])
+		}
+		if last[1+i] != row[3] {
+			t.Errorf("QF %s: Fig. 2b's last epoch reads %s, Fig. 2a's CASE 2 %s", row[0], last[1+i], row[3])
+		}
 	}
 }
 

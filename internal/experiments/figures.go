@@ -11,7 +11,6 @@ import (
 	"repro/internal/imgutil"
 	"repro/internal/jpegcodec"
 	"repro/internal/nn"
-	"repro/internal/nn/models"
 	"repro/internal/plm"
 	"repro/internal/qtable"
 )
@@ -62,29 +61,17 @@ func Fig2a(ctx *Context) (*Table, error) {
 
 // Fig2b reproduces "CASE 2 accuracy w.r.t. epoch number at various CRs":
 // per-epoch test accuracy (on original-quality data) of models trained on
-// increasingly compressed data. The gap widens with training.
+// increasingly compressed data. The gap widens with training. It reads
+// the curves TrainModelOn records for Fig. 2a's CASE-2 models.
 func Fig2b(ctx *Context) (*Table, error) {
 	qfs := []int{100, 50, 20}
-	orig, err := ctx.testTensorsFor(core.SchemeOriginal())
-	if err != nil {
-		return nil, err
-	}
 	curves := make([][]float64, len(qfs))
 	for qi, qf := range qfs {
 		scheme := core.SchemeJPEG(qf)
-		res, err := core.Transcode(ctx.Train, scheme, ctx.Profile.Gray)
-		if err != nil {
+		if _, err := ctx.TrainModelOn(ctx.Profile.Model, scheme); err != nil {
 			return nil, err
 		}
-		m, err := models.Build(ctx.Profile.Model, ctx.modelConfig())
-		if err != nil {
-			return nil, err
-		}
-		cfg := ctx.Profile.Train
-		cfg.AfterEpoch = func(epoch int, loss float64) {
-			curves[qi] = append(curves[qi], m.Accuracy(orig))
-		}
-		m.Train(res.Dataset.Tensors(!ctx.Profile.Gray), cfg)
+		curves[qi] = ctx.curves[scheme.Name]
 	}
 	t := &Table{
 		Title:   "Fig. 2b — CASE 2 accuracy vs epoch at various QFs",
@@ -261,7 +248,7 @@ func Fig6(ctx *Context) (*Table, error) {
 	base := ctx.Framework.Params // fitted with the paper's default k3 = 3
 	for k3 := 1; k3 <= 5; k3++ {
 		params := base
-		params.K3 = base.K3 * float64(k3) / ctx.anchors().K3
+		params.K3 = base.K3 * float64(k3) / plm.PaperAnchors().K3
 		luma, err := params.Table(ctx.Framework.Stats)
 		if err != nil {
 			return nil, err
@@ -345,18 +332,12 @@ func Fig8(ctx *Context) (*Table, error) {
 	}
 	t.Rows = append(t.Rows, crRow)
 	for _, name := range ctx.Profile.ZooModels {
+		m, err := ctx.TrainModelOn(name, core.SchemeOriginal())
+		if err != nil {
+			return nil, err
+		}
 		row := []string{name}
 		for _, s := range schemes {
-			var m *nn.Model
-			var err error
-			if ctx.Profile.RetrainZoo {
-				m, err = ctx.TrainModelOn(name, s)
-			} else {
-				m, err = ctx.TrainModelOn(name, core.SchemeOriginal())
-			}
-			if err != nil {
-				return nil, err
-			}
 			acc, err := ctx.AccuracyUnderScheme(m, s)
 			if err != nil {
 				return nil, err
@@ -435,10 +416,4 @@ func IntroLatency(ctx *Context) (*Table, error) {
 		row("mean image, "+s.Name, r.TotalBytes/int64(ctx.Test.Len()))
 	}
 	return t, nil
-}
-
-// anchors returns the anchor set the context's framework was calibrated
-// with (currently always the paper anchors).
-func (c *Context) anchors() plm.Anchors {
-	return plm.PaperAnchors()
 }

@@ -114,7 +114,7 @@ func TestSinusoidConcentratesEnergy(t *testing.T) {
 	for y := 0; y < 64; y++ {
 		for x := 0; x < 64; x++ {
 			phase := float64(2*(x%8)+1) * 2 * math.Pi / 16 // cos((2x+1)·2π/16)
-			g.Set(x, y, uint8(128+80*math.Cos(phase)))
+			g.Pix[y*g.W+x] = uint8(128 + 80*math.Cos(phase))
 		}
 	}
 	a := NewAccumulator()

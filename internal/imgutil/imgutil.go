@@ -30,12 +30,6 @@ func NewGray(w, h int) *Gray { return &Gray{W: w, H: h, Pix: make([]uint8, w*h)}
 // NewRGB allocates a zeroed w×h color image.
 func NewRGB(w, h int) *RGB { return &RGB{W: w, H: h, Pix: make([]uint8, 3*w*h)} }
 
-// At returns the sample at (x, y).
-func (g *Gray) At(x, y int) uint8 { return g.Pix[y*g.W+x] }
-
-// Set stores a sample at (x, y).
-func (g *Gray) Set(x, y int, v uint8) { g.Pix[y*g.W+x] = v }
-
 // At returns the (r, g, b) triplet at (x, y).
 func (im *RGB) At(x, y int) (r, g, b uint8) {
 	i := 3 * (y*im.W + x)
@@ -52,13 +46,6 @@ func (im *RGB) Set(x, y int, r, g, b uint8) {
 func (g *Gray) Clone() *Gray {
 	out := NewGray(g.W, g.H)
 	copy(out.Pix, g.Pix)
-	return out
-}
-
-// Clone returns a deep copy.
-func (im *RGB) Clone() *RGB {
-	out := NewRGB(im.W, im.H)
-	copy(out.Pix, im.Pix)
 	return out
 }
 
@@ -468,13 +455,6 @@ func YCbCr420RowsToRGB(dst0, dst1, y0, y1, cb, cr []uint8) {
 	}
 }
 
-// ToGray extracts the luma plane as a grayscale image.
-func (p *Planes) ToGray() *Gray {
-	g := NewGray(p.W, p.H)
-	copy(g.Pix, p.Y)
-	return g
-}
-
 // DownsampleInto reduces a w×h plane by integer factors rx×ry with box
 // averaging (rounding half up), the subsampling JPEG uses for chroma.
 // The output is ceil(w/rx)×ceil(h/ry); boxes that hang past the plane
@@ -504,9 +484,6 @@ func DownsampleInto(dst, pix []uint8, w, h, rx, ry int) (out []uint8, ow, oh int
 type BlockGrid struct {
 	BlocksX, BlocksY int
 }
-
-// Blocks returns the total number of blocks.
-func (g BlockGrid) Blocks() int { return g.BlocksX * g.BlocksY }
 
 // GridFor computes the 8×8 block tiling of a w×h plane (ceil division).
 func GridFor(w, h int) BlockGrid {

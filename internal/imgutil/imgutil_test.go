@@ -27,11 +27,6 @@ func TestSetAt(t *testing.T) {
 	if r != 10 || g != 20 || b != 30 {
 		t.Fatalf("got (%d,%d,%d)", r, g, b)
 	}
-	gr := NewGray(4, 3)
-	gr.Set(3, 2, 99)
-	if gr.At(3, 2) != 99 {
-		t.Fatalf("gray At = %d", gr.At(3, 2))
-	}
 }
 
 // TestYCbCrRoundTrip verifies RGB→YCbCr→RGB is near-lossless (8-bit
@@ -94,8 +89,8 @@ func TestGrayPlanesRoundTrip(t *testing.T) {
 			t.Fatalf("pixel %d: luma %d not replicated", i, v)
 		}
 	}
-	if got := p.ToGray(); !bytes.Equal(got.Pix, g.Pix) {
-		t.Fatal("ToGray did not return original plane")
+	if !bytes.Equal(p.Y, g.Pix) {
+		t.Fatal("luma plane is not the original image")
 	}
 }
 
@@ -151,9 +146,6 @@ func TestGridFor(t *testing.T) {
 		if g.BlocksX != c.bx || g.BlocksY != c.by {
 			t.Errorf("GridFor(%d,%d) = %+v, want %dx%d", c.w, c.h, g, c.bx, c.by)
 		}
-		if g.Blocks() != c.bx*c.by {
-			t.Errorf("Blocks() = %d", g.Blocks())
-		}
 	}
 }
 
@@ -174,28 +166,27 @@ func TestExtractBlockEdgeReplication(t *testing.T) {
 	// 10x10 plane: block (1,1) covers x,y in [8,16), outside replicates the
 	// last row/column.
 	g := NewGray(10, 10)
-	for y := 0; y < 10; y++ {
-		for x := 0; x < 10; x++ {
-			g.Set(x, y, uint8(10*y+x))
-		}
+	for i := range g.Pix {
+		g.Pix[i] = uint8(i) // 10*y + x
 	}
+	at := func(x, y int) uint8 { return g.Pix[y*g.W+x] }
 	var blk [64]uint8
 	ExtractBlock(g.Pix, 10, 10, 1, 1, &blk)
 	// In-bounds corner.
-	if blk[0] != g.At(8, 8) {
-		t.Fatalf("blk[0] = %d, want %d", blk[0], g.At(8, 8))
+	if blk[0] != at(8, 8) {
+		t.Fatalf("blk[0] = %d, want %d", blk[0], at(8, 8))
 	}
 	// x beyond width replicates column 9.
-	if blk[3] != g.At(9, 8) {
-		t.Fatalf("blk[3] = %d, want %d", blk[3], g.At(9, 8))
+	if blk[3] != at(9, 8) {
+		t.Fatalf("blk[3] = %d, want %d", blk[3], at(9, 8))
 	}
 	// y beyond height replicates row 9.
-	if blk[5*8+0] != g.At(8, 9) {
-		t.Fatalf("blk[40] = %d, want %d", blk[40], g.At(8, 9))
+	if blk[5*8+0] != at(8, 9) {
+		t.Fatalf("blk[40] = %d, want %d", blk[40], at(8, 9))
 	}
 	// Far corner replicates (9,9).
-	if blk[63] != g.At(9, 9) {
-		t.Fatalf("blk[63] = %d, want %d", blk[63], g.At(9, 9))
+	if blk[63] != at(9, 9) {
+		t.Fatalf("blk[63] = %d, want %d", blk[63], at(9, 9))
 	}
 }
 

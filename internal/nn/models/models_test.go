@@ -1,6 +1,9 @@
 package models
 
 import (
+	"bytes"
+	"encoding/gob"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -136,39 +139,99 @@ func TestModelsDeterministicInit(t *testing.T) {
 	}
 }
 
+// separableSet draws n 1×16×16 samples of a trivially separable
+// two-class problem: class 1 lifts the top half of the image, class 0
+// the bottom half.
+func separableSet(n int, seed int64) *nn.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	x := nn.NewTensor(n, 1, 16, 16)
+	y := make([]int, n)
+	for i := 0; i < n; i++ {
+		y[i] = i % 2
+		for j := 0; j < 256; j++ {
+			v := float32(rng.NormFloat64() * 0.1)
+			if y[i] == 1 && j < 128 {
+				v += 1
+			}
+			if y[i] == 0 && j >= 128 {
+				v += 1
+			}
+			x.Data[i*256+j] = v
+		}
+	}
+	return &nn.Dataset{X: x, Y: y}
+}
+
 // TestModelsTrainable does one quick sanity fit per architecture on a
 // trivially separable two-class problem: loss must drop.
 func TestModelsTrainable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training smoke test skipped in -short mode")
 	}
+	ds := separableSet(32, 4)
 	for _, name := range Names() {
 		c := Config{Channels: 1, Size: 16, Classes: 2, Seed: 3}
 		m, err := Build(name, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(4))
-		const n = 32
-		x := nn.NewTensor(n, 1, 16, 16)
-		y := make([]int, n)
-		for i := 0; i < n; i++ {
-			y[i] = i % 2
-			for j := 0; j < 256; j++ {
-				v := float32(rng.NormFloat64() * 0.1)
-				if y[i] == 1 && j < 128 {
-					v += 1
-				}
-				if y[i] == 0 && j >= 128 {
-					v += 1
-				}
-				x.Data[i*256+j] = v
-			}
-		}
-		ds := &nn.Dataset{X: x, Y: y}
 		losses := m.Train(ds, nn.TrainConfig{Epochs: 4, BatchSize: 8, LR: 0.02, Seed: 5})
 		if losses[len(losses)-1] >= losses[0] {
 			t.Errorf("%s: loss did not decrease: %v", name, losses)
+		}
+	}
+}
+
+// TestAccuracyProbeLeavesTrainingUnchanged trains each model twice, once
+// with an AfterEpoch that evaluates Accuracy (as the experiments' per-epoch
+// curves do) and once without, and requires every tensor Save writes —
+// parameters and batch-norm running statistics — to match bit for bit.
+// mini-vgg has batch norm and mini-alexnet dropout, so the probe must
+// leave running statistics and the dropout stream alone.
+func TestAccuracyProbeLeavesTrainingUnchanged(t *testing.T) {
+	train, probe := separableSet(8, 4), separableSet(8, 6)
+	for _, name := range []string{"minicnn", "mini-vgg", "mini-alexnet"} {
+		run := func(probed bool) map[string][]float32 {
+			m, err := Build(name, Config{Channels: 1, Size: 16, Classes: 2, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := nn.TrainConfig{Epochs: 2, BatchSize: 4, LR: 0.02, Seed: 5}
+			probes := 0
+			if probed {
+				cfg.AfterEpoch = func(int, float64) {
+					m.Accuracy(probe)
+					probes++
+				}
+			}
+			m.Train(train, cfg)
+			if probed && probes != cfg.Epochs {
+				t.Fatalf("%s: %d probes over %d epochs", name, probes, cfg.Epochs)
+			}
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var saved struct{ Values map[string][]float32 }
+			if err := gob.NewDecoder(&buf).Decode(&saved); err != nil {
+				t.Fatal(err)
+			}
+			return saved.Values
+		}
+		plain, probed := run(false), run(true)
+		if len(plain) == 0 || len(plain) != len(probed) {
+			t.Fatalf("%s: %d tensors without the probe, %d with it", name, len(plain), len(probed))
+		}
+		for tensor, want := range plain {
+			got := probed[tensor]
+			if len(got) != len(want) {
+				t.Fatalf("%s: %s has %d values with the probe, %d without", name, tensor, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s: %s[%d] = %v with the probe, %v without", name, tensor, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

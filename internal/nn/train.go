@@ -131,8 +131,10 @@ type TrainConfig struct {
 	Seed     int64
 	// Log receives one line per epoch when non-nil.
 	Log io.Writer
-	// AfterEpoch runs after each epoch (e.g. Fig. 2b's per-epoch test
-	// accuracy probes). Epoch is 1-based.
+	// AfterEpoch runs after each epoch (e.g. the per-epoch test accuracy
+	// probes experiments.Context.TrainModelOn records). Epoch is 1-based.
+	// A probe that only runs the model in inference mode (Accuracy,
+	// Predict) leaves the trained weights unchanged.
 	AfterEpoch func(epoch int, trainLoss float64)
 }
 

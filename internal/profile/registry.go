@@ -71,9 +71,6 @@ func OpenRegistry(dir string) (*Registry, error) {
 	return r, nil
 }
 
-// Dir returns the directory the registry scans.
-func (r *Registry) Dir() string { return r.dir }
-
 // Loads reports how many successful scan passes the registry has run —
 // the profile-(re)load counter surfaced by the serving layer.
 func (r *Registry) Loads() int64 { return r.loads.Load() }

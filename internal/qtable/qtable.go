@@ -158,16 +158,6 @@ func (t Table) Validate() error {
 	return nil
 }
 
-// InZigZag returns the table reordered into zig-zag order, as stored in DQT
-// segments.
-func (t Table) InZigZag() [64]uint16 {
-	var out [64]uint16
-	for z, n := range ZigZagOrder {
-		out[z] = t[n]
-	}
-	return out
-}
-
 // FromZigZag reconstructs a natural-order table from zig-zag order.
 func FromZigZag(z [64]uint16) Table {
 	var t Table

@@ -160,7 +160,7 @@ func TestStdlibDecodesGrayStream(t *testing.T) {
 	for y := 0; y < g.H; y++ {
 		for x := 0; x < g.W; x++ {
 			sr, _, _, _ := stdImg.At(x, y).RGBA()
-			d := int(uint8(sr>>8)) - int(ours.At(x, y))
+			d := int(uint8(sr>>8)) - int(ours.Pix[y*ours.W+x])
 			if d < 0 {
 				d = -d
 			}

@@ -24,6 +24,11 @@ GOARCH=386 go vet ./...
 # No fused multiply-add in the encoder's float packages on the
 # architectures that fuse (cross-compiled with -gcflags=-S).
 sh scripts/nofma.sh
+# The complete suite under the race detector, with Go's default timeout
+# of 10 minutes per test binary. internal/experiments, which trains tiny
+# CNNs, is the slowest: about 290 s of those 600 s alone and up to 320 s
+# inside this run, on a shared 2-vCPU x86-64 host. A test that adds
+# training there spends this budget.
 go test -race ./...
 # Allocation pins (all skip under -race): steady-state AllocsPerRun of
 # the batch APIs and of single-image encode and decode.
