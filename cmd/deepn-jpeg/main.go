@@ -1,7 +1,7 @@
 // Command deepn-jpeg is the CLI front end of the DeepN-JPEG codec:
 //
 //	deepn-jpeg calibrate  [-in imgdir/] [-out p.dnp -name imagenet -pversion 1]
-//	                      [-chroma] [-workers N]                 # calibrate, optionally persist a profile
+//	                      [-chroma]                              # calibrate, optionally persist a profile
 //	deepn-jpeg profiles   list|show|verify [-dir profiles/] [-in p.dnp]  # manage persisted profiles
 //	deepn-jpeg profiles   push|pull|sign [-origin URL] [-key k|-pub k.pub]  # hub lifecycle
 //	deepn-jpeg profiles   diff a.dnp b.dnp                          # compare calibrations (exit 1 on difference)
@@ -56,7 +56,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -144,7 +143,7 @@ func runRequantize(args []string) error {
 	}
 	var requant func(src []byte) ([]byte, error)
 	if *deepn {
-		codec, err := synthNetCodec(deepnjpeg.CalibrateConfig{})
+		codec, err := synthNetCodec(false)
 		if err != nil {
 			return err
 		}
@@ -170,13 +169,14 @@ func runRequantize(args []string) error {
 }
 
 // synthNetCodec calibrates a codec on the built-in SynthNet generator,
-// the stand-in dataset that keeps the tool usable without external data.
-func synthNetCodec(cfg deepnjpeg.CalibrateConfig) (*deepnjpeg.Codec, error) {
+// the stand-in dataset that keeps the tool usable without external data;
+// chroma also calibrates the chroma table.
+func synthNetCodec(chroma bool) (*deepnjpeg.Codec, error) {
 	train, _, err := dataset.Generate(dataset.Quick())
 	if err != nil {
 		return nil, err
 	}
-	return deepnjpeg.Calibrate(train.Images, train.Labels, cfg)
+	return deepnjpeg.Calibrate(train.Images, train.Labels, deepnjpeg.CalibrateConfig{Chroma: chroma})
 }
 
 // requantizeStream requantizes one in-memory JPEG onto outPath and
@@ -288,20 +288,13 @@ func runCalibrate(args []string) error {
 	seed := fs.Int64("seed", 1, "SynthNet generator seed (ignored with -in)")
 	sampleEvery := fs.Int("sample-every", 0, "keep every k-th image per class (Algorithm 1); ≤1 keeps all")
 	chroma := fs.Bool("chroma", false, "also calibrate a chroma table")
-	workers := fs.Int("workers", 0, "image-load and statistics-pass worker count (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *pversion == 0 || *pversion > math.MaxUint32 {
 		return fmt.Errorf("-pversion %d out of range [1, %d]", *pversion, uint64(math.MaxUint32))
 	}
-	if *workers <= 0 {
-		// The pipeline maps 0 to GOMAXPROCS on its own, but the
-		// statistics pass treats ≤1 as sequential — resolve here so the
-		// flag's "0 = GOMAXPROCS" promise covers both stages.
-		*workers = runtime.GOMAXPROCS(0)
-	}
-	cfg := deepnjpeg.CalibrateConfig{Chroma: *chroma, Workers: *workers, SampleEvery: *sampleEvery}
+	cfg := deepnjpeg.CalibrateConfig{Chroma: *chroma, SampleEvery: *sampleEvery}
 	var (
 		codec    *deepnjpeg.Codec
 		nClasses int
@@ -310,7 +303,7 @@ func runCalibrate(args []string) error {
 	)
 	start := time.Now()
 	if *in != "" {
-		images, labels, err := loadImageDir(*in, *workers)
+		images, labels, err := loadImageDir(*in)
 		if err != nil {
 			return err
 		}
@@ -364,7 +357,7 @@ func runCalibrate(args []string) error {
 // and images directly in dir form one more class of their own, so a
 // mixed layout loses nothing — labels only drive Algorithm 1's
 // stratified sampling, so unlabeled corpora still work.
-func loadImageDir(dir string, workers int) ([]*imgutil.RGB, []int, error) {
+func loadImageDir(dir string) ([]*imgutil.RGB, []int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
@@ -400,7 +393,7 @@ func loadImageDir(dir string, workers int) ([]*imgutil.RGB, []int, error) {
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("no calibration images (ppm/pgm/png/jpg) under %s", dir)
 	}
-	images, err := pipeline.Map(context.Background(), len(paths), workers,
+	images, err := pipeline.Map(context.Background(), len(paths), 0,
 		func(_ context.Context, i int) (*imgutil.RGB, error) {
 			return loadImage(paths[i])
 		})
@@ -634,7 +627,7 @@ func runEncode(args []string) error {
 		return fmt.Errorf("bad -subsampling %q", *sub)
 	}
 	if *deepn {
-		codec, err := synthNetCodec(deepnjpeg.CalibrateConfig{})
+		codec, err := synthNetCodec(false)
 		if err != nil {
 			return err
 		}
@@ -952,7 +945,7 @@ func runServe(args []string) error {
 	startLoad := time.Now()
 	if *profileRef == "" {
 		// No profile: calibrate on SynthNet at boot, as before.
-		if codec, err = synthNetCodec(deepnjpeg.CalibrateConfig{Chroma: *chroma}); err != nil {
+		if codec, err = synthNetCodec(*chroma); err != nil {
 			return err
 		}
 	}

@@ -32,9 +32,7 @@
 // A Codec is safe for concurrent use: the hot path draws its scratch
 // (color planes, coefficient grids, entropy buffers) from sync.Pools, so
 // steady-state encodes allocate little and workers never contend on
-// shared mutable state. Calibration itself can likewise fan the
-// frequency-statistics pass across workers via CalibrateConfig.Workers,
-// with results independent of goroutine scheduling.
+// shared mutable state.
 //
 // # Block transform
 //
@@ -187,13 +185,6 @@ type CalibrateConfig struct {
 	// UsePaperParams applies the published ImageNet PLM constants instead
 	// of fitting to this dataset.
 	UsePaperParams bool
-	// Workers fans the frequency-statistics accumulation across a worker
-	// pool; ≤ 1 keeps the single-threaded path. A given worker count is
-	// deterministic regardless of goroutine scheduling; across different
-	// worker counts the merged statistics agree with the sequential pass
-	// up to floating-point rounding, which the test suite checks yields
-	// identical quantization tables.
-	Workers int
 }
 
 // Codec is a calibrated DeepN-JPEG encoder/decoder.
@@ -204,7 +195,8 @@ type Codec struct {
 // Calibrate runs the DeepN-JPEG design flow on a labeled image set:
 // frequency component analysis, band segmentation by δ magnitude, and
 // piece-wise linear mapping to a quantization table. labels[i] is the
-// class of images[i]; classes drive the stratified sampling.
+// class of images[i]; classes drive the stratified sampling. The
+// result depends only on the images, labels and cfg, not on GOMAXPROCS.
 func Calibrate(images []*Image, labels []int, cfg CalibrateConfig) (*Codec, error) {
 	if len(images) == 0 {
 		return nil, fmt.Errorf("deepnjpeg: no images")
@@ -217,7 +209,6 @@ func Calibrate(images []*Image, labels []int, cfg CalibrateConfig) (*Codec, erro
 		SampleEvery:    cfg.SampleEvery,
 		Chroma:         cfg.Chroma,
 		UsePaperParams: cfg.UsePaperParams,
-		Workers:        cfg.Workers,
 	})
 	if err != nil {
 		return nil, err

@@ -31,9 +31,6 @@ import (
 
 // CalibrateOptions controls the DeepN-JPEG design flow.
 type CalibrateOptions struct {
-	// Anchors are the sensitivity-sweep anchor points (Fig. 5/6). The zero
-	// value uses the paper's anchors.
-	Anchors plm.Anchors
 	// SampleEvery is Algorithm 1's per-class sampling interval k; ≤1 uses
 	// every image.
 	SampleEvery int
@@ -47,12 +44,6 @@ type CalibrateOptions struct {
 	// baseline (the Fig. 5 comparison); thresholds then come from the δ
 	// values at the positional boundaries.
 	PositionBased bool
-	// Workers fans the frequency-statistics accumulation across a worker
-	// pool. Values ≤ 1 run it as one chunk on one worker. Each worker owns a
-	// deterministic contiguous slice of the sampled images and the partial
-	// accumulators merge in worker order, so a given worker count always
-	// produces the same result regardless of goroutine scheduling.
-	Workers int
 }
 
 // Framework is a calibrated DeepN-JPEG instance.
@@ -71,14 +62,11 @@ func Calibrate(ds *dataset.Dataset, opts CalibrateOptions) (*Framework, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
-	if opts.Anchors == (plm.Anchors{}) {
-		opts.Anchors = plm.PaperAnchors()
-	}
 	idx := freqstat.StratifiedIndices(ds.Labels, opts.SampleEvery)
 	if len(idx) == 0 {
 		return nil, fmt.Errorf("core: sampling interval %d selected no images", opts.SampleEvery)
 	}
-	acc, chromaAcc := accumulateStats(ds, idx, opts.Chroma, opts.Workers)
+	acc, chromaAcc := accumulateStats(ds, idx, opts.Chroma)
 	stats, err := acc.Stats()
 	if err != nil {
 		return nil, fmt.Errorf("core: luma statistics: %w", err)
@@ -98,7 +86,7 @@ func Calibrate(ds *dataset.Dataset, opts CalibrateOptions) (*Framework, error) {
 	if opts.UsePaperParams {
 		f.Params = plm.PaperImageNet()
 	} else {
-		p, err := plm.Fit(opts.Anchors, f.Seg.T1, f.Seg.T2, stats.MaxStd())
+		p, err := plm.Fit(plm.PaperAnchors(), f.Seg.T1, f.Seg.T2, stats.MaxStd())
 		if err != nil {
 			return nil, fmt.Errorf("core: fitting PLM: %w", err)
 		}
@@ -154,18 +142,22 @@ func Restore(params plm.Params, stats, chromaStats *freqstat.Stats, luma, chroma
 	}, nil
 }
 
+// statChunks is how many chunks the statistics pass splits the sampled
+// images into, or one per image when fewer are sampled.
+const statChunks = 64
+
 // accumulateStats folds the sampled images into per-band accumulators,
-// one per chunk, on the pipeline worker pool. Each chunk is a contiguous
-// slice of idx fixed by index arithmetic, and the partial accumulators
-// merge in chunk order, so the outcome depends only on the worker count
-// — never on goroutine scheduling. One chunk (workers ≤ 1) folds every
-// image in order with nothing to merge. With chroma, each image converts
-// to YCbCr once: Y feeds the luma accumulator, Cb then Cr the chroma one.
-func accumulateStats(ds *dataset.Dataset, idx []int, chroma bool, workers int) (luma, chromaAcc *freqstat.Accumulator) {
-	chunks := max(1, min(workers, len(idx)))
+// one per chunk, on the pipeline's default worker pool. Each chunk is a
+// contiguous slice of idx fixed by index arithmetic, and the partial
+// accumulators merge in chunk order, so the outcome depends only on the
+// images — never on GOMAXPROCS or goroutine scheduling. With chroma,
+// each image converts to YCbCr once: Y feeds the luma accumulator, Cb
+// then Cr the chroma one.
+func accumulateStats(ds *dataset.Dataset, idx []int, chroma bool) (luma, chromaAcc *freqstat.Accumulator) {
+	chunks := min(statChunks, len(idx))
 	lumaParts := make([]*freqstat.Accumulator, chunks)
 	chromaParts := make([]*freqstat.Accumulator, chunks)
-	pipeline.Run(context.Background(), chunks, chunks, func(_ context.Context, c int) error {
+	pipeline.Run(context.Background(), chunks, 0, func(_ context.Context, c int) error {
 		la, ca := freqstat.NewAccumulator(), freqstat.NewAccumulator()
 		var p imgutil.Planes
 		for _, i := range idx[c*len(idx)/chunks : (c+1)*len(idx)/chunks] {
@@ -197,16 +189,17 @@ type Scheme struct {
 }
 
 // SchemeOriginal is the paper's reference point: JPEG at QF 100 (CR = 1).
-func SchemeOriginal() Scheme {
-	return Scheme{Name: "original", Opts: jpegcodec.Options{
-		LumaTable:   qtable.MustScale(qtable.StdLuminance, 100),
-		ChromaTable: qtable.MustScale(qtable.StdChrominance, 100),
-	}}
-}
+func SchemeOriginal() Scheme { return SchemeJPEG(100) }
 
-// SchemeJPEG is standard JPEG at a quality factor.
+// SchemeJPEG is standard JPEG at a quality factor. QF 100 is named
+// "original", so the caches keyed by scheme name hold it once however
+// it was asked for.
 func SchemeJPEG(qf int) Scheme {
-	return Scheme{Name: fmt.Sprintf("jpeg-qf%d", qf), Opts: jpegcodec.Options{
+	name := fmt.Sprintf("jpeg-qf%d", qf)
+	if qf == 100 {
+		name = "original"
+	}
+	return Scheme{Name: name, Opts: jpegcodec.Options{
 		LumaTable:   qtable.MustScale(qtable.StdLuminance, qf),
 		ChromaTable: qtable.MustScale(qtable.StdChrominance, qf),
 	}}

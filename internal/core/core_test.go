@@ -138,6 +138,12 @@ func TestSchemes(t *testing.T) {
 	if orig.Name != "original" || j50.Name != "jpeg-qf50" || rmhf.Name != "rm-hf3" || sq.Name != "same-q8" {
 		t.Fatalf("scheme names: %s %s %s %s", orig.Name, j50.Name, rmhf.Name, sq.Name)
 	}
+	// QF 100 is the original under one name, so caches keyed by scheme
+	// name hold it once.
+	if q100 := SchemeJPEG(100); q100.Name != orig.Name || q100.Opts.LumaTable != orig.Opts.LumaTable ||
+		q100.Opts.ChromaTable != orig.Opts.ChromaTable {
+		t.Fatalf("SchemeJPEG(100) = %s, want the original scheme", q100.Name)
+	}
 }
 
 func TestTranscodePreservesLabelsAndCountsBytes(t *testing.T) {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -21,37 +23,39 @@ func calibrationDataset(t testing.TB) *dataset.Dataset {
 }
 
 // TestParallelCalibrateMatchesSequential is the acceptance bar for the
-// parallel statistics pass: whatever the worker count, the calibrated
-// quantization tables must be byte-identical to the single-threaded
-// flow's, and repeated runs at the same worker count must agree
-// (scheduling independence).
+// parallel statistics pass: the chunk split is fixed by the sampled
+// images, so under any GOMAXPROCS, and on a repeat at each setting, the
+// statistics and PLM parameters are bit-identical and the tables equal.
 func TestParallelCalibrateMatchesSequential(t *testing.T) {
 	ds := calibrationDataset(t)
-	seq, err := Calibrate(ds, CalibrateOptions{Chroma: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 4, runtime.GOMAXPROCS(0), 64} {
-		par, err := Calibrate(ds, CalibrateOptions{Chroma: true, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if par.LumaTable != seq.LumaTable {
-			t.Fatalf("workers=%d: luma table differs from sequential\nseq:\n%spar:\n%s",
-				workers, seq.LumaTable.String(), par.LumaTable.String())
-		}
-		if par.ChromaTable != seq.ChromaTable {
-			t.Fatalf("workers=%d: chroma table differs from sequential", workers)
-		}
-		if par.SampledCount != seq.SampledCount {
-			t.Fatalf("workers=%d: sampled %d images, sequential sampled %d", workers, par.SampledCount, seq.SampledCount)
-		}
-		again, err := Calibrate(ds, CalibrateOptions{Chroma: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.LumaTable != par.LumaTable || again.Stats.Std != par.Stats.Std {
-			t.Fatalf("workers=%d: repeated parallel calibration is not deterministic", workers)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref *Framework
+	for _, procs := range []int{1, 2, 3, 4} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < 2; run++ {
+			fw, err := Calibrate(ds, CalibrateOptions{Chroma: true})
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+			}
+			if ref == nil {
+				ref = fw
+				continue
+			}
+			if !bytes.Equal(fw.Stats.AppendBinary(nil), ref.Stats.AppendBinary(nil)) ||
+				!bytes.Equal(fw.ChromaStats.AppendBinary(nil), ref.ChromaStats.AppendBinary(nil)) {
+				t.Fatalf("GOMAXPROCS=%d run %d: statistics differ from GOMAXPROCS=1's", procs, run)
+			}
+			// %b prints each float's exact mantissa and exponent.
+			if fmt.Sprintf("%b", fw.Params) != fmt.Sprintf("%b", ref.Params) {
+				t.Fatalf("GOMAXPROCS=%d run %d: PLM parameters %+v, GOMAXPROCS=1 fitted %+v", procs, run, fw.Params, ref.Params)
+			}
+			if fw.LumaTable != ref.LumaTable || fw.ChromaTable != ref.ChromaTable {
+				t.Fatalf("GOMAXPROCS=%d run %d: tables differ\ngot luma:\n%swant luma:\n%s",
+					procs, run, fw.LumaTable.String(), ref.LumaTable.String())
+			}
+			if fw.SampledCount != ref.SampledCount {
+				t.Fatalf("GOMAXPROCS=%d run %d: sampled %d images, want %d", procs, run, fw.SampledCount, ref.SampledCount)
+			}
 		}
 	}
 }
@@ -69,7 +73,7 @@ func TestParallelCalibrateConcurrentCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fw, err := Calibrate(ds, CalibrateOptions{Workers: 4})
+			fw, err := Calibrate(ds, CalibrateOptions{})
 			if err != nil {
 				t.Error(err)
 				return

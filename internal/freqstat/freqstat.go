@@ -91,10 +91,10 @@ func (a *Accumulator) Blocks() int64 { return a.n }
 
 // Merge folds the statistics of b into a, as if every block added to b
 // had been added to a instead, using the parallel variance combination
-// of Chan, Golub & LeVeque. It is how per-worker partial accumulators
-// from a parallel calibration pass collapse into one result; merging
-// worker partials in a fixed order keeps the outcome deterministic
-// across runs regardless of goroutine scheduling. b is left unchanged.
+// of Chan, Golub & LeVeque. It is how the per-chunk partial accumulators
+// of the calibration pass collapse into one result; merging the chunks
+// in a fixed order keeps the outcome independent of which worker folded
+// which chunk, and when. b is left unchanged.
 func (a *Accumulator) Merge(b *Accumulator) {
 	if b.n == 0 {
 		return

@@ -1,10 +1,10 @@
 package profile
 
-// Retention for plain profile directories: the same max-bytes /
-// max-versions-per-name policy the hub cache applies, usable against any
-// directory a registry serves (`deepn-jpeg profiles gc`). Published
-// versions are immutable, so "garbage" means old versions, never live
-// bytes: the newest version of every name always survives.
+// Retention for profile directories: a max-bytes / max-versions-per-name
+// policy, usable against any directory a registry serves (`deepn-jpeg
+// profiles gc`). Published versions are immutable, so "garbage" means
+// old versions, never live bytes: the newest version of every name
+// always survives.
 
 import (
 	"fmt"

@@ -7,9 +7,6 @@ package profilehub
 //	index.etag          the ETag that document was served under
 //	blobs/<sha256>      verified profile bytes, named by content address
 //	blobs/<sha256>.part partial download awaiting resume
-//	refs/<name>@<ver>   one line: the sha256 hex the ref resolved to;
-//	                    the file's mtime is the ref's last-access time,
-//	                    which is what GC's LRU ordering reads.
 //
 // Everything verified is committed with temp+rename, so a crash leaves
 // either the old state or the new state — never a torn file that a
@@ -19,9 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/profile"
 )
@@ -34,10 +29,8 @@ type cache struct {
 }
 
 func newCache(dir string) (*cache, error) {
-	for _, sub := range [...]string{"", "blobs", "refs"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("profilehub: cache dir: %w", err)
-		}
+	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
+		return nil, fmt.Errorf("profilehub: cache dir: %w", err)
 	}
 	return &cache{dir: dir}, nil
 }
@@ -48,7 +41,6 @@ func (c *cache) blobPath(sha string) string {
 	return filepath.Join(c.dir, "blobs", sha)
 }
 func (c *cache) partPath(sha string) string { return c.blobPath(sha) + ".part" }
-func (c *cache) refPath(ref string) string  { return filepath.Join(c.dir, "refs", ref) }
 
 // storeIndex persists a verified index document with the ETag it was
 // served under.
@@ -97,159 +89,4 @@ func (c *cache) loadBlob(sha string) ([]byte, bool) {
 // commitBlob lands verified bytes at their content address.
 func (c *cache) commitBlob(sha string, data []byte) error {
 	return profile.WriteFileAtomic(c.blobPath(sha), data)
-}
-
-// writeRef records which blob a name@version resolved to and stamps the
-// access time.
-func (c *cache) writeRef(ref, sha string) error {
-	if err := profile.WriteFileAtomic(c.refPath(ref), []byte(sha+"\n")); err != nil {
-		return err
-	}
-	return c.touchRef(ref)
-}
-
-// touchRef bumps a ref's last-access time for LRU retention.
-func (c *cache) touchRef(ref string) error {
-	now := time.Now()
-	return os.Chtimes(c.refPath(ref), now, now)
-}
-
-// cacheRef is one ref entry as seen by GC.
-type cacheRef struct {
-	ref      string
-	name     string
-	version  uint32
-	sha      string
-	size     int64
-	lastUsed time.Time
-}
-
-// refs enumerates the ref table with blob sizes, skipping malformed
-// entries.
-func (c *cache) refs() ([]cacheRef, error) {
-	dirents, err := os.ReadDir(filepath.Join(c.dir, "refs"))
-	if err != nil {
-		return nil, err
-	}
-	var out []cacheRef
-	for _, de := range dirents {
-		if de.IsDir() {
-			continue
-		}
-		name, version, hasVersion, err := profile.ParseRef(de.Name())
-		if err != nil || !hasVersion {
-			continue
-		}
-		raw, err := os.ReadFile(c.refPath(de.Name()))
-		if err != nil {
-			continue
-		}
-		sha := strings.TrimSpace(string(raw))
-		if validateSHA256(sha) != nil {
-			continue
-		}
-		r := cacheRef{ref: de.Name(), name: name, version: version, sha: sha}
-		if info, err := de.Info(); err == nil {
-			r.lastUsed = info.ModTime()
-		}
-		if info, err := os.Stat(c.blobPath(sha)); err == nil {
-			r.size = info.Size()
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// GC applies a retention policy to the cache. Unlike a registry
-// directory (where the newest version of a name is live serving state),
-// everything here is re-fetchable, so the byte cap may evict any ref —
-// least recently used first. After ref eviction, blobs no ref points at
-// are swept, as are orphaned .part files older than a day.
-func (c *cache) GC(policy profile.GCPolicy) (*profile.GCResult, error) {
-	refs, err := c.refs()
-	if err != nil {
-		return nil, err
-	}
-	res := &profile.GCResult{}
-	drop := make(map[string]bool)
-
-	if policy.MaxVersionsPerName > 0 {
-		byName := make(map[string][]cacheRef)
-		for _, r := range refs {
-			byName[r.name] = append(byName[r.name], r)
-		}
-		for _, group := range byName {
-			sort.Slice(group, func(i, j int) bool { return group[i].version > group[j].version })
-			for _, r := range group[min(policy.MaxVersionsPerName, len(group)):] {
-				drop[r.ref] = true
-			}
-		}
-	}
-
-	if policy.MaxBytes > 0 {
-		var survivors []cacheRef
-		var total int64
-		refcount := make(map[string]int) // blobs shared across refs count once
-		for _, r := range refs {
-			if drop[r.ref] {
-				continue
-			}
-			survivors = append(survivors, r)
-			if refcount[r.sha] == 0 {
-				total += r.size
-			}
-			refcount[r.sha]++
-		}
-		// Least recently used first; evict until under budget.
-		sort.Slice(survivors, func(i, j int) bool { return survivors[i].lastUsed.Before(survivors[j].lastUsed) })
-		for _, r := range survivors {
-			if total <= policy.MaxBytes {
-				break
-			}
-			drop[r.ref] = true
-			refcount[r.sha]--
-			if refcount[r.sha] == 0 {
-				total -= r.size
-			}
-		}
-	}
-
-	// Delete dropped refs, then sweep unreferenced blobs.
-	live := make(map[string]bool)
-	for _, r := range refs {
-		if drop[r.ref] {
-			res.Removed = append(res.Removed, c.refPath(r.ref))
-			if err := os.Remove(c.refPath(r.ref)); err != nil && !os.IsNotExist(err) {
-				return res, err
-			}
-			continue
-		}
-		if !live[r.sha] {
-			live[r.sha] = true
-			res.RetainedBytes += r.size
-		}
-	}
-	blobs, err := os.ReadDir(filepath.Join(c.dir, "blobs"))
-	if err != nil {
-		return res, err
-	}
-	for _, de := range blobs {
-		name := de.Name()
-		if strings.HasSuffix(name, ".part") {
-			// Orphaned partials from crashed pulls; a day is far past any
-			// plausible retry horizon.
-			if info, err := de.Info(); err == nil && time.Since(info.ModTime()) > 24*time.Hour {
-				os.Remove(filepath.Join(c.dir, "blobs", name))
-			}
-			continue
-		}
-		if !live[name] {
-			res.Removed = append(res.Removed, c.blobPath(name))
-			if err := os.Remove(c.blobPath(name)); err != nil && !os.IsNotExist(err) {
-				return res, err
-			}
-		}
-	}
-	sort.Strings(res.Removed)
-	return res, nil
 }

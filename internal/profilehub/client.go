@@ -213,7 +213,6 @@ func (c *Client) Pull(ctx context.Context, name string, version uint32) ([]byte,
 	}
 	if data, ok := c.cache.loadBlob(e.SHA256); ok && int64(len(data)) == e.Size {
 		c.blobCacheHits.Add(1)
-		c.cache.writeRef(e.Ref(), e.SHA256)
 		return data, e, nil
 	}
 	data, err := c.fetchBlob(ctx, e)
@@ -223,18 +222,8 @@ func (c *Client) Pull(ctx context.Context, name string, version uint32) ([]byte,
 	if err := c.cache.commitBlob(e.SHA256, data); err != nil {
 		return nil, nil, err
 	}
-	if err := c.cache.writeRef(e.Ref(), e.SHA256); err != nil {
-		return nil, nil, err
-	}
 	c.blobFetches.Add(1)
 	return data, e, nil
-}
-
-// GC applies a retention policy to the local cache.
-func (c *Client) GC(policy profile.GCPolicy) (*profile.GCResult, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cache.GC(policy)
 }
 
 // Fetch implements profile.Source.

@@ -390,39 +390,3 @@ func TestClientCacheSelfHeals(t *testing.T) {
 		t.Fatalf("self-heal stats: %+v", st)
 	}
 }
-
-func TestClientCacheGC(t *testing.T) {
-	_, _, ts := newTestOrigin(t, OriginOptions{}, "a@1", "a@2", "a@3", "b@1")
-	c := newTestClient(t, ts.URL, nil)
-	ctx := context.Background()
-	for _, ref := range []struct {
-		name string
-		ver  uint32
-	}{{"a", 1}, {"a", 2}, {"a", 3}, {"b", 1}} {
-		if _, _, err := c.Pull(ctx, ref.name, ref.ver); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := c.GC(profile.GCPolicy{MaxVersionsPerName: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// a@1 and a@2 refs drop, and their now-unreferenced blobs sweep.
-	if len(res.Removed) != 4 {
-		t.Fatalf("GC removed %v, want 2 refs + 2 blobs", res.Removed)
-	}
-	// Evicted versions are gone from cache but re-fetchable on demand.
-	if _, _, err := c.Pull(ctx, "a", 3); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.BlobCacheHits != 1 {
-		t.Fatalf("post-GC stats: %+v", st)
-	}
-	before := c.Stats().BlobFetches
-	if _, _, err := c.Pull(ctx, "a", 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Stats().BlobFetches; got != before+1 {
-		t.Fatal("evicted blob should re-download")
-	}
-}

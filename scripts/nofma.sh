@@ -18,7 +18,7 @@ status=0
 for arch in arm64 riscv64 loong64 ppc64le s390x; do
 	# Capture first, so a failing build fails the gate instead of
 	# leaving nothing to match.
-	asm=$(GOARCH=$arch go build -gcflags=-S $pkgs 2>&1) || {
+	asm=$(GOARCH=$arch ${GO:-go} build -gcflags=-S $pkgs 2>&1) || {
 		printf '%s\n' "$asm" >&2
 		exit 1
 	}
