@@ -9,9 +9,9 @@
 #   make fma          # no fused multiply-add in the encoder's float packages on arm64/riscv64/loong64/ppc64le/s390x
 #   make bench        # DCT/codec/pipeline benchmarks with allocation reporting
 #   make bench-txt    # repeated-count text snapshot → $(NEW)
-#   make bench-json   # full benchmark sweep → BENCH_$(PR).json (perf trajectory)
+#   make bench-json   # full benchmark sweep → BENCH_$(PR).json (a point snapshot; perfbench/run.sh is the end-to-end trajectory)
 #   make serve-bench  # requests/sec through the HTTP endpoints + per-route handler cost
-#   make fuzz-smoke   # short native-fuzz run of the decode/requantize/bit-reader/profile fuzzers
+#   make fuzz-smoke   # short native-fuzz run of the decode/requantize/bit-reader/profile/raw-image fuzzers
 
 GO ?= go
 GOFMT ?= gofmt
@@ -65,8 +65,9 @@ bench-txt:
 	@echo "wrote $(NEW)"
 
 # bench-json records the full benchmark sweep as a machine-readable
-# snapshot (BENCH_$(PR).json) so per-PR performance is diffable across
-# the repository's history. The sweep and the conversion run as separate
+# snapshot (BENCH_$(PR).json). Nothing compares these snapshots: the
+# end-to-end performance trajectory is perfbench/run.sh over the workloads
+# BENCHMARK.json declares. The sweep and the conversion run as separate
 # commands (no pipe) so a failing benchmark fails the target instead of
 # silently producing a truncated snapshot. The second leg re-runs the
 # single-image restart-sharding benchmarks under a -cpu 1,4,8 sweep so

@@ -49,7 +49,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"image/png"
 	"math"
 	"net"
 	"net/http"
@@ -558,51 +557,35 @@ func verifyProfileFile(path string) error {
 	return nil
 }
 
-// loadImage reads PPM/PGM/PNG/JPEG by extension.
+// loadImage reads a JPEG by extension, and any other file as a
+// PNG/PPM/PGM body, chosen by its magic bytes.
 func loadImage(path string) (*imgutil.RGB, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	switch strings.ToLower(filepath.Ext(path)) {
-	case ".ppm":
-		return imgutil.ReadPPM(bytes.NewReader(data))
-	case ".pgm":
-		g, err := imgutil.ReadPGM(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		return g.ToRGB(), nil
-	case ".png":
-		img, err := png.Decode(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		return imgutil.FromImage(img), nil
 	case ".jpg", ".jpeg":
 		return deepnjpeg.Decode(data)
-	default:
-		return nil, fmt.Errorf("unsupported input format %q", filepath.Ext(path))
 	}
+	return imgutil.DecodeImage(data, 0)
 }
 
-// saveImage writes PPM/PGM/PNG by extension.
+// saveImage writes a PNG/PPM/PGM file, in the format its extension names.
 func saveImage(path string, im *imgutil.RGB) error {
+	format, err := imgutil.FormatNamed(strings.ToLower(strings.TrimPrefix(filepath.Ext(path), ".")))
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".ppm":
-		return imgutil.WritePPM(f, im)
-	case ".pgm":
-		return imgutil.WritePGM(f, im.ToGray())
-	case ".png":
-		return png.Encode(f, im.ToImage())
-	default:
-		return fmt.Errorf("unsupported output format %q", filepath.Ext(path))
+	if err := imgutil.EncodeImage(f, im, format.Name); err != nil {
+		f.Close()
+		return err
 	}
+	return f.Close()
 }
 
 func runEncode(args []string) error {
@@ -750,10 +733,8 @@ func runDecode(args []string) error {
 // concurrent pipeline, with the same output-collision detection and
 // partial-failure reporting as encodeDir.
 func decodeDir(inDir, outDir, format string, workers int) error {
-	switch format {
-	case "png", "ppm", "pgm":
-	default:
-		return fmt.Errorf("bad -format %q (want png, ppm or pgm)", format)
+	if _, err := imgutil.FormatNamed(format); err != nil {
+		return fmt.Errorf("bad -format: %w", err)
 	}
 	outExt := "." + format
 	inputs, err := listInputs(inDir, ".jpg", ".jpeg")

@@ -108,7 +108,7 @@ func main() {
 
 	// 4. Both nodes encode byte-identically: same profile, same tables.
 	var ppm bytes.Buffer
-	if err := imgutil.WritePPM(&ppm, train.Images[0]); err != nil {
+	if err := imgutil.EncodeImage(&ppm, train.Images[0], "ppm"); err != nil {
 		log.Fatal(err)
 	}
 	body := ppm.Bytes()

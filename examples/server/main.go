@@ -65,7 +65,7 @@ func main() {
 	//    receive a DeepN-JPEG stream any JPEG decoder reads.
 	img := train.Images[0]
 	var ppm bytes.Buffer
-	if err := imgutil.WritePPM(&ppm, img); err != nil {
+	if err := imgutil.EncodeImage(&ppm, img, "ppm"); err != nil {
 		log.Fatal(err)
 	}
 	req, _ := http.NewRequest(http.MethodPost, base+"/v1/encode", bytes.NewReader(ppm.Bytes()))
@@ -98,7 +98,7 @@ func main() {
 	for i := 0; i < batch; i++ {
 		part, _ := mw.CreateFormFile("items", fmt.Sprintf("img-%d.ppm", i))
 		var buf bytes.Buffer
-		if err := imgutil.WritePPM(&buf, train.Images[i]); err != nil {
+		if err := imgutil.EncodeImage(&buf, train.Images[i], "ppm"); err != nil {
 			log.Fatal(err)
 		}
 		part.Write(buf.Bytes())

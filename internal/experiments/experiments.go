@@ -142,13 +142,18 @@ type Context struct {
 	Test      *dataset.Dataset
 	Framework *core.Framework
 
-	origTestBytes  int64
-	origTrainBytes int64
-
 	models         map[string]*nn.Model             // key: model name + training scheme
 	curves         map[string][]float64             // key: the sweep model's training scheme
 	transcodedTest map[string]*core.TranscodeResult // key: scheme name
 	testTensors    map[string]*nn.Dataset
+	accuracy       map[accuracyKey]float64
+}
+
+// accuracyKey names one AccuracyUnderScheme result: a trained model and
+// the scheme its test split went through.
+type accuracyKey struct {
+	model  *nn.Model
+	scheme string
 }
 
 // NewContext generates data and calibrates DeepN-JPEG for a profile.
@@ -161,7 +166,7 @@ func NewContext(p Profile) (*Context, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: calibrating: %w", err)
 	}
-	ctx := &Context{
+	return &Context{
 		Profile:        p,
 		Train:          train,
 		Test:           test,
@@ -170,16 +175,8 @@ func NewContext(p Profile) (*Context, error) {
 		curves:         map[string][]float64{},
 		transcodedTest: map[string]*core.TranscodeResult{},
 		testTensors:    map[string]*nn.Dataset{},
-	}
-	ctx.origTestBytes, err = core.CompressedSize(test, core.SchemeOriginal(), p.Gray)
-	if err != nil {
-		return nil, err
-	}
-	ctx.origTrainBytes, err = core.CompressedSize(train, core.SchemeOriginal(), p.Gray)
-	if err != nil {
-		return nil, err
-	}
-	return ctx, nil
+		accuracy:       map[accuracyKey]float64{},
+	}, nil
 }
 
 // modelConfig derives the models.Config for this profile.
@@ -263,13 +260,20 @@ func (c *Context) BaselineModel() (*nn.Model, error) {
 }
 
 // AccuracyUnderScheme evaluates a model on the test split transcoded by a
-// scheme.
+// scheme, once per model and scheme name: a model is fully trained
+// before any caller holds it, and evaluation runs in inference mode.
 func (c *Context) AccuracyUnderScheme(m *nn.Model, s core.Scheme) (float64, error) {
+	key := accuracyKey{m, s.Name}
+	if acc, ok := c.accuracy[key]; ok {
+		return acc, nil
+	}
 	t, err := c.testTensorsFor(s)
 	if err != nil {
 		return 0, err
 	}
-	return m.Accuracy(t), nil
+	acc := m.Accuracy(t)
+	c.accuracy[key] = acc
+	return acc, nil
 }
 
 // SchemeAccuracy is the profile-dependent headline accuracy of a scheme:
@@ -293,11 +297,15 @@ func (c *Context) SchemeAccuracy(s core.Scheme) (float64, error) {
 // SchemeCR computes a scheme's compression ratio over the QF-100
 // original on the test split.
 func (c *Context) SchemeCR(s core.Scheme) (float64, error) {
+	orig, err := c.TranscodeTest(core.SchemeOriginal())
+	if err != nil {
+		return 0, err
+	}
 	r, err := c.TranscodeTest(s)
 	if err != nil {
 		return 0, err
 	}
-	return core.CompressionRatio(c.origTestBytes, r.TotalBytes), nil
+	return core.CompressionRatio(orig.TotalBytes, r.TotalBytes), nil
 }
 
 // Run dispatches a figure by identifier.

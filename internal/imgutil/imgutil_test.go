@@ -249,62 +249,3 @@ func TestFromToImage(t *testing.T) {
 		t.Fatal("image.Image round trip altered pixels")
 	}
 }
-
-func TestPPMRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	im := randRGB(rng, 13, 9)
-	var buf bytes.Buffer
-	if err := WritePPM(&buf, im); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadPPM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.W != im.W || back.H != im.H || !bytes.Equal(back.Pix, im.Pix) {
-		t.Fatal("PPM round trip mismatch")
-	}
-}
-
-func TestPGMRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randGray(rng, 5, 11)
-	var buf bytes.Buffer
-	if err := WritePGM(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadPGM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.W != g.W || back.H != g.H || !bytes.Equal(back.Pix, g.Pix) {
-		t.Fatal("PGM round trip mismatch")
-	}
-}
-
-func TestPNMHeaderComments(t *testing.T) {
-	data := "P5\n# a comment\n2 2\n# another\n255\n\x01\x02\x03\x04"
-	g, err := ReadPGM(bytes.NewReader([]byte(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.W != 2 || g.H != 2 || g.Pix[3] != 4 {
-		t.Fatalf("parsed %+v", g)
-	}
-}
-
-func TestPNMBadInputs(t *testing.T) {
-	bad := []string{
-		"P5\n0 2\n255\n",         // zero width
-		"P5\n2 2\n65535\n",       // wrong maxval
-		"P6\n2 2\n255\nxx",       // short pixels
-		"P7\n2 2\n255\n\x00\x00", // bad magic
-	}
-	for i, s := range bad {
-		if _, err := ReadPGM(bytes.NewReader([]byte(s))); err == nil {
-			if _, err2 := ReadPPM(bytes.NewReader([]byte(s))); err2 == nil {
-				t.Errorf("case %d: expected parse error", i)
-			}
-		}
-	}
-}

@@ -72,7 +72,7 @@ func writeProfileDir(tb testing.TB, entries map[string]*core.Framework) string {
 // a PPM request body.
 func encodeDirect(tb testing.TB, fw *core.Framework, body []byte) []byte {
 	tb.Helper()
-	img, err := imgutil.ReadPPM(bytes.NewReader(body))
+	img, err := imgutil.DecodeImage(body, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -35,9 +35,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"image/png"
 	"io"
-	"math"
 	"mime"
 	"mime/multipart"
 	"net"
@@ -763,136 +761,35 @@ func parseRestartParam(q url.Values, allowNegative bool) (int, error) {
 	return ri, nil
 }
 
-type outputFormat struct {
-	name        string // png, ppm, pgm
-	contentType string
-}
-
-func parseFormat(q url.Values) (outputFormat, error) {
-	switch v := q.Get("format"); v {
-	case "", "png":
-		return outputFormat{"png", "image/png"}, nil
-	case "ppm":
-		return outputFormat{"ppm", "image/x-portable-pixmap"}, nil
-	case "pgm":
-		return outputFormat{"pgm", "image/x-portable-graymap"}, nil
-	default:
-		return outputFormat{}, errf(http.StatusBadRequest, "bad_format",
-			"format=%q is not one of png, ppm, pgm", v)
+func parseFormat(q url.Values) (imgutil.Format, error) {
+	v := q.Get("format")
+	if v == "" {
+		return imgutil.Formats[0], nil
 	}
+	f, err := imgutil.FormatNamed(v)
+	if err != nil {
+		return f, errf(http.StatusBadRequest, "bad_format", "%v", err)
+	}
+	return f, nil
 }
 
 // --- image parsing ------------------------------------------------------
 
-var pngMagic = []byte{0x89, 'P', 'N', 'G'}
-
-// parseImage sniffs and decodes a PNG/PPM/PGM body, enforcing the
-// declared-dimension cap before any pixel buffer is allocated.
+// parseImage decodes a PNG/PPM/PGM body under the pixel cap, which
+// imgutil.DecodeImage applies before it allocates any pixel buffer.
 func (s *Server) parseImage(body []byte) (*imgutil.RGB, error) {
+	img, err := imgutil.DecodeImage(body, s.opts.MaxPixels)
+	var tooLarge *imgutil.TooLargeError
 	switch {
-	case bytes.HasPrefix(body, pngMagic):
-		cfg, err := png.DecodeConfig(bytes.NewReader(body))
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "bad_image", "invalid PNG header: %v", err)
-		}
-		if exceedsPixelCap(cfg.Width, cfg.Height, s.opts.MaxPixels) {
-			return nil, errf(http.StatusBadRequest, "image_too_large",
-				"%dx%d exceeds the %d-pixel limit", cfg.Width, cfg.Height, s.opts.MaxPixels)
-		}
-		img, err := png.Decode(bytes.NewReader(body))
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "bad_image", "invalid PNG: %v", err)
-		}
-		return imgutil.FromImage(img), nil
-	case bytes.HasPrefix(body, []byte("P6")):
-		if err := s.checkPNMDims(body); err != nil {
-			return nil, err
-		}
-		img, err := imgutil.ReadPPM(bytes.NewReader(body))
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "bad_image", "invalid PPM: %v", err)
-		}
+	case err == nil:
 		return img, nil
-	case bytes.HasPrefix(body, []byte("P5")):
-		if err := s.checkPNMDims(body); err != nil {
-			return nil, err
-		}
-		g, err := imgutil.ReadPGM(bytes.NewReader(body))
-		if err != nil {
-			return nil, errf(http.StatusBadRequest, "bad_image", "invalid PGM: %v", err)
-		}
-		return g.ToRGB(), nil
+	case errors.Is(err, imgutil.ErrUnsupportedImage):
+		return nil, errf(http.StatusUnsupportedMediaType, "unsupported_image", "%v", err)
+	case errors.As(err, &tooLarge):
+		return nil, errf(http.StatusBadRequest, "image_too_large", "%v", err)
 	default:
-		return nil, errf(http.StatusUnsupportedMediaType, "unsupported_image",
-			"body is not PNG, PPM (P6) or PGM (P5)")
+		return nil, errf(http.StatusBadRequest, "bad_image", "%v", err)
 	}
-}
-
-// exceedsPixelCap reports whether a declared w×h frame is out of bounds
-// for the pixel cap. Hostile headers can declare dimensions near the int
-// range (a PNG field holds up to 2³¹−1), where the naive w*h product
-// overflows int on 32-bit platforms and can wrap below the cap — so each
-// dimension is bounded first and the product test is phrased as a
-// division, which cannot overflow for any input.
-func exceedsPixelCap(w, h, maxPixels int) bool {
-	if w <= 0 || h <= 0 {
-		return true
-	}
-	return w > maxPixels || h > maxPixels || w > maxPixels/h
-}
-
-// checkPNMDims parses just the width/height tokens of a binary PNM
-// header and applies the pixel cap, so a 30-byte body declaring a
-// terabyte image is rejected before ReadPPM allocates for it.
-func (s *Server) checkPNMDims(body []byte) error {
-	// Bound the header scan generously: real headers fit well within a
-	// few hundred bytes, but comment lines may legally push the
-	// dimension tokens past that, so only truly unbounded headers fail.
-	const maxHeaderScan = 4096
-	fields := make([]int, 0, 2)
-	i := 2 // past the magic
-	for len(fields) < 2 && i < len(body) && i < maxHeaderScan {
-		c := body[i]
-		switch {
-		case c == '#': // comment runs to end of line
-			for i < len(body) && body[i] != '\n' {
-				i++
-			}
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case c >= '0' && c <= '9':
-			// Consume the WHOLE run of digits even once the value is
-			// known to be out of bounds: stopping mid-token would hand
-			// the remaining digits to the next field and misparse the
-			// header (the real height token would never be read). Values
-			// that would overflow int saturate instead.
-			v, saturated := 0, false
-			for i < len(body) && body[i] >= '0' && body[i] <= '9' {
-				if d := int(body[i] - '0'); !saturated {
-					if v > (math.MaxInt-d)/10 {
-						saturated = true
-					} else {
-						v = v*10 + d
-					}
-				}
-				i++
-			}
-			if saturated {
-				v = math.MaxInt
-			}
-			fields = append(fields, v)
-		default:
-			return errf(http.StatusBadRequest, "bad_image", "malformed PNM header")
-		}
-	}
-	if len(fields) < 2 {
-		return errf(http.StatusBadRequest, "bad_image", "truncated PNM header")
-	}
-	if exceedsPixelCap(fields[0], fields[1], s.opts.MaxPixels) {
-		return errf(http.StatusBadRequest, "image_too_large",
-			"%dx%d exceeds the %d-pixel limit", fields[0], fields[1], s.opts.MaxPixels)
-	}
-	return nil
 }
 
 // --- the codec operations -----------------------------------------------
@@ -957,7 +854,7 @@ func (s *Server) opFor(verb string, fw *core.Framework, q url.Values) (op, error
 		if err != nil {
 			return op{}, err
 		}
-		return op{format.contentType, func(sc *scratch, item []byte, out *bytes.Buffer, h http.Header) error {
+		return op{format.ContentType, func(sc *scratch, item []byte, out *bytes.Buffer, h http.Header) error {
 			if err := s.decode(sc, item); err != nil {
 				return err
 			}
@@ -965,7 +862,7 @@ func (s *Server) opFor(verb string, fw *core.Framework, q url.Values) (op, error
 				sc.img = s.imgPool.Get().(*imgutil.RGB)
 			}
 			sc.img = sc.dec.RGBInto(sc.img)
-			if err := writeImage(out, sc.img, format); err != nil {
+			if err := imgutil.EncodeImage(out, sc.img, format.Name); err != nil {
 				return err
 			}
 			h.Set("X-Image-Width", strconv.Itoa(sc.img.W))
@@ -990,19 +887,6 @@ func (s *Server) opFor(verb string, fw *core.Framework, q url.Values) (op, error
 	default:
 		return op{}, errf(http.StatusBadRequest, "bad_op",
 			"op=%q is not one of encode, decode, requantize", verb)
-	}
-}
-
-func writeImage(w io.Writer, img *imgutil.RGB, format outputFormat) error {
-	switch format.name {
-	case "png":
-		return png.Encode(w, img.ToImage())
-	case "ppm":
-		return imgutil.WritePPM(w, img)
-	case "pgm":
-		return imgutil.WritePGM(w, img.ToGray())
-	default:
-		return fmt.Errorf("server: unknown output format %q", format.name)
 	}
 }
 

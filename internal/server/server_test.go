@@ -77,7 +77,7 @@ func newTestServer(tb testing.TB, opts Options) (*Server, *httptest.Server) {
 func ppmBody(tb testing.TB, img *imgutil.RGB) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := imgutil.WritePPM(&buf, img); err != nil {
+	if err := imgutil.EncodeImage(&buf, img, "ppm"); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -227,7 +227,7 @@ func TestEncodeEndpointMatchesCodec(t *testing.T) {
 
 	t.Run("png-input", func(t *testing.T) {
 		var pngBuf bytes.Buffer
-		if err := writeImage(&pngBuf, img, outputFormat{"png", "image/png"}); err != nil {
+		if err := imgutil.EncodeImage(&pngBuf, img, "png"); err != nil {
 			t.Fatal(err)
 		}
 		resp, got := post(t, ts.URL+"/v1/encode", "image/png", pngBuf.Bytes(), nil)
@@ -263,7 +263,7 @@ func TestDecodeEndpointMatchesCodec(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d: %s", resp.StatusCode, got)
 		}
-		back, err := imgutil.ReadPPM(bytes.NewReader(got))
+		back, err := imgutil.DecodeImage(got, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestDecodeEndpointMatchesCodec(t *testing.T) {
 			t.Fatalf("Content-Type %q", ct)
 		}
 		var buf bytes.Buffer
-		if err := writeImage(&buf, golden, outputFormat{"png", "image/png"}); err != nil {
+		if err := imgutil.EncodeImage(&buf, golden, "png"); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, buf.Bytes()) {
@@ -552,7 +552,7 @@ func TestBatchDecodeAndRequantizeOps(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := imgutil.WritePPM(&buf, dec.RGB()); err != nil {
+			if err := imgutil.EncodeImage(&buf, dec.RGB(), "ppm"); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(p.data, buf.Bytes()) {
@@ -833,7 +833,7 @@ func TestDecodeDefaultsToServerTransform(t *testing.T) {
 		t.Fatal(err)
 	}
 	var golden bytes.Buffer
-	if err := imgutil.WritePPM(&golden, dec.RGB()); err != nil {
+	if err := imgutil.EncodeImage(&golden, dec.RGB(), "ppm"); err != nil {
 		t.Fatal(err)
 	}
 	for _, query := range []string{"", "&transform=naive", "&transform=aan"} {

@@ -1,15 +1,17 @@
 package server
 
-// Regression tests for the image-size guards that stand between hostile
-// request bodies and header-sized allocations. Both guards had real
-// bugs: the PNG check computed width×height in int (overflowing on
-// 32-bit platforms for dimensions a PNG header can legally declare),
-// and the PNM digit loop stopped mid-token once the running value
-// passed the cap, handing the remaining digits of the SAME number to
-// the next field — and, with a cap near MaxInt, silently wrapped on
-// overflow so a 20-digit width could masquerade as a tiny in-bounds
-// one. The tests below pin the fixed behavior at the guard-function
-// level, where the parse outcome (not just the HTTP status) is visible.
+// Regression tests for the image-size guard that stands between hostile
+// request bodies and header-sized allocations: imgutil.DecodeImage's
+// pixel cap, which parseImage maps onto the image_too_large code. The
+// guard has had real bugs: the PNG check computed width×height in int
+// (overflowing on 32-bit platforms for dimensions a PNG header can
+// legally declare), the PNM digit loop stopped mid-token once the
+// running value passed the cap, handing the remaining digits of the SAME
+// number to the next field — and, with a cap near MaxInt, silently
+// wrapped on overflow so a 20-digit width could masquerade as a tiny
+// in-bounds one — and the guard once tokenized a PNM header differently
+// from the reader behind it. The tests below pin the outcome of
+// parseImage, where the error code (not just the HTTP status) is visible.
 
 import (
 	"bytes"
@@ -17,8 +19,13 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"net/http"
+	"strings"
 	"testing"
 )
+
+// rgbPixels is the pixel payload of an n-pixel PPM.
+func rgbPixels(n int) string { return strings.Repeat("\x80\x40\x20", n) }
 
 func guardServer(tb testing.TB, maxPixels int) *Server {
 	tb.Helper()
@@ -102,30 +109,6 @@ func TestPNGPixelCapAdversarialHeaders(t *testing.T) {
 	}
 }
 
-func TestExceedsPixelCapOverflowSafe(t *testing.T) {
-	// The division form must be exact at the boundary and immune to
-	// overflow even when both dimensions and the cap are at the int
-	// range's edge.
-	cases := []struct {
-		w, h, cap int
-		want      bool
-	}{
-		{100, 100, 10000, false},
-		{100, 101, 10000, true},
-		{1, 10000, 10000, false},
-		{0, 5, 10000, true},
-		{5, -1, 10000, true},
-		{math.MaxInt, math.MaxInt, math.MaxInt, true},
-		{math.MaxInt, 1, math.MaxInt, false},
-		{1 << 16, 1 << 16, 1 << 24, true},
-	}
-	for _, tc := range cases {
-		if got := exceedsPixelCap(tc.w, tc.h, tc.cap); got != tc.want {
-			t.Errorf("exceedsPixelCap(%d, %d, %d) = %v, want %v", tc.w, tc.h, tc.cap, got, tc.want)
-		}
-	}
-}
-
 func TestCheckPNMDimsTokenParsing(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -147,11 +130,11 @@ func TestCheckPNMDimsTokenParsing(t *testing.T) {
 		{"overflow-wraps-to-small", math.MaxInt, "P6\n18446744073709551620 4\n255\n", "image_too_large"},
 		{"overflow-wraps-to-zero", math.MaxInt, "P6\n18446744073709551616 4\n255\n", "image_too_large"},
 		// Comments may interleave the tokens arbitrarily.
-		{"comment-laden", 10000, "P6\n# a comment\n63 # split\n# more\n63\n255\n", ""},
-		{"comment-before-magic-space", 10000, "P6 # c\n8 8\n255\n", ""},
+		{"comment-laden", 10000, "P6\n# a comment\n63 # split\n# more\n63\n255\n" + rgbPixels(63*63), ""},
+		{"comment-before-magic-space", 10000, "P6 # c\n8 8\n255\n" + rgbPixels(8*8), ""},
 		// Oversized-by-product with individually sane tokens.
 		{"product-over-cap", 1000, "P6\n100 11\n255\n", "image_too_large"},
-		{"boundary-exact", 1000, "P6\n100 10\n255\n", ""},
+		{"boundary-exact", 1000, "P6\n100 10\n255\n" + rgbPixels(100*10), ""},
 		{"zero-width", 1000, "P6\n0 5\n255\n", "image_too_large"},
 		// Truncation and garbage still classify as malformed, not as a
 		// size rejection.
@@ -162,7 +145,31 @@ func TestCheckPNMDimsTokenParsing(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := guardServer(t, tc.maxPixels)
-			wantGuardError(t, s.checkPNMDims([]byte(tc.header)), tc.code)
+			_, err := s.parseImage([]byte(tc.header))
+			wantGuardError(t, err, tc.code)
 		})
+	}
+}
+
+// TestBatchPNMCommentBomb posts a 28-byte PPM as a /v1/batch part. Its
+// width ends at a comment, so it declares 1×1 with maxval 10¹⁴; when the
+// size guard and the reader tokenized headers apart, the reader took it
+// for 11×10¹⁴ pixels and panicked in makeslice on a pipeline worker,
+// where nothing recovers, and the whole process died. It must fail as
+// one item.
+func TestBatchPNMCommentBomb(t *testing.T) {
+	_, ts := newTestServer(t, Options{BatchWorkers: 2})
+	items := [][]byte{ppmBody(t, testImages(t, 1)[0]), []byte("P6\n1#\n1 100000000000000\n255\n")}
+	body, ct := buildMultipart(t, items)
+	resp, respBody := post(t, ts.URL+"/v1/batch?op=encode", ct, body, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, respBody)
+	}
+	if got := resp.Header.Get("X-Batch-Failed"); got != "1" {
+		t.Fatalf("X-Batch-Failed %q, want 1", got)
+	}
+	parts := readMultipart(t, resp, respBody)
+	if len(parts) != 2 || parts[0].isError || !parts[1].isError {
+		t.Fatalf("%d parts; want the second, alone, failed", len(parts))
 	}
 }

@@ -58,8 +58,8 @@ leg() {
 	race)
 		# The whole suite under the race detector, with Go's default
 		# timeout of 10 minutes per test binary. The slowest binary is
-		# internal/experiments, which trains tiny CNNs: about 270 s of
-		# those 600 s alone and up to 340 s inside this leg, on a shared
+		# internal/experiments, which trains tiny CNNs: about 135 s of
+		# those 600 s alone and 165 s inside this leg, on a shared
 		# 2-vCPU x86-64 host. A test that adds training there spends
 		# this budget.
 		$GO test -race ./...
@@ -158,8 +158,9 @@ leg() {
 		;;
 	fuzz-smoke)
 		# A few seconds per target over the checked-in corpus plus fresh
-		# mutations: catches decoder panics, and the bit reader and
-		# writer parting from their byte-at-a-time oracles. go test
+		# mutations: catches decoder panics, raw-image bodies that get
+		# past the pixel cap or past their own bytes, and the bit reader
+		# and writer parting from their byte-at-a-time oracles. go test
 		# allows one -fuzz pattern per invocation.
 		$GO test -run '^$' -fuzz '^FuzzDecode$' -fuzztime "$FUZZTIME" ./internal/jpegcodec
 		$GO test -run '^$' -fuzz '^FuzzDecodeSharded$' -fuzztime "$FUZZTIME" ./internal/jpegcodec
@@ -168,6 +169,7 @@ leg() {
 		$GO test -run '^$' -fuzz '^FuzzReaderOracle$' -fuzztime "$FUZZTIME" ./internal/bitio
 		$GO test -run '^$' -fuzz '^FuzzProfileDecode$' -fuzztime "$FUZZTIME" ./internal/profile
 		$GO test -run '^$' -fuzz '^FuzzParseIndex$' -fuzztime "$FUZZTIME" ./internal/profilehub
+		$GO test -run '^$' -fuzz '^FuzzDecodeImage$' -fuzztime "$FUZZTIME" ./internal/imgutil
 		;;
 	*)
 		echo "check.sh: unknown leg $1 (have: $legs)" >&2

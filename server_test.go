@@ -27,7 +27,7 @@ func TestServerEncodeMatchesCodecEncode(t *testing.T) {
 
 	img := images[0]
 	var ppm bytes.Buffer
-	if err := imgutil.WritePPM(&ppm, img); err != nil {
+	if err := imgutil.EncodeImage(&ppm, img, "ppm"); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(ts.URL+"/v1/encode", "image/x-portable-pixmap", &ppm)
