@@ -446,13 +446,10 @@ func runProfiles(args []string) error {
 		// An unreadable directory is a hard error (a typo must not read
 		// as "empty registry"); individual corrupt files are warnings —
 		// the healthy remainder still lists.
-		if st, err := os.Stat(*dir); err != nil {
-			return err
-		} else if !st.IsDir() {
-			return fmt.Errorf("%s is not a directory", *dir)
-		}
 		reg, err := profile.OpenRegistry(*dir)
-		if err != nil {
+		if reg.Loads() == 0 { // the directory could not be scanned
+			return err
+		} else if err != nil {
 			fmt.Fprintln(os.Stderr, "deepn-jpeg: warning:", err)
 		}
 		ps := reg.List()
@@ -461,7 +458,8 @@ func runProfiles(args []string) error {
 			return nil
 		}
 		fmt.Printf("%-24s %-7s %-7s %-20s %s\n", "PROFILE", "SAMPLED", "CHROMA", "CREATED", "COMMENT")
-		for _, p := range ps {
+		for _, s := range ps {
+			p := s.Profile
 			fmt.Printf("%-24s %-7d %-7v %-20s %s\n", p.Ref(), p.SampledCount,
 				p.ChromaCalibrated, time.Unix(p.CreatedUnix, 0).UTC().Format("2006-01-02 15:04:05"), p.Comment)
 		}

@@ -669,8 +669,6 @@ type ServerOptions struct {
 	// HubTrustedKey, when set, requires the hub index and every pulled
 	// profile to verify against this Ed25519 public key.
 	HubTrustedKey ed25519.PublicKey
-	// HubFetchTimeout bounds one lazy hub fetch (default 30s).
-	HubFetchTimeout time.Duration
 }
 
 // Server is the HTTP front end of a calibrated Codec: POST /v1/encode,
@@ -695,21 +693,20 @@ func NewServer(c *Codec, opts ServerOptions) (*Server, error) {
 		fw = c.fw
 	}
 	s, err := server.New(server.Options{
-		Framework:       fw,
-		MaxBodyBytes:    opts.MaxBodyBytes,
-		MaxPixels:       opts.MaxPixels,
-		BatchWorkers:    opts.BatchWorkers,
-		MaxBatchItems:   opts.MaxBatchItems,
-		Tenants:         opts.Tenants,
-		MaxInFlight:     opts.MaxInFlight,
-		ProfileDir:      opts.ProfileDir,
-		DefaultProfile:  opts.DefaultProfile,
-		ProfileWatch:    opts.ProfileWatch,
-		AdminKey:        opts.AdminKey,
-		HubOrigin:       opts.HubOrigin,
-		HubCacheDir:     opts.HubCacheDir,
-		HubTrustedKey:   opts.HubTrustedKey,
-		HubFetchTimeout: opts.HubFetchTimeout,
+		Framework:      fw,
+		MaxBodyBytes:   opts.MaxBodyBytes,
+		MaxPixels:      opts.MaxPixels,
+		BatchWorkers:   opts.BatchWorkers,
+		MaxBatchItems:  opts.MaxBatchItems,
+		Tenants:        opts.Tenants,
+		MaxInFlight:    opts.MaxInFlight,
+		ProfileDir:     opts.ProfileDir,
+		DefaultProfile: opts.DefaultProfile,
+		ProfileWatch:   opts.ProfileWatch,
+		AdminKey:       opts.AdminKey,
+		HubOrigin:      opts.HubOrigin,
+		HubCacheDir:    opts.HubCacheDir,
+		HubTrustedKey:  opts.HubTrustedKey,
 	})
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"image"
 	"image/png"
 	"io"
 	"math"
@@ -39,13 +40,18 @@ func ExceedsPixelCap(w, h, maxPixels int) bool {
 
 var pngMagic = []byte{0x89, 'P', 'N', 'G'}
 
+// deflateMaxRatio bounds deflate's expansion: a 258-byte match costs at
+// least two bits, so no stream inflates to more than 1032 bytes a byte.
+const deflateMaxRatio = 1032
+
 // DecodeImage decodes a PNG, binary PPM (P6) or binary PGM (P5) body,
 // chosen by its magic bytes; any other body fails with
 // ErrUnsupportedImage. A header that declares more than maxPixels pixels
 // (≤ 0: no cap) fails with a *TooLargeError before any pixel buffer is
 // allocated. A PNM body must hold every pixel byte its header declares
 // (bytes past them are ignored), so a PNM allocates at most three bytes
-// per body byte; a PPM's pixels alias data.
+// per body byte; a PPM's pixels alias data. A PNG body must be long enough
+// to inflate to every row it declares: at most 8·1032 pixels a body byte.
 func DecodeImage(data []byte, maxPixels int) (*RGB, error) {
 	switch {
 	case bytes.HasPrefix(data, pngMagic):
@@ -56,11 +62,16 @@ func DecodeImage(data []byte, maxPixels int) (*RGB, error) {
 		if maxPixels > 0 && ExceedsPixelCap(cfg.Width, cfg.Height, maxPixels) {
 			return nil, &TooLargeError{cfg.Width, cfg.Height, maxPixels}
 		}
+		if pngExceedsBody(data, cfg.Width, cfg.Height) {
+			return nil, fmt.Errorf("imgutil: a %d-byte PNG cannot inflate to the %dx%d image its header declares",
+				len(data), cfg.Width, cfg.Height)
+		}
 		img, err := png.Decode(bytes.NewReader(data))
 		if err != nil {
 			return nil, fmt.Errorf("imgutil: invalid PNG: %w", err)
 		}
-		return FromImage(img), nil
+		// Every image type png.Decode returns has RGBA64At.
+		return FromImage(img.(image.RGBA64Image)), nil
 	case bytes.HasPrefix(data, []byte("P6")):
 		w, h, pix, err := decodePNM(data, 3, maxPixels)
 		if err != nil {
@@ -75,6 +86,28 @@ func DecodeImage(data []byte, maxPixels int) (*RGB, error) {
 		return (&Gray{W: w, H: h, Pix: pix}).ToRGB(), nil
 	}
 	return nil, ErrUnsupportedImage
+}
+
+// pngExceedsBody reports whether a PNG body is too short to inflate to the
+// w×h image its header declares, which png.Decode would allocate first:
+// each row, interlaced or not, inflates to a filter byte and its packed
+// pixels at least. The test is a division, so it cannot overflow. An IHDR
+// that is not the first chunk, as PNG requires, counts one bit a pixel.
+func pngExceedsBody(data []byte, w, h int) bool {
+	bits := uint64(1)
+	if len(data) >= 26 && string(data[12:16]) == "IHDR" {
+		bits = uint64(data[24]) // the bit depth, times the color type's channels
+		switch data[25] {
+		case 2: // RGB
+			bits *= 3
+		case 4: // gray and alpha
+			bits *= 2
+		case 6: // RGBA
+			bits *= 4
+		}
+	}
+	row := 1 + (uint64(w)*bits+7)/8
+	return uint64(h) > uint64(len(data))*deflateMaxRatio/row
 }
 
 // decodePNM parses the header of a binary PNM body with ch bytes per

@@ -2,10 +2,16 @@ package imgutil
 
 import (
 	"bytes"
+	"compress/zlib"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"image"
+	"image/color"
 	"image/png"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -125,6 +131,27 @@ type decodeCase struct {
 	wantErr   string // an errKind; "" = accept
 }
 
+// appendPNGChunk appends one PNG chunk: length, type, data and CRC.
+func appendPNGChunk(b []byte, typ string, data []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(data)))
+	start := len(b)
+	b = append(append(b, typ...), data...)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b[start:]))
+}
+
+// emptyIDATPNG is a 68-byte PNG whose IHDR declares a 4096×4096 8-bit
+// RGBA image and whose one IDAT holds a zlib stream of no bytes.
+func emptyIDATPNG() []byte {
+	var z bytes.Buffer
+	zlib.NewWriter(&z).Close()
+	ihdr := binary.BigEndian.AppendUint32(nil, 4096)
+	ihdr = binary.BigEndian.AppendUint32(ihdr, 4096)
+	ihdr = append(ihdr, 8, 6, 0, 0, 0) // depth, color type RGBA, compression, filter, interlace
+	b := appendPNGChunk([]byte("\x89PNG\r\n\x1a\n"), "IHDR", ihdr)
+	b = appendPNGChunk(b, "IDAT", z.Bytes())
+	return appendPNGChunk(b, "IEND", nil)
+}
+
 // decodeCases are TestDecodeImage's rows and FuzzDecodeImage's seeds.
 func decodeCases(tb testing.TB) []decodeCase {
 	tb.Helper()
@@ -133,6 +160,17 @@ func decodeCases(tb testing.TB) []decodeCase {
 	if err := png.Encode(&pngBody, rgb.ToImage()); err != nil {
 		tb.Fatal(err)
 	}
+	// A two-color palette encodes at one bit per pixel, so its rows of
+	// zeros deflate far below an 8-bit image's minimum.
+	const sparseSide = 512
+	var sparseBody bytes.Buffer
+	sparse := image.NewPaletted(image.Rect(0, 0, sparseSide, sparseSide), color.Palette{color.Black, color.White})
+	if err := png.Encode(&sparseBody, sparse); err != nil {
+		tb.Fatal(err)
+	}
+	if sparseBody.Len() > sparseSide*(1+sparseSide)/deflateMaxRatio {
+		tb.Fatalf("the %d-byte 1-bit PNG would fit an 8-bit bound; it tests nothing", sparseBody.Len())
+	}
 	gray := &RGB{W: 2, H: 1, Pix: []uint8{'A', 'A', 'A', 'B', 'B', 'B'}}
 	return []decodeCase{
 		{name: "ppm", input: []byte("P6\n2 1\n255\n\x01\x02\x03\x04\x05\x06"), want: rgb},
@@ -140,6 +178,11 @@ func decodeCases(tb testing.TB) []decodeCase {
 		{name: "png", input: pngBody.Bytes(), want: rgb},
 		{name: "png-over-cap", input: pngBody.Bytes(), maxPixels: 1, wantErr: "too large"},
 		{name: "png-truncated", input: pngBody.Bytes()[:40], wantErr: "bad"},
+		// png.Decode allocated 64.1 MiB for this body before it failed on
+		// the missing pixel data; 68 bytes inflate to at most 70,176.
+		{name: "png-empty-idat-4096x4096", input: emptyIDATPNG(), wantErr: "bad"},
+		{name: "png-empty-idat-4096x4096-capped", input: emptyIDATPNG(), maxPixels: 1 << 24, wantErr: "bad"},
+		{name: "png-1-bit-sparse", input: sparseBody.Bytes(), want: NewRGB(sparseSide, sparseSide)},
 		{name: "at-cap", input: []byte("P5\n2 1\n255\nAB"), maxPixels: 2, want: gray},
 		{name: "pixel-bytes-past-the-image-ignored", input: []byte("P5\n2 1\n255\nABCD"), want: gray},
 		// A comment is whitespace, wherever it sits: it ends a number's
@@ -191,9 +234,10 @@ func TestDecodeImage(t *testing.T) {
 }
 
 // FuzzDecodeImage checks DecodeImage on any body under a 1<<16-pixel
-// cap: it never panics; an accepted image is within the cap; and an
-// accepted PNM holds every pixel byte of its header, so the body bounds
-// what it allocates.
+// cap: it never panics; an accepted image is within the cap; an accepted
+// PNM holds every pixel byte of its header, and an accepted PNG at most
+// 8·1032 pixels per body byte, so the body bounds what it allocates; and
+// a PNG that the inflate bound rejects is one png.Decode rejects too.
 func FuzzDecodeImage(f *testing.F) {
 	for _, tc := range decodeCases(f) {
 		f.Add(tc.input)
@@ -202,6 +246,14 @@ func FuzzDecodeImage(f *testing.F) {
 		const maxPixels = 1 << 16
 		img, err := DecodeImage(data, maxPixels)
 		if err != nil {
+			// png.Decode allocates from the header before it fails, so the
+			// bound is checked against it on headers of up to 1<<20 pixels.
+			if cfg, cerr := png.DecodeConfig(bytes.NewReader(data)); cerr == nil &&
+				!ExceedsPixelCap(cfg.Width, cfg.Height, 1<<20) && pngExceedsBody(data, cfg.Width, cfg.Height) {
+				if _, perr := png.Decode(bytes.NewReader(data)); perr == nil {
+					t.Fatalf("inflate bound rejected a %dx%d PNG of %d bytes that png.Decode accepts", cfg.Width, cfg.Height, len(data))
+				}
+			}
 			return
 		}
 		if ExceedsPixelCap(img.W, img.H, maxPixels) || len(img.Pix) != 3*img.W*img.H {
@@ -217,5 +269,45 @@ func FuzzDecodeImage(f *testing.F) {
 		if pnmBytes > len(data) {
 			t.Fatalf("accepted %s with %d pixel bytes from a %d-byte body", data[:2], pnmBytes, len(data))
 		}
+		if bytes.HasPrefix(data, pngMagic) && img.W*img.H > 8*deflateMaxRatio*len(data) {
+			t.Fatalf("accepted a %dx%d PNG from a %d-byte body", img.W, img.H, len(data))
+		}
 	})
+}
+
+// TestDecodeImageAllocs pins DecodeImage on a 256×256 RGBA PNG to a
+// fixed count of allocations, which png.Decode makes: FromImage reads
+// each pixel through RGBA64At, where At boxed one color per pixel
+// (65,557 allocations). It also pins the bytes the 68-byte
+// emptyIDATPNG costs to a few KiB, where png.Decode allocated 64.1 MiB.
+func TestDecodeImageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	rng := rand.New(rand.NewSource(12))
+	var body bytes.Buffer
+	if err := png.Encode(&body, randRGB(rng, 256, 256).ToImage()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeImage(body.Bytes(), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("DecodeImage, 256×256 RGBA PNG: %.0f allocs/op", allocs)
+	if allocs > 32 {
+		t.Fatalf("DecodeImage makes %.0f allocs/op on a 256×256 PNG, want at most 32", allocs)
+	}
+
+	hostile := emptyIDATPNG()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeImage(hostile, 0)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("accepted a PNG with no pixel data")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Fatalf("rejecting the %d-byte PNG allocated %d bytes, want at most 64 KiB", len(hostile), n)
+	}
 }

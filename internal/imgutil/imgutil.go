@@ -560,14 +560,15 @@ func PSNR(a, b []uint8) (float64, error) {
 	return 10 * math.Log10(255*255/mse), nil
 }
 
-// FromImage converts any image.Image to an interleaved RGB image.
-func FromImage(src image.Image) *RGB {
+// FromImage converts an image to an interleaved RGB image through
+// RGBA64At, which, unlike At, boxes no color per pixel.
+func FromImage(src image.RGBA64Image) *RGB {
 	b := src.Bounds()
 	out := NewRGB(b.Dx(), b.Dy())
-	for y := 0; y < b.Dy(); y++ {
-		for x := 0; x < b.Dx(); x++ {
-			r, g, bl, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			out.Set(x, y, uint8(r>>8), uint8(g>>8), uint8(bl>>8))
+	for y := b.Min.Y; y < b.Max.Y; y++ {
+		for x := b.Min.X; x < b.Max.X; x++ {
+			c := src.RGBA64At(x, y)
+			out.Set(x-b.Min.X, y-b.Min.Y, uint8(c.R>>8), uint8(c.G>>8), uint8(c.B>>8))
 		}
 	}
 	return out

@@ -1,15 +1,18 @@
 package imgutil
 
 // Test oracles: the separate upsample pass and the per-pixel float color
-// conversion the decoder ran before YCbCrRowToRGB fused them, and the
+// conversion the decoder ran before YCbCrRowToRGB fused them, the
 // per-pixel forward conversion the encoder ran before FromRGBSubsampled
-// converted in fixed point and averaged chroma boxes in the same pass, kept
-// here so both kernels can be checked against the formulas they must
-// reproduce bit for bit.
+// converted in fixed point and averaged chroma boxes in the same pass, and
+// the At loop FromImage ran before it read RGBA64At, kept here so each
+// kernel can be checked against the formula it must reproduce bit for bit.
 
 import (
 	"bytes"
 	"fmt"
+	"image"
+	"image/color"
+	"image/png"
 	"math/rand"
 	"testing"
 )
@@ -381,5 +384,107 @@ func TestFromRGBSubsampledEdges(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fromImageAt converts src the way FromImage did before it read
+// RGBA64At: one boxed color per pixel through At.
+func fromImageAt(src image.Image) *RGB {
+	b := src.Bounds()
+	out := NewRGB(b.Dx(), b.Dy())
+	for y := 0; y < b.Dy(); y++ {
+		for x := 0; x < b.Dx(); x++ {
+			r, g, bl, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()
+			out.Set(x, y, uint8(r>>8), uint8(g>>8), uint8(bl>>8))
+		}
+	}
+	return out
+}
+
+// TestFromImageOracle holds FromImage to the At loop on every image type
+// png.Decode returns, and on the YCbCr image jpeg.Decode returns, filled
+// with random pixels (alpha included), both as built and after a PNG
+// round trip, which picks its own decoded type: opaque RGBA and RGBA64
+// images come back as RGBA and RGBA64, translucent ones as NRGBA and
+// NRGBA64. The images start off the origin so a bounds offset shows.
+func TestFromImageOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	r := image.Rect(3, 5, 3+37, 5+23)
+	fill := func(pix []uint8) []uint8 {
+		for i := range pix {
+			pix[i] = uint8(rng.Intn(256))
+		}
+		return pix
+	}
+	// opaque sets the alpha bytes of an RGBA (n = 4) or RGBA64 (n = 8)
+	// pixel buffer. Translucent colors need not be valid premultiplied
+	// ones: both readers see the same stored values.
+	opaque := func(pix []uint8, n int) []uint8 {
+		for i := n / 4 * 3; i < len(pix); i += n {
+			copy(pix[i:i+n/4], []uint8{0xff, 0xff})
+		}
+		return pix
+	}
+	gray, gray16 := image.NewGray(r), image.NewGray16(r)
+	fill(gray.Pix)
+	fill(gray16.Pix)
+	rgba, rgbaOpaque := image.NewRGBA(r), image.NewRGBA(r)
+	fill(rgba.Pix)
+	opaque(fill(rgbaOpaque.Pix), 4)
+	rgba64, rgba64Opaque := image.NewRGBA64(r), image.NewRGBA64(r)
+	fill(rgba64.Pix)
+	opaque(fill(rgba64Opaque.Pix), 8)
+	nrgba, nrgba64 := image.NewNRGBA(r), image.NewNRGBA64(r)
+	fill(nrgba.Pix)
+	fill(nrgba64.Pix)
+	palette := make(color.Palette, 200)
+	for i := range palette {
+		palette[i] = color.NRGBA{uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256)), uint8(rng.Intn(256))}
+	}
+	paletted := image.NewPaletted(r, palette)
+	for i := range paletted.Pix {
+		paletted.Pix[i] = uint8(rng.Intn(len(palette)))
+	}
+	ycbcr := image.NewYCbCr(r, image.YCbCrSubsampleRatio420)
+	fill(ycbcr.Y)
+	fill(ycbcr.Cb)
+	fill(ycbcr.Cr)
+
+	tests := []struct {
+		name string
+		img  image.RGBA64Image
+	}{
+		{"gray", gray},
+		{"gray16", gray16},
+		{"rgba", rgba},
+		{"rgba-opaque", rgbaOpaque},
+		{"rgba64", rgba64},
+		{"rgba64-opaque", rgba64Opaque},
+		{"nrgba", nrgba},
+		{"nrgba64", nrgba64},
+		{"paletted", paletted},
+		{"ycbcr", ycbcr},
+	}
+	for _, tt := range tests {
+		var buf bytes.Buffer
+		if err := png.Encode(&buf, tt.img); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := png.Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			img  image.Image
+		}{{tt.name, tt.img}, {tt.name + "/png", decoded}} {
+			t.Run(c.name, func(t *testing.T) {
+				want := fromImageAt(c.img)
+				got := FromImage(c.img.(image.RGBA64Image))
+				if got.W != want.W || got.H != want.H || !bytes.Equal(got.Pix, want.Pix) {
+					t.Fatalf("%T: FromImage differs from the At loop", c.img)
+				}
+			})
+		}
 	}
 }

@@ -182,7 +182,7 @@ func TestStdlibDecodesOurOutput(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stdlib rejects our %v optimize=%v stream: %v", sub, optimize, err)
 			}
-			std := imgutil.FromImage(stdImg)
+			std := imgutil.FromImage(stdImg.(image.RGBA64Image))
 			ours, err := Decode(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
@@ -215,7 +215,7 @@ func TestWeDecodeStdlibOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	std := imgutil.FromImage(stdImg)
+	std := imgutil.FromImage(stdImg.(image.RGBA64Image))
 	mse, err := imgutil.MSE(std.Pix, dec.RGB().Pix)
 	if err != nil {
 		t.Fatal(err)

@@ -87,6 +87,9 @@ var (
 	ErrCorrupt = errors.New("profile: corrupt")
 	// ErrNotFound marks a registry lookup that matched no profile.
 	ErrNotFound = errors.New("profile: not found")
+	// ErrDuplicateRef marks a registry scan that found two files
+	// declaring one name@version; the first in file-name order serves.
+	ErrDuplicateRef = errors.New("profile: duplicate reference")
 )
 
 // Profile is one persisted calibration artifact.
@@ -330,15 +333,22 @@ func Decode(data []byte) (*Profile, error) {
 
 // Read loads and decodes a profile file.
 func Read(path string) (*Profile, error) {
+	p, _, err := readFile(path)
+	return p, err
+}
+
+// readFile loads and decodes a profile file, returning the bytes it
+// decoded too.
+func readFile(path string) (*Profile, []byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p, err := Decode(data)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return p, nil
+	return p, data, nil
 }
 
 // Write encodes the profile and writes it atomically (temp file + fsync

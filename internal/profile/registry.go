@@ -33,16 +33,16 @@ type Registry struct {
 
 	// source, when attached, backfills resolve misses and Watch-tick
 	// syncs from a remote hub; fetchMu single-flights miss fetches.
-	source       Source
-	fetchTimeout time.Duration
-	fetchMu      sync.Mutex
+	source  Source
+	fetchMu sync.Mutex
 }
 
-// entry pairs a loaded profile with its source file and a lazily built,
-// cached framework, so per-request profile selection does not pay the
-// restore cost on every request.
+// entry pairs a loaded profile with its source file, the bytes it was
+// decoded from and a lazily built, cached framework, so per-request
+// profile selection does not pay the restore cost on every request.
 type entry struct {
 	profile *Profile
+	data    []byte
 	path    string
 	modTime time.Time
 	size    int64
@@ -65,10 +65,8 @@ func (e *entry) framework() (*core.Framework, error) {
 // loads — a single corrupt artifact must not take down serving.
 func OpenRegistry(dir string) (*Registry, error) {
 	r := &Registry{dir: dir}
-	if _, err := r.Reload(); err != nil {
-		return r, err
-	}
-	return r, nil
+	_, err := r.Reload()
+	return r, err
 }
 
 // Loads reports how many successful scan passes the registry has run —
@@ -77,28 +75,38 @@ func (r *Registry) Loads() int64 { return r.loads.Load() }
 
 // Reload rescans the directory and atomically swaps the served snapshot.
 // It returns the number of profiles now served. Per-file decode failures
-// and duplicate name@version pairs are joined into the error while the
-// healthy remainder is still swapped in; the error is nil only when every
-// file loaded cleanly. Entries whose file is unchanged (same path, size,
+// and duplicate name@version pairs (ErrDuplicateRef; the first file in
+// name order serves) are joined into the error while the healthy remainder
+// is still swapped in; the error is nil only when every file loaded
+// cleanly. Entries whose file is unchanged (same path, size,
 // mtime and stored CRC32) carry their cached framework over, so a reload
 // is cheap and in-flight requests see either the old or the new snapshot,
 // never a mix.
 func (r *Registry) Reload() (int, error) {
-	files, fingerprint, err := r.scanDir()
-	if err != nil {
-		return 0, err
-	}
-	return r.reloadScanned(files, fingerprint)
+	_, n, err := r.refresh(true)
+	return n, err
 }
 
-// reloadScanned swaps in a snapshot built from an already-completed
-// directory scan. Watch feeds its change-detection scan straight in
-// here, so a triggered reload costs one scan (and one CRC read per
-// file), not two.
-func (r *Registry) reloadScanned(files []scannedFile, fingerprint string) (int, error) {
+// Refresh is one poll step: a rescan, and a reload from that same scan
+// when its fingerprint moved. It reports whether it reloaded, with
+// Reload's results; a scan failure reports false and its error.
+func (r *Registry) Refresh() (reloaded bool, n int, err error) {
+	return r.refresh(false)
+}
+
+// refresh scans the directory and, when forced or when the fingerprint
+// moved, swaps in the snapshot the scan describes.
+func (r *Registry) refresh(force bool) (bool, int, error) {
+	files, fingerprint, err := r.scanDir()
+	if err != nil {
+		return false, 0, err
+	}
 	r.mu.RLock()
-	prev := r.entries
+	prev, changed := r.entries, fingerprint != r.fingerprint
 	r.mu.RUnlock()
+	if !force && !changed {
+		return false, 0, nil
+	}
 
 	next := make(map[string]map[uint32]*entry)
 	var errs []error
@@ -107,12 +115,12 @@ func (r *Registry) reloadScanned(files []scannedFile, fingerprint string) (int, 
 		path := filepath.Join(r.dir, f.name)
 		e := reuseEntry(prev, path, f)
 		if e == nil {
-			p, err := Read(path)
+			p, data, err := readFile(path)
 			if err != nil {
 				errs = append(errs, err)
 				continue
 			}
-			e = &entry{profile: p, path: path, modTime: f.modTime, size: f.size, crc: f.crc}
+			e = &entry{profile: p, data: data, path: path, modTime: f.modTime, size: f.size, crc: f.crc}
 		}
 		byVersion := next[e.profile.Name]
 		if byVersion == nil {
@@ -120,8 +128,8 @@ func (r *Registry) reloadScanned(files []scannedFile, fingerprint string) (int, 
 			next[e.profile.Name] = byVersion
 		}
 		if dup, ok := byVersion[e.profile.Version]; ok {
-			errs = append(errs, fmt.Errorf("profile: %s and %s both declare %s",
-				dup.path, path, e.profile.Ref()))
+			errs = append(errs, fmt.Errorf("%w: %s and %s both declare %s",
+				ErrDuplicateRef, dup.path, path, e.profile.Ref()))
 			continue
 		}
 		byVersion[e.profile.Version] = e
@@ -133,7 +141,7 @@ func (r *Registry) reloadScanned(files []scannedFile, fingerprint string) (int, 
 	r.fingerprint = fingerprint
 	r.mu.Unlock()
 	r.loads.Add(1)
-	return n, errors.Join(errs...)
+	return true, n, errors.Join(errs...)
 }
 
 // scannedFile is one profile file as observed by a directory scan.
@@ -144,31 +152,35 @@ type scannedFile struct {
 	crc     uint32
 }
 
-// scanDir lists the profile files of the directory in sorted order plus
-// a fingerprint of their (name, size, mtime, stored CRC32) tuples for
-// change polling. The CRC — the trailing four bytes every profile file
-// carries — is what catches a same-size rewrite landing within the file
-// system's mtime granularity, which size and mtime alone cannot see.
+// scanDir lists the profile files of the directory in file-name order
+// plus a fingerprint of their (name, size, mtime, stored CRC32) tuples,
+// and of the (name, size, mtime) tuples of signature sidecars, which a
+// hub origin publishes. The CRC — the trailing four bytes every profile
+// file carries — is what catches a same-size rewrite landing within the
+// file system's mtime granularity, which size and mtime alone cannot see.
 func (r *Registry) scanDir() ([]scannedFile, string, error) {
-	dirents, err := os.ReadDir(r.dir)
+	dirents, err := os.ReadDir(r.dir) // sorted by file name
 	if err != nil {
 		return nil, "", err
 	}
 	var files []scannedFile
+	var fp strings.Builder
 	for _, de := range dirents {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), Ext) {
+		name := de.Name()
+		isProfile := strings.HasSuffix(name, Ext)
+		if de.IsDir() || !isProfile && !strings.HasSuffix(name, Ext+SigExt) {
 			continue
 		}
-		f := scannedFile{name: de.Name()}
+		f := scannedFile{name: name}
 		if info, err := de.Info(); err == nil {
 			f.size, f.modTime = info.Size(), info.ModTime()
 		}
-		f.crc = storedCRC(filepath.Join(r.dir, de.Name()))
+		if !isProfile {
+			fmt.Fprintf(&fp, "%s|%d|%d\n", f.name, f.size, f.modTime.UnixNano())
+			continue
+		}
+		f.crc = storedCRC(filepath.Join(r.dir, name))
 		files = append(files, f)
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].name < files[j].name })
-	var fp strings.Builder
-	for _, f := range files {
 		fmt.Fprintf(&fp, "%s|%d|%d|%08x\n", f.name, f.size, f.modTime.UnixNano(), f.crc)
 	}
 	return files, fp.String(), nil
@@ -279,21 +291,30 @@ func (r *Registry) ResolveFramework(ref string) (*core.Framework, *Profile, erro
 	return fw, e.profile, nil
 }
 
+// Served is one profile of a registry snapshot, with the file bytes it
+// was decoded from (not to be modified) and the file's path.
+type Served struct {
+	Profile *Profile
+	Data    []byte
+	Path    string
+}
+
 // List returns every served profile ordered by name, then version.
-func (r *Registry) List() []*Profile {
+func (r *Registry) List() []Served {
 	r.mu.RLock()
-	var out []*Profile
+	var out []Served
 	for _, byVersion := range r.entries {
 		for _, e := range byVersion {
-			out = append(out, e.profile)
+			out = append(out, Served{Profile: e.profile, Data: e.data, Path: e.path})
 		}
 	}
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
+		a, b := out[i].Profile, out[j].Profile
+		if a.Name != b.Name {
+			return a.Name < b.Name
 		}
-		return out[i].Version < out[j].Version
+		return a.Version < b.Version
 	})
 	return out
 }
@@ -304,9 +325,10 @@ func (r *Registry) List() []*Profile {
 // means the watcher is effectively blind and the operator should know.
 const watchFailureThreshold = 3
 
-// Watch polls the directory every interval and reloads when the file set
-// changes (names, sizes, mtimes or stored CRCs), calling onReload —
-// which may be nil — after each triggered reload with Reload's results.
+// Watch runs Refresh every interval, so it reloads when the file set
+// changes (names, sizes, mtimes, stored CRCs or signature sidecars),
+// calling onReload — which may be nil — after each triggered reload with
+// Reload's results.
 // It blocks until ctx is done, so callers run it in a goroutine; a
 // failed poll or reload leaves the current snapshot serving and retries
 // next tick. Scan failures are not silently retried forever: after
@@ -345,8 +367,8 @@ func (r *Registry) Watch(ctx context.Context, interval time.Duration, onReload f
 					syncFailures = 0
 				}
 			}
-			files, fingerprint, err := r.scanDir()
-			if err != nil {
+			reloaded, n, err := r.Refresh()
+			if !reloaded && err != nil {
 				failures++
 				if failures == watchFailureThreshold && onReload != nil {
 					onReload(0, fmt.Errorf("profile: watch of %s failing for %d consecutive polls: %w",
@@ -355,17 +377,7 @@ func (r *Registry) Watch(ctx context.Context, interval time.Duration, onReload f
 				continue
 			}
 			failures = 0
-			r.mu.RLock()
-			changed := fingerprint != r.fingerprint
-			r.mu.RUnlock()
-			if !changed {
-				continue
-			}
-			// Reuse the scan that detected the change instead of
-			// rescanning: one directory walk and one CRC read per file
-			// per triggered reload.
-			n, err := r.reloadScanned(files, fingerprint)
-			if onReload != nil {
+			if reloaded && onReload != nil {
 				onReload(n, err)
 			}
 		}

@@ -54,8 +54,8 @@ func TestRegistryResolve(t *testing.T) {
 	}
 	// List is ordered by name then version.
 	var order []string
-	for _, p := range reg.List() {
-		order = append(order, p.Ref())
+	for _, s := range reg.List() {
+		order = append(order, s.Profile.Ref())
 	}
 	want := "alpha@1,alpha@2,alpha@3,beta@1"
 	if got := strings.Join(order, ","); got != want {
@@ -157,6 +157,9 @@ func TestRegistryRejectsDuplicateRefs(t *testing.T) {
 	reg, err := OpenRegistry(dir)
 	if err == nil || !strings.Contains(err.Error(), "both declare alpha@1") {
 		t.Fatalf("duplicate declaration not reported: %v", err)
+	}
+	if !errors.Is(err, ErrDuplicateRef) {
+		t.Fatalf("duplicate declaration %v does not wrap ErrDuplicateRef", err)
 	}
 	if _, rerr := reg.Resolve("alpha@1"); rerr != nil {
 		t.Fatalf("first copy should still serve: %v", rerr)
@@ -323,5 +326,118 @@ func TestRegistryWatch(t *testing.T) {
 	}
 	if p, err := reg.Resolve("alpha"); err != nil || p.Version != 2 {
 		t.Fatalf("post-watch alpha resolved to %+v, %v", p, err)
+	}
+}
+
+// TestRegistryRefresh runs the poll step after one change each: it must
+// reload exactly when a profile file or a signature sidecar moved, and
+// leave other files alone.
+func TestRegistryRefresh(t *testing.T) {
+	sidecar := func(dir string) string { return filepath.Join(dir, "alpha@1"+Ext+SigExt) }
+	writeSidecar := func(t *testing.T, dir string) {
+		if err := os.WriteFile(sidecar(dir), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tests := []struct {
+		name         string
+		setup        func(t *testing.T, dir string) // before the registry opens
+		change       func(t *testing.T, dir string)
+		wantReloaded bool
+		wantN        int
+	}{
+		{name: "nothing", change: func(*testing.T, string) {}},
+		{name: "other file", change: func(t *testing.T, dir string) {
+			if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "new version", wantReloaded: true, wantN: 2, change: func(t *testing.T, dir string) {
+			writeVersions(t, dir, Meta{Name: "alpha", Version: 2})
+		}},
+		{name: "sidecar written", wantReloaded: true, wantN: 1, change: writeSidecar},
+		{name: "sidecar removed", wantReloaded: true, wantN: 1, setup: writeSidecar, change: func(t *testing.T, dir string) {
+			if err := os.Remove(sidecar(dir)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeVersions(t, dir, Meta{Name: "alpha", Version: 1})
+			if tt.setup != nil {
+				tt.setup(t, dir)
+			}
+			reg, err := OpenRegistry(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tt.change(t, dir)
+			reloaded, n, err := reg.Refresh()
+			if err != nil || reloaded != tt.wantReloaded || n != tt.wantN {
+				t.Fatalf("Refresh() = %v, %d, %v; want %v, %d, nil", reloaded, n, err, tt.wantReloaded, tt.wantN)
+			}
+			if reloaded, _, _ := reg.Refresh(); reloaded {
+				t.Fatal("a second Refresh with nothing changed reloaded")
+			}
+			wantLoads := int64(1)
+			if tt.wantReloaded {
+				wantLoads = 2
+			}
+			if reg.Loads() != wantLoads {
+				t.Fatalf("loads %d, want %d", reg.Loads(), wantLoads)
+			}
+		})
+	}
+}
+
+// TestRegistryWatchReloadsOnSidecarChange drives sidecar-only changes
+// through the polling watcher: a hub origin publishes sidecars, so one
+// written or removed must count as a change.
+func TestRegistryWatchReloadsOnSidecarChange(t *testing.T) {
+	tests := []struct {
+		name    string
+		present bool // a sidecar exists when the registry opens
+		change  func(path string) error
+	}{
+		{"sidecar written", false, func(path string) error { return os.WriteFile(path, []byte("{}\n"), 0o644) }},
+		{"sidecar removed", true, os.Remove},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeVersions(t, dir, Meta{Name: "alpha", Version: 1})
+			path := filepath.Join(dir, "alpha@1"+Ext+SigExt)
+			if tt.present {
+				if err := os.WriteFile(path, []byte("{}\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reg, err := OpenRegistry(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			reloaded := make(chan int, 8)
+			go reg.Watch(ctx, 5*time.Millisecond, func(n int, err error) {
+				if err != nil {
+					t.Errorf("watch reload: %v", err)
+				}
+				reloaded <- n
+			})
+			if err := tt.change(path); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case n := <-reloaded:
+				if n != 1 {
+					t.Fatalf("watch reloaded %d profiles, want 1", n)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("watcher never noticed a change to a signature sidecar")
+			}
+		})
 	}
 }

@@ -37,22 +37,18 @@ type Source interface {
 	List(ctx context.Context) ([]SourceRef, error)
 }
 
-// defaultFetchTimeout bounds a lazy pull triggered from a resolve miss,
-// where no caller context exists: a hub origin that stops answering must
-// fail the one request that missed, not wedge it.
-const defaultFetchTimeout = 30 * time.Second
+// fetchTimeout bounds a lazy pull triggered from a resolve miss, where
+// no caller context exists: a hub origin that stops answering must fail
+// the one request that missed, not wedge it.
+const fetchTimeout = 30 * time.Second
 
 // AttachSource connects a remote source to the registry. After this,
 // a Resolve/ResolveFramework miss triggers a synchronous fetch (bounded
-// by fetchTimeout; ≤ 0 selects a 30s default) and Watch ticks sync newly
-// published profiles into the directory. Attach before serving; the
-// field is not synchronized against concurrent resolves.
-func (r *Registry) AttachSource(src Source, fetchTimeout time.Duration) {
-	if fetchTimeout <= 0 {
-		fetchTimeout = defaultFetchTimeout
-	}
+// by 30 s) and Watch ticks sync newly published profiles into the
+// directory. Attach before serving; the field is not synchronized
+// against concurrent resolves.
+func (r *Registry) AttachSource(src Source) {
 	r.source = src
-	r.fetchTimeout = fetchTimeout
 }
 
 // fetchMiss pulls one missing reference from the source, materializes it
@@ -67,7 +63,7 @@ func (r *Registry) fetchMiss(ref string, name string, version uint32) (*entry, e
 	if e, err := r.resolveLocal(ref); err == nil {
 		return e, nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), r.fetchTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), fetchTimeout)
 	defer cancel()
 	if _, err := r.materialize(ctx, name, version); err != nil {
 		return nil, fmt.Errorf("%w: %q not in %s and hub fetch failed: %v", ErrNotFound, ref, r.dir, err)

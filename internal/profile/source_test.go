@@ -86,7 +86,7 @@ func TestRegistryLazyFetchOnMiss(t *testing.T) {
 	}
 	src := newFakeSource()
 	src.add(t, "remote", 2, nil)
-	reg.AttachSource(src, time.Second)
+	reg.AttachSource(src)
 
 	// Explicit version miss → fetched, materialized, resolvable.
 	p, err := reg.Resolve("remote@2")
@@ -125,7 +125,7 @@ func TestRegistryLazyFetchBareNameLatest(t *testing.T) {
 	src := newFakeSource()
 	src.add(t, "edge", 1, nil)
 	src.add(t, "edge", 3, nil)
-	reg.AttachSource(src, time.Second)
+	reg.AttachSource(src)
 	p, err := reg.Resolve("edge")
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestRegistryLazyFetchRejectsMisnamedBlob(t *testing.T) {
 	src.mu.Lock()
 	src.profiles[SourceRef{"wanted", 1}] = lie
 	src.mu.Unlock()
-	reg.AttachSource(src, time.Second)
+	reg.AttachSource(src)
 	if _, err := reg.Resolve("wanted@1"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("misnamed blob resolved: err=%v", err)
 	}
@@ -180,7 +180,7 @@ func TestRegistrySourceFailureWrapsNotFound(t *testing.T) {
 	}
 	src := newFakeSource()
 	src.fail = errors.New("origin down")
-	reg.AttachSource(src, time.Second)
+	reg.AttachSource(src)
 	_, err = reg.Resolve("gone@1")
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound wrap, got %v", err)
@@ -200,7 +200,7 @@ func TestSyncSourcePullsMissingWithoutReload(t *testing.T) {
 	src := newFakeSource()
 	src.add(t, "local", 1, nil) // already present: not re-fetched
 	src.add(t, "new", 1, nil)
-	reg.AttachSource(src, time.Second)
+	reg.AttachSource(src)
 
 	added, err := reg.SyncSource(context.Background())
 	if err != nil {
@@ -232,7 +232,7 @@ func TestWatchSyncsSourceAndPublishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := newFakeSource()
-	reg.AttachSource(src, time.Second)
+	reg.AttachSource(src)
 
 	reloaded := make(chan int, 16)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -266,7 +266,7 @@ func TestLazyFetchSingleFlight(t *testing.T) {
 	}
 	src := newFakeSource()
 	src.add(t, "hot", 1, nil)
-	reg.AttachSource(src, time.Second)
+	reg.AttachSource(src)
 
 	const callers = 16
 	var wg sync.WaitGroup

@@ -39,8 +39,6 @@ type ClientOptions struct {
 	// TrustedKey, when set, requires the index and every pulled profile
 	// to verify against this Ed25519 public key.
 	TrustedKey ed25519.PublicKey
-	// HTTPClient overrides the transport (tests inject httptest clients).
-	HTTPClient *http.Client
 	// RequestTimeout bounds each individual HTTP attempt (default 30s).
 	RequestTimeout time.Duration
 	// MaxAttempts caps tries per request including the first (default 4).
@@ -68,7 +66,6 @@ type ClientStats struct {
 // It implements profile.Source.
 type Client struct {
 	opts  ClientOptions
-	http  *http.Client
 	cache *cache
 
 	mu      sync.Mutex // serializes index refresh and blob download
@@ -111,10 +108,7 @@ func NewClient(opts ClientOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{opts: opts, http: opts.HTTPClient, cache: ca}
-	if c.http == nil {
-		c.http = &http.Client{}
-	}
+	c := &Client{opts: opts, cache: ca}
 	if ix, _, etag, err := ca.loadIndex(); err == nil {
 		if opts.TrustedKey == nil || ix.VerifySignature(opts.TrustedKey) == nil {
 			c.current, c.etag = ix, etag
@@ -398,7 +392,7 @@ func (c *Client) doOnce(ctx context.Context, url string, hdr http.Header, maxByt
 	for k, vs := range hdr {
 		req.Header[k] = vs
 	}
-	resp, err := c.http.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
 	}

@@ -13,12 +13,12 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,8 +29,8 @@ import (
 
 // OriginOptions configures an Origin.
 type OriginOptions struct {
-	// Dir is the profile directory being published. It must exist; the
-	// origin rescans it lazily whenever its fingerprint changes, so
+	// Dir is the profile directory being published. It must exist; every
+	// index request refreshes the origin's profile.Registry over it, so
 	// files dropped in (or pushed) appear in the index without restarts.
 	Dir string
 	// SigningKey, when set, signs the index manifest and every entry
@@ -40,18 +40,18 @@ type OriginOptions struct {
 	// X-Hub-Push-Key. Empty leaves push open — fine on a workstation,
 	// not on anything reachable.
 	PushKey string
-	// MaxBlobBytes caps a pushed profile (default MaxBlobBytes).
-	MaxBlobBytes int64
-	// Now stamps generated indexes; nil means time.Now. Tests pin it.
-	Now func() time.Time
 }
 
-// Origin serves one profile directory over the hub protocol.
+// Origin serves one profile directory over the hub protocol: exactly what
+// a profile.Registry over it serves, each blob from the bytes it decoded.
 type Origin struct {
 	opts OriginOptions
+	reg  *profile.Registry
 
+	// mu serializes registry refreshes, index builds and pushes; blob
+	// requests read the last build without it.
 	mu    sync.Mutex
-	built *builtIndex
+	built atomic.Pointer[builtIndex]
 
 	// Counters surfaced by Stats, mirroring the client's.
 	indexRequests atomic.Int64
@@ -60,31 +60,27 @@ type Origin struct {
 }
 
 // builtIndex is one immutable index build: document bytes, parsed form,
-// the directory fingerprint it was built from, and the blob route table.
+// the registry load it was built from, and the blob bytes by sha256 hex.
 type builtIndex struct {
-	index       *Index
-	encoded     []byte
-	etag        string
-	fingerprint string
-	blobs       map[string]string // sha256 hex → file path
+	index   *Index
+	encoded []byte
+	etag    string
+	loads   int64
+	blobs   map[string][]byte
 }
 
-// NewOrigin validates the directory and runs the initial scan, so a
-// serve command fails at boot — not at first request — on a bad dir.
+// NewOrigin opens a registry on the directory and builds the first
+// index, so a serve command fails at boot — not at first request — on a
+// directory it cannot scan or one where two files declare one
+// name@version. Damaged files are skipped.
 func NewOrigin(opts OriginOptions) (*Origin, error) {
-	if opts.MaxBlobBytes <= 0 {
-		opts.MaxBlobBytes = MaxBlobBytes
-	}
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
-	if st, err := os.Stat(opts.Dir); err != nil {
+	reg, err := profile.OpenRegistry(opts.Dir)
+	// A registry with no load has not scanned the directory at all.
+	if reg.Loads() == 0 || errors.Is(err, profile.ErrDuplicateRef) {
 		return nil, err
-	} else if !st.IsDir() {
-		return nil, fmt.Errorf("profilehub: %s is not a directory", opts.Dir)
 	}
-	o := &Origin{opts: opts}
-	if _, err := o.currentIndex(); err != nil {
+	o := &Origin{opts: opts, reg: reg}
+	if _, err := o.refresh(); err != nil {
 		return nil, err
 	}
 	return o, nil
@@ -93,7 +89,9 @@ func NewOrigin(opts OriginOptions) (*Origin, error) {
 // Index returns the current parsed index (rebuilding if the directory
 // changed since the last build).
 func (o *Origin) Index() (*Index, error) {
-	b, err := o.currentIndex()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	b, err := o.refresh()
 	if err != nil {
 		return nil, err
 	}
@@ -114,77 +112,34 @@ func (o *Origin) Stats() OriginStats {
 	}
 }
 
-// currentIndex returns the cached build when the directory fingerprint
-// still matches, rebuilding otherwise. Corrupt files are skipped (the
-// healthy remainder still publishes), exactly like a registry scan.
-func (o *Origin) currentIndex() (*builtIndex, error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	fp, err := dirFingerprint(o.opts.Dir)
+// refresh runs the registry's poll step and returns the index built from
+// its snapshot, rebuilding it when the registry reloaded. A scan failure
+// is an error; files that fail to load are not — the registry skips them
+// and so does the index. o.mu must be held.
+func (o *Origin) refresh() (*builtIndex, error) {
+	if reloaded, _, err := o.reg.Refresh(); !reloaded && err != nil {
+		return nil, err
+	}
+	loads := o.reg.Loads()
+	if b := o.built.Load(); b != nil && b.loads == loads {
+		return b, nil
+	}
+	b, err := o.buildIndex(loads)
 	if err != nil {
 		return nil, err
 	}
-	if o.built != nil && o.built.fingerprint == fp {
-		return o.built, nil
-	}
-	b, err := o.buildIndex(fp)
-	if err != nil {
-		return nil, err
-	}
-	o.built = b
+	o.built.Store(b)
 	return b, nil
 }
 
-// dirFingerprint is the change-detection key: sorted (name, size, mtime)
-// tuples of every .dnp and .sig file.
-func dirFingerprint(dir string) (string, error) {
-	dirents, err := os.ReadDir(dir)
-	if err != nil {
-		return "", err
-	}
-	var lines []string
-	for _, de := range dirents {
-		name := de.Name()
-		if de.IsDir() || (!strings.HasSuffix(name, profile.Ext) && !strings.HasSuffix(name, profile.Ext+profile.SigExt)) {
-			continue
-		}
-		var size, mtime int64
-		if info, err := de.Info(); err == nil {
-			size, mtime = info.Size(), info.ModTime().UnixNano()
-		}
-		lines = append(lines, fmt.Sprintf("%s|%d|%d", name, size, mtime))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n"), nil
-}
-
-// buildIndex scans the directory into a fresh signed index build.
-func (o *Origin) buildIndex(fingerprint string) (*builtIndex, error) {
-	dirents, err := os.ReadDir(o.opts.Dir)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{Format: ProtocolVersion, GeneratedUnix: o.opts.Now().Unix()}
-	blobs := make(map[string]string)
-	seen := make(map[string]string) // ref → path, duplicate detection
-	for _, de := range dirents {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), profile.Ext) {
-			continue
-		}
-		path := filepath.Join(o.opts.Dir, de.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
-		}
-		p, err := profile.Decode(data)
-		if err != nil {
-			continue // skip damaged files; they are not publishable
-		}
+// buildIndex turns the registry's snapshot into a fresh signed index
+// build.
+func (o *Origin) buildIndex(loads int64) (*builtIndex, error) {
+	ix := &Index{Format: ProtocolVersion, GeneratedUnix: time.Now().Unix()}
+	blobs := make(map[string][]byte)
+	for _, s := range o.reg.List() {
+		p, data := s.Profile, s.Data
 		ref := p.Ref()
-		if prev, dup := seen[ref]; dup {
-			return nil, fmt.Errorf("profilehub: %s and %s both declare %s", prev, path, ref)
-		}
-		seen[ref] = path
 		e := Entry{
 			Name:        p.Name,
 			Version:     p.Version,
@@ -197,14 +152,14 @@ func (o *Origin) buildIndex(fingerprint string) (*builtIndex, error) {
 		// Signature precedence: a valid sidecar record (offline signing)
 		// wins; otherwise the origin's own key signs; otherwise the
 		// entry ships unsigned.
-		if rec, err := profile.ReadSignature(path + profile.SigExt); err == nil &&
+		if rec, err := profile.ReadSignature(s.Path + profile.SigExt); err == nil &&
 			rec.Ref == ref && rec.SHA256 == e.SHA256 {
 			e.Sig, e.SigKeyID = rec.Sig, rec.KeyID
 		} else if o.opts.SigningKey != nil {
 			rec := profile.Sign(o.opts.SigningKey, ref, data)
 			e.Sig, e.SigKeyID = rec.Sig, rec.KeyID
 		}
-		blobs[e.SHA256] = path
+		blobs[e.SHA256] = data
 		ix.Profiles = append(ix.Profiles, e)
 	}
 	if o.opts.SigningKey != nil {
@@ -216,11 +171,11 @@ func (o *Origin) buildIndex(fingerprint string) (*builtIndex, error) {
 	}
 	sum := sha256.Sum256(encoded)
 	return &builtIndex{
-		index:       ix,
-		encoded:     encoded,
-		etag:        `"` + hex.EncodeToString(sum[:16]) + `"`,
-		fingerprint: fingerprint,
-		blobs:       blobs,
+		index:   ix,
+		encoded: encoded,
+		etag:    `"` + hex.EncodeToString(sum[:16]) + `"`,
+		loads:   loads,
+		blobs:   blobs,
 	}, nil
 }
 
@@ -245,7 +200,9 @@ func (o *Origin) serveIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	o.indexRequests.Add(1)
-	b, err := o.currentIndex()
+	o.mu.Lock()
+	b, err := o.refresh()
+	o.mu.Unlock()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "index_unavailable", "%v", err)
 		return
@@ -270,34 +227,24 @@ func (o *Origin) serveBlob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad_blob_ref", "%v", err)
 		return
 	}
-	b, err := o.currentIndex()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "index_unavailable", "%v", err)
-		return
-	}
-	path, ok := b.blobs[sha]
+	// The last build's bytes, which hash to the sha256 the index listed.
+	data, ok := o.built.Load().blobs[sha]
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown_blob", "no blob %s in index", sha)
 		return
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "blob_unavailable", "%v", err)
-		return
-	}
-	defer f.Close()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("ETag", `"`+sha+`"`)
 	// Content-addressed blobs are immutable, so the zero modtime +
 	// sha ETag give correct revalidation, and ServeContent's Range
 	// support is what makes client pulls resumable.
-	http.ServeContent(w, r, sha, time.Time{}, f)
+	http.ServeContent(w, r, sha, time.Time{}, bytes.NewReader(data))
 }
 
 // servePush accepts one encoded profile, validates it end to end, and
-// publishes it into the directory. Versions are immutable: re-pushing
-// identical bytes is an idempotent success, conflicting bytes under an
-// existing name@version are a 409.
+// publishes it into the directory. Versions are immutable: re-pushing the
+// bytes the index lists for a name@version is an idempotent success, and
+// other bytes under it, or a damaged file at its canonical name, a 409.
 func (o *Origin) servePush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -308,7 +255,7 @@ func (o *Origin) servePush(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusForbidden, "push_key_required", "push requires the origin's push key")
 		return
 	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, o.opts.MaxBlobBytes))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBlobBytes))
 	if err != nil {
 		httpError(w, http.StatusRequestEntityTooLarge, "blob_too_large", "%v", err)
 		return
@@ -318,15 +265,27 @@ func (o *Origin) servePush(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad_profile", "pushed bytes are not a valid profile: %v", err)
 		return
 	}
-	path := filepath.Join(o.opts.Dir, p.FileName())
-	if existing, err := os.ReadFile(path); err == nil {
-		if bytes.Equal(existing, data) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	b, err := o.refresh()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "index_unavailable", "%v", err)
+		return
+	}
+	if e, err := b.index.Resolve(p.Name, p.Version); err == nil {
+		if e.SHA256 == profile.BlobSHA256(data) {
 			o.pushes.Add(1)
 			writePushResponse(w, http.StatusOK, p, data)
 			return
 		}
 		httpError(w, http.StatusConflict, "version_conflict",
 			"%s already published with different bytes; versions are immutable, push a new version", p.Ref())
+		return
+	}
+	path := filepath.Join(o.opts.Dir, p.FileName())
+	if _, err := os.Lstat(path); err == nil {
+		httpError(w, http.StatusConflict, "version_conflict",
+			"%s is in the directory but does not load; push a new version", p.FileName())
 		return
 	}
 	if err := profile.WriteFileAtomic(path, data); err != nil {

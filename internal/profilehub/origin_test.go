@@ -2,6 +2,7 @@ package profilehub
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/profile"
@@ -210,6 +212,45 @@ func TestOriginPushLifecycle(t *testing.T) {
 	if got := o.Stats().Pushes; got != 2 {
 		t.Fatalf("push counter %d, want 2 (created + idempotent)", got)
 	}
+
+	// Immutability is checked by reference, not by file name: copy.dnp
+	// declares a@1, so a@1 is published, and a file at a canonical name
+	// that does not load still blocks its reference.
+	_, copied := testProfile(t, "a", 1)
+	if err := os.WriteFile(filepath.Join(dir, "copy.dnp"), copied, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pa, _ := testProfile(t, "a", 1)
+	pa.Comment = "other bytes for a@1"
+	otherA, err := pa.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "b@1.dnp"), []byte("damaged"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, validB := testProfile(t, "b", 1)
+	for _, tt := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"other bytes for a ref declared in copy.dnp", otherA, http.StatusConflict},
+		{"identical bytes for a ref declared in copy.dnp", copied, http.StatusOK},
+		{"a ref whose canonical file is damaged", validB, http.StatusConflict},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			if resp := push(t, ts.URL, tt.body, auth); resp.StatusCode != tt.want {
+				t.Fatalf("push: %d, want %d", resp.StatusCode, tt.want)
+			}
+		})
+	}
+	if _, err := os.Stat(filepath.Join(dir, "a@1.dnp")); !os.IsNotExist(err) {
+		t.Fatalf("a push wrote a@1.dnp beside copy.dnp (%v)", err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "b@1.dnp")); err != nil || string(got) != "damaged" {
+		t.Fatalf("a push replaced the damaged b@1.dnp (%q, %v)", got, err)
+	}
 }
 
 func TestOriginPushOfflineSignature(t *testing.T) {
@@ -300,4 +341,198 @@ func TestOriginRejectsDuplicateRefs(t *testing.T) {
 	if _, err := NewOrigin(OriginOptions{Dir: dir}); err == nil {
 		t.Fatal("two files declaring the same ref should fail the scan")
 	}
+}
+
+// getBlob fetches one blob and fails the test when a 200 body does not
+// hash to the sha256 its URL names.
+func getBlob(tb testing.TB, url, sha string) (int, []byte) {
+	tb.Helper()
+	resp, err := http.Get(url + BlobPathPrefix + sha)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if resp.StatusCode == http.StatusOK && profile.BlobSHA256(body) != sha {
+		tb.Fatalf("blob %s served bytes that hash to %s", sha, profile.BlobSHA256(body))
+	}
+	return resp.StatusCode, body
+}
+
+// getIndex fetches and parses the index, failing on any status but 200.
+func getIndex(tb testing.TB, url string) *Index {
+	tb.Helper()
+	resp, err := http.Get(url + IndexPath)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		tb.Fatalf("index GET: %d %s", resp.StatusCode, body)
+	}
+	ix, err := ParseIndex(body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
+// TestOriginPublishesChangesAfterBoot changes an origin's directory after
+// its first index build. The next index must list what a profile
+// registry over the directory serves — a@1 once, with the sha256 of
+// a@1.dnp as it now reads — a client must pull it, and every blob
+// response must hash to the sha256 in its URL.
+func TestOriginPublishesChangesAfterBoot(t *testing.T) {
+	pub, priv := testHubKey(t)
+	// rewrite replaces a@1.dnp with a profile differing in one table
+	// step, so its size stays the same, and optionally restores the old
+	// mtime: a rewrite within the file system's timestamp granularity.
+	rewrite := func(keepMtime bool, comment string) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			path := filepath.Join(dir, "a@1.dnp")
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, _ := testProfile(t, "a", 1)
+			p.Luma[0]++
+			p.Comment = comment
+			if err := p.Write(path); err != nil {
+				t.Fatal(err)
+			}
+			if keepMtime {
+				if st2, err := os.Stat(path); err != nil || st2.Size() != st.Size() {
+					t.Fatalf("the rewrite must keep the size (%d vs %d, %v)", st2.Size(), st.Size(), err)
+				}
+				if err := os.Chtimes(path, st.ModTime(), st.ModTime()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	tests := []struct {
+		name   string
+		change func(t *testing.T, dir string)
+		// blobsFirst requests the boot index's blobs after the change
+		// and before the next index build.
+		blobsFirst bool
+		wantSigned bool
+	}{
+		{name: "same-size rewrite with the old mtime", change: rewrite(true, "")},
+		{name: "stray copy", change: func(t *testing.T, dir string) {
+			data, err := os.ReadFile(filepath.Join(dir, "a@1.dnp"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "backup-of-a.dnp"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "sidecar written", wantSigned: true, change: func(t *testing.T, dir string) {
+			data, err := os.ReadFile(filepath.Join(dir, "a@1.dnp"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := profile.Sign(priv, "a@1", data).WriteFile(filepath.Join(dir, "a@1.dnp"+profile.SigExt)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "rewrite between an index build and a blob request", change: rewrite(false, "rewritten"), blobsFirst: true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			_, dir, ts := newTestOrigin(t, OriginOptions{}, "a@1")
+			boot := getIndex(t, ts.URL)
+			tt.change(t, dir)
+			if tt.blobsFirst {
+				for _, e := range boot.Profiles {
+					if status, _ := getBlob(t, ts.URL, e.SHA256); status != http.StatusOK {
+						t.Fatalf("blob %s of the last index build: %d, want 200", e.Ref(), status)
+					}
+				}
+			}
+
+			ix := getIndex(t, ts.URL)
+			if len(ix.Profiles) != 1 || ix.Profiles[0].Ref() != "a@1" {
+				t.Fatalf("index lists %+v, want a@1 once", ix.Profiles)
+			}
+			e := &ix.Profiles[0]
+			want, err := os.ReadFile(filepath.Join(dir, "a@1.dnp"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.SHA256 != profile.BlobSHA256(want) {
+				t.Fatalf("index lists sha256 %s, a@1.dnp hashes to %s", e.SHA256, profile.BlobSHA256(want))
+			}
+			for _, b := range append(boot.Profiles, *e) {
+				getBlob(t, ts.URL, b.SHA256)
+			}
+			if err := e.Record().Verify(pub, "a@1", want); (err == nil) != tt.wantSigned {
+				t.Fatalf("entry signature verifies: %v, want %v", err == nil, tt.wantSigned)
+			}
+
+			got, _, err := newTestClient(t, ts.URL, nil).Pull(context.Background(), "a", 1)
+			if err != nil {
+				t.Fatalf("pull: %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("pulled bytes differ from a@1.dnp")
+			}
+		})
+	}
+}
+
+// TestOriginConcurrentRequests runs index and blob requests from several
+// goroutines while pushes add versions: blob requests read the last
+// index build without the origin's lock, so under -race this checks that
+// hand-off, and every blob must still hash to the sha256 in its URL.
+func TestOriginConcurrentRequests(t *testing.T) {
+	_, _, ts := newTestOrigin(t, OriginOptions{}, "a@1")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				resp, err := http.Get(ts.URL + IndexPath)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				ix, err := ParseIndex(body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, e := range ix.Profiles {
+					resp, err := http.Get(ts.URL + BlobPathPrefix + e.SHA256)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					blob, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK || profile.BlobSHA256(blob) != e.SHA256 {
+						t.Errorf("blob %s: %d, %d bytes hashing to %s", e.Ref(), resp.StatusCode, len(blob), profile.BlobSHA256(blob))
+					}
+				}
+			}
+		}()
+	}
+	for v := uint32(2); v <= 8; v++ {
+		_, data := testProfile(t, "a", v)
+		if resp := push(t, ts.URL, data, nil); resp.StatusCode != http.StatusCreated {
+			t.Errorf("push a@%d: %d, want 201", v, resp.StatusCode)
+		}
+	}
+	wg.Wait()
 }

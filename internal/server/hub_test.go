@@ -65,12 +65,11 @@ func TestFleetPullsFromHub(t *testing.T) {
 	fleet := make([]*httptest.Server, 2)
 	for i := range fleet {
 		s, err := New(Options{
-			ProfileDir:      t.TempDir(),
-			DefaultProfile:  "fleet",
-			ProfileWatch:    20 * time.Millisecond,
-			HubOrigin:       originURL,
-			HubTrustedKey:   pub,
-			HubFetchTimeout: 5 * time.Second,
+			ProfileDir:     t.TempDir(),
+			DefaultProfile: "fleet",
+			ProfileWatch:   20 * time.Millisecond,
+			HubOrigin:      originURL,
+			HubTrustedKey:  pub,
 		})
 		if err != nil {
 			t.Fatalf("server %d failed to boot from an empty dir: %v", i, err)
@@ -177,10 +176,9 @@ func TestServerHubBootFailsOnUnreachableOriginWithEmptyDir(t *testing.T) {
 	}))
 	defer ts.Close()
 	_, err := New(Options{
-		ProfileDir:      t.TempDir(),
-		DefaultProfile:  "fleet",
-		HubOrigin:       ts.URL,
-		HubFetchTimeout: time.Second,
+		ProfileDir:     t.TempDir(),
+		DefaultProfile: "fleet",
+		HubOrigin:      ts.URL,
 	})
 	if err == nil {
 		t.Fatal("booted with no resolvable default profile")

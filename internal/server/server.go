@@ -106,9 +106,6 @@ type Options struct {
 	// HubTrustedKey, when set, requires the hub index and every pulled
 	// profile to carry a valid Ed25519 signature under this key.
 	HubTrustedKey ed25519.PublicKey
-	// HubFetchTimeout bounds one lazy miss-triggered hub fetch
-	// (default 30s).
-	HubFetchTimeout time.Duration
 	// AdminKey, when set, is required (as X-API-Key or Bearer token) by
 	// the /admin/* endpoints in addition to normal tenant admission, so
 	// ordinary codec tenants cannot trigger reloads. Empty leaves admin
@@ -238,10 +235,9 @@ func New(opts Options) (*Server, error) {
 			cacheDir = filepath.Join(opts.ProfileDir, ".hub-cache")
 		}
 		hub, err := profilehub.NewClient(profilehub.ClientOptions{
-			Origin:         opts.HubOrigin,
-			CacheDir:       cacheDir,
-			TrustedKey:     opts.HubTrustedKey,
-			RequestTimeout: opts.HubFetchTimeout,
+			Origin:     opts.HubOrigin,
+			CacheDir:   cacheDir,
+			TrustedKey: opts.HubTrustedKey,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: hub client: %w", err)
@@ -250,7 +246,7 @@ func New(opts Options) (*Server, error) {
 		// Attached before the DefaultProfile resolution below, so a fleet
 		// node with an empty profile directory lazily pulls its serving
 		// profile at boot.
-		s.registry.AttachSource(hub, opts.HubFetchTimeout)
+		s.registry.AttachSource(hub)
 	}
 	s.defaultRef = opts.DefaultProfile
 	if s.defaultRef != "" {

@@ -65,11 +65,14 @@ leg() {
 		$GO test -race ./...
 		;;
 	alloc)
-		# The steady-state AllocsPerRun pins of the batch APIs (root)
-		# and of single-image encode and decode (jpegcodec). Every pin
-		# skips under -race, which skews allocation counts, so the race
-		# leg runs none of them; this leg runs all ten.
-		$GO test -count 1 -run 'Allocs|ReusesMetadataBuffers' . ./internal/jpegcodec
+		# The steady-state AllocsPerRun pins of the batch APIs (root),
+		# of single-image encode and decode (jpegcodec) and of raw-image
+		# decode (imgutil: a PNG's pixels read without boxing a color,
+		# and a PNG too short for its header rejected before it
+		# allocates). Every pin skips under -race, which skews
+		# allocation counts, so the race leg runs none of them; this leg
+		# runs all eleven.
+		$GO test -count 1 -run 'Allocs|ReusesMetadataBuffers' . ./internal/jpegcodec ./internal/imgutil
 		;;
 	sampling)
 		# Chroma-sampling matrix (4:4:4/4:2:0/4:2:2/4:4:0/4:1:1):
@@ -126,11 +129,14 @@ leg() {
 	hub)
 		# Profile hub: the origin wire protocol, client fault injection
 		# (truncation, corruption, retries, origin-down fallback,
-		# trust-key rejection), registry lazy fetch and sync, and the
-		# two-server fleet scenario. The packages also run inside race;
-		# this leg exists for fast, named feedback.
+		# trust-key rejection), the registry tests, and the two-server
+		# fleet scenario. The origin publishes the snapshot of a
+		# profile.Registry over its directory, so the registry's scan,
+		# reload and watch tests pin what the hub serves, as well as its
+		# lazy fetch and sync. The packages also run inside race; this
+		# leg exists for fast, named feedback.
 		$GO test ./internal/profilehub
-		$GO test -run 'TestRegistryLazyFetch|TestSyncSource|TestWatchSyncs|TestLazyFetchSingleFlight|TestSignature|TestReadSignature|TestGC|TestCompare|TestWriteFileAtomic|TestReadChecksum' ./internal/profile
+		$GO test -run 'TestRegistry|TestSyncSource|TestWatchSyncs|TestLazyFetchSingleFlight|TestSignature|TestReadSignature|TestGC|TestCompare|TestWriteFileAtomic|TestReadChecksum' ./internal/profile
 		$GO test -run 'TestFleet|TestServerHub' ./internal/server
 		;;
 	serve)
