@@ -176,12 +176,13 @@ func runProfilesPush(args []string) error {
 }
 
 // runProfilesPull fetches one profile from a hub origin through the
-// verified local cache and writes it under its canonical file name.
+// verified local cache and writes it under its canonical file name in
+// -dir, which it creates when missing.
 func runProfilesPull(args []string) error {
 	fs := flag.NewFlagSet("profiles pull", flag.ExitOnError)
 	ref := fs.String("ref", "", "profile to pull: name or name@version")
 	origin := fs.String("origin", "", "hub origin base URL")
-	outDir := fs.String("dir", ".", "directory to write the pulled profile into")
+	outDir := fs.String("dir", ".", "directory to write the pulled profile into (created if missing)")
 	cacheDir := fs.String("cache", "", "hub cache directory (default: user cache dir)")
 	pubFile := fs.String("pub", "", "trusted Ed25519 public key file; require valid signatures")
 	if err := fs.Parse(args); err != nil {
@@ -209,6 +210,9 @@ func runProfilesPull(args []string) error {
 	}
 	data, entry, err := client.Pull(context.Background(), name, version)
 	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		return err
 	}
 	path := filepath.Join(*outDir, entry.Ref()+profile.Ext)

@@ -37,6 +37,52 @@ func Blocks(p []float64) int {
 // BlockSize2 is the flat length of one block (BlockSize²).
 const BlockSize2 = BlockSize * BlockSize
 
+// GatherBlockRow fills plane with the blocksX consecutive level-shifted
+// 8×8 tiles of block row by of a w×h sample plane — the fused form of
+// imgutil.ExtractBlock+LevelShift over a whole row. Edge semantics match
+// ExtractBlock: coordinates past the plane replicate the last
+// row/column. plane must hold blocksX*64 floats. The encoder gathers
+// each component's block rows with it, and the calibration's statistics
+// pass gathers each strip of at most eight luma rows with it, passing
+// the strip's own row count as h so that the image's last row repeats.
+func GatherBlockRow(plane []float64, pix []uint8, w, h, by, blocksX int) {
+	fullX := w >> 3
+	if fullX > blocksX {
+		fullX = blocksX
+	}
+	for y := 0; y < 8; y++ {
+		sy := by*8 + y
+		if sy >= h {
+			sy = h - 1
+		}
+		row := pix[sy*w : sy*w+w]
+		d := y * 8
+		for bx := 0; bx < fullX; bx++ {
+			src := (*[8]uint8)(row[bx*8:])
+			dst := (*[8]float64)(plane[bx*64+d:])
+			dst[0] = float64(src[0]) - 128
+			dst[1] = float64(src[1]) - 128
+			dst[2] = float64(src[2]) - 128
+			dst[3] = float64(src[3]) - 128
+			dst[4] = float64(src[4]) - 128
+			dst[5] = float64(src[5]) - 128
+			dst[6] = float64(src[6]) - 128
+			dst[7] = float64(src[7]) - 128
+		}
+		// Partial block at the right margin: clamp per sample.
+		for bx := fullX; bx < blocksX; bx++ {
+			base := bx*64 + d
+			for x := 0; x < 8; x++ {
+				sx := bx*8 + x
+				if sx >= w {
+					sx = w - 1
+				}
+				plane[base+x] = float64(row[sx]) - 128
+			}
+		}
+	}
+}
+
 // fdctAANRowsFlat runs the forward AAN butterfly over the 8 rows of one
 // block; the (*[8]) re-slice pins the row length so the body indexes
 // with constants.

@@ -37,53 +37,116 @@ func NewAccumulator() *Accumulator {
 	return a
 }
 
-// AddBlock folds one block of DCT coefficients (natural order) into the
-// statistics.
-func (a *Accumulator) AddBlock(b *dct.Block) {
-	a.n++
-	inv := 1 / float64(a.n)
-	for i := 0; i < 64; i++ {
-		v := b[i]
-		d := v - a.mean[i]
-		a.mean[i] += d * inv
-		a.m2[i] += d * (v - a.mean[i])
-		if v < a.min[i] {
-			a.min[i] = v
-		}
-		if v > a.max[i] {
-			a.max[i] = v
-		}
-	}
-}
-
 // AddPlane partitions a sample plane into 8×8 blocks (edge-replicated),
-// applies the JPEG level shift and the orthonormal forward DCT one block
-// row at a time through the batch kernel, and accumulates every block.
+// applies the JPEG level shift and the orthonormal forward DCT, and
+// accumulates every block, in row-major block order. It walks the plane
+// once, one block row at a time: dct.GatherBlockRow builds the row's
+// level-shifted tiles, and foldStrip transforms and folds them.
 func (a *Accumulator) AddPlane(pix []uint8, w, h int) {
-	grid := imgutil.GridFor(w, h)
-	row := make([]float64, grid.BlocksX*dct.BlockSize2)
-	var tile [64]uint8
-	for by := 0; by < grid.BlocksY; by++ {
-		for bx := 0; bx < grid.BlocksX; bx++ {
-			imgutil.ExtractBlock(pix, w, h, bx, by, &tile)
-			dct.LevelShift(tile[:], (*dct.Block)(row[bx*dct.BlockSize2:]))
-		}
-		dct.ForwardAANBatch(row)
-		for bx := 0; bx < grid.BlocksX; bx++ {
-			a.AddBlock((*dct.Block)(row[bx*dct.BlockSize2:]))
-		}
+	plane, inv := stripScratch(w)
+	for by := 0; by < imgutil.GridFor(w, h).BlocksY; by++ {
+		dct.GatherBlockRow(plane, pix, w, h, by, len(inv))
+		a.foldStrip(plane, inv)
 	}
 }
 
 // AddRGBLuma accumulates the luma plane of a color image, the channel the
 // paper's analysis (and the luma quantization table) is driven by. It
-// converts luma only. Its samples equal the Y plane of
-// imgutil.Planes.FromRGB, which a calibration that also gathers chroma
-// feeds in its place, so the luma statistics do not depend on that
-// choice.
+// converts luma only, by imgutil.LumaRow, one strip of at most eight
+// rows at a time, and gathers and folds each strip as AddPlane does a
+// block row, so no whole luma plane is ever built. Its samples equal the
+// Y plane of imgutil.Planes.FromRGB, which a calibration that also
+// gathers chroma feeds in its place, so the luma statistics do not
+// depend on that choice.
 func (a *Accumulator) AddRGBLuma(im *imgutil.RGB) {
-	g := im.ToGray()
-	a.AddPlane(g.Pix, g.W, g.H)
+	w, h := im.W, im.H
+	plane, inv := stripScratch(w)
+	luma := make([]uint8, 8*w)
+	for y0 := 0; y0 < h; y0 += 8 {
+		rows := min(8, h-y0)
+		imgutil.LumaRow(luma[:rows*w], im.Pix[3*y0*w:3*(y0+rows)*w])
+		// The strip's own row count as the height repeats the image's
+		// last row in a partial strip, as ExtractBlock does.
+		dct.GatherBlockRow(plane, luma, w, rows, 0, len(inv))
+		a.foldStrip(plane, inv)
+	}
+}
+
+// stripScratch returns the scratch of one block row of a plane w samples
+// wide: its tiles in dct batch layout, and the Welford weight of each of
+// its blocks. It lives for one Add call, outside the Accumulator, so
+// Merge's copy of an accumulator shares no buffer.
+func stripScratch(w int) (plane, inv []float64) {
+	n := imgutil.GridFor(w, 1).BlocksX
+	return make([]float64, n*dct.BlockSize2), make([]float64, n)
+}
+
+// foldStrip transforms the gathered tiles in plane and folds every block
+// into the statistics with Welford's update, in block order, using inv
+// for the blocks' weights. Each band's statistics depend on that band's
+// coefficients alone, so the fold runs band by band over the strip's
+// blocks, holding the band's running moments in registers, and yields
+// the bits a block-by-block fold does: each coefficient is the raw
+// butterfly output times its descale factor, the product
+// dct.ForwardAANBatch stores, and block k's weight is 1/(n+k+1), as if n
+// counted blocks one by one. Bands go four at a time, whose independent
+// update chains overlap; one band alone waits on its own latency.
+func (a *Accumulator) foldStrip(plane, inv []float64) {
+	dct.ForwardAANRawBatch(plane)
+	for k := range inv {
+		inv[k] = 1 / float64(a.n+int64(k)+1)
+	}
+	for i := 0; i < 64; i += 4 {
+		a.foldBands(plane, inv, i)
+	}
+	a.n += int64(len(inv))
+}
+
+// descale holds dct.AANForwardDescale for each band.
+var descale = func() (f [64]float64) {
+	for i := range f {
+		f[i] = dct.AANForwardDescale(i)
+	}
+	return f
+}()
+
+// foldBands folds bands i..i+3 of every block of plane, whose weights
+// are inv, into the statistics. The descale product is rounded by an
+// explicit conversion, as fold's products are.
+func (a *Accumulator) foldBands(plane, inv []float64, i int) {
+	f := (*[4]float64)(descale[i:])
+	mean := (*[4]float64)(a.mean[i:])
+	m2 := (*[4]float64)(a.m2[i:])
+	lo := (*[4]float64)(a.min[i:])
+	hi := (*[4]float64)(a.max[i:])
+	u0, u1, u2, u3 := mean[0], mean[1], mean[2], mean[3]
+	q0, q1, q2, q3 := m2[0], m2[1], m2[2], m2[3]
+	for k, w := range inv {
+		b := (*[4]float64)(plane[k*dct.BlockSize2+i:])
+		u0, q0 = fold(u0, q0, &lo[0], &hi[0], float64(b[0]*f[0]), w)
+		u1, q1 = fold(u1, q1, &lo[1], &hi[1], float64(b[1]*f[1]), w)
+		u2, q2 = fold(u2, q2, &lo[2], &hi[2], float64(b[2]*f[2]), w)
+		u3, q3 = fold(u3, q3, &lo[3], &hi[3], float64(b[3]*f[3]), w)
+	}
+	mean[0], mean[1], mean[2], mean[3] = u0, u1, u2, u3
+	m2[0], m2[1], m2[2], m2[3] = q0, q1, q2, q3
+}
+
+// fold is Welford's update of one band by one more coefficient v of
+// weight w = 1/n: it returns the band's new running mean and sum of
+// squared deviations from mean and m2, and widens the band's range
+// [*lo, *hi] to hold v. Each product is rounded by an explicit
+// conversion, so no compiler fuses it into the addition that follows.
+func fold(mean, m2 float64, lo, hi *float64, v, w float64) (float64, float64) {
+	d := v - mean
+	mean += float64(d * w)
+	if v < *lo {
+		*lo = v
+	}
+	if v > *hi {
+		*hi = v
+	}
+	return mean, m2 + float64(d*(v-mean))
 }
 
 // Blocks reports how many blocks have been accumulated.

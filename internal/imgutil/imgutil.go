@@ -212,15 +212,36 @@ func tie(ys uint32, cs uint64) bool {
 	return ys&yFrac == 0 || cs&cFrac == 0 || cs&(cFrac<<32) == 0
 }
 
-// luma returns the Y sample of one (R, G, B) pixel by the float formula.
+// luma returns the Y sample of one (R, G, B) pixel by the float formula:
+// LumaRow's tie fallback. It stays out of line so that LumaRow's loop
+// keeps its registers on the fixed-point path.
+//
+//go:noinline
 func luma(r, g, b uint8) uint8 {
 	return clamp8(rTerms[r][0] + gTerms[g][0] + bTerms[b][0])
 }
 
-// yccFloat returns the samples of one pixel by the float formula.
+// yccFloat returns the samples of one pixel by the float formula. It
+// sums Y's terms itself rather than call luma, which stays out of line.
 func yccFloat(r, g, b uint8) (y, cb, cr uint8) {
 	rt, gt, bt := &rTerms[r], &gTerms[g], &bTerms[b]
-	return luma(r, g, b), clamp8(rt[1] - gt[1] + bt[1] + 128), clamp8(rt[2] - gt[2] - bt[2] + 128)
+	return clamp8(rt[0] + gt[0] + bt[0]), clamp8(rt[1] - gt[1] + bt[1] + 128), clamp8(rt[2] - gt[2] - bt[2] + 128)
+}
+
+// LumaRow converts len(y) interleaved RGB pixels, rgb, into their luma
+// samples: the Y samples FromRGB writes, from the same fixed-point
+// tables and with the same tie fallback. ToGray converts a whole image
+// with it, and the calibration's statistics pass one strip of rows.
+func LumaRow(y, rgb []uint8) {
+	rgb = rgb[:3*len(y)]
+	for x := range y {
+		px := rgb[3*x : 3*x+3 : 3*x+3]
+		ys := yR[px[0]] + yG[px[1]] + yB[px[2]]
+		y[x] = uint8(ys >> 16)
+		if ys&yFrac == 0 {
+			y[x] = luma(px[0], px[1], px[2])
+		}
+	}
 }
 
 // convertRow converts len(y) interleaved RGB pixels into luma and
@@ -587,18 +608,10 @@ func (im *RGB) ToImage() *image.RGBA {
 }
 
 // ToGray converts an RGB image to grayscale via the BT.601 luma weights:
-// the Y plane FromRGB writes, from the same fixed-point tables and with
-// the same tie fallback.
+// the Y plane FromRGB writes, by LumaRow.
 func (im *RGB) ToGray() *Gray {
 	g := NewGray(im.W, im.H)
-	for i := range g.Pix {
-		px := im.Pix[3*i : 3*i+3 : 3*i+3]
-		ys := yR[px[0]] + yG[px[1]] + yB[px[2]]
-		g.Pix[i] = uint8(ys >> 16)
-		if ys&yFrac == 0 {
-			g.Pix[i] = luma(px[0], px[1], px[2])
-		}
-	}
+	LumaRow(g.Pix, im.Pix)
 	return g
 }
 

@@ -8,9 +8,11 @@ package jpegcodec
 // property suite pins every helper here bit for bit against a per-block
 // formulation kept in the tests — but the loops are flat and fused:
 //
-//   - the gather clamps edge coordinates only for the partial blocks at
-//     the right/bottom margins; interior blocks take an unconditional
-//     eight-lane copy (ExtractBlock pays the clamp per pixel);
+//   - the gather (dct.GatherBlockRow, which the calibration's statistics
+//     pass shares) clamps edge coordinates only for the partial blocks
+//     at the right/bottom margins; interior blocks take an
+//     unconditional eight-lane copy (ExtractBlock pays the clamp per
+//     pixel);
 //   - quantization divides only the coefficients that can quantize to
 //     a nonzero value: one whose square is below its band's squared zero
 //     threshold, just under half the divisor, stays 0 without a division,
@@ -31,49 +33,6 @@ import (
 	"repro/internal/dct"
 	"repro/internal/qtable"
 )
-
-// gatherBlockRow fills plane with the blocksX consecutive level-shifted
-// 8×8 tiles of block row by — the fused form of ExtractBlock+LevelShift
-// over a whole row. Edge semantics match ExtractBlock: coordinates past
-// the plane replicate the last row/column. plane must hold blocksX*64
-// floats.
-func gatherBlockRow(plane []float64, pix []uint8, w, h, by, blocksX int) {
-	fullX := w >> 3
-	if fullX > blocksX {
-		fullX = blocksX
-	}
-	for y := 0; y < 8; y++ {
-		sy := by*8 + y
-		if sy >= h {
-			sy = h - 1
-		}
-		row := pix[sy*w : sy*w+w]
-		d := y * 8
-		for bx := 0; bx < fullX; bx++ {
-			src := (*[8]uint8)(row[bx*8:])
-			dst := (*[8]float64)(plane[bx*64+d:])
-			dst[0] = float64(src[0]) - 128
-			dst[1] = float64(src[1]) - 128
-			dst[2] = float64(src[2]) - 128
-			dst[3] = float64(src[3]) - 128
-			dst[4] = float64(src[4]) - 128
-			dst[5] = float64(src[5]) - 128
-			dst[6] = float64(src[6]) - 128
-			dst[7] = float64(src[7]) - 128
-		}
-		// Partial block at the right margin: clamp per sample.
-		for bx := fullX; bx < blocksX; bx++ {
-			base := bx*64 + d
-			for x := 0; x < 8; x++ {
-				sx := bx*8 + x
-				if sx >= w {
-					sx = w - 1
-				}
-				plane[base+x] = float64(row[sx]) - 128
-			}
-		}
-	}
-}
 
 // zeroThreshold is the fraction of a band's divisor below which a
 // coefficient quantizes to 0 (see zeroThresholds).
@@ -274,7 +233,7 @@ func dequantizePrefix(tile *[64]float64, coefs *[64]int32, ext uint8, inv *qtabl
 func transformComponent(c *component, div *qtable.FwdScaled, sq *[64]float64, mask *qtable.ZeroMask, plane []float64) {
 	run := c.blocksX * 64
 	for by := 0; by < c.blocksY; by++ {
-		gatherBlockRow(plane[:run], c.pix, c.w, c.hgt, by, c.blocksX)
+		dct.GatherBlockRow(plane[:run], c.pix, c.w, c.hgt, by, c.blocksX)
 		dct.ForwardAANRawBatch(plane[:run])
 		row := by * c.blocksX
 		quantizeRunInto(c.coefs[row:row+c.blocksX], c.ext[row:row+c.blocksX], plane[:run], div, sq, mask)

@@ -51,7 +51,7 @@ func TestGatherBlockRowMatchesExtractBlock(t *testing.T) {
 		blocksX, blocksY := paddedGrid(dim.w, dim.h)
 		plane := make([]float64, blocksX*64)
 		for by := 0; by < blocksY; by++ {
-			gatherBlockRow(plane, pix, dim.w, dim.h, by, blocksX)
+			dct.GatherBlockRow(plane, pix, dim.w, dim.h, by, blocksX)
 			for bx := 0; bx < blocksX; bx++ {
 				var tile [64]uint8
 				var want dct.Block

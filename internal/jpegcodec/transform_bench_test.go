@@ -238,7 +238,7 @@ func encodeSparsity(comps []*component, s *encScratch) (zero, ext float64) {
 		plane := make([]float64, run)
 		sq := &s.thr[c.tq]
 		for by := 0; by < c.blocksY; by++ {
-			gatherBlockRow(plane, c.pix, c.w, c.hgt, by, c.blocksX)
+			dct.GatherBlockRow(plane, c.pix, c.w, c.hgt, by, c.blocksX)
 			dct.ForwardAANRawBatch(plane)
 			for i, v := range plane {
 				if v*v < sq[i%64] {

@@ -192,9 +192,9 @@ type Server struct {
 	watchErrs    expvar.Int
 	lastWatchErr atomic.Value // string
 
-	// bufPool recycles response-sized scratch buffers across requests so
-	// the pooled, allocation-light codec paths survive the network
-	// boundary instead of drowning in per-request buffers.
+	// bufPool recycles request-body and response buffers across
+	// requests so the pooled, allocation-light codec paths survive the
+	// network boundary instead of drowning in per-request buffers.
 	bufPool sync.Pool
 	// decPool recycles decoder working sets for /v1/decode and
 	// /v1/requantize.
@@ -644,18 +644,31 @@ func (s *Server) endpoint(fn func(http.ResponseWriter, *http.Request, *tenant) e
 	}
 }
 
-// readBody drains the (size-capped) request body and accounts it.
-func (s *Server) readBody(r *http.Request, t *tenant) ([]byte, error) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
+// readBody drains the (size-capped) request body into a buffer from
+// bufPool and accounts it. The buffer grows to the bytes actually sent,
+// whatever Content-Length declares. The caller returns it with putBuf
+// once the response is written, not before: a PPM's pixels alias the
+// body.
+func (s *Server) readBody(r *http.Request, t *tenant) (*bytes.Buffer, error) {
+	body := s.bufPool.Get().(*bytes.Buffer)
+	if _, err := body.ReadFrom(r.Body); err != nil {
+		s.putBuf(body)
 		return nil, err
 	}
-	s.bytesIn.Add(int64(len(body)))
-	t.bytesIn.Add(int64(len(body)))
-	if len(body) == 0 {
+	s.bytesIn.Add(int64(body.Len()))
+	t.bytesIn.Add(int64(body.Len()))
+	if body.Len() == 0 {
+		s.putBuf(body)
 		return nil, errf(http.StatusBadRequest, "empty_body", "request body is empty")
 	}
 	return body, nil
+}
+
+// putBuf empties a buffer and returns it to bufPool, so every buffer
+// the pool hands out is empty.
+func (s *Server) putBuf(b *bytes.Buffer) {
+	b.Reset()
+	s.bufPool.Put(b)
 }
 
 // --- per-request option parsing -----------------------------------------
@@ -905,12 +918,12 @@ func (s *Server) handleItem(verb string) func(http.ResponseWriter, *http.Request
 		if err != nil {
 			return err
 		}
+		defer s.putBuf(body)
 		var sc scratch
 		defer s.release(&sc)
 		buf := s.bufPool.Get().(*bytes.Buffer)
-		defer func() { buf.Reset(); s.bufPool.Put(buf) }()
-		buf.Reset()
-		if err := op.run(&sc, body, buf, w.Header()); err != nil {
+		defer s.putBuf(buf)
+		if err := op.run(&sc, body.Bytes(), buf, w.Header()); err != nil {
 			return err
 		}
 		w.Header().Set("Content-Type", op.contentType)

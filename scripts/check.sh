@@ -50,8 +50,9 @@ leg() {
 		# rounding, but arm64, riscv64, loong64, ppc64le and s390x do,
 		# and a fused product there computes other bits. nofma.sh
 		# cross-compiles the encoder's float packages (jpegcodec,
-		# qtable, core, imgutil) for those five with -gcflags=-S and
-		# fails on any fused mnemonic. No emulator is needed.
+		# qtable, core, imgutil) and the calibration's statistics pass
+		# (freqstat) for those five with -gcflags=-S and fails on any
+		# fused mnemonic. No emulator is needed.
 		# internal/dct is not in the list yet (22 fused ops on arm64).
 		sh scripts/nofma.sh
 		;;
@@ -66,13 +67,14 @@ leg() {
 		;;
 	alloc)
 		# The steady-state AllocsPerRun pins of the batch APIs (root),
-		# of single-image encode and decode (jpegcodec) and of raw-image
+		# of single-image encode and decode (jpegcodec), of raw-image
 		# decode (imgutil: a PNG's pixels read without boxing a color,
 		# and a PNG too short for its header rejected before it
-		# allocates). Every pin skips under -race, which skews
-		# allocation counts, so the race leg runs none of them; this leg
-		# runs all eleven.
-		$GO test -count 1 -run 'Allocs|ReusesMetadataBuffers' . ./internal/jpegcodec ./internal/imgutil
+		# allocates) and of the calibration's statistics pass
+		# (freqstat: one block row of scratch, no whole luma plane).
+		# Every pin skips under -race, which skews allocation counts, so
+		# the race leg runs none of them; this leg runs all twelve.
+		$GO test -count 1 -run 'Allocs|ReusesMetadataBuffers' . ./internal/jpegcodec ./internal/imgutil ./internal/freqstat
 		;;
 	sampling)
 		# Chroma-sampling matrix (4:4:4/4:2:0/4:2:2/4:4:0/4:1:1):
@@ -123,8 +125,12 @@ leg() {
 		# path, the squared zero threshold at its edges, the block
 		# extents that the quantizer and the requantize walk record
 		# against the coefficients they bound, and the extent-bounded
-		# emit against the full 63-position scan.
-		$GO test -count 1 -run 'TestStreamDigests|TestQuantizeRun|TestTransformComponent|TestRequantize|TestEncodeExtents|TestFromRGBSubsampled' . ./internal/jpegcodec ./internal/imgutil
+		# emit against the full 63-position scan. The calibration's
+		# statistics pass shares the encoder's luma and gather kernels:
+		# TestGatherBlockRow holds the gather to ExtractBlock+LevelShift,
+		# and TestStripWalkOracle holds the one-pass strip walk's
+		# statistics, byte for byte, to the per-block path it replaced.
+		$GO test -count 1 -run 'TestStreamDigests|TestQuantizeRun|TestTransformComponent|TestRequantize|TestEncodeExtents|TestFromRGBSubsampled|TestGatherBlockRow|TestStripWalkOracle' . ./internal/jpegcodec ./internal/imgutil ./internal/freqstat
 		;;
 	hub)
 		# Profile hub: the origin wire protocol, client fault injection

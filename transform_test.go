@@ -44,6 +44,40 @@ func referenceBlock(pix []uint8, w, h, bx, by int) dct.Block {
 	return blk
 }
 
+// referenceStats gathers per-band statistics of textbook-DCT blocks by
+// Welford's update, one block at a time, in the arithmetic of
+// freqstat's accumulator, which folds only the blocks it transforms
+// itself.
+type referenceStats struct {
+	n        int64
+	mean, m2 [64]float64
+	min, max [64]float64
+}
+
+func (r *referenceStats) add(b *dct.Block) {
+	r.n++
+	inv := 1 / float64(r.n)
+	for i, v := range b {
+		d := v - r.mean[i]
+		r.mean[i] += float64(d * inv)
+		r.m2[i] += float64(d * (v - r.mean[i]))
+		if r.n == 1 || v < r.min[i] {
+			r.min[i] = v
+		}
+		if r.n == 1 || v > r.max[i] {
+			r.max[i] = v
+		}
+	}
+}
+
+func (r *referenceStats) stats() *freqstat.Stats {
+	s := &freqstat.Stats{Blocks: r.n, Mean: r.mean, Min: r.min, Max: r.max}
+	for i, m2 := range r.m2 {
+		s.Std[i] = math.Sqrt(m2 / float64(r.n-1))
+	}
+	return s
+}
+
 // TestTransformEnginesShareCalibratedTables holds calibration to the
 // textbook DCT: statistics accumulated from dct.ForwardReference
 // coefficients, fed through the same segmentation and mapping, must
@@ -62,13 +96,13 @@ func TestTransformEnginesShareCalibratedTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	luma, chroma := freqstat.NewAccumulator(), freqstat.NewAccumulator()
-	add := func(acc *freqstat.Accumulator, pix []uint8, w, h int) {
+	luma, chroma := new(referenceStats), new(referenceStats)
+	add := func(acc *referenceStats, pix []uint8, w, h int) {
 		g := imgutil.GridFor(w, h)
 		for by := 0; by < g.BlocksY; by++ {
 			for bx := 0; bx < g.BlocksX; bx++ {
 				blk := referenceBlock(pix, w, h, bx, by)
-				acc.AddBlock(&blk)
+				acc.add(&blk)
 			}
 		}
 	}
@@ -80,14 +114,7 @@ func TestTransformEnginesShareCalibratedTables(t *testing.T) {
 		add(chroma, p.Cb, im.W, im.H)
 		add(chroma, p.Cr, im.W, im.H)
 	}
-	lumaStats, err := luma.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	chromaStats, err := chroma.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	lumaStats, chromaStats := luma.stats(), chroma.stats()
 	seg := freqstat.SegmentByMagnitude(lumaStats)
 	params, err := plm.Fit(plm.PaperAnchors(), seg.T1, seg.T2, lumaStats.MaxStd())
 	if err != nil {
