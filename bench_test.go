@@ -461,10 +461,11 @@ func BenchmarkCalibrateParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	host := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(host)
 	for _, procs := range []int{1, host} {
 		b.Run(fmt.Sprintf("gomaxprocs-%d", procs), func(b *testing.B) {
-			runtime.GOMAXPROCS(procs)
+			// Restored inside the sub-benchmark: the testing package checks
+			// GOMAXPROCS when each one returns.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Calibrate(ds, core.CalibrateOptions{}); err != nil {

@@ -52,9 +52,13 @@
 //
 // Within one image, restart intervals are the unit of parallelism: a
 // frame of at least 1024 MCUs split into two or more restart segments
-// (EncodeOptions.RestartInterval) is entropy-coded and decoded across up
-// to GOMAXPROCS workers. The codec makes that choice itself; output
-// bytes and decoded pixels are identical to a sequential run.
+// (EncodeOptions.RestartInterval) runs every stage across up to
+// GOMAXPROCS workers. Encode converts color over MCU-row bands, then
+// transforms and quantizes block rows, then entropy-codes the segments;
+// decode entropy-decodes the segments, then reconstructs block rows,
+// then converts color over row bands. The codec makes that choice
+// itself, and frames without a restart interval run sequentially;
+// output bytes and decoded pixels are identical to a sequential run.
 //
 // Decode-side buffers are reusable too: DecodeInto fills a caller-owned
 // image and DecodeBatchInto a caller-owned slice of them, making the
@@ -249,8 +253,11 @@ type EncodeOptions struct {
 	// RestartInterval inserts RSTn markers every n MCUs when > 0 (valid
 	// range [0, 65535] — the DRI payload is 16-bit). Restart segments
 	// bound error propagation in the stream and are the unit of
-	// single-image parallel entropy coding on both the encode and decode
-	// side.
+	// single-image parallelism on both the encode and decode side: a
+	// frame of at least 1024 MCUs in two or more segments runs color
+	// conversion, transform and entropy coding across workers, and its
+	// decode runs entropy decoding, reconstruction and color conversion
+	// across workers.
 	RestartInterval int
 	// OptimizeHuffman derives per-image Huffman tables (two-pass encode),
 	// matching libjpeg's -optimize flag.

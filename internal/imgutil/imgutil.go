@@ -87,19 +87,41 @@ func (p *Planes) FromRGB(im *RGB) { p.FromRGBSubsampled(im, 1, 1) }
 // hold 1, 2 or 4 — so the average is (s + n/2) >> log₂n. p's buffers are
 // reused when their capacity suffices.
 func (p *Planes) FromRGBSubsampled(im *RGB, rx, ry int) (cw, ch int) {
-	w, h := im.W, im.H
+	cw, ch = p.Resize(im.W, im.H, rx, ry)
+	p.FromRGBRows(im, rx, ry, 0, ch, &p.rows)
+	return cw, ch
+}
+
+// Resize sets p's geometry to a w×h image with chroma box-subsampled
+// rx×ry and grows its planes to match, reusing buffers whose capacity
+// suffices, and returns the chroma planes' size. The samples are
+// unspecified until FromRGBRows converts them.
+func (p *Planes) Resize(w, h, rx, ry int) (cw, ch int) {
 	cw, ch = (w+rx-1)/rx, (h+ry-1)/ry
 	p.W, p.H, p.Grayscale = w, h, false
 	p.Y = GrowBytes(p.Y, w*h)
 	p.Cb = GrowBytes(p.Cb, cw*ch)
 	p.Cr = GrowBytes(p.Cr, cw*ch)
+	return cw, ch
+}
+
+// FromRGBRows is FromRGBSubsampled over the chroma rows [cy0, cy1) alone,
+// on planes Resize has sized for im: it writes those Cb and Cr rows and
+// the luma rows their boxes cover, [cy0·ry, min(cy1·ry, H)), and reads
+// only the same rows of im, so calls over disjoint row ranges may run
+// concurrently. rows is the caller's scratch for one box row of
+// full-resolution chroma, grown as needed; concurrent calls need one
+// each. Each row converts exactly as in a whole-image call.
+func (p *Planes) FromRGBRows(im *RGB, rx, ry, cy0, cy1 int, rows *[]uint8) {
+	w, h := im.W, im.H
 	if rx == 1 && ry == 1 {
-		convertRow(p.Y, p.Cb, p.Cr, im.Pix)
-		return cw, ch
+		convertRow(p.Y[cy0*w:cy1*w], p.Cb[cy0*w:cy1*w], p.Cr[cy0*w:cy1*w], im.Pix[3*cy0*w:3*cy1*w])
+		return
 	}
-	p.rows = GrowBytes(p.rows, 2*ry*w)
-	cb, cr := p.rows[:ry*w], p.rows[ry*w:]
-	for cy := range ch {
+	cw := (w + rx - 1) / rx
+	*rows = GrowBytes(*rows, 2*ry*w)
+	cb, cr := (*rows)[:ry*w], (*rows)[ry*w:]
+	for cy := cy0; cy < cy1; cy++ {
 		sy0 := cy * ry
 		// Every full 2×2 box of a box row inside the image converts and
 		// averages in one step; a box that hangs past the right or bottom
@@ -129,7 +151,6 @@ func (p *Planes) FromRGBSubsampled(im *RGB, rx, ry int) (cw, ch int) {
 		boxRow(p.Cb[cy*cw:cy*cw+cw], cb, x0, w, rx, ry)
 		boxRow(p.Cr[cy*cw:cy*cw+cw], cr, x0, w, rx, ry)
 	}
-	return cw, ch
 }
 
 // The JFIF forward color transform

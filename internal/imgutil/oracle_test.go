@@ -226,6 +226,39 @@ func TestFromRGBSubsampledOracle(t *testing.T) {
 	}
 }
 
+// TestFromRGBSubsampledRowBands holds the row-range form to the
+// whole-image conversion: for every encode layout, at sizes with
+// partial boxes on either margin, the chroma rows split into bands of
+// every height from 1 to 9 and converted last band first, each band
+// with its own row scratch, must give the planes of one
+// FromRGBSubsampled call byte for byte. Resize sizes stale planes, so a
+// row no band writes would show.
+func TestFromRGBSubsampledRowBands(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	var whole, banded Planes
+	for _, box := range [][2]int{{1, 1}, {2, 2}, {2, 1}, {1, 2}, {4, 1}} {
+		rx, ry := box[0], box[1]
+		for _, sz := range [][2]int{{1, 1}, {3, 5}, {9, 7}, {17, 9}, {31, 33}, {121, 87}} {
+			w, h := sz[0], sz[1]
+			im := randRGB(rng, w, h)
+			cw, ch := whole.FromRGBSubsampled(im, rx, ry)
+			for band := 1; band <= 9; band++ {
+				banded.FromRGBSubsampled(randRGB(rng, w, h), rx, ry) // stale samples
+				if gw, gh := banded.Resize(w, h, rx, ry); gw != cw || gh != ch {
+					t.Fatalf("%dx%d box %dx%d: Resize gives chroma %dx%d, want %dx%d", w, h, rx, ry, gw, gh, cw, ch)
+				}
+				for cy0 := (ch - 1) / band * band; cy0 >= 0; cy0 -= band {
+					var rows []uint8
+					banded.FromRGBRows(im, rx, ry, cy0, min(cy0+band, ch), &rows)
+				}
+				if !bytes.Equal(banded.Y, whole.Y) || !bytes.Equal(banded.Cb, whole.Cb) || !bytes.Equal(banded.Cr, whole.Cr) {
+					t.Fatalf("%dx%d box %dx%d in bands of %d chroma rows: planes differ from one whole-image call", w, h, rx, ry, band)
+				}
+			}
+		}
+	}
+}
+
 // exactTie reports whether the exact Y, Cb or Cr of (r, g, b) is a
 // half-integer, computed in integers from the formula's rational
 // coefficients: 1000·Y and 10⁶·(Cb − 128), 10⁶·(Cr − 128).

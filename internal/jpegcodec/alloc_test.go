@@ -14,6 +14,7 @@ package jpegcodec
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/imgutil"
@@ -199,5 +200,92 @@ func TestDecodeIntoRGBIntoAllocsSteadyState(t *testing.T) {
 	t.Logf("pooled DecodeInto+RGBInto: %.1f allocs/op", allocs)
 	if allocs > 4 {
 		t.Fatalf("steady-state DecodeInto+RGBInto makes %.1f allocs/op, want ≤ 4", allocs)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean number of heap
+// bytes one call of f allocates over runs calls, measured, as
+// AllocsPerRun measures, at GOMAXPROCS 1 after one warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.TotalAlloc
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&m)
+	return (m.TotalAlloc - before) / uint64(runs)
+}
+
+// shardedBytesBound bounds the bytes per call of the sharded pins below.
+// What remains is each fan-out's goroutines, closures and per-worker
+// slices: about 1.4 KiB for three fan-outs. A pooled buffer allocated
+// per call would pass it: one worker's box-row scratch of a 1024-wide
+// frame at 4:2:0 is 4 KiB, the scan writer's segment table 1.5 KiB, one
+// block-row plane 64 KiB and the frame's restart segments about
+// 100 KiB.
+const shardedBytesBound = 2 << 10
+
+// TestEncodeShardedAllocsSteadyState pins the sharded encode of a 1024²
+// restart-64 frame on two workers — color conversion, forward stage and
+// scan writer on the fan-out — to the fan-out's own small allocations:
+// the workers' planes, row scratch, bit writers and segment table come
+// from pools.
+func TestEncodeShardedAllocsSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	img := testImageRGB(1024, 1024, 31)
+	opts := &Options{RestartInterval: 64, ShardWorkers: 2}
+	var buf bytes.Buffer
+	encode := func() {
+		buf.Reset()
+		if err := EncodeRGB(&buf, img, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 4 {
+		encode()
+	}
+	n := bytesPerRun(20, encode)
+	t.Logf("sharded EncodeRGB 1024² ri=64: %d B/op", n)
+	if n > shardedBytesBound {
+		t.Fatalf("steady-state sharded EncodeRGB allocates %d B/op, want ≤ %d (a per-call buffer survived)", n, shardedBytesBound)
+	}
+}
+
+// TestDecodeShardedRGBIntoAllocsSteadyState is the read side's pin:
+// DecodeInto with two shard workers, then RGBInto into a reused image,
+// with entropy decode, reconstruction and color conversion on the
+// fan-out.
+func TestDecodeShardedRGBIntoAllocsSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	var src bytes.Buffer
+	if err := EncodeRGB(&src, testImageRGB(1024, 1024, 31), &Options{RestartInterval: 64}); err != nil {
+		t.Fatal(err)
+	}
+	stream := src.Bytes()
+	opts := &DecodeOptions{ShardWorkers: 2}
+	var dec Decoded
+	img := &imgutil.RGB{}
+	r := bytes.NewReader(stream)
+	decode := func() {
+		r.Reset(stream)
+		if err := DecodeInto(r, &dec, opts); err != nil {
+			t.Fatal(err)
+		}
+		img = dec.RGBInto(img)
+	}
+	for range 4 {
+		decode()
+	}
+	n := bytesPerRun(20, decode)
+	t.Logf("sharded DecodeInto+RGBInto 1024² ri=64: %d B/op", n)
+	if n > shardedBytesBound {
+		t.Fatalf("steady-state sharded DecodeInto+RGBInto allocates %d B/op, want ≤ %d (a per-call buffer survived)", n, shardedBytesBound)
 	}
 }

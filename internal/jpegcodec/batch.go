@@ -225,19 +225,17 @@ func dequantizePrefix(tile *[64]float64, coefs *[64]int32, ext uint8, inv *qtabl
 	}
 }
 
-// transformComponent runs the whole forward stage for one encoder
-// component: per block row, gather the level-shifted tiles into plane,
-// one batch of raw AAN butterflies (the scale factors live in div), one
-// fused quantize pass into the coefficient grid that records each
-// block's extent in c.ext.
-func transformComponent(c *component, div *qtable.FwdScaled, sq *[64]float64, mask *qtable.ZeroMask, plane []float64) {
+// transformBlockRow runs the whole forward stage for block row by of
+// one encoder component: gather the row's level-shifted tiles into
+// plane, one batch of raw AAN butterflies (the scale factors live in
+// div), one fused quantize pass into the coefficient grid that records
+// each block's extent in c.ext.
+func transformBlockRow(c *component, by int, div *qtable.FwdScaled, sq *[64]float64, mask *qtable.ZeroMask, plane []float64) {
 	run := c.blocksX * 64
-	for by := 0; by < c.blocksY; by++ {
-		dct.GatherBlockRow(plane[:run], c.pix, c.w, c.hgt, by, c.blocksX)
-		dct.ForwardAANRawBatch(plane[:run])
-		row := by * c.blocksX
-		quantizeRunInto(c.coefs[row:row+c.blocksX], c.ext[row:row+c.blocksX], plane[:run], div, sq, mask)
-	}
+	dct.GatherBlockRow(plane[:run], c.pix, c.w, c.hgt, by, c.blocksX)
+	dct.ForwardAANRawBatch(plane[:run])
+	row := by * c.blocksX
+	quantizeRunInto(c.coefs[row:row+c.blocksX], c.ext[row:row+c.blocksX], plane[:run], div, sq, mask)
 }
 
 // reconstructBlockRow runs the inverse stage for block row by of a

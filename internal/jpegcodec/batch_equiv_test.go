@@ -163,7 +163,10 @@ func TestTransformComponentMatchesPerBlock(t *testing.T) {
 			c.ext = make([]uint8, len(c.coefs))
 			var thr [64]float64
 			zeroThresholds(&thr, &tbl, m)
-			transformComponent(c, &tbl, &thr, m, make([]float64, c.blocksX*64))
+			plane := make([]float64, c.blocksX*64)
+			for by := 0; by < c.blocksY; by++ {
+				transformBlockRow(c, by, &tbl, &thr, m, plane)
+			}
 			for by := 0; by < c.blocksY; by++ {
 				for bx := 0; bx < c.blocksX; bx++ {
 					var tile [64]uint8

@@ -230,17 +230,19 @@ type Options struct {
 	// Requantize, 0 inherits the source stream's interval and a negative
 	// value strips restart markers from the output.
 	RestartInterval int
-	// ShardWorkers overrides restart-interval sharded entropy coding for
-	// tests and measurement; no production code sets it. When
-	// RestartInterval > 0 every restart segment is independently codable
-	// (the DC predictor resets at each RSTn and segments start
-	// byte-aligned), so Huffman statistics gathering and scan emission
-	// fan out across a worker pool and the output stays byte-identical.
-	// 0 leaves the choice to the codec (shard across GOMAXPROCS on frames
-	// of at least 1024 MCUs); 1 or any negative value forces the
-	// sequential path, the reference the shard-equivalence tests compare
-	// against; values ≥ 2 force that many workers, capped at the segment
-	// count.
+	// ShardWorkers overrides restart-interval sharding for tests and
+	// measurement; no production code sets it. When RestartInterval > 0
+	// every restart segment is independently codable (the DC predictor
+	// resets at each RSTn and segments start byte-aligned), so a sharded
+	// frame runs every stage on one worker pool — color conversion over
+	// MCU-row bands, gather, forward DCT and quantize over block rows,
+	// Huffman statistics gathering and scan emission over segments — and
+	// the output stays byte-identical. 0 leaves the choice to the codec
+	// (shard across GOMAXPROCS on frames of at least 1024 MCUs); 1 or
+	// any negative value forces the sequential path, the reference the
+	// shard-equivalence tests compare against; values ≥ 2 force that
+	// many workers, capped at the segment count. Requantize computes its
+	// coefficients sequentially and shards only the entropy coding.
 	ShardWorkers int
 }
 

@@ -166,6 +166,10 @@ func (d *Decoded) RGB() *imgutil.RGB {
 // (x, y) reads chroma sample (x·hs/maxH, y·vs/maxV), clamped to the
 // plane. When the Cb plane is frame-sized, every frame-sized chroma
 // plane is read one to one instead.
+// When the decode ran sharded, the conversion fans out the same way as
+// reconstruction, over bands of rgbBandRows output rows: each band
+// writes its own rows of dst and reads the planes and column indices
+// only, so the pixels are those of the sequential pass.
 // The first pixel read after a decode reconstructs the planes, and the
 // column indices are scratch kept on the Decoded, so RGBInto must not
 // run concurrently with another pixel reader on one Decoded.
@@ -175,47 +179,76 @@ func (d *Decoded) RGBInto(dst *imgutil.RGB) *imgutil.RGB {
 	if im == nil {
 		im = &imgutil.RGB{}
 	}
-	if d.Components == 1 {
-		p := &d.planes[0]
-		im.W, im.H = p.w, p.h
-		im.Pix = imgutil.GrowBytes(im.Pix, 3*p.w*p.h)
-		for i, v := range p.pix[:p.w*p.h] {
-			im.Pix[3*i], im.Pix[3*i+1], im.Pix[3*i+2] = v, v, v
-		}
-		return im
+	w, h := d.planes[0].w, d.planes[0].h
+	if d.Components == 3 {
+		w, h = d.W, d.H
 	}
-	w, h := d.W, d.H
 	im.W, im.H = w, h
 	im.Pix = imgutil.GrowBytes(im.Pix, 3*w*h)
-	lum, cb, cr := &d.planes[0], &d.planes[1], &d.planes[2]
+	if d.Components == 3 && d.Sampling != Sub420 {
+		cb, cr := &d.planes[1], &d.planes[2]
+		cbDirect, crDirect := d.directChroma()
+		if cap(d.cols) < 2*w {
+			d.cols = make([]int32, 2*w)
+		}
+		cbX, crX := d.cols[:w], d.cols[w:2*w]
+		for x := range w {
+			cbX[x] = int32(chromaIndex(x, cb.hs, d.maxH, cb.w, cbDirect))
+			crX[x] = int32(chromaIndex(x, cr.hs, d.maxH, cr.w, crDirect))
+		}
+	}
+	if d.reconWorkers > 1 {
+		d.rgbSharded(im)
+	} else {
+		d.rgbRows(im, 0, h)
+	}
+	return im
+}
+
+// rgbBandRows is the height of one band of RGBInto's sharded conversion.
+// It is even, so no 4:2:0 row pair straddles two bands.
+const rgbBandRows = 16
+
+// rgbRows converts output rows [lo, hi) of the frame into im, which
+// RGBInto has sized, with lo even for a 4:2:0 frame.
+func (d *Decoded) rgbRows(im *imgutil.RGB, lo, hi int) {
+	w, h := im.W, im.H
+	lum := &d.planes[0]
+	if d.Components == 1 {
+		pix := im.Pix[3*lo*w : 3*hi*w]
+		for i, v := range lum.pix[lo*w : hi*w] {
+			pix[3*i], pix[3*i+1], pix[3*i+2] = v, v, v
+		}
+		return
+	}
+	cb, cr := &d.planes[1], &d.planes[2]
 	if d.Sampling == Sub420 {
 		// Each chroma sample covers a 2×2 luma box: convert two rows per
 		// chroma row (an odd last row pairs with itself).
-		for y := 0; y < h; y += 2 {
+		for y := lo; y < hi; y += 2 {
 			y1, c := min(y+1, h-1), y/2
 			imgutil.YCbCr420RowsToRGB(im.Pix[3*y*w:3*(y+1)*w], im.Pix[3*y1*w:3*(y1+1)*w],
 				lum.pix[y*w:(y+1)*w], lum.pix[y1*w:(y1+1)*w],
 				cb.pix[c*cb.w:(c+1)*cb.w], cr.pix[c*cr.w:(c+1)*cr.w])
 		}
-		return im
+		return
 	}
-	cbDirect := cb.w == w && cb.h == h
-	crDirect := cbDirect && cr.w == w && cr.h == h
-	if cap(d.cols) < 2*w {
-		d.cols = make([]int32, 2*w)
-	}
+	cbDirect, crDirect := d.directChroma()
 	cbX, crX := d.cols[:w], d.cols[w:2*w]
-	for x := range w {
-		cbX[x] = int32(chromaIndex(x, cb.hs, d.maxH, cb.w, cbDirect))
-		crX[x] = int32(chromaIndex(x, cr.hs, d.maxH, cr.w, crDirect))
-	}
-	for y := range h {
+	for y := lo; y < hi; y++ {
 		by := chromaIndex(y, cb.vs, d.maxV, cb.h, cbDirect)
 		ry := chromaIndex(y, cr.vs, d.maxV, cr.h, crDirect)
 		imgutil.YCbCrRowToRGB(im.Pix[3*y*w:3*(y+1)*w], lum.pix[y*w:(y+1)*w],
 			cb.pix[by*cb.w:(by+1)*cb.w], cr.pix[ry*cr.w:(ry+1)*cr.w], cbX, crX)
 	}
-	return im
+}
+
+// directChroma reports which chroma planes of a color frame RGBInto
+// reads one to one: both when both are frame-sized, Cr never alone.
+func (d *Decoded) directChroma() (cb, cr bool) {
+	cbp, crp := &d.planes[1], &d.planes[2]
+	cb = cbp.w == d.W && cbp.h == d.H
+	return cb, cb && crp.w == d.W && crp.h == d.H
 }
 
 // chromaIndex is the chroma sample that output coordinate i reads along
@@ -242,7 +275,9 @@ type DecodeOptions struct {
 	// declares a restart interval the entropy data is byte-scanned into
 	// its restart segments (markers are byte-aligned and cannot occur
 	// inside stuffed entropy data) and the segments decode concurrently,
-	// each on its own bit reader with a fresh DC predictor. 0
+	// each on its own bit reader with a fresh DC predictor; the first
+	// pixel read then reconstructs block rows, and RGBInto converts
+	// color over row bands, on the same fan-out. 0
 	// leaves the choice to the decoder (shard across GOMAXPROCS on frames
 	// of at least 1024 MCUs); 1 or any negative value forces the
 	// sequential path, the reference the shard-equivalence tests compare

@@ -306,7 +306,7 @@ func encodeWithFactors(t *testing.T, w, h int, factors [3][2]int) []byte {
 	s := getEncScratch()
 	defer putEncScratch(s)
 	var buf bytes.Buffer
-	if err := encode(&buf, w, h, comps, &o, s); err != nil {
+	if err := encode(&buf, nil, w, h, comps, &o, s); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

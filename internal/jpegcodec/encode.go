@@ -37,15 +37,16 @@ func EncodeRGB(w io.Writer, img *imgutil.RGB, opts *Options) error {
 
 	s := getEncScratch()
 	defer putEncScratch(s)
-	return encode(w, img.W, img.H, s.rgbComponents(img, h, v), &o, s)
+	return encode(w, img, img.W, img.H, s.rgbComponents(img, h, v), &o, s)
 }
 
-// rgbComponents converts img into the scratch planes, luma at full
+// rgbComponents sizes the scratch planes for img, luma at full
 // resolution and chroma box-subsampled h×v, and describes them as the
-// three frame components with luma sampling factors h×v.
+// three frame components with luma sampling factors h×v. The samples
+// are written by transformComponents, which converts img into them.
 func (s *encScratch) rgbComponents(img *imgutil.RGB, h, v int) []*component {
 	p := &s.planes
-	cw, ch := p.FromRGBSubsampled(img, h, v)
+	cw, ch := p.Resize(img.W, img.H, h, v)
 	s.comps[0] = component{id: 1, h: h, v: v, tq: 0, td: 0, ta: 0, w: img.W, hgt: img.H, pix: p.Y}
 	s.comps[1] = component{id: 2, h: 1, v: 1, tq: 1, td: 1, ta: 1, w: cw, hgt: ch, pix: p.Cb}
 	s.comps[2] = component{id: 3, h: 1, v: 1, tq: 1, td: 1, ta: 1, w: cw, hgt: ch, pix: p.Cr}
@@ -69,7 +70,7 @@ func EncodeGray(w io.Writer, img *imgutil.Gray, opts *Options) error {
 	s := getEncScratch()
 	defer putEncScratch(s)
 	s.comps[0] = component{id: 1, h: 1, v: 1, tq: 0, td: 0, ta: 0, w: img.W, hgt: img.H, pix: img.Pix}
-	return encode(w, img.W, img.H, s.components(1), &o, s)
+	return encode(w, nil, img.W, img.H, s.components(1), &o, s)
 }
 
 // checkImage rejects a w×h image the encoder cannot write: empty, wider
@@ -90,22 +91,28 @@ func checkImage(w, h, pixLen, channels int) error {
 	return nil
 }
 
-// encode runs the shared encoding pipeline: coefficient computation,
-// optional Huffman optimization, then marker and scan emission. scratch
-// holds the fused divisors, the block-row plane and the coefficient
+// encode runs the shared encoding pipeline: color conversion of src
+// (nil for gray input), coefficient computation, optional Huffman
+// optimization, then marker and scan emission. scratch holds the color
+// planes, the fused divisors, the block-row plane and the coefficient
 // grids.
-func encode(w io.Writer, width, height int, comps []*component, o *Options, scratch *encScratch) error {
+func encode(w io.Writer, src *imgutil.RGB, width, height int, comps []*component, o *Options, scratch *encScratch) error {
 	if err := validateRestartInterval(o.RestartInterval); err != nil {
 		return err
 	}
-	mcusX, mcusY := transformComponents(width, height, comps, o, scratch)
+	mcusX, mcusY := transformComponents(src, width, height, comps, o, scratch)
 	return encodeTail(w, width, height, comps, mcusX, mcusY, o)
 }
 
-// transformComponents computes the quantized coefficients of every
-// component over the MCU-padded block grid and returns that grid's size
-// in MCUs.
-func transformComponents(width, height int, comps []*component, o *Options, scratch *encScratch) (mcusX, mcusY int) {
+// transformComponents converts src, when non-nil, into the planes that
+// rgbComponents described, then computes the quantized coefficients of
+// every component over the MCU-padded block grid, and returns that
+// grid's size in MCUs. A frame the scan writer shards
+// (shardWorkersFor) runs both stages on the same fan-out
+// (forwardSharded); any other frame runs them in order on the calling
+// goroutine. Either way every row is computed by the same functions, so
+// the coefficients are identical.
+func transformComponents(src *imgutil.RGB, width, height int, comps []*component, o *Options, scratch *encScratch) (mcusX, mcusY int) {
 	maxH, maxV := 1, 1
 	for _, c := range comps {
 		maxH = max(maxH, c.h)
@@ -122,9 +129,7 @@ func transformComponents(width, height int, comps []*component, o *Options, scra
 	zeroThresholds(&thr[0], &fwd[0], o.ZeroMask)
 	zeroThresholds(&thr[1], &fwd[1], o.ZeroMask)
 
-	// Forward-transform every block in the MCU-padded grid, one whole
-	// block row at a time: fused gather into the flat plane, one batch
-	// transform, one fused quantize pass into the coefficient grid.
+	rows := 0
 	for ci, c := range comps {
 		c.blocksX = mcusX * c.h
 		c.blocksY = mcusY * c.v
@@ -132,10 +137,44 @@ func transformComponents(width, height int, comps []*component, o *Options, scra
 		scratch.coefs[ci] = c.coefs
 		c.ext = imgutil.GrowBytes(scratch.ext[ci], len(c.coefs))
 		scratch.ext[ci] = c.ext
-		scratch.plane = growFloats(scratch.plane, c.blocksX*64)
-		transformComponent(c, &fwd[c.tq], &thr[c.tq], o.ZeroMask, scratch.plane)
+		rows += c.blocksY
+	}
+	if nw := shardWorkersFor(o.ShardWorkers, o.RestartInterval, mcusX*mcusY); nw > 1 {
+		scratch.forwardSharded(src, comps, mcusY, rows, o.ZeroMask, nw)
+		return mcusX, mcusY
+	}
+	if src != nil {
+		scratch.convertMCURows(src, comps, 0, mcusY, &scratch.rows)
+	}
+	for r := range rows {
+		scratch.transformRow(comps, r, o.ZeroMask, &scratch.plane)
 	}
 	return mcusX, mcusY
+}
+
+// convertMCURows converts the MCU rows [m0, m1) of src into the planes
+// rgbComponents described: the chroma rows of those MCU rows, eight
+// each, and the luma rows their boxes cover. rows is the box-row
+// scratch of the calling worker.
+func (s *encScratch) convertMCURows(src *imgutil.RGB, comps []*component, m0, m1 int, rows *[]uint8) {
+	ch := comps[1].hgt
+	s.planes.FromRGBRows(src, comps[0].h, comps[0].v, min(8*m0, ch), min(8*m1, ch), rows)
+}
+
+// transformRow runs the forward stage for block row r of the frame,
+// counting the components' block rows in component order as
+// Decoded.reconstructRow does, growing *plane to the row's scratch size.
+// It reads s's divisors and thresholds and writes only that row's
+// coefficients and extents.
+func (s *encScratch) transformRow(comps []*component, r int, mask *qtable.ZeroMask, plane *[]float64) {
+	ci := 0
+	for r >= comps[ci].blocksY {
+		r -= comps[ci].blocksY
+		ci++
+	}
+	c := comps[ci]
+	*plane = growFloats(*plane, c.blocksX*64)
+	transformBlockRow(c, r, &s.fwd[c.tq], &s.thr[c.tq], mask, *plane)
 }
 
 // encodeTail chooses Huffman tables and emits the complete stream for

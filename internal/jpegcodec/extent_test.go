@@ -190,7 +190,7 @@ func TestEncodeExtents(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			mcusX, mcusY := transformComponents(w, h, comps, &o, s)
+			mcusX, mcusY := transformComponents(tc.rgb, w, h, comps, &o, s)
 			for ci, c := range comps {
 				checkBlockExtents(t, c.coefs, c.ext, true, fmt.Sprintf("%s: component %d", tc.name, ci))
 			}

@@ -32,7 +32,8 @@ type encScratch struct {
 	refs   [3]*component       // backing array for the []*component slice
 	fwd    [2]qtable.FwdScaled // fused forward divisors (luma, chroma), derived per encode
 	thr    [2][64]float64      // squared zero thresholds of fwd (zeroThresholds), derived per encode
-	plane  []float64           // flat block-row plane for the batch transform stage
+	plane  []float64           // flat block-row plane for the sequential transform stage
+	rows   []uint8             // box-row chroma scratch for the sequential color conversion
 }
 
 var encScratchPool = sync.Pool{New: func() any { return new(encScratch) }}
@@ -90,10 +91,33 @@ func growFloats(b []float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// planePool recycles flat block-row planes for pixel reconstruction,
-// one per worker (or one for the sequential pass); encode retains its
-// plane on encScratch instead.
+// planePool recycles flat block-row planes for the workers of a sharded
+// transform or reconstruction, and for the sequential reconstruction;
+// the sequential encode retains its plane on encScratch instead.
 var planePool = sync.Pool{New: func() any { return new([]float64) }}
+
+// getPlanes checks n planes out of planePool, one per worker.
+func getPlanes(n int) []*[]float64 {
+	planes := make([]*[]float64, n)
+	for i := range planes {
+		planes[i] = planePool.Get().(*[]float64)
+	}
+	return planes
+}
+
+// putPlanes returns the planes getPlanes handed out.
+func putPlanes(planes []*[]float64) {
+	for _, p := range planes {
+		planePool.Put(p)
+	}
+}
+
+// rowsPool recycles the box-row chroma scratch of the workers of a
+// sharded color conversion.
+var rowsPool = sync.Pool{New: func() any { return new([]uint8) }}
+
+// spanPool recycles the segment table of the sharded scan writer.
+var spanPool = sync.Pool{New: func() any { return new([]segSpan) }}
 
 // bufwPool recycles the buffered marker/scan writers.
 var bufwPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, 1<<12) }}

@@ -101,33 +101,42 @@ func decodedEqual(t *testing.T, want, got *Decoded, label string) {
 	}
 }
 
-// restartLayouts enumerates the stream shapes of the test matrix.
+// restartLayouts enumerates the stream shapes of the test matrix. enc
+// encodes the layout's test image of the given seed.
 type restartLayout struct {
 	name string
-	enc  func(t *testing.T, opts *Options) []byte
+	enc  func(t *testing.T, opts *Options, seed int64) []byte
 }
 
+// restartLayouts returns gray and every encode layout of color, each at
+// w×h.
 func restartLayouts(w, h int) []restartLayout {
-	return []restartLayout{
-		{"gray", func(t *testing.T, opts *Options) []byte {
+	layouts := []restartLayout{
+		{"gray", func(t *testing.T, opts *Options, seed int64) []byte {
 			var buf bytes.Buffer
-			if err := EncodeGray(&buf, testImageGray(w, h, 7), opts); err != nil {
+			if err := EncodeGray(&buf, testImageGray(w, h, seed), opts); err != nil {
 				t.Fatal(err)
 			}
 			return buf.Bytes()
 		}},
-		{"rgb420", func(t *testing.T, opts *Options) []byte {
-			o := *opts
-			o.Subsampling = Sub420
-			return encodeToBytes(t, testImageRGB(w, h, 7), &o)
-		}},
-		{"rgb444", func(t *testing.T, opts *Options) []byte {
-			o := *opts
-			o.Subsampling = Sub444
-			return encodeToBytes(t, testImageRGB(w, h, 7), &o)
-		}},
 	}
+	for _, sub := range []Subsampling{Sub420, Sub444, Sub422, Sub440, Sub411} {
+		name := "rgb" + strings.ReplaceAll(sub.String(), ":", "")
+		layouts = append(layouts, restartLayout{name, func(t *testing.T, opts *Options, seed int64) []byte {
+			o := *opts
+			o.Subsampling = sub
+			return encodeToBytes(t, testImageRGB(w, h, seed), &o)
+		}})
+	}
+	return layouts
 }
+
+// shardGeometries are the frame sizes of the shard-equivalence tests.
+// 120×88 fills whole 4:2:0 MCUs. 121×87 leaves a partial last MCU row and
+// column in every layout; at 4:2:0 its odd width takes the color
+// kernel's right-edge path and its odd height puts a box row past the
+// bottom of the image.
+var shardGeometries = [][2]int{{120, 88}, {121, 87}}
 
 func decodeAll(t *testing.T, stream []byte, opts *DecodeOptions) *Decoded {
 	t.Helper()
@@ -146,11 +155,11 @@ func TestRestartIntervalMatrix(t *testing.T) {
 	const w, h = 64, 48 // 420: 12 MCUs, 444/gray: 48 MCUs
 	for _, layout := range restartLayouts(w, h) {
 		for _, optimize := range []bool{false, true} {
-			base := layout.enc(t, &Options{OptimizeHuffman: optimize})
+			base := layout.enc(t, &Options{OptimizeHuffman: optimize}, 7)
 			ref := decodeAll(t, base, nil)
 			for _, ri := range []int{1, 2, 5, 7, 100} {
 				name := fmt.Sprintf("%s/opt=%v/ri=%d", layout.name, optimize, ri)
-				stream := layout.enc(t, &Options{OptimizeHuffman: optimize, RestartInterval: ri})
+				stream := layout.enc(t, &Options{OptimizeHuffman: optimize, RestartInterval: ri}, 7)
 				if got := parseDRIValue(t, stream); got != ri {
 					t.Fatalf("%s: DRI %d", name, got)
 				}
@@ -176,21 +185,27 @@ func TestRestartIntervalMatrix(t *testing.T) {
 }
 
 // TestShardedEncodeByteIdentical is the encode-side equivalence
-// property: for every layout, Huffman mode and worker count, the
-// sharded writer must emit exactly the sequential writer's bytes.
+// property: for every layout, geometry, Huffman mode and worker count,
+// the sharded encoder — color conversion, forward stage and scan writer
+// on the fan-out — must emit exactly the sequential encoder's bytes.
+// Each worker count encodes an image of its own, sharded first, so the
+// pooled planes and grids it starts from hold another image's samples:
+// a row the fan-out skipped would keep them and show.
 func TestShardedEncodeByteIdentical(t *testing.T) {
-	const w, h = 120, 88 // 420: 8×6 = 48 MCUs
-	for _, layout := range restartLayouts(w, h) {
-		for _, optimize := range []bool{false, true} {
-			for _, ri := range []int{1, 3, 8} {
-				seq := layout.enc(t, &Options{OptimizeHuffman: optimize,
-					RestartInterval: ri, ShardWorkers: 1})
-				for _, workers := range []int{2, 3, 16} {
-					sharded := layout.enc(t, &Options{OptimizeHuffman: optimize,
-						RestartInterval: ri, ShardWorkers: workers})
-					if !bytes.Equal(seq, sharded) {
-						t.Fatalf("%s/opt=%v/ri=%d: %d-worker stream differs from sequential (%d vs %d bytes)",
-							layout.name, optimize, ri, workers, len(seq), len(sharded))
+	for _, g := range shardGeometries {
+		for _, layout := range restartLayouts(g[0], g[1]) {
+			for _, optimize := range []bool{false, true} {
+				for _, ri := range []int{1, 3, 8} {
+					for _, workers := range []int{2, 3, 16} {
+						seed := int64(7 + workers)
+						sharded := layout.enc(t, &Options{OptimizeHuffman: optimize,
+							RestartInterval: ri, ShardWorkers: workers}, seed)
+						seq := layout.enc(t, &Options{OptimizeHuffman: optimize,
+							RestartInterval: ri, ShardWorkers: 1}, seed)
+						if !bytes.Equal(seq, sharded) {
+							t.Fatalf("%dx%d %s/opt=%v/ri=%d: %d-worker stream differs from sequential (%d vs %d bytes)",
+								g[0], g[1], layout.name, optimize, ri, workers, len(seq), len(sharded))
+						}
 					}
 				}
 			}
@@ -199,17 +214,20 @@ func TestShardedEncodeByteIdentical(t *testing.T) {
 }
 
 // TestShardedDecodeMatchesSequential is the decode-side equivalence
-// property: the sharded decoder must produce identical pixels and
-// coefficients for every stream the sequential decoder accepts.
+// property: the sharded decoder — entropy decode, reconstruction and
+// RGBInto's color conversion on the fan-out — must produce identical
+// pixels and coefficients for every stream the sequential decoder
+// accepts.
 func TestShardedDecodeMatchesSequential(t *testing.T) {
-	const w, h = 120, 88
-	for _, layout := range restartLayouts(w, h) {
-		for _, ri := range []int{1, 3, 8} {
-			stream := layout.enc(t, &Options{RestartInterval: ri})
-			seq := decodeAll(t, stream, &DecodeOptions{ShardWorkers: 1})
-			for _, workers := range []int{2, 3, 16} {
-				sharded := decodeAll(t, stream, &DecodeOptions{ShardWorkers: workers})
-				decodedEqual(t, seq, sharded, fmt.Sprintf("%s/ri=%d/workers=%d", layout.name, ri, workers))
+	for _, g := range shardGeometries {
+		for _, layout := range restartLayouts(g[0], g[1]) {
+			for _, ri := range []int{1, 3, 8} {
+				stream := layout.enc(t, &Options{RestartInterval: ri}, 7)
+				seq := decodeAll(t, stream, &DecodeOptions{ShardWorkers: 1})
+				for _, workers := range []int{2, 3, 16} {
+					sharded := decodeAll(t, stream, &DecodeOptions{ShardWorkers: workers})
+					decodedEqual(t, seq, sharded, fmt.Sprintf("%dx%d %s/ri=%d/workers=%d", g[0], g[1], layout.name, ri, workers))
+				}
 			}
 		}
 	}

@@ -1,19 +1,24 @@
 package jpegcodec
 
-// Restart-interval sharded entropy coding — parallelism *inside* a
-// single image. A restart interval makes every segment of the scan
-// independently codable: segments start byte-aligned (the coder pads to
-// a byte boundary before each RSTn) and the DC predictor resets at each
+// Restart-interval sharding — parallelism *inside* a single image. A
+// restart interval makes every segment of the scan independently
+// codable: segments start byte-aligned (the coder pads to a byte
+// boundary before each RSTn) and the DC predictor resets at each
 // marker, so no state crosses a segment boundary in either direction.
-// That turns the one serial stage of the codec — entropy coding — into a
+// That turns entropy coding, the one serial stage of the codec, into a
 // fan-out over pipeline's worker pool, the same lever libjpeg-turbo
-// pulls for multi-core single-image throughput:
+// pulls for multi-core single-image throughput. Once a frame is sharded,
+// every other stage runs on the same fan-out too, over disjoint row
+// bands, each computing exactly what the sequential loop computes for
+// it:
 //
-//   - encode: each worker entropy-codes its segments into a pooled
-//     bitio.Writer; the finished buffers are stitched together with RSTn
-//     markers in segment order, producing a stream byte-identical to the
-//     sequential writer's (which also pads and emits a marker at every
-//     boundary).
+//   - encode: color conversion with chroma downsampling runs over MCU
+//     rows, then gather, forward DCT and quantize over block rows
+//     (forwardSharded). Each worker then entropy-codes its segments into
+//     one pooled bitio.Writer, and the segments are stitched together
+//     with RSTn markers in segment order, producing a stream
+//     byte-identical to the sequential writer's (which also pads and
+//     emits a marker at every boundary).
 //   - decode: the entropy data is byte-scanned into its restart segments
 //     first — markers are byte-aligned and can never occur inside
 //     entropy data, because the coder stuffs a 0x00 after every 0xFF it
@@ -22,7 +27,11 @@ package jpegcodec
 //     outputs land in disjoint regions of the coefficient grids, so
 //     workers share them without synchronization. The pixel planes
 //     reconstruct later, on the first pixel read, with the same fan-out
-//     over block rows.
+//     over block rows, and RGBInto converts color over row bands on it.
+//
+// Frames without a restart interval run every stage sequentially, and
+// so, unless ShardWorkers forces a fan-out, do frames below
+// autoShardMinMCUs MCUs.
 //
 // Acceptance behavior is kept identical to the sequential paths: the
 // byte scan validates the RSTn sequence exactly like the sequential
@@ -59,6 +68,7 @@ import (
 	"repro/internal/bitio"
 	"repro/internal/imgutil"
 	"repro/internal/pipeline"
+	"repro/internal/qtable"
 )
 
 // autoShardMinMCUs is the frame size below which auto mode keeps the
@@ -137,16 +147,28 @@ func gatherStatsSharded(comps []*component, mcusX, total, restart, workers int, 
 	return nil
 }
 
+// segSpan locates one restart segment's finished bytes in the sharded
+// scan writer: bytes [lo, hi) of worker w's bit writer.
+type segSpan struct{ w, lo, hi int }
+
 // writeScanSharded emits the entropy-coded segment with per-segment
 // parallelism, byte-identical to writeScan: each restart segment is
 // coded into a worker-local pooled bitio.Writer starting byte-aligned
 // with a fresh DC predictor (exactly the state the sequential writer has
-// after Flush + RSTn), then the buffers are stitched in order with the
-// same (seg-1) mod 8 marker indices.
+// after Flush + RSTn), then the segments are stitched in order with the
+// same (seg-1) mod 8 marker indices. A worker codes all its segments
+// into one writer, one after another: Pad leaves the writer byte-aligned
+// with no pending bits, which is the state a fresh writer starts in, so
+// each segment's bytes are those of a writer of its own, and the stitch
+// reads them in place from the pooled span table.
 func writeScanSharded(w *bufio.Writer, comps []*component, enc [4]*encTable, mcusX, mcusY, restart, workers int) error {
 	total := mcusX * mcusY
 	segs := (total + restart - 1) / restart
-	segBufs := make([][]byte, segs)
+	spans := spanPool.Get().(*[]segSpan)
+	if cap(*spans) < segs {
+		*spans = make([]segSpan, segs)
+	}
+	sp := (*spans)[:segs]
 	bws := make([]*bitio.Writer, pipeline.Workers(workers, segs))
 	for i := range bws {
 		bws[i] = bitwPool.Get().(*bitio.Writer)
@@ -156,32 +178,66 @@ func writeScanSharded(w *bufio.Writer, comps []*component, enc [4]*encTable, mcu
 			bw.Reset(io.Discard)
 			bitwPool.Put(bw)
 		}
+		spanPool.Put(spans)
 	}()
 	err := pipeline.RunWorker(context.Background(), segs, workers, func(_ context.Context, wk, seg int) error {
 		bw := bws[wk]
-		bw.Reset(io.Discard)
+		lo := len(bw.Bytes())
 		var prevDC [4]int32
-		lo, hi := segmentBounds(seg, restart, total)
-		for mcu := lo; mcu < hi; mcu++ {
+		mlo, mhi := segmentBounds(seg, restart, total)
+		for mcu := mlo; mcu < mhi; mcu++ {
 			if err := encodeMCU(bw, comps, enc, mcusX, mcu, &prevDC); err != nil {
 				return err
 			}
 		}
 		bw.Pad()
-		segBufs[seg] = append(segBufs[seg][:0], bw.Bytes()...)
+		sp[seg] = segSpan{w: wk, lo: lo, hi: len(bw.Bytes())}
 		return nil
 	})
 	if err != nil {
 		return firstShardError(err)
 	}
 	// A failed write sticks in w; encodeTail's Flush reports it.
-	for seg, b := range segBufs {
+	for seg, s := range sp {
 		if seg > 0 {
 			writeMarker(w, byte(mRST0+(seg-1)%8))
 		}
-		w.Write(b)
+		w.Write(bws[s.w].Bytes()[s.lo:s.hi])
 	}
 	return nil
+}
+
+// forwardSharded is transformComponents' two stages on a fan-out of
+// workers, for a frame whose scan is sharded: the color conversion of
+// src, when non-nil, over MCU rows, then the forward stage over block
+// rows in transformRow's order. Each MCU row's conversion writes
+// disjoint plane rows, and each block row's transform disjoint
+// coefficients, so the workers share the planes and grids without
+// synchronization. The conversion finishes before any transform starts:
+// a block row past the bottom of a plane reads the plane's last row,
+// which another MCU row converts. Each worker checks its row scratch and
+// its flat plane out of a pool.
+func (s *encScratch) forwardSharded(src *imgutil.RGB, comps []*component, mcusY, rows int, mask *qtable.ZeroMask, workers int) {
+	// The callbacks cannot fail and the context is never canceled.
+	if src != nil {
+		bufs := make([]*[]uint8, pipeline.Workers(workers, mcusY))
+		for i := range bufs {
+			bufs[i] = rowsPool.Get().(*[]uint8)
+		}
+		_ = pipeline.RunWorker(context.Background(), mcusY, workers, func(_ context.Context, w, m int) error {
+			s.convertMCURows(src, comps, m, m+1, bufs[w])
+			return nil
+		})
+		for _, b := range bufs {
+			rowsPool.Put(b)
+		}
+	}
+	planes := getPlanes(pipeline.Workers(workers, rows))
+	_ = pipeline.RunWorker(context.Background(), rows, workers, func(_ context.Context, w, r int) error {
+		s.transformRow(comps, r, mask, planes[w])
+		return nil
+	})
+	putPlanes(planes)
 }
 
 // entropySegments splits the current scan's entropy-coded data at its
@@ -319,20 +375,13 @@ func (d *Decoded) reconstruct() {
 		planePool.Put(plane)
 		return
 	}
-	planes := make([]*[]float64, pipeline.Workers(d.reconWorkers, rows))
-	for i := range planes {
-		planes[i] = planePool.Get().(*[]float64)
-	}
-	defer func() {
-		for _, p := range planes {
-			planePool.Put(p)
-		}
-	}()
+	planes := getPlanes(pipeline.Workers(d.reconWorkers, rows))
 	// The callback cannot fail and the context is never canceled.
 	_ = pipeline.RunWorker(context.Background(), rows, d.reconWorkers, func(_ context.Context, w, r int) error {
 		d.reconstructRow(r, planes[w])
 		return nil
 	})
+	putPlanes(planes)
 }
 
 // reconstructRow reconstructs block row r of the frame, counting the
@@ -348,4 +397,15 @@ func (d *Decoded) reconstructRow(r int, plane *[]float64) {
 	bx := d.blocksX[ci]
 	*plane = growFloats(*plane, bx*64)
 	reconstructBlockRow(p.pix, p.w, p.h, r, d.coefs[ci][r*bx:(r+1)*bx], d.ext[ci][r*bx:(r+1)*bx], &p.inv, *plane)
+}
+
+// rgbSharded is RGBInto's conversion on the reconstruction's fan-out,
+// one band of rgbBandRows output rows per item.
+func (d *Decoded) rgbSharded(im *imgutil.RGB) {
+	bands := (im.H + rgbBandRows - 1) / rgbBandRows
+	// The callback cannot fail and the context is never canceled.
+	_ = pipeline.RunWorker(context.Background(), bands, d.reconWorkers, func(_ context.Context, _, b int) error {
+		d.rgbRows(im, b*rgbBandRows, min((b+1)*rgbBandRows, im.H))
+		return nil
+	})
 }

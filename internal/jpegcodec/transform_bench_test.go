@@ -162,7 +162,7 @@ func BenchmarkEncodeStages(b *testing.B) {
 		h, v, _ := o.Subsampling.factors()
 		s := getEncScratch()
 		comps := s.rgbComponents(img, h, v)
-		mcusX, mcusY := transformComponents(img.W, img.H, comps, &o, s)
+		mcusX, mcusY := transformComponents(img, img.W, img.H, comps, &o, s)
 		zero, ext := encodeSparsity(comps, s)
 		ties := tieBoxShare(img)
 		px := float64(img.W * img.H)
@@ -174,7 +174,7 @@ func BenchmarkEncodeStages(b *testing.B) {
 		b.Run(in.name+"/color", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s.rgbComponents(img, h, v)
+				s.convertMCURows(img, comps, 0, mcusY, &s.rows)
 			}
 			report(b)
 			b.ReportMetric(ties, "tie/box")
@@ -182,7 +182,8 @@ func BenchmarkEncodeStages(b *testing.B) {
 		b.Run(in.name+"/transform", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				transformComponents(img.W, img.H, comps, &o, s)
+				// A nil source: the planes already hold img's samples.
+				transformComponents(nil, img.W, img.H, comps, &o, s)
 			}
 			report(b)
 		})
@@ -204,7 +205,7 @@ func BenchmarkEncodeStages(b *testing.B) {
 	b.Run("tie/color", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.rgbComponents(tied, 2, 2)
+			s.planes.FromRGBSubsampled(tied, 2, 2)
 		}
 		perPixel(b, float64(tied.W*tied.H))
 		b.ReportMetric(tieBoxShare(tied), "tie/box")

@@ -52,11 +52,6 @@ type Origin struct {
 	// requests read the last build without it.
 	mu    sync.Mutex
 	built atomic.Pointer[builtIndex]
-
-	// Counters surfaced by Stats, mirroring the client's.
-	indexRequests atomic.Int64
-	blobRequests  atomic.Int64
-	pushes        atomic.Int64
 }
 
 // builtIndex is one immutable index build: document bytes, parsed form,
@@ -96,20 +91,6 @@ func (o *Origin) Index() (*Index, error) {
 		return nil, err
 	}
 	return b.index, nil
-}
-
-// OriginStats is the origin-side request accounting.
-type OriginStats struct {
-	IndexRequests, BlobRequests, Pushes int64
-}
-
-// Stats snapshots the request counters.
-func (o *Origin) Stats() OriginStats {
-	return OriginStats{
-		IndexRequests: o.indexRequests.Load(),
-		BlobRequests:  o.blobRequests.Load(),
-		Pushes:        o.pushes.Load(),
-	}
 }
 
 // refresh runs the registry's poll step and returns the index built from
@@ -199,7 +180,6 @@ func (o *Origin) serveIndex(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "method_not_allowed", "index is GET only")
 		return
 	}
-	o.indexRequests.Add(1)
 	o.mu.Lock()
 	b, err := o.refresh()
 	o.mu.Unlock()
@@ -221,7 +201,6 @@ func (o *Origin) serveBlob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "method_not_allowed", "blobs are GET only")
 		return
 	}
-	o.blobRequests.Add(1)
 	sha := strings.TrimPrefix(r.URL.Path, BlobPathPrefix)
 	if err := validateSHA256(sha); err != nil {
 		httpError(w, http.StatusBadRequest, "bad_blob_ref", "%v", err)
@@ -274,7 +253,6 @@ func (o *Origin) servePush(w http.ResponseWriter, r *http.Request) {
 	}
 	if e, err := b.index.Resolve(p.Name, p.Version); err == nil {
 		if e.SHA256 == profile.BlobSHA256(data) {
-			o.pushes.Add(1)
 			writePushResponse(w, http.StatusOK, p, data)
 			return
 		}
@@ -309,7 +287,6 @@ func (o *Origin) servePush(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	o.pushes.Add(1)
 	writePushResponse(w, http.StatusCreated, p, data)
 }
 

@@ -725,10 +725,12 @@ func encodeOptions(fw *core.Framework, q url.Values) (o jpegcodec.Options, err e
 	if o.OptimizeHuffman, err = parseBoolParam(q, "optimize", false); err != nil {
 		return o, err
 	}
-	// Restart sharding is the codec's own choice: one request saturating
-	// every core is fine when the box is idle, and under concurrent load
-	// the scheduler time-slices the segment goroutines like any other
-	// work.
+	// Restart sharding is the codec's own choice: a frame with a restart
+	// interval and at least 1024 MCUs runs color conversion, transform
+	// and entropy coding across GOMAXPROCS workers. One request
+	// saturating every core is fine when the box is idle, and under
+	// concurrent load the scheduler time-slices the worker goroutines
+	// like any other work.
 	o.RestartInterval, err = parseRestartParam(q, false)
 	return o, err
 }

@@ -71,9 +71,12 @@ leg() {
 		# decode (imgutil: a PNG's pixels read without boxing a color,
 		# and a PNG too short for its header rejected before it
 		# allocates) and of the calibration's statistics pass
-		# (freqstat: one block row of scratch, no whole luma plane).
+		# (freqstat: one block row of scratch, no whole luma plane), and
+		# two bytes-per-call pins of a sharded 1024² frame (jpegcodec:
+		# encode, and decode plus RGBInto, on two workers, with no
+		# per-call plane, row or segment buffer).
 		# Every pin skips under -race, which skews allocation counts, so
-		# the race leg runs none of them; this leg runs all twelve.
+		# the race leg runs none of them; this leg runs all fourteen.
 		$GO test -count 1 -run 'Allocs|ReusesMetadataBuffers' . ./internal/jpegcodec ./internal/imgutil ./internal/freqstat
 		;;
 	sampling)
@@ -108,10 +111,13 @@ leg() {
 		# TestReconstructRow and TestLazyPixels hold the
 		# reconstruction's dispatch on recorded block extents (DC-only
 		# fill, prefix dequantize) to the dense per-block reference and
-		# to fresh decodes on a reused Decoded. The race leg skips the
-		# verdict pins (about 90 s under -race) and the rounding oracle;
-		# this leg runs them.
-		$GO test -count 1 -run 'TestDecodeVerdictDigests|Oracle|TestReconstructRow|TestLazyPixels' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
+		# to fresh decodes on a reused Decoded, and
+		# TestShardedDecodeMatchesSequential holds the sharded decode —
+		# entropy decode, reconstruction and RGBInto's banded color
+		# conversion — to the sequential one over gray and every chroma
+		# layout. The race leg skips the verdict pins (about 90 s under
+		# -race) and the rounding oracle; this leg runs them.
+		$GO test -count 1 -run 'TestDecodeVerdictDigests|Oracle|TestReconstructRow|TestLazyPixels|TestShardedDecodeMatchesSequential' ./internal/jpegcodec ./internal/imgutil ./internal/bitio
 		;;
 	encode)
 		# Encode write path, the decode leg's twin: the cross-commit
@@ -130,7 +136,14 @@ leg() {
 		# TestGatherBlockRow holds the gather to ExtractBlock+LevelShift,
 		# and TestStripWalkOracle holds the one-pass strip walk's
 		# statistics, byte for byte, to the per-block path it replaced.
-		$GO test -count 1 -run 'TestStreamDigests|TestQuantizeRun|TestTransformComponent|TestRequantize|TestEncodeExtents|TestFromRGBSubsampled|TestGatherBlockRow|TestStripWalkOracle' . ./internal/jpegcodec ./internal/imgutil ./internal/freqstat
+		# A sharded frame runs the color conversion over MCU-row bands
+		# and the forward stage over block rows on its fan-out:
+		# TestFromRGBSubsampledRowBands holds every band split to the
+		# whole-image conversion, TestShardedEncodeByteIdentical every
+		# worker count to the sequential bytes over gray and every
+		# chroma layout, and TestPublicRestartShardingAuto the public
+		# API's automatic sharding to the unsharded bytes.
+		$GO test -count 1 -run 'TestStreamDigests|TestQuantizeRun|TestTransformComponent|TestRequantize|TestEncodeExtents|TestFromRGBSubsampled|TestGatherBlockRow|TestStripWalkOracle|TestShardedEncodeByteIdentical|TestPublicRestartShardingAuto' . ./internal/jpegcodec ./internal/imgutil ./internal/freqstat
 		;;
 	hub)
 		# Profile hub: the origin wire protocol, client fault injection
